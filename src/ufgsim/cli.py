@@ -427,7 +427,7 @@ def cmd_malliavin(args):
     params = parse_param_list(args.param)
     system, _, _ = load_system(args.system, params)
     vp = simulate_variational(system, parse_point(args.x0), args.t, args.dt,
-                              args.seed, n_paths=args.paths)
+                              args.seed, n_paths=args.paths, store_stride=args.stride)
     M = malliavin_matrix(vp, system)
     reports, agg = block_check_ensemble(M, args.split, cond_threshold=args.cond_threshold)
     metadata = {"seed": args.seed, "dt": args.dt, "grid": None, "rtol": None,

@@ -315,6 +315,78 @@ def _stored_steps(n_steps, stride, store_times=None, dt=None):
     return np.asarray(idx, dtype=int)
 
 
+def _record_state(S, alive, last):
+    return S, None
+
+
+def _run_ensemble(system, x0, T, dt, n_paths, seed, advance, start=(),
+                  store=_record_state, store_stride=1, store_times=None, chunk_size=2048):
+    """The seeded ensemble loop behind simulate_paths and simulate_variational.
+
+    Each path carries a state tuple (X, *start) that `advance(S, dB)` moves by
+    one step.  A path whose new state has a non-finite entry is frozen at its
+    last finite state and flagged blown.  At t = 0 and at each stored step,
+    `store(S, alive, last)` returns the arrays to record and a mask of paths
+    that failed a check (or None), which are frozen and flagged aborted;
+    `last` is what it returned at the previous stored step, None at t = 0.
+    Path p consumes the substream seeded by path_seed(seed, p), so the
+    chunking never changes the output.
+
+    Returns the stored step indices, the recorded arrays (each of shape
+    (P, n_stored, ...)), the Brownian increments summed over each stored
+    interval, and the blown and aborted flags.
+    """
+    if not (T > 0 and dt > 0 and n_paths >= 1):
+        raise ValueError("need T > 0, dt > 0, n_paths >= 1")
+    if T < dt:
+        raise ValueError(f"horizon T = {T!r} is shorter than one step dt = {dt!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dim,):
+        raise ValueError(f"x0 must have shape ({system.dim},)")
+    n_steps = int(round(T / dt))
+    steps = _stored_steps(n_steps, store_stride, store_times, dt)
+    stored_pos = {int(s): k for k, s in enumerate(steps)}
+    P, d = n_paths, system.d
+
+    records = None
+    increments = np.zeros((P, len(steps) - 1, d))
+    blown = np.zeros(P, dtype=bool)
+    aborted = np.zeros(P, dtype=bool)
+    for lo in range(0, P, chunk_size):
+        hi = min(P, lo + chunk_size)
+        dB = np.empty((hi - lo, n_steps, d))
+        for p in range(lo, hi):
+            rng = np.random.Generator(np.random.PCG64(path_seed(seed, p)))
+            dB[p - lo] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
+        S = tuple(np.broadcast_to(a, (hi - lo,) + np.shape(a)).copy() for a in (x0, *start))
+        alive = np.ones(hi - lo, dtype=bool)
+        row = None
+        for step in range(n_steps + 1):
+            if step:
+                Sn = advance(S, dB[:, step - 1, :])
+                ok = alive.copy()
+                for a in Sn:
+                    ok &= np.isfinite(a).reshape(len(a), -1).all(axis=1)
+                blown[lo:hi] |= alive & ~ok
+                alive = ok
+                S = tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+                          for a, b in zip(Sn, S))
+                increments[lo:hi, seg, :] += dB[:, step - 1, :]
+            pos = stored_pos.get(step)
+            if pos is None:
+                continue
+            row, bad = store(S, alive, row)
+            if bad is not None:
+                aborted[lo:hi] |= bad
+                alive &= ~bad
+            if records is None:
+                records = tuple(np.empty((P, len(steps)) + a.shape[1:]) for a in row)
+            for rec, a in zip(records, row):
+                rec[lo:hi, pos] = a
+            seg = min(pos, len(steps) - 2)
+    return steps, records, increments, blown, aborted
+
+
 def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=2048,
                    store_times=None):
     """Stochastic Heun ensemble for dX = V0 dt + sqrt(2) sum V_i o dB^i.
@@ -322,59 +394,27 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     Paths whose state turns non-finite are frozen at their last finite value
     and flagged; the blow-up count lands in `meta`.  Path p consumes the
     substream seeded by path_seed(seed, p), so any chunking or scheduling
-    produces identical output.
+    produces identical output.  Rejects T <= 0, dt <= 0, n_paths < 1 and a
+    horizon shorter than one step.
     """
-    if T <= 0 or dt <= 0 or n_paths < 1:
-        raise ValueError("need T > 0, dt > 0, n_paths >= 1")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(f"x0 must have shape ({system.dim},)")
-    n_steps = max(1, int(round(T / dt)))
-    stored = _stored_steps(n_steps, store_stride, store_times, dt)
-    times = stored * dt
-    P, N, d = n_paths, system.dim, system.d
-
-    states = np.empty((P, len(stored), N))
-    increments = np.zeros((P, len(stored) - 1, d))
-    blown = np.zeros(P, dtype=bool)
-
-    stored_pos = {int(s): k for k, s in enumerate(stored)}
-    for lo in range(0, P, chunk_size):
-        hi = min(P, lo + chunk_size)
-        C = hi - lo
-        dB = np.empty((C, n_steps, d))
-        for p in range(lo, hi):
-            rng = np.random.Generator(np.random.PCG64(path_seed(seed, p)))
-            dB[p - lo] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
-        X = np.broadcast_to(x0, (C, N)).copy()
-        alive = np.ones(C, dtype=bool)
-        states[lo:hi, 0] = X
-        seg = 0
-        for step in range(n_steps):
-            Xn = _heun_step(system, X, dB[:, step, :], dt)
-            ok = np.all(np.isfinite(Xn), axis=1)
-            newly_dead = alive & ~ok
-            alive &= ok
-            X = np.where(alive[:, None], Xn, X)
-            blown[lo:hi] |= newly_dead
-            increments[lo:hi, seg, :] += dB[:, step, :]
-            pos = stored_pos.get(step + 1)
-            if pos is not None:
-                states[lo:hi, pos] = X
-                seg = min(seg + 1, len(stored) - 2)
+    steps, (states,), increments, blown, _ = _run_ensemble(
+        system, x0, T, dt, n_paths, seed,
+        lambda S, dB: (_heun_step(system, S[0], dB, dt)[0],),
+        store_stride=store_stride, store_times=store_times, chunk_size=chunk_size)
     meta = {
         "system": system.name,
-        "x0": x0.tolist(),
+        "x0": np.asarray(x0, dtype=float).tolist(),
         "T": float(T),
         "dt": float(dt),
-        "n_steps": n_steps,
+        "n_steps": int(steps[-1]),
         "store_stride": int(store_stride),
         "blowups": int(blown.sum()),
     }
-    return PathEnsemble(seed, dt, times, states, increments, blown, meta)
+    return PathEnsemble(seed, dt, steps * dt, states, increments, blown, meta)
 
 
 def _heun_step(system, X, dB, dt):
+    """One stochastic Heun step: the new state and the predictor Xp."""
     a0 = system.drift.eval_batch(X)
     g0 = np.zeros_like(X)
     for i, V in enumerate(system.noises):
@@ -384,7 +424,7 @@ def _heun_step(system, X, dB, dt):
     g1 = np.zeros_like(X)
     for i, V in enumerate(system.noises):
         g1 += V.eval_batch(Xp) * dB[:, i:i + 1]
-    return X + 0.5 * dt * (a0 + a1) + 0.5 * SQRT2 * (g0 + g1)
+    return X + 0.5 * dt * (a0 + a1) + 0.5 * SQRT2 * (g0 + g1), Xp
 
 
 def auxiliary_process(ensemble, v0perp, cfg=None):

@@ -11,6 +11,7 @@ field of weighted length at most m, excluding the bare drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,7 @@ class VectorField:
             out[..., j] = ex.evaluate_array(c, X)
         return out
 
+    @cached_property
     def jacobian_exprs(self):
         """Matrix of symbolic partials J[j][i] = d component_j / d x_i."""
         return tuple(
@@ -56,7 +58,7 @@ class VectorField:
     def jacobian_batch(self, X):
         """Jacobians at points of shape (..., N), result (..., N, N)."""
         X = np.asarray(X, dtype=float)
-        J = _jacobian_cache(self)
+        J = self.jacobian_exprs
         out = np.empty(X.shape[:-1] + (self.dim, self.dim), dtype=float)
         for j in range(self.dim):
             for i in range(self.dim):
@@ -65,18 +67,6 @@ class VectorField:
 
     def is_zero(self):
         return all(c == ex.ZERO for c in self.components)
-
-
-_JAC_CACHE: dict = {}
-
-
-def _jacobian_cache(vf):
-    key = (vf.dim, vf.components)
-    got = _JAC_CACHE.get(key)
-    if got is None:
-        got = vf.jacobian_exprs()
-        _JAC_CACHE[key] = got
-    return got
 
 
 def make_field(dim, component_texts, variable_names, name=""):

@@ -3,13 +3,11 @@
 For the Stratonovich system dX = V0 dt + sqrt(2) sum_i V_i o dB^i the state
 Jacobian J_t = dX_t/dx_0 obeys the linearized equation dJ = DV0(X) J dt +
 sqrt(2) sum_i DV_i(X) J o dB^i.  One stochastic Heun step is linear in J,
-J_{n+1} = M_n J_n, so the inverse is propagated with the exact step inverse
-K_{n+1} = K_n M_n^{-1} (which discretizes the companion equation
-dK = -K DV0 dt - sqrt(2) sum K DV_i o dB) and refreshed by a direct linear
-solve every `correction_interval` steps.  Integrating the companion equation
-with its own Heun step instead lets J K - I drift at O(dt) per unit time,
-far above the 1e-6 consistency budget, which is why the exact step inverse
-is used.
+J_{n+1} = M_n J_n, with M_n built from the field Jacobians at the current
+state and at the Heun predictor that the state step already computes.  The
+inverse K = J^{-1} is needed only on the stored grid, so it is computed there
+by a direct batched inverse, and every path is checked for |J K - I| within
+the 1e-6 consistency budget.
 
 The reduced covariance follows the convention without the sqrt(2) factor on
 the noise columns:  C_t = sum_k int_0^t J_s^{-1} V_k V_k^T (J_s^{-1})^T ds,
@@ -19,14 +17,12 @@ that absorb the noise scaling into the covariance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SQRT2, _heun_step, _stored_steps, path_seed
+from .dynamics import SQRT2, _heun_step, _run_ensemble
 
-DEFAULT_CORRECTION_INTERVAL = 100
 DEFAULT_CONSISTENCY_TOL = 1e-6
 DEFAULT_COND_THRESHOLD = 1e10
 
@@ -61,111 +57,69 @@ class VariationalPath:
         return np.max(np.abs(prod - I), axis=(1, 2, 3))
 
 
-def step_matrix(system, X, dB, dt):
-    """One-step linear update M with J_{n+1} = M J_n under stochastic Heun."""
-    P, N = X.shape
+def step_matrix(system, X, dB, dt, Xp=None):
+    """One-step linear update M with J_{n+1} = M J_n under stochastic Heun.
+
+    `Xp` is the Heun predictor that `_heun_step` returns for (X, dB); it is
+    computed here when not given.
+    """
+    if Xp is None:
+        Xp = _heun_step(system, X, dB, dt)[1]
+    G = _step_linearization(system, X, dB, dt)
+    Gp = _step_linearization(system, Xp, dB, dt)
+    return np.eye(X.shape[1]) + 0.5 * (G + Gp + Gp @ G)
+
+
+def _step_linearization(system, X, dB, dt):
+    """dt DV0(X) + sqrt(2) sum_i dB^i DV_i(X), per row."""
     G = dt * system.drift.jacobian_batch(X)
     for i, V in enumerate(system.noises):
         G += SQRT2 * dB[:, i, None, None] * V.jacobian_batch(X)
-    drift_val = system.drift.eval_batch(X)
-    noise_val = np.zeros_like(X)
-    for i, V in enumerate(system.noises):
-        noise_val += V.eval_batch(X) * dB[:, i:i + 1]
-    Xp = X + drift_val * dt + SQRT2 * noise_val
-    Gp = dt * system.drift.jacobian_batch(Xp)
-    for i, V in enumerate(system.noises):
-        Gp += SQRT2 * dB[:, i, None, None] * V.jacobian_batch(Xp)
-    I = np.eye(N)
-    return I + 0.5 * (G + Gp + Gp @ G)
+    return G
 
 
 def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
-                         correction_interval=DEFAULT_CORRECTION_INTERVAL,
                          consistency_tol=DEFAULT_CONSISTENCY_TOL):
     """Joint Heun integration of the state and its variational Jacobian.
 
-    Shares the Brownian substreams of `simulate_paths` (same per-path seeds),
-    so the states coincide bit for bit with a plain ensemble run.  A path is
-    flagged `aborted` when even the linear-solve refresh cannot keep
-    |J K - I| within consistency_tol (near-singular Jacobian).
+    Runs the ensemble loop of `simulate_paths` on the same per-path
+    substreams, so the states coincide bit for bit with a plain ensemble
+    run.  At each stored time K = J^{-1} is computed directly; a path is
+    flagged `aborted` when |J K - I| is not within consistency_tol (singular
+    or near-singular Jacobian).  A frozen path keeps its last stored K.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(f"x0 must have shape ({system.dim},)")
-    n_steps = max(1, int(round(T / dt)))
-    stored = _stored_steps(n_steps, store_stride)
-    stored_pos = {int(s): k for k, s in enumerate(stored)}
-    times = stored * dt
-    P, N, d = n_paths, system.dim, system.d
+    I = np.eye(system.dim)
 
-    dW = np.empty((P, n_steps, d))
-    for p in range(P):
-        rng = np.random.Generator(np.random.PCG64(path_seed(seed, p)))
-        dW[p] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
+    def advance(S, dB):
+        X, J = S
+        Xn, Xp = _heun_step(system, X, dB, dt)
+        return Xn, step_matrix(system, X, dB, dt, Xp) @ J
 
-    X = np.broadcast_to(x0, (P, N)).copy()
-    J = np.broadcast_to(np.eye(N), (P, N, N)).copy()
-    K = J.copy()
-    alive = np.ones(P, dtype=bool)
-    blown = np.zeros(P, dtype=bool)
-    aborted = np.zeros(P, dtype=bool)
+    def store(S, alive, last):
+        X, J = S
+        if last is None:  # J_0 = I is its own inverse
+            return (X, J, J), None
+        K = _refresh_inverse(J, last[2], alive)
+        err = np.max(np.abs(J @ K - I), axis=(1, 2))
+        return (X, J, K), alive & ~(err <= consistency_tol)
 
-    states = np.empty((P, len(stored), N))
-    jacs = np.empty((P, len(stored), N, N))
-    invs = np.empty((P, len(stored), N, N))
-    increments = np.zeros((P, len(stored) - 1, d))
-    states[:, 0], jacs[:, 0], invs[:, 0] = X, J, K
-
-    I = np.eye(N)
-    seg = 0
-    for step in range(n_steps):
-        dB = dW[:, step, :]
-        M = step_matrix(system, X, dB, dt)
-        Xn = _heun_step(system, X, dB, dt)
-        Jn = M @ J
-        try:
-            Kn = K @ np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            Kn = np.full_like(K, np.nan)
-            for idx in range(P):
-                try:
-                    Kn[idx] = K[idx] @ np.linalg.inv(M[idx])
-                except np.linalg.LinAlgError:
-                    pass
-        ok = (np.all(np.isfinite(Xn), axis=1)
-              & np.all(np.isfinite(Jn), axis=(1, 2))
-              & np.all(np.isfinite(Kn), axis=(1, 2)))
-        blown |= alive & ~ok
-        alive &= ok
-        X = np.where(alive[:, None], Xn, X)
-        J = np.where(alive[:, None, None], Jn, J)
-        K = np.where(alive[:, None, None], Kn, K)
-        if (step + 1) % correction_interval == 0:
-            K = _refresh_inverse(J, K, alive)
-        increments[:, seg, :] += dB
-        pos = stored_pos.get(step + 1)
-        if pos is not None:
-            K = _refresh_inverse(J, K, alive)
-            err = np.max(np.abs(J @ K - I), axis=(1, 2))
-            bad = alive & (err > consistency_tol)
-            aborted |= bad
-            alive &= ~bad
-            states[:, pos], jacs[:, pos], invs[:, pos] = X, J, K
-            seg = min(seg + 1, len(stored) - 2)
+    steps, (states, jacs, invs), increments, blown, aborted = _run_ensemble(
+        system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
+        store_stride=store_stride)
     meta = {
         "system": system.name,
-        "x0": x0.tolist(),
+        "x0": np.asarray(x0, dtype=float).tolist(),
         "T": float(T),
         "dt": float(dt),
         "blowups": int(blown.sum()),
         "aborted": int(aborted.sum()),
-        "correction_interval": int(correction_interval),
     }
-    return VariationalPath(seed, dt, times, states, jacs, invs, increments,
+    return VariationalPath(seed, dt, steps * dt, states, jacs, invs, increments,
                            blown, aborted, meta)
 
 
 def _refresh_inverse(J, K, alive):
+    """inv(J) on the alive rows; other rows, and singular ones, keep K."""
     out = K.copy()
     if np.any(alive):
         try:

@@ -101,6 +101,21 @@ class TestExitCodes:
         assert json.loads(out)["verdict"] == "suspect"
 
 
+    @pytest.mark.parametrize("args", [
+        ["malliavin", "--t", "-1"],
+        ["malliavin", "--t", "1", "--paths", "0"],
+        ["malliavin", "--t", "1", "--dt", "0"],
+        ["simulate", "--t", "1e-9", "--dt", "1"],
+    ])
+    def test_unhonourable_simulation_rejected(self, capsys, args):
+        cmd, rest = args[0], args[1:]
+        extra = ["--split", "1"] if cmd == "malliavin" else []
+        code, _, err = run_cli([cmd, "--system", "sine-ou", "--param", "k=2",
+                                "--x0", "0,4", *rest, *extra], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "Traceback" not in err
+        assert "error" in json.loads(err.splitlines()[-1])
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, capsys):
         args = ["simulate", "--system", "random-circles", "--x0", "1,0", "--t",
@@ -128,6 +143,21 @@ class TestDeterminism:
         _, out2, _ = run_cli(args + ["--threads", "2"], capsys)
         assert out1 == out2
 
+
+    def test_malliavin_stride_reaches_simulation(self, capsys):
+        from ufgsim import catalog, malliavin as mal
+
+        args = ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+                "--t", "0.2", "--paths", "4", "--seed", "5", "--split", "1",
+                "--stride", "5"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == cli.EXIT_OK
+        system = catalog.get("sine-ou", {"k": 2.0}).system
+        vp = mal.simulate_variational(system, [0.0, 4.0], 0.2, 1e-3, 5, n_paths=4,
+                                      store_stride=5)
+        want = mal.malliavin_matrix(vp, system)
+        got = [p["matrix"] for p in json.loads(out)["paths"]]
+        assert got == want.reshape(4, -1).tolist()
 
 class TestSubcommands:
     def test_catalog_list(self, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -46,6 +47,44 @@ class TestVariational:
         # the deterministic block never picks up dependence on the leading one
         assert np.max(np.abs(vp.jacobians[:, :, 1, 0])) == 0.0
 
+
+    def test_chunking_is_bit_identical(self, monkeypatch, sine_ou_k2):
+        kw = dict(x0=[0.2, 1.5], T=0.3, dt=1e-3, seed=17, n_paths=20, store_stride=10)
+        one = mal.simulate_variational(sine_ou_k2.system, **kw)
+        monkeypatch.setattr(mal, "_run_ensemble",
+                            functools.partial(dyn._run_ensemble, chunk_size=7))
+        many = mal.simulate_variational(sine_ou_k2.system, **kw)
+        for name in ("times", "states", "jacobians", "inverses", "increments",
+                     "blown", "aborted"):
+            assert np.array_equal(getattr(one, name), getattr(many, name)), name
+
+    def test_field_evaluations_per_step(self, monkeypatch, heisenberg):
+        counts = {"eval_batch": 0, "jacobian_batch": 0}
+        for name in counts:
+            original = getattr(vf.VectorField, name)
+
+            def counted(self, X, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, X)
+
+            monkeypatch.setattr(vf.VectorField, name, counted)
+        system = heisenberg.system
+        mal.simulate_variational(system, [1.0, 0.0, 0.0], 0.05, 1e-3, seed=1, n_paths=3,
+                                 store_stride=10)
+        # drift and noises at X and at the shared Heun predictor, once each
+        assert counts == {"eval_batch": 50 * 2 * (1 + system.d),
+                          "jacobian_batch": 50 * 2 * (1 + system.d)}
+
+    def test_singular_jacobian_is_aborted(self):
+        # dt DV0 = [[-1, -1], [1, -1]] makes the Heun step matrix
+        # I + A + A^2/2 exactly zero, so J is finite but singular after one step
+        V0 = vf.make_field(2, ["-2*x-2*y", "2*x-2*y"], ["x", "y"])
+        zero = vf.make_field(2, ["0", "0"], ["x", "y"])
+        system = dyn.SDESystem(2, V0, (zero,), "singular-step")
+        vp = mal.simulate_variational(system, [1.0, 0.0], 1.0, 0.5, seed=0, n_paths=2)
+        assert np.array_equal(vp.jacobians[:, 1], np.zeros((2, 2, 2)))
+        assert vp.aborted.all() and not vp.blown.any()
+        assert np.all(np.isfinite(vp.inverses))
 
 class TestReducedCovariance:
     def test_ou_closed_form(self):
