@@ -4,11 +4,10 @@ Exit codes: 0 all verdicts pass, 2 a check reported violated, 3 usage or
 parse error, 4 numeric failure (blow-up, Newton divergence, evaluation
 domain error).  JSON reports carry schema_version 1 and echo every resolved
 setting (including defaults) under "metadata" for provenance.  All commands
-are deterministic given their flags and seed; `--threads` caps the worker
-count used by ensemble internals and never changes results (the kernels are
-vectorized and path substreams are fixed by the seed alone); it is therefore
-deliberately left out of report metadata so reports stay byte-comparable
-across thread settings.
+are deterministic given their flags and seed.  `--threads` is parsed but
+not yet read: every value runs the same single-threaded loop.  Results never
+depend on it (path substreams are fixed by the seed alone), and it is left
+out of report metadata so reports stay byte-comparable across its values.
 """
 
 from __future__ import annotations
@@ -526,7 +525,7 @@ def _add_common(p, sim=False, geom=False):
     p.add_argument("--param", action="append", default=[], help="name=value (repeatable)")
     p.add_argument("--out", default="-", help="output file, or - for stdout")
     p.add_argument("--threads", type=int, default=1,
-                   help="cap on worker threads (results never depend on it)")
+                   help="not yet read: every value runs single-threaded")
     if sim:
         p.add_argument("--x0", required=True)
         p.add_argument("--t", type=float, required=True)

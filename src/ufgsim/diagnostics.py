@@ -282,19 +282,16 @@ def fokker_planck_residual(system, rho, grid):
     where the density leaves its domain are skipped and counted.
     """
     resid = stationary_fp_operator(system, rho)
-    profile = []
-    skipped = 0
-    sup_rho = 0.0
-    for z in np.asarray(grid, dtype=float).ravel():
-        try:
-            r = ex.evaluate(resid, [z])
-            sup_rho = max(sup_rho, abs(ex.evaluate(rho, [z])))
-        except ex.EvalDomainError:
-            skipped += 1
-            continue
-        profile.append((float(z), float(r)))
+    Z = np.asarray(grid, dtype=float).reshape(-1, 1)
+    check = ex.DomainCheck(Z.shape[:-1])
+    r = check.evaluate(resid, Z)
+    rho_abs = np.abs(check.evaluate(rho, Z))
+    ok = ~check.bad
+    skipped = int(check.bad.sum())
+    profile = list(zip(Z[ok, 0].tolist(), r[ok].tolist()))
     if not profile:
         raise ValueError("no usable grid points for the residual")
+    sup_rho = float(rho_abs[ok].max())
     max_abs = max(abs(r) for _, r in profile)
     norm = max_abs / sup_rho if sup_rho > 0 else math.inf
     return FokkerPlanckResidual(max_abs, norm, profile, skipped, sup_rho)

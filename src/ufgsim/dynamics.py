@@ -219,10 +219,9 @@ def adjoint_push(V, Y, t, x, cfg=None, consistency_tol=1e-7):
     V = _as_numeric(V)
     Y = _as_numeric(Y)
     x = np.asarray(x, dtype=float)
-    y = flow(V, x, t, cfg)
+    Jf, y = flow_jacobian(V, x, t, cfg, with_endpoint=True)
     vec = Y.eval_batch(y[None, :])[0]
     back = flow_jacobian(V, y, -t, cfg) @ vec
-    Jf = flow_jacobian(V, x, t, cfg)
     try:
         alt = np.linalg.solve(Jf, vec)
     except np.linalg.LinAlgError:
@@ -309,7 +308,7 @@ def _stored_steps(n_steps, stride, store_times=None, dt=None):
         for t in store_times:
             steps.add(min(n_steps, max(0, int(round(t / dt)))))
         return np.asarray(sorted(steps), dtype=int)
-    idx = list(range(0, n_steps + 1, max(1, stride)))
+    idx = list(range(0, n_steps + 1, stride))
     if idx[-1] != n_steps:
         idx.append(n_steps)
     return np.asarray(idx, dtype=int)
@@ -340,6 +339,8 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance, start=(),
         raise ValueError("need T > 0, dt > 0, n_paths >= 1")
     if T < dt:
         raise ValueError(f"horizon T = {T!r} is shorter than one step dt = {dt!r}")
+    if store_stride < 1:
+        raise ValueError(f"store stride must be >= 1, got {store_stride!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
         raise ValueError(f"x0 must have shape ({system.dim},)")

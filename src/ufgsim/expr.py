@@ -19,9 +19,17 @@ Design notes:
   multiplication at construction time (``x^3 -> x*x*x``, ``x^-2 ->
   1/(x*x)``), so pow nodes only ever carry non-integer constant exponents
   and are defined only for positive bases.
+* One evaluation walk serves every caller.  ``evaluate_array`` runs it over
+  rows of points and lets nan/inf through; ``DomainCheck.evaluate`` runs it
+  under the domain check, and ``evaluate`` is that check on one row.  The
+  domain rule: a row fails when any subexpression value on it is non-finite,
+  when a pow base on it is <= 0, or when the point lacks a coordinate the
+  expression uses; the error names the first failing node in post-order.
 * Simplification is structural only: constant folding, 0/1 absorption,
   double-negation removal and cancellation of structurally identical
-  subtrahends.  No distribution, no term reordering.
+  subtrahends.  No distribution, no term reordering.  A constant node is
+  folded by the same walk and left unfolded when it fails the domain check,
+  so simplification keeps every value on the expression's domain to the bit.
 * The canonical printer emits fully parenthesized text; parsing the printed
   form of a simplified expression reproduces it node for node.
 
@@ -31,12 +39,11 @@ Trees are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "tanh")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 _MAX_INT_EXPONENT = 64
@@ -315,7 +322,8 @@ def to_string(e, variable_names=None):
     def go(node):
         match node:
             case Const(value=v):
-                return repr(v) if v >= 0 or not math.isfinite(v) else f"(-{repr(-v)})"
+                negative = math.copysign(1.0, v) < 0 and math.isfinite(v)  # -0.0 too
+                return f"(-{repr(-v)})" if negative else repr(v)
             case Var(index=i):
                 return name(i)
             case Unary(op="neg", child=c):
@@ -335,61 +343,95 @@ def to_string(e, variable_names=None):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(e, point):
-    """Evaluate at a point (sequence of reals) in IEEE double precision.
+class DomainCheck:
+    """The domain check (module notes) of evaluation walks over rows of shape `shape`.
 
-    Raises EvalDomainError naming the offending subtree on domain violations
-    or non-finite intermediate results; never silently returns inf/nan.
+    `bad` flags the rows that failed in any walk made under this check;
+    `error` is the EvalDomainError for the first failing node, or None.
     """
-    point = np.asarray(point, dtype=float)
+
+    def __init__(self, shape):
+        self.bad = np.zeros(shape, dtype=bool)
+        self.error = None
+
+    def evaluate(self, e, points):
+        """``evaluate_array(e, points)``, recording the rows that fail the check."""
+        return _evaluate(e, points, self)
+
+    def _visit(self, node, out, args):
+        ok = np.isfinite(out)
+        if type(node) is Binary and node.op == "pow":
+            ok &= args[0] > 0.0
+        if not ok.all():
+            self._fail(node, ~ok, [out, *args])
+        return out
+
+    def _fail(self, node, bad, values, brief=None):
+        if self.error is None:
+            row = np.flatnonzero(np.broadcast_to(bad, self.bad.shape))[0]
+            vals = [float(np.broadcast_to(v, self.bad.shape).flat[row]) for v in values]
+            self.error = EvalDomainError(brief or _brief(node, *vals), node)
+        self.bad |= bad
+
+
+def _brief(node, value, *args):
+    match node, args:
+        case Const(), _:
+            return f"non-finite constant {value}"
+        case Var(), _:
+            return f"non-finite coordinate {value}"
+        case Unary(op="log"), (x,) if x <= 0.0:
+            return f"log of non-positive value {x}"
+        case Unary(op="sqrt"), (x,) if x < 0.0:
+            return f"sqrt of negative value {x}"
+        case Binary(op="div"), (_, 0.0):
+            return "division by zero"
+        case Binary(op="pow"), (a, _) if a <= 0.0:
+            return f"pow with non-positive base {a}"
+    return "overflow"
+
+
+def _pow(a, b):
+    """a ** b; a constant base becomes a numpy float, which gives the same libm
+    pow as Python's but nan/inf where Python would raise or return a complex."""
+    return (np.float64(a) if type(a) is float else a) ** b
+
+
+_UNARY = {"neg": operator.neg, **{f: getattr(np, f) for f in FUNCTIONS}}
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": np.divide, "pow": _pow}
+
+
+def _evaluate(e, points, check):
+    """The one evaluation walk, in post-order; `check` is None or a DomainCheck."""
+    points = np.asarray(points, dtype=float)
 
     def go(node):
         match node:
             case Const(value=v):
-                return v
+                out, args = v, ()
             case Var(index=i):
-                if i >= point.shape[-1]:
-                    raise EvalDomainError(f"point has no coordinate {i}", node)
-                return float(point[i])
-            case Unary(op=op, child=c):
-                x = go(c)
-                if op == "neg":
-                    return -x
-                if op == "log":
-                    if x <= 0.0:
-                        raise EvalDomainError(f"log of non-positive value {x}", node)
-                    return math.log(x)
-                if op == "sqrt":
-                    if x < 0.0:
-                        raise EvalDomainError(f"sqrt of negative value {x}", node)
-                    return math.sqrt(x)
+                args = ()
                 try:
-                    out = getattr(math, op)(x)
-                except OverflowError:
-                    raise EvalDomainError("overflow", node) from None
-                return out
+                    out = points[..., i]
+                except IndexError:
+                    if check is None:
+                        raise
+                    check._fail(node, True, [], f"point has no coordinate {i}")
+                    out = np.full(points.shape[:-1], np.nan)
+            case Unary(op=op, child=c):
+                args = (go(c),)
+                out = _UNARY[op](*args)
             case Binary(op=op, left=l, right=r):
-                a = go(l)
-                b = go(r)
-                if op == "add":
-                    return a + b
-                if op == "sub":
-                    return a - b
-                if op == "mul":
-                    return a * b
-                if op == "div":
-                    if b == 0.0:
-                        raise EvalDomainError("division by zero", node)
-                    return a / b
-                if a <= 0.0:
-                    raise EvalDomainError(f"pow with non-positive base {a}", node)
-                return a ** b
-        raise TypeError(f"not an Expr node: {node!r}")
+                args = (go(l), go(r))
+                out = _BINARY[op](*args)
+            case _:
+                raise TypeError(f"not an Expr node: {node!r}")
+        return out if check is None else check._visit(node, out, args)
 
-    out = go(e)
-    if not math.isfinite(out):
-        raise EvalDomainError("non-finite result", e)
-    return out
+    with np.errstate(all="ignore"):
+        out = go(e)
+    return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
 
 
 def evaluate_array(e, points):
@@ -398,33 +440,20 @@ def evaluate_array(e, points):
     Domain violations produce nan/inf in the output instead of raising; the
     caller (Monte Carlo kernels) is responsible for flagging non-finite rows.
     """
-    points = np.asarray(points, dtype=float)
+    return _evaluate(e, points, None)
 
-    def go(node):
-        match node:
-            case Const(value=v):
-                return v
-            case Var(index=i):
-                return points[..., i]
-            case Unary(op="neg", child=c):
-                return -go(c)
-            case Unary(op=op, child=c):
-                return getattr(np, op)(go(c))
-            case Binary(op="add", left=l, right=r):
-                return go(l) + go(r)
-            case Binary(op="sub", left=l, right=r):
-                return go(l) - go(r)
-            case Binary(op="mul", left=l, right=r):
-                return go(l) * go(r)
-            case Binary(op="div", left=l, right=r):
-                return go(l) / go(r)
-            case Binary(op="pow", left=l, right=r):
-                return go(l) ** go(r)
-        raise TypeError(f"not an Expr node: {node!r}")
 
-    with np.errstate(all="ignore"):
-        out = go(e)
-    return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
+def evaluate(e, point):
+    """Evaluate at one point (sequence of reals): the array walk on one row.
+
+    Raises EvalDomainError naming the first subtree that fails the domain
+    check (see DomainCheck); never silently returns inf/nan.
+    """
+    check = DomainCheck((1,))
+    out = check.evaluate(e, np.asarray(point, dtype=float)[None])
+    if check.error is not None:
+        raise check.error
+    return float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -484,32 +513,12 @@ def differentiate(e, var_index):
 # Simplification (structural only)
 # ---------------------------------------------------------------------------
 
-def _fold_unary(op, x):
-    try:
-        if op == "neg":
-            return -x
-        if op == "log":
-            return math.log(x) if x > 0 else None
-        if op == "sqrt":
-            return math.sqrt(x) if x >= 0 else None
-        return getattr(math, op)(x)
-    except (ValueError, OverflowError):
-        return None
-
-
-def _fold_binary(op, a, b):
-    try:
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return a / b if b != 0.0 else None
-        return a ** b if a > 0.0 else None
-    except OverflowError:
-        return None
+def _fold(node):
+    """A node over constants as the Const of its value, or the node itself when
+    its value fails the domain check."""
+    check = DomainCheck(())
+    v = check.evaluate(node, ())
+    return node if check.error is not None else Const(float(v))
 
 
 def _is_const(e, v):
@@ -527,9 +536,7 @@ def simplify(e):
         case Unary(op=op, child=c):
             c = simplify(c)
             if isinstance(c, Const):
-                v = _fold_unary(op, c.value)
-                if v is not None and math.isfinite(v):
-                    return Const(v)
+                return _fold(Unary(op, c))
             if op == "neg" and isinstance(c, Unary) and c.op == "neg":
                 return c.child
             return Unary(op, c)
@@ -537,9 +544,9 @@ def simplify(e):
             l = simplify(l)
             r = simplify(r)
             if isinstance(l, Const) and isinstance(r, Const):
-                v = _fold_binary(op, l.value, r.value)
-                if v is not None and math.isfinite(v):
-                    return Const(v)
+                folded = _fold(Binary(op, l, r))
+                if isinstance(folded, Const):
+                    return folded
             if op == "add":
                 if _is_const(l, 0.0):
                     return r

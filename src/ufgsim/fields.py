@@ -38,14 +38,22 @@ class VectorField:
                 )
 
     def __call__(self, x):
-        return np.array([ex.evaluate(c, x) for c in self.components])
+        """Value at one point under the domain check; raises EvalDomainError."""
+        check = ex.DomainCheck((1,))
+        out = self._eval(np.asarray(x, dtype=float)[None], check)[0]
+        if check.error is not None:
+            raise check.error
+        return out
 
     def eval_batch(self, X):
         """Evaluate at points of shape (..., N); non-finite values pass through."""
+        return self._eval(X, None)
+
+    def _eval(self, X, check):
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape, dtype=float)
         for j, c in enumerate(self.components):
-            out[..., j] = ex.evaluate_array(c, X)
+            out[..., j] = ex.evaluate_array(c, X) if check is None else check.evaluate(c, X)
         return out
 
     @cached_property
@@ -65,17 +73,10 @@ class VectorField:
                 out[..., j, i] = ex.evaluate_array(J[j][i], X)
         return out
 
-    def is_zero(self):
-        return all(c == ex.ZERO for c in self.components)
-
 
 def make_field(dim, component_texts, variable_names, name=""):
     comps = tuple(ex.parse_expression(t, variable_names) for t in component_texts)
     return VectorField(dim, comps, name)
-
-
-def zero_field(dim):
-    return VectorField(dim, tuple(ex.ZERO for _ in range(dim)))
 
 
 def lie_bracket(V, W):
@@ -123,13 +124,19 @@ class MultiIndex:
         return f"({','.join(map(str, self.entries))})"
 
 
-def multiindex_length(alpha):
-    return alpha.length
-
-
 def canonical_key(alpha):
     """Sort key: by weighted length, then lexicographically by entries."""
     return (alpha.length, alpha.entries)
+
+
+def table_size(d, m):
+    """Entries of the bracket table at level m over d noise fields, in closed form:
+    c_w multi-indices of weighted length w, c_0 = 1, c_1 = d, c_w = d c_{w-1} +
+    c_{w-2}, summed over lengths 1..m+2, less the trivial index (0,)."""
+    counts = [1, d]
+    while len(counts) <= m + 2:
+        counts.append(d * counts[-1] + counts[-2])
+    return sum(counts[1:]) - 1
 
 
 class BracketTable:
@@ -152,16 +159,22 @@ class BracketTable:
         if self.d < 1:
             raise ValueError("need a drift and at least one noise field")
         self.m = m
+        size = table_size(self.d, m)
+        if size > cap:
+            raise RuntimeError(
+                f"bracket table of {size} entries exceeds its entry cap ({cap}); "
+                "lower m or raise the cap explicitly"
+            )
         self.base_fields = tuple(base_fields)
         self.fields: dict[MultiIndex, VectorField] = {}
-        self._build(cap)
+        self._build()
         self._order = sorted(self.fields, key=canonical_key)
 
     @property
     def drift(self):
         return self.base_fields[0]
 
-    def _build(self, cap):
+    def _build(self):
         interned: dict[tuple, VectorField] = {}
 
         def intern(vf):
@@ -191,11 +204,6 @@ class BracketTable:
                     child = entries + (i,)
                     if weighted(child) > self.m + 2:
                         continue
-                    if len(self.fields) >= cap:
-                        raise RuntimeError(
-                            f"bracket table exceeded its entry cap ({cap}); "
-                            "lower m or raise the cap explicitly"
-                        )
                     bracket = intern(lie_bracket(fld, self.base_fields[i]))
                     self.fields[MultiIndex(child)] = bracket
                     nxt.append((child, bracket))
@@ -211,42 +219,35 @@ class BracketTable:
         """Indices of the frame R_m (weighted length <= m, drift excluded)."""
         return self.indices(self.m)
 
-    def ufg_targets(self):
-        """Indices with m < ||a|| <= m+2, the ones the UFG identity must cover."""
-        return [a for a in self._order if self.m < a.length <= self.m + 2]
-
     def field(self, alpha):
         return self.fields[alpha]
 
     def evaluate_frame(self, subset, x):
-        """Frame matrix (N x k): bracket fields evaluated at x as columns.
+        """Frame matrix (N x k) at one point: `evaluate_frame_batch` on that row,
+        under the domain check; a failure names its bracket."""
+        return self._frame(subset, np.asarray(x, dtype=float)[None], checked=True)[0]
+
+    def evaluate_frame_batch(self, subset, X):
+        """Frame matrices at points X of shape (..., N) -> (..., N, k).
 
         subset is "brackets" for the frame of R_m alone or "brackets+drift"
         to append the drift V_0 as the final column.  Columns follow the
         canonical table order.
         """
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for a in self.r_m():
-            try:
-                cols.append(self.fields[a](x))
-            except ex.EvalDomainError as err:
-                raise ex.EvalDomainError(f"bracket {a}: {err.brief}",
-                                         err.subtree) from None
-        if subset == "brackets+drift":
-            cols.append(self.drift(x))
-        elif subset != "brackets":
-            raise ValueError("subset must be 'brackets' or 'brackets+drift'")
-        return np.column_stack(cols) if cols else np.zeros((self.dim, 0))
+        return self._frame(subset, np.asarray(X, dtype=float), checked=False)
 
-    def evaluate_frame_batch(self, subset, X):
-        """Batched frames: X of shape (..., N) -> (..., N, k)."""
-        X = np.asarray(X, dtype=float)
-        mats = [self.fields[a].eval_batch(X) for a in self.r_m()]
-        if subset == "brackets+drift":
-            mats.append(self.drift.eval_batch(X))
-        elif subset != "brackets":
+    def _frame(self, subset, X, checked):
+        if subset not in ("brackets", "brackets+drift"):
             raise ValueError("subset must be 'brackets' or 'brackets+drift'")
+        columns = [(f"bracket {a}: ", self.fields[a]) for a in self.r_m()]
+        if subset == "brackets+drift":
+            columns.append(("", self.drift))
+        mats = []
+        for label, V in columns:
+            check = ex.DomainCheck(X.shape[:-1]) if checked else None
+            mats.append(V._eval(X, check))
+            if checked and check.error is not None:
+                raise ex.EvalDomainError(label + check.error.brief, check.error.subtree)
         return np.stack(mats, axis=-1)
 
     def spot_check(self, rng, n_points=5, box=1.0, tol=1e-9):
@@ -272,7 +273,3 @@ class BracketTable:
 def build_hierarchy(base_fields, m, cap=DEFAULT_TABLE_CAP):
     """Build the bracket hierarchy through weighted length m+2."""
     return BracketTable(base_fields, m, cap=cap)
-
-
-def evaluate_frame(table, subset, x):
-    return table.evaluate_frame(subset, x)

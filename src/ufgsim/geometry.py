@@ -160,10 +160,7 @@ def rank_at(table, which, x, rtol=DEFAULT_RTOL):
     """Tolerance rank of the bracket frame ("brackets") or the drift-augmented
     frame ("brackets+drift") at x: singular values above rtol times the top one.
     """
-    F = table.evaluate_frame(which, x)
-    if not np.all(np.isfinite(F)):
-        raise ex.EvalDomainError("frame evaluation non-finite", ex.ZERO)
-    return svd_rank(F, rtol=rtol)
+    return svd_rank(table.evaluate_frame(which, x), rtol=rtol)
 
 
 def decompose_drift(table, x, rtol=DEFAULT_RTOL):
@@ -571,28 +568,25 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
     ode_field = VectorField(
         N - n, tuple(_shift_variables(system.drift.components[j], n) for j in range(n, N))
     )
-    records, skipped = [], 0
     times = [float(t) for t in ode_solution_times]
-    for i, x in enumerate(pts):
-        worst, worst_t = -np.inf, times[0]
-        ok = True
-        for t in times:
-            zeta_t = flow(ode_field, x[n:], t, cfg) if t > 0 else x[n:]
-            pt = np.concatenate([x[:n], zeta_t])
-            try:
-                val = ex.evaluate(Lphi, pt)
-                bound = c1 - c2 * ex.evaluate(phi, pt)
-            except ex.EvalDomainError:
-                ok = False
-                break
-            margin = val - bound
-            if margin > worst:
-                worst, worst_t = margin, t
-        if not ok:
-            skipped += 1
-            continue
-        records.append(PointRecord(list(map(float, x)), float(worst),
-                                   extra={"worst_time": worst_t, "_idx": i}))
+
+    def advanced(t):  # every sample point with its block moved along the flow for t
+        zeta_t = flow(ode_field, pts[:, n:], t, cfg) if t > 0 else pts[:, n:]
+        return np.concatenate([pts[:, :n], zeta_t], axis=1)
+
+    X = np.stack([advanced(t) for t in times])  # (time, point, N)
+    check = ex.DomainCheck(X.shape[:-1])
+    margins = check.evaluate(Lphi, X) - (c1 - c2 * check.evaluate(phi, X))
+    skip = check.bad.any(axis=0)  # a point is skipped when any time fails
+    worst = np.full(len(pts), -np.inf)
+    worst_t = np.full(len(pts), times[0])
+    for t, margin in zip(times, margins):  # the first time at which the margin is largest
+        larger = margin > worst
+        worst[larger], worst_t[larger] = margin[larger], t
+    records = [PointRecord(list(map(float, pts[i])), float(worst[i]),
+                           extra={"worst_time": float(worst_t[i]), "_idx": int(i)})
+               for i in np.flatnonzero(~skip)]
+    skipped = int(skip.sum())
     scale = tol * (1.0 + abs(c1) + abs(c2))
     return _finish_report("lyapunov", None, None, records, [], skipped,
                           residual_tol=scale,

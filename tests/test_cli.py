@@ -106,6 +106,8 @@ class TestExitCodes:
         ["malliavin", "--t", "1", "--paths", "0"],
         ["malliavin", "--t", "1", "--dt", "0"],
         ["simulate", "--t", "1e-9", "--dt", "1"],
+        ["simulate", "--t", "1", "--stride", "0"],
+        ["malliavin", "--t", "1", "--stride", "-1"],
     ])
     def test_unhonourable_simulation_rejected(self, capsys, args):
         cmd, rest = args[0], args[1:]

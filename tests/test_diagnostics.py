@@ -203,6 +203,21 @@ class TestFokkerPlanck:
                                         np.linspace(1.0, 5.0, 9))
         assert res.skipped_points > 0
 
+    def test_profile_matches_pointwise_reference(self, circle_line):
+        rho = ex.parse_expression("log(z - 3)/(1 + z*z)", ["z"])
+        grid = np.linspace(1.0, 5.0, 9)
+        res = dg.fokker_planck_residual(circle_line.system, rho, grid)
+        resid = dg.stationary_fp_operator(circle_line.system, rho)
+        want = []
+        for z in grid:
+            try:
+                want.append((z, ex.evaluate(resid, [z]), abs(ex.evaluate(rho, [z]))))
+            except ex.EvalDomainError:
+                continue
+        assert res.profile == [(z, r) for z, r, _ in want]
+        assert res.skipped_points == len(grid) - len(want) == 5
+        assert res.density_sup == max(p for _, _, p in want)
+
     def test_requires_one_dimension(self, circles):
         rho = ex.parse_expression("exp(-x*x)", ["x", "y"])
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,13 +103,40 @@ class TestEvaluate:
             ex.evaluate(e, [1e4])
 
     def test_array_evaluation_matches_scalar(self, rng):
-        # libm and numpy ufuncs may differ in the last ulp, so this is a
-        # near-equality contract, unlike the bit-for-bit simplify invariant
         e = ex.parse_expression("sin(x)*exp(y) - x/(1+y*y)", ["x", "y"])
         pts = rng.uniform(-2, 2, size=(64, 2))
         vec = ex.evaluate_array(e, pts)
         for p, v in zip(pts, vec):
-            assert ex.evaluate(e, p) == pytest.approx(v, rel=1e-14, abs=1e-300)
+            assert ex.evaluate(e, p) == v
+
+    @pytest.mark.parametrize("text,x", [("sin(x*x)", 1e200), ("tanh(x*x)", 1e200),
+                                        ("x^1.5", 1e300)])
+    def test_masked_and_raising_overflow_reported(self, text, x):
+        with pytest.raises(ex.EvalDomainError, match="overflow"):
+            ex.evaluate(ex.parse_expression(text, ["x"]), [x])
+
+    def test_non_finite_coordinate_and_missing_coordinate(self):
+        e = ex.parse_expression("tanh(x)", ["x", "y"])
+        with pytest.raises(ex.EvalDomainError, match="non-finite coordinate"):
+            ex.evaluate(e, [math.inf])
+        with pytest.raises(ex.EvalDomainError, match="point has no coordinate 1"):
+            ex.evaluate(ex.parse_expression("x + y", ["x", "y"]), [1.0])
+
+    def test_domain_check_flags_rows(self):
+        e = ex.parse_expression("log(x) + sqrt(y)", ["x", "y"])
+        check = ex.DomainCheck((4,))
+        vals = check.evaluate(e, [[1.0, 4.0], [-1.0, 4.0], [2.0, -1.0], [0.0, 1.0]])
+        assert check.bad.tolist() == [False, True, True, True]
+        assert vals[0] == 2.0
+        # the first failing node in post-order, on its first failing row
+        assert check.error.brief == "log of non-positive value -1.0"
+
+    def test_constant_subtrees_never_raise_in_the_array_walk(self):
+        for text in ("x + 1/0", "x*(-2)^0.5", "x + 10^400.5"):
+            e = ex.parse_expression(text, ["x"])
+            assert not np.isfinite(ex.evaluate_array(e, [[1.0]])[0])
+            with pytest.raises(ex.EvalDomainError):
+                ex.evaluate(e, [1.0])
 
 
 class TestDifferentiate:
@@ -189,6 +217,17 @@ class TestSimplify:
             for p in pts:
                 assert ex.evaluate(e, p) == ex.evaluate(s, p)
 
+    def test_folding_uses_the_array_walk(self):
+        # libm and numpy tanh differ in the last ulp at this argument
+        e = ex.parse_expression("tanh(0.5180628768869379)*x", ["x"])
+        s = ex.simplify(e)
+        assert s.left == ex.Const(float(np.tanh(0.5180628768869379)))
+        assert ex.evaluate_array(s, [[1.0]])[0] == ex.evaluate_array(e, [[1.0]])[0]
+
+    def test_no_folding_outside_the_domain(self):
+        for text in ("log(0 - 1)", "sqrt(0 - 4)", "1/0", "(0 - 2)^0.5", "exp(1000)"):
+            assert not isinstance(ex.simplify(ex.parse_expression(text, ["x"])), ex.Const)
+
 
 class TestPrinter:
     def test_roundtrip_examples(self):
@@ -226,6 +265,10 @@ def _combine(children):
         lambda a, b: ex.Unary("sin", a),
         lambda a, b: ex.Unary("exp", a),
         lambda a, b: ex.Unary("tanh", a),
+        lambda a, b: ex.Unary("log", a),
+        lambda a, b: ex.Unary("sqrt", a),
+        lambda a, b: ex.Binary("pow", a, ex.Const(0.5)),
+        lambda a, b: ex.Binary("pow", a, ex.Const(-1.5)),
     ]
     return st.tuples(st.sampled_from(builders), *children).map(lambda t: t[0](t[1], t[2]))
 
@@ -239,3 +282,42 @@ def test_print_parse_is_simplify_normal_form(e):
     s = ex.simplify(e)
     printed = ex.to_string(s, ["x", "y"])
     assert ex.parse_expression(printed, ["x", "y"]) == s
+
+
+_coordinate = st.one_of(st.floats(min_value=-4, max_value=4),
+                        st.sampled_from([0.0, -1e200, 1e200, 1e300]))
+_point_rows = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@given(_expr_strategy, _point_rows)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_is_the_array_walk_on_one_row(e, rows):
+    P = np.array(rows)
+    check = ex.DomainCheck((len(P),))
+    check.evaluate(e, P)
+    for p, bad in zip(P, check.bad):
+        try:
+            v = ex.evaluate(e, p)
+        except ex.EvalDomainError:
+            assert bad
+            continue
+        assert not bad
+        assert _bits(v) == _bits(ex.evaluate_array(e, p[None])[0])
+
+
+@given(_expr_strategy, _point_rows)
+@settings(max_examples=300, deadline=None)
+def test_simplify_keeps_values_where_defined(e, rows):
+    P = np.array(rows)
+    check = ex.DomainCheck((len(P),))
+    check.evaluate(e, P)
+    want = ex.evaluate_array(e, P)[~check.bad]
+    got = ex.evaluate_array(ex.simplify(e), P)[~check.bad]
+    # IEEE equality of finite values is equality to the bit except for the
+    # sign of a zero, which the 0/1 absorption rules may flip (0*x is -0.0
+    # for x < 0, simplified to 0.0)
+    assert np.array_equal(got, want)

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from ufgsim import catalog
 from ufgsim import expr as ex
 from ufgsim import fields as vf
 from conftest import sample_points
@@ -145,6 +148,21 @@ class TestHierarchy:
         with pytest.raises(RuntimeError, match="entry cap"):
             vf.build_hierarchy([V0, V1], 3, cap=4)
 
+    def test_oversized_table_rejected_before_building(self):
+        fields = catalog.get("sinfields").system.all_fields()
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="6762 entries exceeds its entry cap"):
+            vf.build_hierarchy(fields, 15)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name,levels", [("sinfields", range(1, 7)),
+                                             ("ufg-heisenberg", range(1, 5))])
+    def test_table_size_counts_the_built_table(self, name, levels):
+        system = catalog.get(name).system
+        for m in levels:
+            tab = vf.build_hierarchy(system.all_fields(), m)
+            assert len(tab.fields) == vf.table_size(system.d, m)
+
     def test_requires_noise(self):
         V0 = vf.make_field(1, ["x"], ["x"])
         with pytest.raises(ValueError):
@@ -178,7 +196,7 @@ class TestFrames:
         batch = tab.evaluate_frame_batch("brackets+drift", pts)
         for i, x in enumerate(pts):
             single = tab.evaluate_frame("brackets+drift", x)
-            assert np.allclose(batch[i], single, rtol=1e-14, atol=1e-300)
+            assert np.array_equal(batch[i], single)
 
     def test_bad_subset(self, circles):
         tab = vf.build_hierarchy(circles.system.all_fields(), 1)

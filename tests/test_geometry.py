@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ufgsim import catalog, expr as ex, fields as vf, geometry as geo
-from ufgsim.dynamics import SDESystem
+from ufgsim.dynamics import SDESystem, flow
 from ufgsim.linalg import sym_outer_max_eig
 from conftest import sample_points
 
@@ -330,6 +330,30 @@ class TestLyapunov:
                                  geo.SamplePlan(box=((-3, 3), (0.5, 6.0)), grid=6),
                                  c1=0.0, c2=4.0, ode_solution_times=[0.0])
         assert rep.verdict == "violated"
+
+    def test_batched_records_match_pointwise_reference(self, sine_ou_k2):
+        system = sine_ou_k2.system
+        phi = ex.parse_expression("log(z*z)", ["z", "zeta"])  # undefined at z = 0
+        plan = geo.SamplePlan(box=((-3, 3), (0.5, 6.0)), grid=5)
+        times = [0.0, 0.5, 1.0]
+        rep = geo.check_lyapunov(system, phi, plan, c1=80.0, c2=4.0,
+                                 ode_solution_times=times)
+        Lphi = geo.generator_apply(system, phi)
+        ode = vf.make_field(1, ["-sin(zeta)"], ["zeta"])
+        want, skipped = [], 0
+        for x in plan.sample(2):
+            margins = []
+            try:
+                for t in times:
+                    pt = np.concatenate([x[:1], flow(ode, x[1:], t) if t > 0 else x[1:]])
+                    margins.append(ex.evaluate(Lphi, pt) - (80.0 - 4.0 * ex.evaluate(phi, pt)))
+            except ex.EvalDomainError:
+                skipped += 1
+                continue
+            k = int(np.argmax(margins))
+            want.append((list(x), margins[k], times[k]))
+        assert [(r.point, r.residual, r.extra["worst_time"]) for r in rep.records] == want
+        assert rep.skipped_points == skipped == 5
 
     def test_phi_must_use_leading_block(self, sine_ou_k2):
         phi = ex.parse_expression("zeta*zeta", ["z", "zeta"])
