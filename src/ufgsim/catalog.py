@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expr as ex
 from .dynamics import SDESystem
@@ -369,6 +368,8 @@ def stationary_density_normalization():
     the integrand vanishes to all orders at the endpoints, so the sequence
     stabilizes quickly and the last change bounds the cutoff error.
     """
+    from scipy.integrate import quad  # loaded here only: a slow import, one caller
+
     e = stationary_density_expr()
 
     def f(z):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -375,8 +376,17 @@ def cmd_chart(args):
     return EXIT_OK if verify["passed"] else EXIT_VIOLATED
 
 
+def _horizon(args):
+    """--t, rejected unless it is a whole number of --dt steps: the simulators round T/dt."""
+    q = args.t / args.dt if args.dt > 0 else 0.0
+    # the simulators reject dt <= 0 and horizons shorter than one step themselves
+    if q >= 1 and abs(q - round(q)) > 1e-9 * q:
+        raise UsageError(f"--t {args.t!r} is not a whole number of steps --dt {args.dt!r}")
+    return args.t
+
+
 def _simulate_from_args(args, system, store_times=None):
-    return simulate_paths(system, parse_point(args.x0), args.t, args.dt, args.paths,
+    return simulate_paths(system, parse_point(args.x0), _horizon(args), args.dt, args.paths,
                           args.seed, store_stride=args.stride, store_times=store_times)
 
 
@@ -425,7 +435,7 @@ def cmd_ranks(args):
 def cmd_malliavin(args):
     params = parse_param_list(args.param)
     system, _, _ = load_system(args.system, params)
-    vp = simulate_variational(system, parse_point(args.x0), args.t, args.dt,
+    vp = simulate_variational(system, parse_point(args.x0), _horizon(args), args.dt,
                               args.seed, n_paths=args.paths, store_stride=args.stride)
     M = malliavin_matrix(vp, system)
     reports, agg = block_check_ensemble(M, args.split, cond_threshold=args.cond_threshold)
@@ -491,7 +501,7 @@ def cmd_derivative(args):
     direction = _resolve_direction(args.direction, system, entry, variables)
     x0 = parse_point(args.x0)
     h = args.h if args.h is not None else 1e-3 * (1.0 + float(np.linalg.norm(x0)))
-    est, err = diagnostics.semigroup_derivative(system, f, direction, x0, args.t,
+    est, err = diagnostics.semigroup_derivative(system, f, direction, x0, _horizon(args),
                                                 args.paths, h=h, seed=args.seed,
                                                 dt=args.dt)
     payload = report_payload("derivative", system.name, params,
@@ -520,6 +530,14 @@ def _resolve_direction(spec, system, entry, variables):
 # Argument wiring
 # ---------------------------------------------------------------------------
 
+def finite_float(text):
+    """argparse type of every real-valued flag: nan and +-inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_common(p, sim=False, geom=False):
     p.add_argument("--system", required=True, help="catalog name or system file")
     p.add_argument("--param", action="append", default=[], help="name=value (repeatable)")
@@ -528,14 +546,14 @@ def _add_common(p, sim=False, geom=False):
                    help="not yet read: every value runs single-threaded")
     if sim:
         p.add_argument("--x0", required=True)
-        p.add_argument("--t", type=float, required=True)
-        p.add_argument("--dt", type=float, default=1e-3)
+        p.add_argument("--t", type=finite_float, required=True)
+        p.add_argument("--dt", type=finite_float, default=1e-3)
         p.add_argument("--paths", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--stride", type=int, default=1)
     if geom:
         p.add_argument("--level", type=int, default=None)
-        p.add_argument("--rtol", type=float, default=1e-8)
+        p.add_argument("--rtol", type=finite_float, default=1e-8)
         p.add_argument("--box", default=None)
         p.add_argument("--grid", type=int, default=32)
 
@@ -557,14 +575,14 @@ def build_parser():
     _add_common(p, geom=True)
     p.add_argument("--condition", required=True,
                    choices=["ufg", "hc", "phc", "oac", "oac2", "kalman", "lyapunov"])
-    p.add_argument("--lambda0", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
-    p.add_argument("--coeff-threshold", dest="coeff_threshold", type=float, default=1e6)
+    p.add_argument("--lambda0", type=finite_float, default=1e-3)
+    p.add_argument("--tol", type=finite_float, default=1e-9)
+    p.add_argument("--residual-tol", dest="residual_tol", type=finite_float, default=1e-8)
+    p.add_argument("--coeff-threshold", dest="coeff_threshold", type=finite_float, default=1e6)
     p.add_argument("--points", default=None, help="CSV file of sample points")
     p.add_argument("--phi", default=None, help="lyapunov test function")
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
+    p.add_argument("--c1", type=finite_float, default=1.0)
+    p.add_argument("--c2", type=finite_float, default=1.0)
     p.add_argument("--times", default=None, help="lyapunov evaluation times")
     p.set_defaults(fn=cmd_check)
 
@@ -576,12 +594,12 @@ def build_parser():
     p = sub.add_parser("chart", help="build and verify a local chart")
     _add_common(p, geom=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=finite_float, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
-    p.add_argument("--newton-tol", dest="newton_tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=finite_float, default=1e-5)
+    p.add_argument("--fd-step", dest="fd_step", type=finite_float, default=1e-5)
+    p.add_argument("--newton-tol", dest="newton_tol", type=finite_float, default=1e-12)
     p.set_defaults(fn=cmd_chart)
 
     p = sub.add_parser("simulate", help="simulate an ensemble to CSV")
@@ -599,7 +617,7 @@ def build_parser():
     p = sub.add_parser("malliavin", help="variational paths and covariance checks")
     _add_common(p, sim=True)
     p.add_argument("--split", type=int, required=True)
-    p.add_argument("--cond-threshold", dest="cond_threshold", type=float, default=1e10)
+    p.add_argument("--cond-threshold", dest="cond_threshold", type=finite_float, default=1e10)
     p.set_defaults(fn=cmd_malliavin)
 
     p = sub.add_parser("converge", help="KS / escape-fraction convergence study")
@@ -609,9 +627,9 @@ def build_parser():
     p.add_argument("--reference", required=True)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--escape-radius", dest="escape_radius", type=float, default=1e3)
-    p.add_argument("--ks-tolerance", dest="ks_tolerance", type=float, default=0.05)
+    p.add_argument("--dt", type=finite_float, default=1e-3)
+    p.add_argument("--escape-radius", dest="escape_radius", type=finite_float, default=1e3)
+    p.add_argument("--ks-tolerance", dest="ks_tolerance", type=finite_float, default=0.05)
     p.add_argument("--csv", default=None, help="also write time,coordinate,ks,escape_fraction")
     p.set_defaults(fn=cmd_converge)
 
@@ -626,11 +644,11 @@ def build_parser():
     p.add_argument("--f", required=True)
     p.add_argument("--direction", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--t", type=finite_float, required=True)
+    p.add_argument("--h", type=finite_float, default=None)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=finite_float, default=1e-3)
     p.set_defaults(fn=cmd_derivative)
 
     return ap

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import expr as ex
 from .dynamics import simulate_paths
@@ -51,6 +50,8 @@ class GaussianRef:
             raise ValueError("variance must be positive")
 
     def cdf(self, x):
+        from scipy.special import ndtr  # loaded here only: a slow import, one caller
+
         return ndtr((np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance))
 
 

@@ -144,24 +144,63 @@ def flow(V, x, t, cfg=None):
     """Integral-curve endpoint e^{tV}(x) by fixed-step RK4.
 
     Accepts a single point (N,) or a batch (B, N); `t` may be scalar or per
-    row.  Negative times integrate backwards.  Raises FlowBlowUp when any
+    row.  Negative times integrate backwards.  All rows share one step count,
+    ceil(max|t|/dt), so row i steps by t_i/count.  Raises FlowBlowUp when any
     state leaves the finite range.
     """
     cfg = cfg or FlowConfig()
-    V = _as_numeric(V)
     X, t, single = _normalize_xt(x, t)
-    tmax = float(np.max(np.abs(t)))
-    if tmax > cfg.max_time:
-        raise ValueError(f"flow horizon {tmax:.3g} exceeds the configured maximum")
-    if tmax == 0.0:
-        return X[0].copy() if single else X.copy()
-    n_steps = max(1, int(math.ceil(tmax / cfg.dt)))
-    h = t / n_steps
-    for k in range(n_steps):
-        X = _rk4_step(V, X, h)
-        if not np.all(np.isfinite(X)):
-            raise FlowBlowUp((k + 1) * float(np.max(np.abs(h))))
+    counts, h = _step_plan(t, cfg, shared=True)
+    X = _rk4_rows(_as_numeric(V), X, h, counts)
     return X[0] if single else X
+
+
+def _step_plan(t, cfg, shared=False):
+    """RK4 step counts and sizes for rows flowing for the times `t`.
+
+    A row takes ceil(|t|/dt) steps (at least one, none for t = 0) of size
+    t/count, where |t| is the row's own or, when `shared`, the largest over
+    all rows.  Rejects a horizon beyond cfg.max_time.
+    """
+    a = np.abs(t)
+    tmax = float(np.max(a))
+    if not tmax <= cfg.max_time:
+        raise ValueError(f"flow horizon {tmax:.3g} exceeds the configured maximum")
+    if shared:
+        a = np.full_like(a, tmax)
+    counts = np.where(a > 0, np.maximum(1, np.ceil(a / cfg.dt)), 0).astype(np.int64)
+    return counts, np.divide(t, counts, out=np.zeros_like(t), where=counts > 0)
+
+
+def _flow_each(V, X, t, cfg):
+    """Row i of X flowed for t[i], bit for bit as a lone flow(V, X[i], t[i], cfg).
+
+    Every row keeps its own step count and size (see _step_plan); the rows
+    run through one RK4 loop in ascending count order, and come back in the
+    order given.
+    """
+    counts, h = _step_plan(t, cfg)
+    order = np.argsort(counts, kind="stable")
+    X = _rk4_rows(_as_numeric(V), X[order], h[order], counts[order])
+    return X[np.argsort(order)]
+
+
+def _rk4_rows(V, X, h, counts):
+    """Row i of X after counts[i] RK4 steps of size h[i] (a new array).
+
+    Counts must not decrease down the rows, so the rows still advancing at
+    step s are the suffix X[lo:].  Raises FlowBlowUp when an advancing row
+    turns non-finite, at the time that row has reached.
+    """
+    X = np.array(X, dtype=float)
+    for s in range(int(counts.max(initial=0))):
+        lo = int(np.searchsorted(counts, s, side="right"))
+        Y = _rk4_step(V, X[lo:], h[lo:])
+        bad = ~np.isfinite(Y).all(axis=1)
+        if bad.any():
+            raise FlowBlowUp((s + 1) * float(np.max(np.abs(h[lo:][bad]))))
+        X[lo:] = Y
+    return X
 
 
 def _rk4_step(V, X, h):
@@ -180,12 +219,8 @@ def flow_jacobian(V, x, t, cfg=None, with_endpoint=False):
     X, t, single = _normalize_xt(x, t)
     B, n = X.shape
     J = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-    tmax = float(np.max(np.abs(t)))
-    if tmax > cfg.max_time:
-        raise ValueError(f"flow horizon {tmax:.3g} exceeds the configured maximum")
-    n_steps = max(1, int(math.ceil(tmax / cfg.dt))) if tmax > 0 else 0
-    h = t / n_steps if n_steps else t
-    for k in range(n_steps):
+    counts, h = _step_plan(t, cfg, shared=True)
+    for k in range(int(counts[0])):
         hc = h[:, None]
         hj = h[:, None, None]
         k1 = V.eval_batch(X)
@@ -396,7 +431,7 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     and flagged; the blow-up count lands in `meta`.  Path p consumes the
     substream seeded by path_seed(seed, p), so any chunking or scheduling
     produces identical output.  Rejects T <= 0, dt <= 0, n_paths < 1 and a
-    horizon shorter than one step.
+    horizon shorter than one step; a longer one is rounded to whole steps.
     """
     steps, (states,), increments, blown, _ = _run_ensemble(
         system, x0, T, dt, n_paths, seed,
@@ -431,21 +466,24 @@ def _heun_step(system, X, dB, dt):
 def auxiliary_process(ensemble, v0perp, cfg=None):
     """Z_t = e^{-t V0perp}(X_t): undo the drift-orthogonal transport per stored time.
 
-    The backward flow is recomputed from scratch for every stored time (cost
-    O(t/dt) each), using the supplied drift-orthogonal field; catalog systems
-    provide it in closed form.  Blown-up paths stay flagged and are carried
-    through unchanged.
+    Each stored state flows backward for its own time t with the step count
+    and size a lone flow(v0perp, X_t, -t) would use, ceil(t/dt) steps of
+    -t/ceil(t/dt), so Z is bit-identical to one flow per stored time.  All
+    stored times advance in one RK4 loop, whose rows drop out as their
+    count is reached: the cost is that of the longest flow, not the K(K+1)/2
+    steps of restarting from t = 0.  The supplied field is the
+    drift-orthogonal one; catalog systems provide it in closed form.
+    Blown-up paths stay flagged and are carried through unchanged.
     """
     cfg = cfg or FlowConfig(dt=ensemble.dt)
-    Z = np.empty_like(ensemble.states)
-    Z[:, 0, :] = ensemble.states[:, 0, :]
-    for k in range(1, len(ensemble.times)):
-        t = float(ensemble.times[k])
-        Z[:, k, :] = flow(v0perp, ensemble.states[:, k, :], -t, cfg)
+    P, K, N = ensemble.states.shape
+    rows = ensemble.states.transpose(1, 0, 2).reshape(K * P, N)
+    Z = _flow_each(v0perp, rows, np.repeat(-ensemble.times, P), cfg)
+    Z = Z.reshape(K, P, N).transpose(1, 0, 2)
     meta = dict(ensemble.meta)
     meta["transform"] = "auxiliary-process"
     return PathEnsemble(
-        ensemble.seed, ensemble.dt, ensemble.times.copy(), Z,
+        ensemble.seed, ensemble.dt, ensemble.times.copy(), np.ascontiguousarray(Z),
         ensemble.increments.copy(), ensemble.blown.copy(), meta,
     )
 

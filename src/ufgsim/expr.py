@@ -207,7 +207,10 @@ class _Scanner:
                     self.pos += 1
             else:
                 self.pos = mark
-        return float(t[start:self.pos])
+        value = float(t[start:self.pos])
+        if math.isinf(value):
+            raise ParseError(f"number {t[start:self.pos]} overflows a double", start)
+        return value
 
     def ident(self):
         start = self.pos
@@ -405,33 +408,35 @@ _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 def _evaluate(e, points, check):
     """The one evaluation walk, in post-order; `check` is None or a DomainCheck."""
     points = np.asarray(points, dtype=float)
-
-    def go(node):
-        match node:
-            case Const(value=v):
-                out, args = v, ()
-            case Var(index=i):
-                args = ()
-                try:
-                    out = points[..., i]
-                except IndexError:
-                    if check is None:
-                        raise
-                    check._fail(node, True, [], f"point has no coordinate {i}")
-                    out = np.full(points.shape[:-1], np.nan)
-            case Unary(op=op, child=c):
-                args = (go(c),)
-                out = _UNARY[op](*args)
-            case Binary(op=op, left=l, right=r):
-                args = (go(l), go(r))
-                out = _BINARY[op](*args)
-            case _:
-                raise TypeError(f"not an Expr node: {node!r}")
-        return out if check is None else check._visit(node, out, args)
-
     with np.errstate(all="ignore"):
-        out = go(e)
+        out = _walk(e, points, check)
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
+
+
+def _walk(node, points, check):
+    # a module-level function, not a closure: a self-referencing closure would
+    # keep `points` alive in a reference cycle until the cyclic GC runs
+    match node:
+        case Const(value=v):
+            out, args = v, ()
+        case Var(index=i):
+            args = ()
+            try:
+                out = points[..., i]
+            except IndexError:
+                if check is None:
+                    raise
+                check._fail(node, True, [], f"point has no coordinate {i}")
+                out = np.full(points.shape[:-1], np.nan)
+        case Unary(op=op, child=c):
+            args = (_walk(c, points, check),)
+            out = _UNARY[op](*args)
+        case Binary(op=op, left=l, right=r):
+            args = (_walk(l, points, check), _walk(r, points, check))
+            out = _BINARY[op](*args)
+        case _:
+            raise TypeError(f"not an Expr node: {node!r}")
+    return out if check is None else check._visit(node, out, args)
 
 
 def evaluate_array(e, points):

@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import expr as ex
-from .dynamics import FlowConfig, NumericField, flow, flow_jacobian
+from .dynamics import FlowConfig, NumericField, _flow_each, flow, flow_jacobian
 from .fields import VectorField
 from .linalg import (
     alignment_certificate,
@@ -553,8 +552,9 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
     """Drift-condition test L_t phi <= C1 - C2 phi along the deterministic block.
 
     Sample points supply both the z-grid and the deterministic initial values;
-    each requested time advances the trailing block along its flow before the
-    symbolic generator expression is evaluated.
+    each requested time t > 0 advances the trailing block along its flow for t
+    (all (time, point) rows in one RK4 loop) before the symbolic generator
+    expression is evaluated.
     """
     N = system.dim
     n = ode_block_start(system)
@@ -569,12 +569,10 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
         N - n, tuple(_shift_variables(system.drift.components[j], n) for j in range(n, N))
     )
     times = [float(t) for t in ode_solution_times]
-
-    def advanced(t):  # every sample point with its block moved along the flow for t
-        zeta_t = flow(ode_field, pts[:, n:], t, cfg) if t > 0 else pts[:, n:]
-        return np.concatenate([pts[:, :n], zeta_t], axis=1)
-
-    X = np.stack([advanced(t) for t in times])  # (time, point, N)
+    # every (time, point) row with its block moved along the flow; t <= 0 leaves it
+    X = np.tile(pts, (len(times), 1))
+    X[:, n:] = _flow_each(ode_field, X[:, n:], np.repeat(np.maximum(times, 0.0), len(pts)), cfg)
+    X = X.reshape(len(times), len(pts), N)  # (time, point, N)
     check = ex.DomainCheck(X.shape[:-1])
     margins = check.evaluate(Lphi, X) - (c1 - c2 * check.evaluate(phi, X))
     skip = check.bad.any(axis=0)  # a point is skipped when any time fails
@@ -719,6 +717,8 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
                     f"rank of the bracket distribution is unstable near {x0.tolist()}; "
                     "not a regular point"
                 )
+
+    import scipy.linalg  # loaded here only: a slow import, one caller
 
     F = table.evaluate_frame("brackets", x0)
     _, _, piv = scipy.linalg.qr(F, mode="economic", pivoting=True)

@@ -108,6 +108,7 @@ class TestExitCodes:
         ["simulate", "--t", "1e-9", "--dt", "1"],
         ["simulate", "--t", "1", "--stride", "0"],
         ["malliavin", "--t", "1", "--stride", "-1"],
+        ["simulate", "--t", "0.0015", "--dt", "0.001"],
     ])
     def test_unhonourable_simulation_rejected(self, capsys, args):
         cmd, rest = args[0], args[1:]
@@ -117,6 +118,20 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "Traceback" not in err
         assert "error" in json.loads(err.splitlines()[-1])
+
+    @pytest.mark.parametrize("args", [
+        ["--c1", "nan"],
+        ["--c2", "inf"],
+        ["--c1", "-inf"],
+        ["--rtol", "nan"],
+    ])
+    def test_non_finite_float_flag_rejected(self, capsys, args):
+        code, out, err = run_cli(["check", "--system", "sine-ou", "--param", "k=2",
+                                  "--condition", "lyapunov", "--phi", "z*z", "--grid", "3",
+                                  "--times", "0,0.5", "--box", "-3:3,0.5:6", *args], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "not a finite number" in err and "Traceback" not in err
 
 class TestDeterminism:
     def test_simulate_byte_identical(self, capsys):

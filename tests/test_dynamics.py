@@ -309,6 +309,79 @@ class TestAuxiliaryProcess:
             assert np.max(np.abs(z.states[:, k, 1] - 4.0)) <= 1e-6
 
 
+def per_time_reference(ens, V, cfg):
+    """Z with one backward flow per stored time, each started from t = 0."""
+    Z = ens.states.copy()
+    for k in range(1, len(ens.times)):
+        Z[:, k, :] = dyn.flow(V, ens.states[:, k, :], -float(ens.times[k]), cfg)
+    return Z
+
+
+class TestBatchedTransport:
+    """auxiliary_process runs all stored times in one loop, bit for bit as per-time flows."""
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_circles(self, circles, stride):
+        ens = dyn.simulate_paths(circles.system, [1.0, 0.0], 0.05, 1e-3, 20, seed=11,
+                                 store_stride=stride)
+        z = dyn.auxiliary_process(ens, circles.v0perp)
+        want = per_time_reference(ens, circles.v0perp, dyn.FlowConfig(dt=ens.dt))
+        assert np.array_equal(z.states, want)
+        assert np.array_equal(z.times, ens.times) and np.array_equal(z.blown, ens.blown)
+
+    def test_sine_ou_store_times(self, sine_ou_k2):
+        ens = dyn.simulate_paths(sine_ou_k2.system, [0.0, 4.0], 0.3, 1e-3, 15, seed=12,
+                                 store_times=[0.1, 0.25])
+        z = dyn.auxiliary_process(ens, sine_ou_k2.v0perp)
+        want = per_time_reference(ens, sine_ou_k2.v0perp, dyn.FlowConfig(dt=ens.dt))
+        assert np.array_equal(z.states, want)
+
+    def test_frozen_blown_path(self):
+        V0 = vf.make_field(1, ["x*x*x"], ["x"])
+        V1 = vf.make_field(1, ["0.01"], ["x"])
+        system = dyn.SDESystem(1, V0, (V1,), "explosive")
+        ens = dyn.simulate_paths(system, [3.0], 0.1, 1e-3, 4, seed=0, store_stride=3)
+        assert ens.blown.any()
+        V = vf.make_field(1, ["cos(x)"], ["x"])
+        z = dyn.auxiliary_process(ens, V)
+        assert np.array_equal(z.states, per_time_reference(ens, V, dyn.FlowConfig(dt=ens.dt)))
+
+    @pytest.mark.parametrize("flow_dt", [None, 7e-4])
+    def test_times_off_the_step_grid(self, circles, flow_dt):
+        # 0.3 / 0.003 is 99.99999999999999: some stored t/dt fall just above
+        # an integer and take one step more than their index
+        ens = dyn.simulate_paths(circles.system, [1.0, 0.0], 0.3, 3e-3, 10, seed=13,
+                                 store_stride=3)
+        cfg = dyn.FlowConfig(dt=flow_dt or ens.dt)
+        q = ens.times / cfg.dt
+        assert np.any(np.ceil(q) != np.round(q))
+        z = dyn.auxiliary_process(ens, circles.v0perp, cfg)
+        assert np.array_equal(z.states, per_time_reference(ens, circles.v0perp, cfg))
+
+    def test_blowup_raised_as_by_per_time_flows(self):
+        V = vf.make_field(2, ["x1*x1", "0"], ["x1", "x2"])
+        X = np.array([[1.0, 0.0], [3.0, 0.0]])  # the second row blows up at t = 1/3
+        with pytest.raises(dyn.FlowBlowUp) as err:
+            dyn._rk4_rows(V, X, np.array([0.01, 0.01]), np.array([10, 100]))
+        assert 1 / 3 < err.value.time < 1.0
+        with pytest.raises(dyn.FlowBlowUp):
+            dyn.flow(V, X, 1.0)
+        # the backward transport of x1 = -3 blows up at t = 1/3
+        times = np.arange(101) * 0.01
+        states = np.broadcast_to([-3.0, 0.0], (2, 101, 2)).copy()
+        ens = dyn.PathEnsemble(0, 0.01, times, states, np.zeros((2, 100, 1)),
+                               np.zeros(2, dtype=bool))
+        with pytest.raises(dyn.FlowBlowUp):
+            per_time_reference(ens, V, dyn.FlowConfig(dt=0.01))
+        with pytest.raises(dyn.FlowBlowUp):
+            dyn.auxiliary_process(ens, V)
+
+    def test_horizon_cap(self, circles):
+        ens = dyn.simulate_paths(circles.system, [1.0, 0.0], 0.05, 1e-3, 2, seed=0)
+        with pytest.raises(ValueError, match="horizon"):
+            dyn.auxiliary_process(ens, circles.v0perp, dyn.FlowConfig(max_time=0.01))
+
+
 class TestFlowLimit:
     def test_sine_ou_limit(self, sine_ou_k2):
         res = dyn.flow_limit(sine_ou_k2.v0perp, [0.0, 4.0], 100.0)

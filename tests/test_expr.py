@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -74,8 +76,28 @@ class TestParse:
         assert ex.evaluate(ex.parse_expression("2.5e-1", ["x"]), [0.0]) == 0.25
         assert ex.evaluate(ex.parse_expression("1e3", ["x"]), [0.0]) == 1000.0
 
+    def test_overflowing_literal_rejected(self):
+        with pytest.raises(ex.ParseError, match="overflows") as err:
+            ex.parse_expression("x + 1e400", ["x"])
+        assert err.value.position == 4
+        assert ex.parse_expression("1e-400", ["x"]) == ex.Const(0.0)
+
 
 class TestEvaluate:
+    def test_input_freed_on_return(self):
+        # the walk must not hold its input in a reference cycle
+        e = ex.parse_expression("sin(x) * y + x / y", ["x", "y"])
+        gc.disable()
+        try:
+            for evaluate in (ex.evaluate_array, ex.DomainCheck((4,)).evaluate):
+                pts = np.ones((4, 2))
+                alive = weakref.ref(pts)
+                evaluate(e, pts)
+                del pts
+                assert alive() is None
+        finally:
+            gc.enable()
+
     def test_constant(self):
         assert ex.evaluate(ex.Const(2.0), [5.0, 1.0]) == 2.0
 

@@ -355,6 +355,25 @@ class TestLyapunov:
         assert [(r.point, r.residual, r.extra["worst_time"]) for r in rep.records] == want
         assert rep.skipped_points == skipped == 5
 
+    def test_unsorted_repeated_and_negative_times(self, sine_ou_k2):
+        system = sine_ou_k2.system
+        phi = ex.parse_expression("z*z", ["z", "zeta"])
+        plan = geo.SamplePlan(box=((-3, 3), (0.5, 6.0)), grid=4)
+        times = [1.0, -0.5, 0.25, 1.0, 0.0]
+        rep = geo.check_lyapunov(system, phi, plan, c1=80.0, c2=4.0,
+                                 ode_solution_times=times)
+        Lphi = geo.generator_apply(system, phi)
+        ode = vf.make_field(1, ["-sin(zeta)"], ["zeta"])
+        pts = plan.sample(2)
+        margins = []
+        for t in times:  # one flow per time, each from 0
+            X = np.concatenate([pts[:, :1], flow(ode, pts[:, 1:], t) if t > 0 else pts[:, 1:]],
+                               axis=1)
+            margins.append(ex.evaluate_array(Lphi, X) - (80.0 - 4.0 * ex.evaluate_array(phi, X)))
+        k = np.argmax(margins, axis=0)
+        want = [(list(x), margins[k[i]][i], times[k[i]]) for i, x in enumerate(pts)]
+        assert [(r.point, r.residual, r.extra["worst_time"]) for r in rep.records] == want
+
     def test_phi_must_use_leading_block(self, sine_ou_k2):
         phi = ex.parse_expression("zeta*zeta", ["z", "zeta"])
         with pytest.raises(ValueError):
