@@ -2,12 +2,13 @@
 
 Exit codes: 0 all verdicts pass, 2 a check reported violated, 3 usage or
 parse error, 4 numeric failure (blow-up, Newton divergence, evaluation
-domain error).  JSON reports carry schema_version 1 and echo every resolved
-setting (including defaults) under "metadata" for provenance.  All commands
-are deterministic given their flags and seed.  `--threads` is parsed but
-not yet read: every value runs the same single-threaded loop.  Results never
-depend on it (path substreams are fixed by the seed alone), and it is left
-out of report metadata so reports stay byte-comparable across its values.
+domain error); every failure prints one JSON line on stderr.  JSON reports
+carry schema_version 1 and echo every resolved setting (including defaults)
+under "metadata" for provenance.  All commands are deterministic given their
+flags and seed.  `--threads` is parsed but not yet read: every value runs the
+same single-threaded loop.  Results never depend on it (path substreams are
+fixed by the seed alone), and it is left out of report metadata so reports
+stay byte-comparable across its values.
 """
 
 from __future__ import annotations
@@ -52,11 +53,25 @@ class SystemFileError(UsageError):
 # Parsing helpers
 # ---------------------------------------------------------------------------
 
-def parse_point(text):
+def finite_real(text, what):
+    """float(text) for a value given on the command line; text that is not a
+    number, nan and +-inf are usage errors naming `what`."""
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        value = float(text)
     except ValueError:
-        raise UsageError(f"bad point spec '{text}' (want comma-separated reals)") from None
+        raise UsageError(f"bad {what} '{text}' (want a real number)") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{what} {text!r} is not a finite number")
+    return value
+
+
+def parse_reals(text, what):
+    """Comma-separated finite reals."""
+    return [finite_real(v, what) for v in text.split(",")]
+
+
+def parse_point(text):
+    return np.array(parse_reals(text, "point coordinate"), dtype=float)
 
 
 def parse_box(text):
@@ -65,11 +80,7 @@ def parse_box(text):
         bits = part.split(":")
         if len(bits) != 2:
             raise UsageError(f"bad box axis '{part}' (want lo:hi)")
-        try:
-            lo, hi = float(bits[0]), float(bits[1])
-        except ValueError:
-            raise UsageError(f"bad box axis '{part}'") from None
-        axes.append((lo, hi))
+        axes.append((finite_real(bits[0], "box bound"), finite_real(bits[1], "box bound")))
     return tuple(axes)
 
 
@@ -78,11 +89,13 @@ def parse_param_list(pairs):
     for pair in pairs or []:
         if "=" not in pair:
             raise UsageError(f"bad --param '{pair}' (want name=value)")
-        key, val = pair.split("=", 1)
+        key, val = (s.strip() for s in pair.split("=", 1))
         try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            out[key.strip()] = val.strip()
+            float(val)
+        except ValueError:  # a string-valued parameter
+            out[key] = val
+        else:
+            out[key] = finite_real(val, f"--param {key}")
     return out
 
 
@@ -95,7 +108,7 @@ def parse_reference_spec(text):
             continue
         if ":" in part:
             kind, argtext = part.split(":", 1)
-            args = [float(v) for v in argtext.split(",") if v]
+            args = [finite_real(v, "reference argument") for v in argtext.split(",") if v]
         else:
             kind, args = part, []
         kind = kind.strip()
@@ -257,6 +270,9 @@ def cmd_catalog(args):
 def _plan_from_args(args, entry):
     if getattr(args, "points", None):
         pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        if not np.isfinite(pts).all():
+            raise UsageError(f"--points file '{args.points}' holds a coordinate that is "
+                             "not a finite number")
         return SamplePlan(points=pts)
     if args.box:
         return SamplePlan(box=parse_box(args.box), grid=args.grid)
@@ -293,7 +309,7 @@ def cmd_check(args):
             raise UsageError("lyapunov check needs --phi")
         plan = _plan_from_args(args, entry)
         phi = ex.parse_expression(args.phi, list(variables))
-        times = [float(t) for t in args.times.split(",")] if args.times else [0.0, 1.0, 10.0]
+        times = parse_reals(args.times, "--times value") if args.times else [0.0, 1.0, 10.0]
         rep = geometry.check_lyapunov(system, phi, plan, args.c1, args.c2, times)
     else:
         table = build_hierarchy(system.all_fields(), level)
@@ -323,9 +339,10 @@ def cmd_decompose(args):
     level = args.level if args.level is not None else (entry.level if entry else 1)
     table = build_hierarchy(system.all_fields(), level)
     plan = _plan_from_args(args, entry)
+    pts = plan.sample(system.dim)
     records = []
-    for x in plan.sample(system.dim):
-        v_par, v_perp, resid = geometry.decompose_drift(table, x, args.rtol)
+    for x, (v_par, v_perp, resid) in zip(pts, geometry.decompose_drift_rows(table, pts,
+                                                                              args.rtol)):
         records.append({
             "point": [float(v) for v in x],
             "parallel": [float(v) for v in v_par],
@@ -458,8 +475,11 @@ def cmd_malliavin(args):
 def cmd_converge(args):
     params = parse_param_list(args.param)
     system, _, _ = load_system(args.system, params)
-    times = [float(t) for t in args.times.split(",")]
+    times = parse_reals(args.times, "--times value")
     refs = parse_reference_spec(args.reference)
+    if max(refs) >= system.dim:
+        raise UsageError(f"--reference names coordinate {max(refs) + 1} of a "
+                         f"{system.dim}-dimensional system")
     rep = diagnostics.convergence_study(system, parse_point(args.x0), times, refs,
                                         args.paths, args.seed, args.escape_radius,
                                         dt=args.dt, ks_tolerance=args.ks_tolerance)
@@ -484,7 +504,8 @@ def cmd_fpresidual(args):
     bits = args.grid_spec.split(":")
     if len(bits) != 3:
         raise UsageError("grid spec must be lo:hi:count")
-    lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
+    lo, hi = finite_real(bits[0], "grid bound"), finite_real(bits[1], "grid bound")
+    count = int(bits[2])
     res = diagnostics.fokker_planck_residual(system, rho, np.linspace(lo, hi, count))
     payload = report_payload("fpresidual", system.name, params,
                              {"grid": count, "seed": None, "dt": None, "rtol": None},
@@ -531,11 +552,19 @@ def _resolve_direction(spec, system, entry, variables):
 # ---------------------------------------------------------------------------
 
 def finite_float(text):
-    """argparse type of every real-valued flag: nan and +-inf are usage errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+    """argparse type of every real-valued flag: `finite_real` as a flag error."""
+    try:
+        return finite_real(text, "value")
+    except UsageError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors raise UsageError (a JSON error, exit 3)
+    instead of printing the usage text and exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_common(p, sim=False, geom=False):
@@ -559,8 +588,8 @@ def _add_common(p, sim=False, geom=False):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="ufgsim",
-                                 description="degenerate-diffusion geometry and simulation")
+    ap = ArgumentParser(prog="ufgsim",
+                        description="degenerate-diffusion geometry and simulation")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("catalog", help="list or show built-in systems")
@@ -667,8 +696,11 @@ def _preprocess(argv):
     i = 0
     while i < len(argv):
         tok = argv[i]
+        if tok.startswith("--") and tok.endswith("=--"):
+            # argparse (3.11) strips the "--" and hands the option an empty list
+            raise UsageError(f"argument {tok[:-3]}: expected one argument")
         if tok in _DASH_VALUE_OPTS and i + 1 < len(argv) and argv[i + 1].startswith("-") \
-                and argv[i + 1] != "-":
+                and argv[i + 1] not in ("-", "--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue
@@ -681,14 +713,12 @@ def run(argv=None):
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _preprocess(list(argv))
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as err:
-        return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    try:
+        args = ap.parse_args(_preprocess(list(argv)))
         return args.fn(args)
-    except (UsageError, KeyError, ValueError, ex.ParseError) as err:
+    except SystemExit as err:  # --help; usage errors raise UsageError instead
+        return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+    except (UsageError, KeyError, ValueError, ex.ParseError, OSError) as err:
         print(json.dumps({"error": str(err), "schema_version": SCHEMA_VERSION}),
               file=sys.stderr)
         return EXIT_USAGE

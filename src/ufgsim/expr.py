@@ -19,12 +19,17 @@ Design notes:
   multiplication at construction time (``x^3 -> x*x*x``, ``x^-2 ->
   1/(x*x)``), so pow nodes only ever carry non-integer constant exponents
   and are defined only for positive bases.
-* One evaluation walk serves every caller.  ``evaluate_array`` runs it over
+* One evaluation walk is the reference.  ``evaluate_array`` runs it over
   rows of points and lets nan/inf through; ``DomainCheck.evaluate`` runs it
   under the domain check, and ``evaluate`` is that check on one row.  The
   domain rule: a row fails when any subexpression value on it is non-finite,
   when a pow base on it is <= 0, or when the point lacks a coordinate the
   expression uses; the error names the first failing node in post-order.
+* Unchecked batch evaluation of vector fields and Jacobians runs compiled
+  kernels instead (``compile_exprs``): one straight-line function per list
+  of trees, making the walk's calls once per distinct subtree, so no tree is
+  walked per component or per call.  Only the walk names a failing subtree;
+  a property test holds kernel and walk equal to the bit, nan/inf included.
 * Simplification is structural only: constant folding, 0/1 absorption,
   double-negation removal and cancellation of structurally identical
   subtrahends.  No distribution, no term reordering.  A constant node is
@@ -446,6 +451,84 @@ def evaluate_array(e, points):
     caller (Monte Carlo kernels) is responsible for flagging non-finite rows.
     """
     return _evaluate(e, points, None)
+
+
+def _literal(v):
+    v = float(v)
+    if math.isfinite(v):
+        return repr(v)
+    text = f"float({str(abs(v))!r})"  # abs: the sign of a nan is not in its repr
+    return "-" + text if math.copysign(1.0, v) < 0 else text
+
+
+def compile_exprs(exprs, target):
+    """One straight-line function ``kernel(X, out)`` for a list of trees.
+
+    ``kernel`` writes the value of ``exprs[n]`` at points X of shape (..., N)
+    to ``out[..., k]``, k the n-th index of the trailing shape ``target`` of
+    ``out`` in row-major order.  It makes exactly the calls of the unchecked
+    walk (the ``_UNARY``/``_BINARY`` callables on the same operands, under
+    ``errstate(all="ignore")``), so its values are ``evaluate_array``'s to the
+    bit, nan/inf included.  Subtrees are numbered by their right-hand side
+    text (so -0.0 and 0.0 stay apart), each distinct one is computed once, and
+    its temporary is deleted after its last use.  The source is generated from
+    the nodes alone: table op names, variable indices and float literals.
+    """
+    exprs = list(exprs)
+    slots = list(np.ndindex(*target))
+    if len(slots) != len(exprs):
+        raise ValueError(f"{len(exprs)} expressions for an output of shape {tuple(target)}")
+    temps = {}  # right-hand side -> temp name
+    seen = {}  # id(node) -> its temp or literal; the trees keep every id alive
+    stmts = []  # (line, names it reads), each temp after the temps it reads
+
+    def number(node):
+        ref = seen.get(id(node))
+        if ref is None:
+            args = [number(c) for c in _children(node)]
+            if type(node) is Const:
+                ref = _literal(node.value)
+            else:
+                if type(node) is Var:
+                    rhs = f"X[..., {operator.index(node.index)}]"
+                elif node.op in (_UNARY if type(node) is Unary else _BINARY):
+                    rhs = f"{node.op}({', '.join(args)})"
+                else:
+                    raise ValueError(f"unknown operator {node.op!r}")
+                ref = temps.get(rhs)
+                if ref is None:
+                    ref = temps[rhs] = f"t{len(temps)}"
+                    stmts.append((f"{ref} = {rhs}", args))
+            seen[id(node)] = ref
+        return ref
+
+    for e, k in zip(exprs, slots):
+        ref = number(e)
+        stmts.append((f"out[..., {', '.join(map(str, k))}] = {ref}", [ref]))
+    names = set(temps.values())
+    last = {r: i for i, (_, reads) in enumerate(stmts) for r in reads if r in names}
+    lines = []
+    for i, (line, reads) in enumerate(stmts):
+        lines.append(line)
+        lines += [f"del {r}" for r in dict.fromkeys(reads) if last.get(r) == i]
+    body = "".join(f"\n        {line}" for line in lines) or "\n        pass"
+    source = f"def kernel(X, out):\n    with errstate(all='ignore'):{body}\n"
+    namespace = {"errstate": np.errstate, **_UNARY, **_BINARY}
+    exec(compile(source, "<ufgsim.expr kernel>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
+
+
+def _children(node):
+    match node:
+        case Unary(child=c):
+            return (c,)
+        case Binary(left=l, right=r):
+            return (l, r)
+        case Const() | Var():
+            return ()
+    raise TypeError(f"not an Expr node: {node!r}")
 
 
 def evaluate(e, point):

@@ -38,22 +38,32 @@ class VectorField:
                 )
 
     def __call__(self, x):
-        """Value at one point under the domain check; raises EvalDomainError."""
-        check = ex.DomainCheck((1,))
-        out = self._eval(np.asarray(x, dtype=float)[None], check)[0]
+        """Value at one point x (N,), or at rows of points (P, N), under the
+        domain check; raises EvalDomainError."""
+        x = np.asarray(x, dtype=float)
+        X = x.reshape(-1, x.shape[-1])
+        check = ex.DomainCheck(X.shape[:-1])
+        out = self._eval(X, check).reshape(x.shape)
         if check.error is not None:
             raise check.error
         return out
 
     def eval_batch(self, X):
         """Evaluate at points of shape (..., N); non-finite values pass through."""
-        return self._eval(X, None)
-
-    def _eval(self, X, check):
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape, dtype=float)
+        self._kernel(X, out)
+        return out
+
+    @cached_property
+    def _kernel(self):
+        return ex.compile_exprs(self.components, (self.dim,))
+
+    def _eval(self, X, check):
+        """The components by the checked walk: the reference for `eval_batch`."""
+        out = np.empty(X.shape, dtype=float)
         for j, c in enumerate(self.components):
-            out[..., j] = ex.evaluate_array(c, X) if check is None else check.evaluate(c, X)
+            out[..., j] = check.evaluate(c, X)
         return out
 
     @cached_property
@@ -66,12 +76,14 @@ class VectorField:
     def jacobian_batch(self, X):
         """Jacobians at points of shape (..., N), result (..., N, N)."""
         X = np.asarray(X, dtype=float)
-        J = self.jacobian_exprs
         out = np.empty(X.shape[:-1] + (self.dim, self.dim), dtype=float)
-        for j in range(self.dim):
-            for i in range(self.dim):
-                out[..., j, i] = ex.evaluate_array(J[j][i], X)
+        self._jacobian_kernel(X, out)
         return out
+
+    @cached_property
+    def _jacobian_kernel(self):
+        entries = [e for row in self.jacobian_exprs for e in row]
+        return ex.compile_exprs(entries, (self.dim, self.dim))
 
 
 def make_field(dim, component_texts, variable_names, name=""):
@@ -223,9 +235,12 @@ class BracketTable:
         return self.fields[alpha]
 
     def evaluate_frame(self, subset, x):
-        """Frame matrix (N x k) at one point: `evaluate_frame_batch` on that row,
-        under the domain check; a failure names its bracket."""
-        return self._frame(subset, np.asarray(x, dtype=float)[None], checked=True)[0]
+        """Frame matrix (N x k) at one point x (N,), or matrices (P, N, k) at
+        rows of points (P, N): `evaluate_frame_batch` under the domain check;
+        a failure names its bracket."""
+        x = np.asarray(x, dtype=float)
+        F = self._frame(subset, x.reshape(-1, x.shape[-1]), checked=True)
+        return F.reshape(x.shape + F.shape[-1:])
 
     def evaluate_frame_batch(self, subset, X):
         """Frame matrices at points X of shape (..., N) -> (..., N, k).
@@ -242,11 +257,13 @@ class BracketTable:
         columns = [(f"bracket {a}: ", self.fields[a]) for a in self.r_m()]
         if subset == "brackets+drift":
             columns.append(("", self.drift))
+        if not checked:
+            return np.stack([V.eval_batch(X) for _, V in columns], axis=-1)
         mats = []
         for label, V in columns:
-            check = ex.DomainCheck(X.shape[:-1]) if checked else None
+            check = ex.DomainCheck(X.shape[:-1])
             mats.append(V._eval(X, check))
-            if checked and check.error is not None:
+            if check.error is not None:
                 raise ex.EvalDomainError(label + check.error.brief, check.error.subtree)
         return np.stack(mats, axis=-1)
 

@@ -163,22 +163,32 @@ def rank_at(table, which, x, rtol=DEFAULT_RTOL):
 
 
 def decompose_drift(table, x, rtol=DEFAULT_RTOL):
-    """Split the drift at x into bracket-span and orthogonal parts.
+    """`decompose_drift_rows` at the one point x: (v_par, v_perp, residual)."""
+    return decompose_drift_rows(table, np.asarray(x, dtype=float)[None], rtol)[0]
+
+
+def decompose_drift_rows(table, X, rtol=DEFAULT_RTOL):
+    """Split the drift at each row of X (P, N) into bracket-span and orthogonal parts.
 
     The in-span part is the least-squares projection onto the columns of the
     bracket frame (SVD pseudo-inverse with relative cutoff rtol); the returned
-    residual is max_beta |<v_perp, column_beta>| / (1 + |v_perp|).
+    residual is max_beta |<v_perp, column_beta>| / (1 + |v_perp|).  The
+    frames and the drift are evaluated once over all rows under the domain
+    check (a frame failure names its bracket); returns one (v_par, v_perp,
+    residual) per row.
     """
-    x = np.asarray(x, dtype=float)
-    F = table.evaluate_frame("brackets", x)
-    v0 = table.drift(x)
-    v_par = project_onto_columns(F, v0, rtol=rtol)
-    v_perp = v0 - v_par
-    if F.shape[1]:
-        residual = float(np.max(np.abs(F.T @ v_perp)) / (1.0 + np.linalg.norm(v_perp)))
-    else:
-        residual = 0.0
-    return v_par, v_perp, residual
+    frames = table.evaluate_frame("brackets", X)
+    drifts = table.drift(X)
+    out = []
+    for F, v0 in zip(frames, drifts):
+        v_par = project_onto_columns(F, v0, rtol=rtol)
+        v_perp = v0 - v_par
+        if F.shape[1]:
+            residual = float(np.max(np.abs(F.T @ v_perp)) / (1.0 + np.linalg.norm(v_perp)))
+        else:
+            residual = 0.0
+        out.append((v_par, v_perp, residual))
+    return out
 
 
 def drift_orthogonal_field(table, rtol=DEFAULT_RTOL, name="drift-orthogonal"):
@@ -410,14 +420,7 @@ def _commutator_with_field(S, w, v_field):
 def _eval_operator_coeffs(S, w, pts):
     n = len(w)
     out = np.empty((len(pts), n * n + n))
-    col = 0
-    for i in range(n):
-        for j in range(n):
-            out[:, col] = ex.evaluate_array(S[i][j], pts)
-            col += 1
-    for j in range(n):
-        out[:, col] = ex.evaluate_array(w[j], pts)
-        col += 1
+    ex.compile_exprs([*(e for row in S for e in row), *w], (n * n + n,))(pts, out)
     return out
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufgsim import cli
 
@@ -133,6 +137,76 @@ class TestExitCodes:
         assert out == ""
         assert "not a finite number" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--system", "random-circles", "--x0", "nan,0", "--t", "0.01",
+         "--paths", "2"],
+        ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,inf", "--t", "0.01",
+         "--paths", "2", "--split", "1"],
+        ["check", "--system", "sine-ou", "--param", "k=2", "--condition", "hc",
+         "--box", "-3:3,0.5:inf"],
+        ["check", "--system", "sine-ou", "--param", "k=2", "--condition", "lyapunov",
+         "--phi", "z*z", "--grid", "3", "--times", "0,nan", "--box", "-3:3,0.5:6"],
+        ["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+         "--times", "0.01,inf", "--reference", "gaussian:0,1", "--paths", "10"],
+        ["check", "--system", "sine-ou", "--param", "k=nan", "--condition", "hc"],
+        ["fpresidual", "--system", "circle-line", "--density", "1", "--grid", "0.2:nan:10"],
+        ["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+         "--times", "0.01", "--reference", "gaussian:0,inf", "--paths", "10"],
+    ], ids=["x0", "x0-malliavin", "box", "times-lyapunov", "times-converge", "param",
+            "grid-spec", "reference"])
+    def test_non_finite_value_rejected(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "not a finite number" in json.loads(err.splitlines()[-1])["error"]
+
+    def test_non_finite_points_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("nan,1\n0.5,2\n")
+        code, out, err = run_cli(["check", "--system", "sine-ou", "--param", "k=2",
+                                  "--condition", "hc", "--points", str(path)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "not a finite number" in json.loads(err)["error"]
+
+    def test_missing_files_are_usage_errors(self, capsys, tmp_path):
+        for args in (["--points", str(tmp_path / "absent.csv")],
+                     ["--out", str(tmp_path / "absent" / "report.json")]):
+            code, out, err = run_cli(["check", "--system", "sine-ou", "--param", "k=2",
+                                      "--condition", "hc", "--grid", "2", *args], capsys)
+            assert code == cli.EXIT_USAGE and out == ""
+            assert set(json.loads(err)) == {"error", "schema_version"}
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01", "--bogus"],
+        ["simulate", "--system", "random-circles"],
+        ["check", "--system", "sine-ou", "--condition", "nope"],
+        ["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+         "--paths", "many"],
+        ["frobnicate"],
+        [],
+        ["simulate", "--system", "random-circles", "--x0=--", "--t", "0.01"],
+        ["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4", "--times", "0.01",
+         "--reference", ";;gaussian:0,1", "--paths", "10"],
+    ], ids=["unknown-flag", "missing-flag", "bad-choice", "bad-int", "bad-command",
+            "no-command", "dashdash-value", "reference-beyond-dimension"])
+    def test_usage_error_is_one_json_line(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and "usage:" not in err
+        assert set(json.loads(err)) == {"error", "schema_version"}
+
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run_cli(["simulate", "--help"], capsys)
+        assert code == cli.EXIT_OK and "--x0" in out and err == ""
+
+    def test_decompose_domain_error_names_bracket(self, capsys, tmp_path):
+        path = tmp_path / "logfield.sys"
+        path.write_text("dim = 1\nnoise = 1\nvars = x\nV0 = [1]\nV1 = [log(x)]\n")
+        code, out, err = run_cli(["decompose", "--system", str(path), "--box", "-1:2",
+                                  "--grid", "4", "--level", "1"], capsys)
+        assert code == cli.EXIT_NUMERIC and out == ""
+        assert json.loads(err)["error"].startswith("bracket (1): log of non-positive value")
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, capsys):
         args = ["simulate", "--system", "random-circles", "--x0", "1,0", "--t",
@@ -261,3 +335,103 @@ class TestSubcommands:
         path = tmp_path / "report.json"
         run_cli(args + ["--out", str(path)], capsys)
         assert path.read_text() == out
+
+
+# Cheap valid invocations of every subcommand, which the fuzz test edits.
+_BASE = {
+    "catalog": ["catalog", "show", "--name", "sine-ou"],
+    "check": ["check", "--system", "sine-ou", "--param", "k=2", "--condition", "hc",
+              "--grid", "2"],
+    "decompose": ["decompose", "--system", "ufg-heisenberg", "--grid", "2"],
+    "chart": ["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.1",
+              "--samples", "2"],
+    "simulate": ["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+                 "--paths", "2"],
+    "zproc": ["zproc", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+              "--paths", "2", "--grid", "2"],
+    "ranks": ["ranks", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+              "--paths", "2", "--grid", "2"],
+    "malliavin": ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+                  "--t", "0.01", "--paths", "2", "--split", "1"],
+    "converge": ["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+                 "--times", "0.01", "--reference", "gaussian:0,1", "--paths", "20"],
+    "fpresidual": ["fpresidual", "--system", "circle-line", "--density",
+                   "exp(-1/(1-cos(z)))/(1-cos(z))", "--grid", "0.2:6:5"],
+    "derivative": ["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
+                   "--direction", "V1", "--x0", "0,1", "--t", "0.01", "--paths", "20"],
+}
+# Well-formed values are kept small so that every run stays quick.
+_REALS = ["0.5", "1e-6", "0", "-1", "1e300"]
+_VALUES = {
+    "--system": ["sine-ou", "grushin", "random-circles", "ufg-heisenberg", "circle-line",
+                 "linear", "gbm", "no-such-system"],
+    "--param": ["k=2", "k=-1", "k=0.5", "k=1e300", "k", "zz=1", "k=x"],
+    "--name": ["sine-ou", "grushin", "nope"],
+    "--x0": ["1,0", "0,4", "0,1", "1,0,0", "1", "1e300,0", "0,,1"],
+    "--t": ["0.01", "0.002", "0.0015", "-1", "1e-9"],
+    "--dt": ["0.001", "0.005", "-0.001", "1e-300"],
+    "--paths": ["1", "3", "0", "-2", "2.5"],
+    "--stride": ["1", "3", "0", "-1"],
+    "--seed": ["0", "5", "-1", "18446744073709551616"],
+    "--split": ["1", "0", "3", "-1"],
+    "--level": ["1", "2", "0", "-1"],
+    "--grid": ["2", "3", "0", "-1", "0.2:6:5", "0:1:0", "1:0:3", "0:1:-2", "0:1"],
+    "--box": ["-1:1,0.5:2", "0.5:2", "1:0,0:1", "-1:1,0.5:2,0:1", "0:1,0:1,0:1", "1:1,0:1"],
+    "--condition": ["ufg", "hc", "phc", "oac", "oac2", "kalman", "lyapunov", "bogus"],
+    "--phi": ["z*z", "log(z)", "1/(", "q", "exp(z*z*z*z)"],
+    "--times": ["0,0.01", "0.01", "0,-0.01", "0.01,,0.02"],
+    "--reference": ["gaussian:0,1", "dirac:0", "gaussian:0", "none", "cauchy:0,1",
+                    "gaussian:0,-1", ";;gaussian:0,1"],
+    "--density": ["exp(-1/(1-cos(z)))/(1-cos(z))", "1", "log(z)", "z +", "0"],
+    "--f": ["sin(z)", "z*x", "log(z)", "x"],
+    "--direction": ["V1", "V0", "v0perp", "[1,0]", "[1]", "V9", "[log(x),1]"],
+    "--eps": ["0.1", "0", "-0.1", "2"],
+    "--samples": ["2", "0", "-1"],
+    "--threads": ["1", "2", "0"],
+    **{flag: _REALS for flag in ("--rtol", "--tol", "--lambda0", "--c1", "--c2", "--h",
+                                 "--cond-threshold", "--escape-radius", "--ks-tolerance",
+                                 "--residual-tol", "--coeff-threshold", "--fd-step",
+                                 "--newton-tol")},
+}
+_GARBAGE = ["nan", "inf", "-inf", "", "x", "1e400", "-", "--", "0:1", "1,2,3", "-3"]
+# flags whose removal could turn a cheap run into a slow one
+_SIZE_FLAGS = ("--grid", "--samples", "--paths")
+
+_edit = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(sorted(_VALUES)), st.integers(0, 99),
+              st.booleans()),
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("token"), st.sampled_from(_GARBAGE + sorted(_VALUES))),
+)
+
+
+def _apply(argv, edit):
+    if edit[0] == "set":  # argparse keeps the last value given to a flag
+        _, flag, pick, garbage = edit
+        pool = _GARBAGE if garbage else _VALUES[flag]
+        return argv + [flag, pool[pick % len(pool)]]
+    if edit[0] == "drop":
+        flags = [i for i, tok in enumerate(argv) if tok.startswith("--")
+                 and tok not in _SIZE_FLAGS]
+        if not flags:
+            return argv
+        i = flags[edit[1] % len(flags)]
+        return argv[:i] + argv[i + 2:]
+    return argv + [edit[1]]
+
+
+@given(st.sampled_from(sorted(_BASE)), st.lists(_edit, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_command_lines_fail_as_json(cmd, edits):
+    argv = list(_BASE[cmd])
+    for edit in edits:
+        argv = _apply(argv, edit)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    err = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_USAGE, cli.EXIT_NUMERIC), argv
+    assert "Traceback" not in err, argv
+    if code in (cli.EXIT_USAGE, cli.EXIT_NUMERIC):
+        payload = json.loads(err.splitlines()[-1])
+        assert isinstance(payload, dict) and "error" in payload, argv

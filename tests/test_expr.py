@@ -343,3 +343,77 @@ def test_simplify_keeps_values_where_defined(e, rows):
     # sign of a zero, which the 0/1 absorption rules may flip (0*x is -0.0
     # for x < 0, simplified to 0.0)
     assert np.array_equal(got, want)
+
+
+def _same_bits(got, want):
+    got = np.ascontiguousarray(got, dtype=float)
+    want = np.ascontiguousarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _kernel_values(exprs, P):
+    out = np.empty(P.shape[:-1] + (len(exprs),))
+    ex.compile_exprs(exprs, (len(exprs),))(P, out)
+    return out
+
+
+@given(st.lists(_expr_strategy, min_size=1, max_size=3), _point_rows)
+@settings(max_examples=300, deadline=None)
+def test_compiled_kernel_is_the_walk_to_the_bit(exprs, rows):
+    # one kernel over several trees, the last of which shares two of them
+    # whole; the rows reach overflow, log/sqrt of negatives and 0 divisors
+    exprs = [*exprs, ex.Binary("sub", ex.Unary("exp", exprs[0]), exprs[-1])]
+    P = np.array(rows)
+    got = _kernel_values(exprs, P)
+    for n, e in enumerate(exprs):
+        assert _same_bits(got[:, n], ex.evaluate_array(e, P)), ex.to_string(e)
+
+
+class TestCompile:
+    def test_shared_subtrees_computed_once_and_released(self):
+        s = ex.parse_expression("sin(x*y)", ["x", "y"])
+        exprs = [ex.Binary("add", s, ex.Binary("mul", s, s)), ex.Unary("exp", s), s]
+        kernel = ex.compile_exprs(exprs, (3,))
+        assert kernel.source.count("sin(") == 1
+        assert kernel.source.count("mul(") == 2  # x*y and s*s
+        assigned = {line.split(" = ")[0].strip() for line in kernel.source.splitlines()
+                    if line.strip().startswith("t")}
+        deleted = {line.split()[1] for line in kernel.source.splitlines()
+                   if line.strip().startswith("del ")}
+        assert assigned == deleted
+        P = np.array([[0.5, 2.0], [-1.0, 3.0], [1e300, 1e300]])
+        got = _kernel_values(exprs, P)
+        for n, e in enumerate(exprs):
+            assert _same_bits(got[:, n], ex.evaluate_array(e, P))
+
+    def test_bare_leaves_fill_every_row(self):
+        exprs = [ex.Const(2.5), ex.Var(1), ex.Var(0)]
+        P = np.arange(12.0).reshape(2, 3, 2)
+        got = _kernel_values(exprs, P)
+        assert np.array_equal(got[..., 0], np.full((2, 3), 2.5))
+        assert np.array_equal(got[..., 1], P[..., 1])
+        assert np.array_equal(got[..., 2], P[..., 0])
+
+    def test_signed_zero_and_non_finite_constants(self):
+        consts = [ex.Const(v) for v in (-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan)]
+        x = ex.Var(0)
+        exprs = [*consts, *(ex.Binary("mul", c, x) for c in consts),
+                 *(ex.Binary("add", x, c) for c in consts), ex.Unary("exp", consts[2])]
+        P = np.array([[-2.0], [0.0], [3.0], [np.nan], [-np.inf]])
+        got = _kernel_values(exprs, P)
+        for n, e in enumerate(exprs):
+            assert _same_bits(got[:, n], ex.evaluate_array(e, P)), ex.to_string(e)
+        assert np.signbit(got[:, 0]).all() and not np.signbit(got[:, 1]).any()
+        assert np.signbit(got[:, 5]).all() and np.isnan(got[:, 5]).all()
+
+    def test_only_table_operators_are_emitted(self):
+        with pytest.raises(ValueError, match="unknown operator"):
+            ex.compile_exprs([ex.Unary("print", ex.Var(0))], (1,))
+        with pytest.raises(TypeError):
+            ex.compile_exprs([ex.Var("0]; X[0")], (1,))
+        with pytest.raises(TypeError):
+            ex.compile_exprs(["x"], (1,))
+
+    def test_expression_count_must_fill_the_target(self):
+        with pytest.raises(ValueError, match="2 expressions"):
+            ex.compile_exprs([ex.ONE, ex.ZERO], (3,))

@@ -209,3 +209,52 @@ class TestFrames:
         tab = vf.build_hierarchy([V0, V1], 1)
         with pytest.raises(ex.EvalDomainError, match=r"bracket \(1\)"):
             tab.evaluate_frame("brackets", [-1.0])
+
+
+def _kernel_cases(rng):
+    """Fields with their bracket tables, at rows inside and outside their domains."""
+    for name, params, m in (("ufg-heisenberg", None, 2), ("random-circles", None, 2),
+                            ("sine-ou", {"k": 2.0}, 1), ("grushin", {"k": -1.0}, 2),
+                            ("circle-line", None, 2)):
+        entry = catalog.get(name, params)
+        tab = vf.build_hierarchy(entry.system.all_fields(), m)
+        pts = sample_points(entry, 12, rng)
+        bad = np.full((4, entry.system.dim), 0.0)
+        bad[1], bad[2], bad[3, 0] = -1.0, 1e200, np.nan
+        yield tab, np.concatenate([pts, bad])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestKernels:
+    def test_jacobian_batch_is_the_entrywise_walk(self, rng):
+        for tab, pts in _kernel_cases(rng):
+            for V in {*tab.fields.values(), *tab.base_fields}:
+                want = np.empty(pts.shape + (V.dim,))
+                for j in range(V.dim):
+                    for i in range(V.dim):
+                        want[:, j, i] = ex.evaluate_array(V.jacobian_exprs[j][i], pts)
+                assert np.array_equal(_bits(V.jacobian_batch(pts)), _bits(want))
+                grid = pts[:12].reshape(3, 4, V.dim)
+                assert np.array_equal(_bits(V.jacobian_batch(grid)),
+                                      _bits(want[:12].reshape(3, 4, V.dim, V.dim)))
+
+    def test_eval_batch_is_the_checked_walk_on_finite_rows(self, rng):
+        for tab, pts in _kernel_cases(rng):
+            for V in {*tab.fields.values(), *tab.base_fields}:
+                check = ex.DomainCheck(pts.shape[:-1])
+                want = V._eval(pts, check)
+                got = V.eval_batch(pts)
+                assert not check.bad[:12].any()
+                assert np.array_equal(_bits(got[~check.bad]), _bits(want[~check.bad]))
+                nonfinite = ~np.isfinite(got).all(axis=-1)
+                assert np.array_equal(nonfinite, nonfinite & check.bad)
+
+    def test_unchecked_frame_is_the_checked_frame(self, rng):
+        for tab, pts in _kernel_cases(rng):
+            pts = pts[:12]
+            for subset in ("brackets", "brackets+drift"):
+                assert np.array_equal(_bits(tab.evaluate_frame_batch(subset, pts)),
+                                      _bits(tab.evaluate_frame(subset, pts)))

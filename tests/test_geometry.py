@@ -97,6 +97,32 @@ class TestDecompose:
             assert np.linalg.norm(v_par) <= 1e-9
             assert resid <= 1e-9
 
+    def test_rows_match_pointwise_reference(self, rng, heisenberg, circles, sine_ou_k2):
+        # reference: one checked frame and drift evaluation per point
+        for entry in (heisenberg, circles, sine_ou_k2):
+            tab = table_for(entry)
+            pts = sample_points(entry, 9, rng)
+            for x, got in zip(pts, geo.decompose_drift_rows(tab, pts)):
+                F = tab.evaluate_frame("brackets", x)
+                v0 = tab.drift(x)
+                v_par = geo.project_onto_columns(F, v0, rtol=geo.DEFAULT_RTOL)
+                v_perp = v0 - v_par
+                resid = float(np.max(np.abs(F.T @ v_perp)) / (1.0 + np.linalg.norm(v_perp)))
+                assert np.array_equal(got[0], v_par) and np.array_equal(got[1], v_perp)
+                assert got[2] == resid
+
+    def test_rows_name_the_failing_bracket(self):
+        V0 = vf.make_field(1, ["1"], ["x"])
+        V1 = vf.make_field(1, ["log(x)"], ["x"])
+        tab = vf.build_hierarchy([V0, V1], 1)
+        with pytest.raises(ex.EvalDomainError, match=r"bracket \(1\): log of non-positive"):
+            geo.decompose_drift_rows(tab, np.array([[1.0], [2.0], [-1.0]]))
+        V0 = vf.make_field(1, ["sqrt(x)"], ["x"])
+        V1 = vf.make_field(1, ["1"], ["x"])
+        tab = vf.build_hierarchy([V0, V1], 1)
+        with pytest.raises(ex.EvalDomainError, match=r"^sqrt of negative value -1.0"):
+            geo.decompose_drift_rows(tab, np.array([[1.0], [-1.0]]))
+
 
 class TestUFG:
     def test_sinfields_level1(self):
