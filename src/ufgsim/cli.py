@@ -396,8 +396,8 @@ def cmd_chart(args):
 def _horizon(args):
     """--t, rejected unless it is a whole number of --dt steps: the simulators round T/dt."""
     q = args.t / args.dt if args.dt > 0 else 0.0
-    # the simulators reject dt <= 0 and horizons shorter than one step themselves
-    if q >= 1 and abs(q - round(q)) > 1e-9 * q:
+    # the simulators reject dt <= 0, horizons shorter than one step and too many steps
+    if 1 <= q < math.inf and abs(q - round(q)) > 1e-9 * q:
         raise UsageError(f"--t {args.t!r} is not a whole number of steps --dt {args.dt!r}")
     return args.t
 

@@ -215,6 +215,8 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
     Returns (estimate, standard error), arrays when `t` is a sequence.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (system.dim,):
+        raise ValueError(f"x0 must have shape ({system.dim},)")
     vdir = direction(x)
     norm = float(np.linalg.norm(vdir))
     if norm == 0.0:

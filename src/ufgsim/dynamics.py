@@ -24,6 +24,9 @@ from .fields import VectorField
 from .linalg import svd_rank
 
 SQRT2 = math.sqrt(2.0)
+# float64 entries of one chunk's (paths, steps, noises) Brownian increment block
+# (512 MiB); a longer horizon is rejected before anything is allocated
+MAX_INCREMENT_BLOCK = 2**26
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -379,6 +382,10 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance, start=(),
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
         raise ValueError(f"x0 must have shape ({system.dim},)")
+    block = min(n_paths, chunk_size) * system.d * (T / dt)
+    if not block <= MAX_INCREMENT_BLOCK:
+        raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {block:.3g} Brownian "
+                         f"increments per chunk, more than the cap of {MAX_INCREMENT_BLOCK}")
     n_steps = int(round(T / dt))
     steps = _stored_steps(n_steps, store_stride, store_times, dt)
     stored_pos = {int(s): k for k, s in enumerate(steps)}
@@ -430,8 +437,9 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     Paths whose state turns non-finite are frozen at their last finite value
     and flagged; the blow-up count lands in `meta`.  Path p consumes the
     substream seeded by path_seed(seed, p), so any chunking or scheduling
-    produces identical output.  Rejects T <= 0, dt <= 0, n_paths < 1 and a
-    horizon shorter than one step; a longer one is rounded to whole steps.
+    produces identical output.  Rejects T <= 0, dt <= 0, n_paths < 1, a
+    horizon shorter than one step and one whose increment block exceeds
+    MAX_INCREMENT_BLOCK; any other is rounded to whole steps.
     """
     steps, (states,), increments, blown, _ = _run_ensemble(
         system, x0, T, dt, n_paths, seed,

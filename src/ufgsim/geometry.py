@@ -32,6 +32,7 @@ from .linalg import (
     alignment_certificate,
     greedy_independent_columns,
     project_onto_columns,
+    rank_from_singular_values,
     svd_rank,
     sym_outer_max_eig,
 )
@@ -214,6 +215,12 @@ def drift_orthogonal_field(table, rtol=DEFAULT_RTOL, name="drift-orthogonal"):
 # UFG / Hoermander / Kalman checks
 # ---------------------------------------------------------------------------
 
+def _positive_max(a):
+    """Largest entry of a that exceeds 0.0, else 0.0: NaNs are ignored, as a
+    running `max(best, x)` started at 0.0 ignores them."""
+    return float(np.max(np.where(a > 0.0, a, 0.0), initial=0.0))
+
+
 def check_ufg(table, plan, m=None, residual_tol=1e-8,
               coeff_blowup_threshold=DEFAULT_COEFF_BLOWUP, rtol=DEFAULT_RTOL):
     """Pointwise finite-generation test at level m.
@@ -223,6 +230,10 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
     full frame span; the reported coefficients come from a deterministic
     independent sub-frame selected in canonical order, so collinear columns
     cannot hide a blow-up of the representation (the `suspect` verdict).
+    One least-squares solve per point takes all targets as right-hand sides;
+    its records equal those of one solve per (point, target) to the bit while
+    each nonzero target's largest entry lies between about 2e-292 and 5e291,
+    outside which LAPACK's gelsd rescales the whole right-hand-side block.
     """
     m = table.m if m is None else m
     if m > table.m:
@@ -231,34 +242,33 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
     targets = [a for a in table.indices() if m < a.length <= m + 2]
     pts = plan.sample(table.dim)
     frames = table.evaluate_frame_batch("brackets", pts)[:, :, : len(frame_idx)]
-    tvals = {a: table.field(a).eval_batch(pts) for a in targets}
+    # V[i, t] is target t at point i: the rows the norms below run over are contiguous
+    V = np.empty((len(pts), len(targets), table.dim))
+    for t, a in enumerate(targets):
+        V[:, t] = table.field(a).eval_batch(pts)
+    finite = np.isfinite(frames).all(axis=(1, 2)) & np.isfinite(V).all(axis=(1, 2))
+    singular = finite & ~frames.any(axis=(1, 2))
+    regular = np.flatnonzero(finite & ~singular)
 
-    records, singular, skipped = [], [], 0
-    for i, x in enumerate(pts):
-        F = frames[i]
-        vs = {a: tvals[a][i] for a in targets}
-        if not (np.all(np.isfinite(F)) and all(np.all(np.isfinite(v)) for v in vs.values())):
-            skipped += 1
-            continue
-        if np.max(np.abs(F)) == 0.0:
-            singular.append([float(v) for v in x])
-            continue
-        sel = greedy_independent_columns(F, rtol=rtol, floor=0.0)
-        B = F[:, sel]
-        worst_res, worst_coeff = 0.0, 0.0
-        for a in targets:
-            v = vs[a]
-            if B.shape[1]:
-                c, *_ = np.linalg.lstsq(B, v, rcond=None)
-                resid = np.linalg.norm(v - B @ c) / (1.0 + np.linalg.norm(v))
-                worst_coeff = max(worst_coeff, float(np.max(np.abs(c))) if c.size else 0.0)
-            else:
-                resid = np.linalg.norm(v) / (1.0 + np.linalg.norm(v))
-            worst_res = max(worst_res, float(resid))
-        records.append(PointRecord(list(map(float, x)), worst_res, max_coeff=worst_coeff,
-                                   extra={"_idx": i}))
-    return _finish_report("ufg", m, None, records, singular, skipped,
-                          residual_tol, coeff_blowup_threshold)
+    records = []
+    # non-finite points are skipped; overflow at the others is reported, not warned
+    with np.errstate(all="ignore"):
+        for i in regular:
+            F, Vi = frames[i], V[i]
+            sel = greedy_independent_columns(F, rtol=rtol, floor=0.0)
+            R, max_coeff = Vi, 0.0
+            if sel:
+                B = F[:, sel]
+                C = np.linalg.lstsq(B, Vi.T, rcond=None)[0]
+                # one matrix-vector product per target, as B @ c for a single c
+                R = Vi - (B @ np.ascontiguousarray(C.T)[:, :, None])[..., 0]
+                max_coeff = _positive_max(np.max(np.abs(C), axis=0))
+            resid = np.sqrt(np.vecdot(R, R)) / (1.0 + np.sqrt(np.vecdot(Vi, Vi)))
+            records.append(PointRecord(list(map(float, pts[i])), _positive_max(resid),
+                                       max_coeff=max_coeff, extra={"_idx": int(i)}))
+    return _finish_report("ufg", m, None, records,
+                          [[float(v) for v in x] for x in pts[singular]],
+                          int(np.sum(~finite)), residual_tol, coeff_blowup_threshold)
 
 
 def check_hormander(table, plan, variant="HC", rtol=DEFAULT_RTOL):
@@ -270,21 +280,16 @@ def check_hormander(table, plan, variant="HC", rtol=DEFAULT_RTOL):
     pts = plan.sample(table.dim)
     frames = table.evaluate_frame_batch(subset, pts)
     N = table.dim
-    records, skipped = [], 0
-    for i, x in enumerate(pts):
-        F = frames[i]
-        if not np.all(np.isfinite(F)):
-            skipped += 1
-            continue
-        s = np.linalg.svd(F, compute_uv=False)
-        r = svd_rank(F, rtol=rtol)
-        records.append(PointRecord(
-            list(map(float, x)), float(N - r),
-            min_eig=float(s[N - 1]) if len(s) >= N else 0.0,
-            extra={"rank": int(r), "_idx": i},
-        ))
-    return _finish_report(variant.lower(), table.m, None, records, [], skipped,
-                          residual_tol=0.0)
+    finite = np.flatnonzero(np.isfinite(frames).all(axis=(1, 2)))
+    s = np.linalg.svd(frames[finite], compute_uv=False)
+    ranks = rank_from_singular_values(s, rtol=rtol)
+    records = [PointRecord(
+        list(map(float, pts[i])), float(N - r),
+        min_eig=float(sv[N - 1]) if len(sv) >= N else 0.0,
+        extra={"rank": int(r), "_idx": int(i)},
+    ) for i, sv, r in zip(finite, s, ranks)]
+    return _finish_report(variant.lower(), table.m, None, records, [],
+                          len(pts) - len(finite), residual_tol=0.0)
 
 
 def check_kalman(A, Q, rtol=DEFAULT_RTOL):
@@ -706,6 +711,8 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
     """
     x0 = np.asarray(x0, dtype=float)
     N = table.dim
+    if x0.shape != (N,):
+        raise ValueError(f"x0 must have shape ({N},)")
     flow_cfg = flow_cfg or FlowConfig()
     newton_cfg = newton_cfg or NewtonConfig()
 

@@ -19,11 +19,15 @@ def svd_rank(frame, rtol=RANK_RTOL, floor=RANK_FLOOR):
         raise ValueError("frame must have at least two dimensions")
     if frame.shape[-1] == 0:
         return np.zeros(frame.shape[:-2], dtype=int) if frame.ndim > 2 else 0
-    s = np.linalg.svd(frame, compute_uv=False)
+    counts = rank_from_singular_values(np.linalg.svd(frame, compute_uv=False), rtol, floor)
+    return counts if frame.ndim > 2 else int(counts)
+
+
+def rank_from_singular_values(s, rtol=RANK_RTOL, floor=RANK_FLOOR):
+    """`svd_rank`'s count from singular values s (..., k), k >= 1, sorted descending."""
     top = s[..., 0]
     counts = np.sum(s > rtol * np.maximum(top, RANK_FLOOR)[..., None], axis=-1)
-    counts = np.where(top < floor, 0, counts)
-    return counts if frame.ndim > 2 else int(counts)
+    return np.where(top < floor, 0, counts)
 
 
 def project_onto_columns(frame, v, rtol=RANK_RTOL):

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +124,26 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "Traceback" not in err
         assert "error" in json.loads(err.splitlines()[-1])
+
+    @pytest.mark.parametrize("x0", ["1", "1,0,0"])
+    @pytest.mark.parametrize("cmd", [
+        ["chart", "--system", "random-circles", "--eps", "0.3", "--samples", "2"],
+        ["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
+         "--direction", "V1", "--t", "0.01", "--paths", "2"],
+    ])
+    def test_point_of_wrong_dimension_rejected(self, capsys, cmd, x0):
+        code, out, err = run_cli([*cmd, "--x0", x0], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert json.loads(err)["error"] == "x0 must have shape (2,)"
+
+    @pytest.mark.parametrize("t, dt", [("1e15", "0.001"), ("1e300", "1e-300")])
+    def test_unbounded_horizon_rejected_up_front(self, capsys, t, dt):
+        start = time.perf_counter()
+        code, out, err = run_cli(["simulate", "--system", "gbm", "--x0", "1", "--t", t,
+                                  "--dt", dt, "--paths", "1"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "increments per chunk" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("args", [
         ["--c1", "nan"],
@@ -249,6 +271,34 @@ class TestDeterminism:
         want = mal.malliavin_matrix(vp, system)
         got = [p["matrix"] for p in json.loads(out)["paths"]]
         assert got == want.reshape(4, -1).tolist()
+
+    # sha256 of the --out report of small checker runs, recorded before the
+    # checkers were batched: a rewrite must reproduce every byte.
+    @pytest.mark.parametrize("args, code, digest", [
+        (["sinfields", "--condition", "ufg", "--level", "3", "--grid", "6"], 0,
+         "16f218a275f2446494357af99e541b2105f455589f9f5e3f35675f7495b30cc3"),
+        (["ufg-heisenberg", "--condition", "ufg", "--grid", "4"], 0,
+         "c216827d8306abe548bbaef32b5447b192c01c696ce0cc667c72d292f2ca7a51"),
+        (["non-ufg-psi", "--condition", "ufg", "--box", "0.01:1,-1:1", "--grid", "6"], 0,
+         "f305a0b3ddefdfb72c72ca4a75f146680c4328c1e1baadc7f636148501555ba6"),
+        (["linear", "--condition", "hc", "--grid", "6"], 2,
+         "046266149f072f244cf229e224aaaaebafe1d22953dc8c42bfa5c50de89743db"),
+        (["gbm", "--condition", "hc", "--box", "-1:1", "--grid", "5"], 2,
+         "d4e42af10579631fb095ea542f33d611c6cff75eda9d22538bfd79f10d972729"),
+        (["sine-ou", "--param", "k=2", "--condition", "hc", "--grid", "5"], 0,
+         "701352ecfeece753a2ae127e971fe8dfcaf804c1ef7db622a64a8362f6cf43ae"),
+        (["random-circles", "--condition", "phc", "--grid", "6"], 2,
+         "a1fbd1091d2e79a3a31b4d25cbd9f6f76b57c12993b2a94c5d69da075c6d2fc5"),
+        (["grushin", "--param", "k=-1", "--condition", "oac", "--lambda0", "0.5", "--grid", "6"],
+         2, "ca448bae675ff48c54995790cd7abf26f994f761895e9c308498c4e2ddc0814d"),
+        (["circle-line", "--condition", "oac", "--grid", "6"], 0,
+         "cf9d612e5a1adced2b5702a730e4e9c0a525fea5516ded1a98574b480136d99c"),
+    ])
+    def test_check_reports_match_recorded_hashes(self, tmp_path, args, code, digest):
+        out = tmp_path / "report.json"
+        assert cli.run(["check", "--system", *args, "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestSubcommands:
     def test_catalog_list(self, capsys):

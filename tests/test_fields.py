@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufgsim import catalog
 from ufgsim import expr as ex
@@ -91,6 +93,48 @@ class TestLieBracket:
                         num = numeric_bracket(A, B, x)
                         scale = 1.0 + np.max(np.abs(num))
                         assert np.max(np.abs(sym(x) - num)) <= 1e-6 * scale
+
+
+def _poly_trig_component(dim):
+    """Polynomial/trigonometric trees in x_0..x_{dim-1}: defined everywhere."""
+    leaf = st.one_of(st.integers(-2, 2).map(lambda v: ex.Const(float(v))),
+                     st.integers(0, dim - 1).map(ex.Var))
+
+    def combine(s):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul"]), s, s).map(lambda t: ex.Binary(*t)),
+            st.tuples(st.sampled_from(["sin", "cos"]), s).map(lambda t: ex.Unary(*t)))
+
+    return st.recursive(leaf, combine, max_leaves=6)
+
+
+@st.composite
+def _random_fields(draw, count):
+    """`count` random fields of one dimension 2 or 3 and up to 5 points in [-1.5, 1.5]^dim."""
+    dim = draw(st.integers(2, 3))
+    comp = _poly_trig_component(dim)
+    fields = [vf.VectorField(dim, tuple(draw(comp) for _ in range(dim))) for _ in range(count)]
+    rows = draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=dim, max_size=dim),
+                         min_size=1, max_size=5))
+    return fields, np.array(rows)
+
+
+@given(_random_fields(2))
+@settings(max_examples=100, deadline=None)
+def test_antisymmetry_on_random_fields(case):
+    (U, V), P = case
+    total = vf.lie_bracket(U, V).eval_batch(P) + vf.lie_bracket(V, U).eval_batch(P)
+    assert np.max(np.abs(total)) <= 1e-12
+
+
+@given(_random_fields(3))
+@settings(max_examples=60, deadline=None)
+def test_jacobi_identity_on_random_fields(case):
+    # the terms stay below about 1e2 on these fields and points
+    (U, V, W), P = case
+    total = sum(vf.lie_bracket(A, vf.lie_bracket(B, C)).eval_batch(P)
+                for A, B, C in ((U, V, W), (V, W, U), (W, U, V)))
+    assert np.max(np.abs(total)) <= 1e-10
 
 
 class TestMultiIndex:

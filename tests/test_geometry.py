@@ -3,7 +3,7 @@ import pytest
 
 from ufgsim import catalog, expr as ex, fields as vf, geometry as geo
 from ufgsim.dynamics import SDESystem, flow
-from ufgsim.linalg import sym_outer_max_eig
+from ufgsim.linalg import svd_rank, sym_outer_max_eig
 from conftest import sample_points
 
 
@@ -155,6 +155,77 @@ class TestUFG:
             geo.check_ufg(tab, geo.SamplePlan(points=[[1.0, 0.0]]), m=5)
 
 
+def reference_check_ufg(table, plan, m, rtol=geo.DEFAULT_RTOL):
+    """One least-squares solve per (point, target), folded with Python max."""
+    frame_idx = table.indices(m)
+    targets = [a for a in table.indices() if m < a.length <= m + 2]
+    pts = plan.sample(table.dim)
+    frames = table.evaluate_frame_batch("brackets", pts)[:, :, : len(frame_idx)]
+    tvals = {a: table.field(a).eval_batch(pts) for a in targets}
+    records, singular, skipped = [], [], 0
+    for i, x in enumerate(pts):
+        F = frames[i]
+        vs = {a: tvals[a][i] for a in targets}
+        if not (np.all(np.isfinite(F)) and all(np.all(np.isfinite(v)) for v in vs.values())):
+            skipped += 1
+            continue
+        if np.max(np.abs(F)) == 0.0:
+            singular.append([float(v) for v in x])
+            continue
+        sel = geo.greedy_independent_columns(F, rtol=rtol, floor=0.0)
+        B = F[:, sel]
+        worst_res, worst_coeff = 0.0, 0.0
+        for a in targets:
+            v = vs[a]
+            if B.shape[1]:
+                c, *_ = np.linalg.lstsq(B, v, rcond=None)
+                resid = np.linalg.norm(v - B @ c) / (1.0 + np.linalg.norm(v))
+                worst_coeff = max(worst_coeff, float(np.max(np.abs(c))) if c.size else 0.0)
+            else:
+                resid = np.linalg.norm(v) / (1.0 + np.linalg.norm(v))
+            worst_res = max(worst_res, float(resid))
+        records.append(geo.PointRecord(list(map(float, x)), worst_res, max_coeff=worst_coeff,
+                                       extra={"_idx": i}))
+    return geo._finish_report("ufg", m, None, records, singular, skipped, 1e-8,
+                              geo.DEFAULT_COEFF_BLOWUP)
+
+
+class TestUFGBatched:
+    """`check_ufg` solves once per point; its records are the per-target loop's, bit for bit."""
+
+    @pytest.mark.parametrize("name, level, grid", [
+        ("sinfields", 3, 9), ("ufg-heisenberg", None, 5), ("non-ufg-psi", None, 7)])
+    def test_catalog_records_equal_reference(self, name, level, grid):
+        entry = catalog.get(name)
+        tab = table_for(entry, level)
+        plan = geo.SamplePlan(box=entry.sample_box, grid=grid)
+        got = geo.check_ufg(tab, plan).to_dict()
+        assert got == reference_check_ufg(tab, plan, tab.m).to_dict()
+
+    def test_special_points_equal_reference(self):
+        V0 = vf.make_field(2, ["exp(460*y)", "0"], ["x", "y"])
+        V1 = vf.make_field(2, ["x", "x"], ["x", "y"])
+        V2 = vf.make_field(2, ["x", "-x"], ["x", "y"])
+        tab = vf.build_hierarchy([V0, V1, V2], 1)
+        points = np.array([
+            [1.0, 0.5],       # regular
+            [np.inf, 0.0],    # non-finite frame: skipped
+            [0.0, 0.3],       # zero frame: singular
+            [1e-310, 0.0],    # column norms underflow: no column selected
+            [1e-150, 1.0],    # drift brackets ~1e200: infinite coefficients, NaN residuals
+            [-2.0, 1.0],
+        ])
+        plan = geo.SamplePlan(points=points)
+        with np.errstate(all="ignore"):
+            ref = reference_check_ufg(tab, plan, 1).to_dict()
+        got = geo.check_ufg(tab, plan)
+        assert got.to_dict() == ref
+        assert got.skipped_points == 1 and got.singular_points == [[0.0, 0.3]]
+        rec = {tuple(r.point): r for r in got.records}
+        assert rec[(1e-310, 0.0)].max_coeff == 0.0 and rec[(1e-310, 0.0)].residual > 0.5
+        assert rec[(1e-150, 1.0)].max_coeff == np.inf and rec[(1e-150, 1.0)].residual == 0.0
+
+
 class TestHormander:
     def test_circles_phc_violated(self, circles):
         rep = geo.check_hormander(table_for(circles),
@@ -177,6 +248,24 @@ class TestHormander:
                                   "PHC")
         assert rep.verdict == "violated"
         assert all(r.extra["rank"] == 2 for r in rep.records)
+
+    def test_stacked_svd_records_equal_pointwise_reference(self, rng, heisenberg):
+        tab = table_for(heisenberg)
+        pts = np.vstack([sample_points(heisenberg, 12, rng), [[np.inf, 0.0, 0.0]],
+                         [[0.0, 0.0, 0.0]]])
+        for variant, subset in (("HC", "brackets+drift"), ("PHC", "brackets")):
+            want = []
+            for x, F in zip(pts, tab.evaluate_frame_batch(subset, pts)):
+                if not np.all(np.isfinite(F)):
+                    continue
+                s = np.linalg.svd(F, compute_uv=False)
+                r = svd_rank(F)
+                want.append(geo.PointRecord(list(map(float, x)), float(3 - r),
+                                            min_eig=float(s[2]) if len(s) >= 3 else 0.0,
+                                            extra={"rank": int(r)}).to_dict())
+            rep = geo.check_hormander(tab, geo.SamplePlan(points=pts), variant)
+            assert [r.to_dict() for r in rep.records] == want
+            assert rep.skipped_points == 1
 
 
 class TestKalman:
