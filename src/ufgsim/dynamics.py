@@ -5,17 +5,22 @@ factor lives here in the integrators, never in the stored fields, so that
 the generator of the simulated process is exactly V0 + sum_i V_i^2.
 
 Flows of single fields use fixed-step RK4; paths use the stochastic Heun
-predictor-corrector, which integrates the Stratonovich form directly.
-Ensembles are reproducible: each path consumes its own substream derived
-from the master seed by a SplitMix64 mix, so results are bit-identical for
-a given (system, x0, T, dt, n_paths, seed) regardless of chunking or
-thread count.
+predictor-corrector, which integrates the Stratonovich form directly.  The
+whole Heun step, drift and noise fields at the state and at the predictor
+included, is one kernel compiled per system (`_compile_heun_step`) from the
+field trees; it runs over column-major chunks of paths, with floating-point
+warnings off, and gives the values of the step as array arithmetic to the
+bit.  Ensembles are reproducible: each path consumes its own substream
+derived from the master seed by a SplitMix64 mix, so results are
+bit-identical for a given (system, x0, T, dt, n_paths, seed) regardless of
+chunking or thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +32,9 @@ SQRT2 = math.sqrt(2.0)
 # float64 entries of one chunk's (paths, steps, noises) Brownian increment block
 # (512 MiB); a longer horizon is rejected before anything is allocated
 MAX_INCREMENT_BLOCK = 2**26
+# float64 entries an ensemble stores over all its paths, the recorded arrays
+# and the increment sums (1 GiB); a larger one is rejected the same way
+MAX_STORED_ENTRIES = 2**27
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -91,6 +99,11 @@ class SDESystem:
 
     def all_fields(self):
         return (self.drift,) + tuple(self.noises)
+
+    @cached_property
+    def _heun_kernel(self):
+        """The stochastic Heun step compiled at first use (see _compile_heun_step)."""
+        return _compile_heun_step(self)
 
 
 class NumericField:
@@ -334,10 +347,11 @@ class PathEnsemble:
         idx = list(range(0, len(self.times), stride))
         if idx[-1] != len(self.times) - 1:
             idx.append(len(self.times) - 1)
+        times = list(map(repr, self.times[idx].tolist()))
         for p in range(self.n_paths):
-            for k in idx:
-                row = ",".join(repr(float(v)) for v in self.states[p, k])
-                fh.write(f"{p},{float(self.times[k])!r},{row}\n")
+            # one path at a time: Python floats take about four times the array's memory
+            for t, x in zip(times, self.states[p, idx].tolist()):
+                fh.write(f"{p},{t},{','.join(map(repr, x))}\n")
 
 
 def _stored_steps(n_steps, stride, store_times=None, dt=None):
@@ -346,28 +360,43 @@ def _stored_steps(n_steps, stride, store_times=None, dt=None):
         for t in store_times:
             steps.add(min(n_steps, max(0, int(round(t / dt)))))
         return np.asarray(sorted(steps), dtype=int)
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx, dtype=int)
+    idx = np.arange(0, n_steps + 1, stride)
+    return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
 def _record_state(S, alive, last):
     return S, None
 
 
-def _run_ensemble(system, x0, T, dt, n_paths, seed, advance, start=(),
-                  store=_record_state, store_stride=1, store_times=None, chunk_size=2048):
+def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
+                  store=_record_state, store_stride=1, store_times=None, record_size=None,
+                  chunk_size=2048):
     """The seeded ensemble loop behind simulate_paths and simulate_variational.
 
-    Each path carries a state tuple (X, *start) that `advance(S, dB)` moves by
-    one step.  A path whose new state has a non-finite entry is frozen at its
-    last finite state and flagged blown.  At t = 0 and at each stored step,
-    `store(S, alive, last)` returns the arrays to record and a mask of paths
-    that failed a check (or None), which are frozen and flagged aborted;
-    `last` is what it returned at the previous stored step, None at t = 0.
-    Path p consumes the substream seeded by path_seed(seed, p), so the
-    chunking never changes the output.
+    Each path carries a state tuple (X, *rest), rest starting at `start`.  The
+    system's compiled stochastic Heun step (_compile_heun_step) moves X;
+    `advance(X, Xp, dB, *rest)`, when given, returns the new rest from the
+    step's state, Heun predictor and increments.  A path whose new state has
+    a non-finite entry is frozen at its last finite state and flagged blown.
+    At t = 0 and at each stored step, `store(S, alive, last)` returns the
+    arrays to record and a mask of paths that failed a check (or None),
+    which are frozen and flagged aborted; `last` is what it returned at the
+    previous stored step, None at t = 0, and X in S is a view that the loop
+    overwrites, so `store` copies what it keeps beyond the record.  Path p
+    consumes the substream seeded by path_seed(seed, p), so the chunking
+    never changes the output.
+
+    A chunk's state lives column-major in the workspace the kernel reads,
+    beside the current step's increments; the increments are drawn
+    step-major into one block shared by all chunks.  While every path of
+    the chunk is alive, a step checks the whole new state at once and takes
+    it; the per-row freeze runs only from the first step that fails that
+    check.
+
+    Rejects, before allocating anything, a horizon whose increment block
+    exceeds MAX_INCREMENT_BLOCK and an ensemble whose stored arrays (the
+    records, `record_size` float64 entries per path and stored step, N by
+    default, and the increment sums) exceed MAX_STORED_ENTRIES.
 
     Returns the stored step indices, the recorded arrays (each of shape
     (P, n_stored, ...)), the Brownian increments summed over each stored
@@ -382,51 +411,73 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance, start=(),
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
         raise ValueError(f"x0 must have shape ({system.dim},)")
-    block = min(n_paths, chunk_size) * system.d * (T / dt)
+    P, N, d = n_paths, system.dim, system.d
+    block = min(P, chunk_size) * d * (T / dt)
     if not block <= MAX_INCREMENT_BLOCK:
         raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {block:.3g} Brownian "
                          f"increments per chunk, more than the cap of {MAX_INCREMENT_BLOCK}")
     n_steps = int(round(T / dt))
+    n_stored = len(store_times) + 2 if store_times is not None else -(-n_steps // store_stride) + 1
+    stored = P * n_stored * ((N if record_size is None else record_size) + d)
+    if stored > MAX_STORED_ENTRIES:
+        raise ValueError(f"{P} paths stored at {n_stored} times need {stored:.3g} stored "
+                         f"values, more than the cap of {MAX_STORED_ENTRIES}")
     steps = _stored_steps(n_steps, store_stride, store_times, dt)
-    stored_pos = {int(s): k for k, s in enumerate(steps)}
-    P, d = n_paths, system.d
+    step = system._heun_kernel
 
     records = None
     increments = np.zeros((P, len(steps) - 1, d))
     blown = np.zeros(P, dtype=bool)
     aborted = np.zeros(P, dtype=bool)
+    dB = np.empty((n_steps, min(P, chunk_size), d))
     for lo in range(0, P, chunk_size):
         hi = min(P, lo + chunk_size)
-        dB = np.empty((hi - lo, n_steps, d))
+        n = hi - lo
         for p in range(lo, hi):
             rng = np.random.Generator(np.random.PCG64(path_seed(seed, p)))
-            dB[p - lo] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
-        S = tuple(np.broadcast_to(a, (hi - lo,) + np.shape(a)).copy() for a in (x0, *start))
-        alive = np.ones(hi - lo, dtype=bool)
+            dB[:, p - lo] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
+        W = _heun_workspace(n, N, d, dt)
+        out = np.empty((n, 2, N), order="F")
+        X = W[:, :N]
+        X[...] = x0
+        rest = tuple(np.broadcast_to(a, (n,) + np.shape(a)).copy() for a in start)
+        alive = np.ones(n, dtype=bool)
+        intact = True  # no path of the chunk blown or aborted yet
         row = None
-        for step in range(n_steps + 1):
-            if step:
-                Sn = advance(S, dB[:, step - 1, :])
-                ok = alive.copy()
-                for a in Sn:
-                    ok &= np.isfinite(a).reshape(len(a), -1).all(axis=1)
-                blown[lo:hi] |= alive & ~ok
-                alive = ok
-                S = tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
-                          for a, b in zip(Sn, S))
-                increments[lo:hi, seg, :] += dB[:, step - 1, :]
-            pos = stored_pos.get(step)
-            if pos is None:
+        k = 0  # index of the next stored step
+        for s in range(n_steps + 1):
+            if s:
+                W[:, N:N + d] = dB[s - 1, :n]
+                step(W, out)
+                Xn = out[:, 0]
+                new = advance(X, out[:, 1], W[:, N:N + d], *rest) if advance else ()
+                if intact and np.isfinite(Xn).all() and all(np.isfinite(a).all() for a in new):
+                    X[...] = Xn
+                    rest = new
+                else:
+                    intact = False
+                    ok = alive.copy()
+                    for a in (Xn, *new):
+                        ok &= np.isfinite(a).reshape(n, -1).all(axis=1)
+                    blown[lo:hi] |= alive & ~ok
+                    alive = ok
+                    np.copyto(X, Xn, where=alive[:, None])
+                    rest = tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+                                 for a, b in zip(new, rest))
+                increments[lo:hi, seg] += dB[s - 1, :n]
+            if s != steps[k]:
                 continue
-            row, bad = store(S, alive, row)
+            row, bad = store((X, *rest), alive, row)
             if bad is not None:
                 aborted[lo:hi] |= bad
                 alive &= ~bad
+                intact = intact and bool(alive.all())
             if records is None:
                 records = tuple(np.empty((P, len(steps)) + a.shape[1:]) for a in row)
             for rec, a in zip(records, row):
-                rec[lo:hi, pos] = a
-            seg = min(pos, len(steps) - 2)
+                rec[lo:hi, k] = a
+            seg = min(k, len(steps) - 2)
+            k += 1
     return steps, records, increments, blown, aborted
 
 
@@ -438,12 +489,12 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     and flagged; the blow-up count lands in `meta`.  Path p consumes the
     substream seeded by path_seed(seed, p), so any chunking or scheduling
     produces identical output.  Rejects T <= 0, dt <= 0, n_paths < 1, a
-    horizon shorter than one step and one whose increment block exceeds
-    MAX_INCREMENT_BLOCK; any other is rounded to whole steps.
+    horizon shorter than one step, one whose increment block exceeds
+    MAX_INCREMENT_BLOCK and an ensemble whose stored arrays exceed
+    MAX_STORED_ENTRIES; any other horizon is rounded to whole steps.
     """
     steps, (states,), increments, blown, _ = _run_ensemble(
         system, x0, T, dt, n_paths, seed,
-        lambda S, dB: (_heun_step(system, S[0], dB, dt)[0],),
         store_stride=store_stride, store_times=store_times, chunk_size=chunk_size)
     meta = {
         "system": system.name,
@@ -457,18 +508,72 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     return PathEnsemble(seed, dt, steps * dt, states, increments, blown, meta)
 
 
+def _compile_heun_step(system):
+    """One stochastic Heun step of `system`, compiled into one kernel for every dt.
+
+    kernel(W, out) reads rows W (P, N + d + 2): the state X in the first N
+    columns, the step's increments dB in the next d, then dt and dt/2; it
+    writes the new state to out[:, 0] and the predictor Xp to out[:, 1] of
+    out (P, 2, N).  The trees keep the operation order of the array
+    arithmetic
+
+        g(Y) = 0.0 + V_1(Y) dB^1 + ... + V_d(Y) dB^d
+        Xp = (X + V0(X) dt) + sqrt(2) g(X)
+        Xn = (X + (dt/2) (V0(X) + V0(Xp))) + (0.5 sqrt(2)) (g(X) + g(Xp))
+
+    so the values are those of that arithmetic on eval_batch arrays to the
+    bit, nan and inf included, and no warning is raised.  The fields enter
+    at Xp by substituting the predictor trees for the variables; the kernel
+    computes each shared subtree once.  Column-major W and out make every
+    column it reads and writes contiguous.
+    """
+    N, d = system.dim, system.d
+    X = [ex.Var(j) for j in range(N)]
+    dB = [ex.Var(N + i) for i in range(d)]
+    dt, half_dt = ex.Var(N + d), ex.Var(N + d + 1)
+
+    def add(a, b):
+        return ex.Binary("add", a, b)
+
+    def mul(a, b):
+        return ex.Binary("mul", a, b)
+
+    def fields_at(Y):
+        V0, *noises = (ex.substitute(V.components, Y) for V in system.all_fields())
+        g = []
+        for j in range(N):
+            acc = ex.Const(0.0)
+            for V, b in zip(noises, dB):
+                acc = add(acc, mul(V[j], b))
+            g.append(acc)
+        return V0, g
+
+    a0, g0 = fields_at(X)
+    Xp = [add(add(x, mul(a, dt)), mul(ex.Const(SQRT2), g)) for x, a, g in zip(X, a0, g0)]
+    a1, g1 = fields_at(Xp)
+    Xn = [add(add(x, mul(half_dt, add(a, b))), mul(ex.Const(0.5 * SQRT2), add(g, h)))
+          for x, a, b, g, h in zip(X, a0, a1, g0, g1)]
+    return ex.compile_exprs(Xn + Xp, (2, N))
+
+
+def _heun_workspace(n, N, d, dt):
+    """Column-major rows for the Heun kernel, with the dt and dt/2 columns set."""
+    W = np.empty((n, N + d + 2), order="F")
+    W[:, N + d] = dt
+    W[:, N + d + 1] = 0.5 * dt
+    return W
+
+
 def _heun_step(system, X, dB, dt):
-    """One stochastic Heun step: the new state and the predictor Xp."""
-    a0 = system.drift.eval_batch(X)
-    g0 = np.zeros_like(X)
-    for i, V in enumerate(system.noises):
-        g0 += V.eval_batch(X) * dB[:, i:i + 1]
-    Xp = X + a0 * dt + SQRT2 * g0
-    a1 = system.drift.eval_batch(Xp)
-    g1 = np.zeros_like(X)
-    for i, V in enumerate(system.noises):
-        g1 += V.eval_batch(Xp) * dB[:, i:i + 1]
-    return X + 0.5 * dt * (a0 + a1) + 0.5 * SQRT2 * (g0 + g1), Xp
+    """One stochastic Heun step from the rows X (P, N) with increments dB (P, d):
+    the new state and the predictor Xp, by the system's compiled step."""
+    N, d = system.dim, system.d
+    W = _heun_workspace(len(X), N, d, dt)
+    W[:, :N] = X
+    W[:, N:N + d] = dB
+    out = np.empty((len(W), 2, N), order="F")
+    system._heun_kernel(W, out)
+    return out[:, 0], out[:, 1]
 
 
 def auxiliary_process(ensemble, v0perp, cfg=None):

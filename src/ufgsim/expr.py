@@ -675,3 +675,30 @@ def max_variable_index(e):
         case Binary(left=l, right=r):
             return max(max_variable_index(l), max_variable_index(r))
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def substitute(exprs, values):
+    """The trees `exprs` with every Var(i) replaced by the tree values[i].
+
+    A subtree shared between the inputs is rebuilt once and stays shared.
+    """
+    memo = {}  # id(node) -> rebuilt node; the input trees keep every id alive
+
+    def go(node):
+        out = memo.get(id(node))
+        if out is None:
+            match node:
+                case Const():
+                    out = node
+                case Var(index=i):
+                    out = values[i]
+                case Unary(op=op, child=c):
+                    out = Unary(op, go(c))
+                case Binary(op=op, left=l, right=r):
+                    out = Binary(op, go(l), go(r))
+                case _:
+                    raise TypeError(f"not an Expr node: {node!r}")
+            memo[id(node)] = out
+        return out
+
+    return [go(e) for e in exprs]

@@ -90,10 +90,8 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
     """
     I = np.eye(system.dim)
 
-    def advance(S, dB):
-        X, J = S
-        Xn, Xp = _heun_step(system, X, dB, dt)
-        return Xn, step_matrix(system, X, dB, dt, Xp) @ J
+    def advance(X, Xp, dB, J):
+        return (step_matrix(system, X, dB, dt, Xp) @ J,)
 
     def store(S, alive, last):
         X, J = S
@@ -105,7 +103,7 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
 
     steps, (states, jacs, invs), increments, blown, aborted = _run_ensemble(
         system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
-        store_stride=store_stride)
+        store_stride=store_stride, record_size=system.dim * (1 + 2 * system.dim))
     meta = {
         "system": system.name,
         "x0": np.asarray(x0, dtype=float).tolist(),

@@ -145,6 +145,17 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE and out == ""
         assert "increments per chunk" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("cmd", [
+        ["simulate", "--system", "gbm", "--x0", "1"],
+        ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4", "--split", "1"],
+    ])
+    def test_unbounded_path_count_rejected_up_front(self, capsys, cmd):
+        start = time.perf_counter()
+        code, out, err = run_cli([*cmd, "--t", "1", "--paths", "1000000000000"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "stored values" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("args", [
         ["--c1", "nan"],
         ["--c2", "inf"],
@@ -298,6 +309,46 @@ class TestDeterminism:
         out = tmp_path / "report.json"
         assert cli.run(["check", "--system", *args, "--out", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # sha256 of the outputs of small simulator runs, recorded before the Heun
+    # step was compiled; the riccati system blows up on 10 of its 40 paths
+    @pytest.mark.parametrize("args, digests", [
+        (["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.2",
+          "--paths", "32", "--seed", "42", "--stride", "100"],
+         {"--out": "9809163e1593bcb3052e24fdfd2830eb81f6d4da55fef445b4538f24d5491a46"}),
+        (["simulate", "--system", "ufg-heisenberg", "--x0", "1,0,0", "--t", "0.05",
+          "--paths", "9", "--seed", "2", "--stride", "5"],
+         {"--out": "c8fd51427df279dcb26e618eb26bb090ed8449799ed6419fc3a54c6842e96edb"}),
+        (["simulate", "--system", "RICCATI", "--x0", "0.9", "--t", "1", "--paths", "40",
+          "--seed", "7", "--stride", "100"],
+         {"--out": "727edd014520d901c2bf185763ea87460b903453e92f855c425d8b8cd82f9f79"}),
+        (["converge", "--system", "grushin", "--param", "k=-1", "--x0", "0,1",
+          "--times", "0.25,0.5", "--reference", "gaussian:0,0.4", "--paths", "128",
+          "--seed", "3", "--escape-radius", "10"],
+         {"--out": "900d0b5ff732f58650d76fee183219ad56c85587d86b738995b6e64181948f04",
+          "--csv": "ae493723290915deadb3f270c19fc007eaf4f94ac1c099129b09f84a8d6d2dbf"}),
+        (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
+          "--direction", "V1", "--x0", "0,1", "--t", "0.25", "--paths", "400", "--seed", "3"],
+         {"--out": "ae2fcbe987f83e5729206a2098c412e421a5e7434699cc9eba68fe732760671d"}),
+        (["zproc", "--system", "random-circles", "--x0", "1,0", "--t", "0.2", "--paths", "4",
+          "--seed", "1", "--stride", "200"],
+         {"--out": "46a77e5321eb8226edb41c051da36b2cde66b7a4ec763f34ba20bb000e36e7fa"}),
+        (["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4", "--t", "0.5",
+          "--paths", "16", "--seed", "5", "--split", "1"],
+         {"--out": "85f6199235f974ae4d51632354e4e2da0b3b7f37cf35af54dbd69f9bb7051016"}),
+        (["malliavin", "--system", "grushin", "--param", "k=-1", "--x0", "0,1", "--t", "0.3",
+          "--paths", "8", "--seed", "2", "--split", "1", "--stride", "10"],
+         {"--out": "1a1dbf302912459a01f9ad46483ec7fc996c5e95fa7c5d120a8afede2f762328"}),
+    ])
+    def test_simulator_outputs_match_recorded_hashes(self, tmp_path, args, digests):
+        riccati = tmp_path / "riccati.sys"
+        riccati.write_text("dim = 1\nnoise = 1\nvars = x\nV0 = [x*x]\nV1 = [0.5]\n")
+        args = [str(riccati) if a == "RICCATI" else a for a in args]
+        paths = {flag: tmp_path / flag.strip("-") for flag in digests}
+        argv = [*args, *(v for flag, p in paths.items() for v in (flag, str(p)))]
+        assert cli.run(argv) == cli.EXIT_OK
+        for flag, digest in digests.items():
+            assert hashlib.sha256(paths[flag].read_bytes()).hexdigest() == digest, flag
 
 
 class TestSubcommands:

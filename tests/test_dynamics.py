@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufgsim import catalog, dynamics as dyn, expr as ex, fields as vf
 from ufgsim.diagnostics import gaussian, ks_distance
@@ -452,3 +455,189 @@ class TestLeafTracking:
             ang = np.arctan2(X[:, 1], X[:, 0])
             err = np.abs((ang - tk + math.pi) % (2 * math.pi) - math.pi)
             assert np.max(err) <= 5 * ens.dt
+
+
+# ---------------------------------------------------------------------------
+# The compiled Heun step and the step loop, against the array arithmetic
+# ---------------------------------------------------------------------------
+
+def _reference_heun_step(system, X, dB, dt):
+    """The stochastic Heun step as array arithmetic on eval_batch values."""
+    with np.errstate(all="ignore"):
+        a0 = system.drift.eval_batch(X)
+        g0 = np.zeros_like(X)
+        for i, V in enumerate(system.noises):
+            g0 += V.eval_batch(X) * dB[:, i:i + 1]
+        Xp = X + a0 * dt + dyn.SQRT2 * g0
+        a1 = system.drift.eval_batch(Xp)
+        g1 = np.zeros_like(X)
+        for i, V in enumerate(system.noises):
+            g1 += V.eval_batch(Xp) * dB[:, i:i + 1]
+        return X + 0.5 * dt * (a0 + a1) + 0.5 * dyn.SQRT2 * (g0 + g1), Xp
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_same_bits(got, want):
+    """Equal to the bit, except that a nan may differ from a nan in sign and
+    payload: where nans of both signs meet, numpy's vector loop and its scalar
+    tail keep different operands, so the array arithmetic itself can give
+    -nan on some rows of an array and +nan on others."""
+    got, want = np.ascontiguousarray(got, dtype=float), np.ascontiguousarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _field_component(dim):
+    leaf = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]).map(ex.Const),
+                     st.floats(-3, 3).map(lambda v: ex.Const(round(v, 3))),
+                     st.integers(0, dim - 1).map(ex.Var))
+
+    def combine(s):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), s, s).map(
+                lambda t: ex.Binary(*t)),
+            st.tuples(st.sampled_from(["neg", "sin", "exp", "tanh", "log", "sqrt"]), s).map(
+                lambda t: ex.Unary(*t)))
+
+    return st.recursive(leaf, combine, max_leaves=6)
+
+
+_coordinate = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0, 1e155, -1e200, 1e300]))
+_increment = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([0.0, -0.0, 1e300]))
+
+
+@st.composite
+def _heun_cases(draw):
+    """A system with N, d in 1..3, rows (some at +-0.0 or large enough to
+    overflow), increments and a step size."""
+    N, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    comp = _field_component(N)
+    fields = [vf.VectorField(N, tuple(draw(comp) for _ in range(N))) for _ in range(d + 1)]
+    system = dyn.SDESystem(N, fields[0], tuple(fields[1:]), "random")
+    rows = draw(st.integers(1, 10))
+    X = np.array(draw(st.lists(st.lists(_coordinate, min_size=N, max_size=N),
+                               min_size=rows, max_size=rows)))
+    dB = np.array(draw(st.lists(st.lists(_increment, min_size=d, max_size=d),
+                                min_size=rows, max_size=rows)))
+    dt = draw(st.sampled_from([1e-3, 0.01, 1 / 3, 0.5, 2.0]))
+    return system, X, dB, dt
+
+
+@given(_heun_cases())
+@settings(max_examples=200, deadline=None)
+def test_compiled_heun_step_is_the_array_arithmetic_to_the_bit(case):
+    system, X, dB, dt = case
+    want = _reference_heun_step(system, X, dB, dt)
+    N, d = system.dim, system.d
+    got = dyn._heun_step(system, X, dB, dt)
+    # the kernel itself, on a row-major workspace and output
+    W = np.ascontiguousarray(dyn._heun_workspace(len(X), N, d, dt))
+    W[:, :N], W[:, N:N + d] = X, dB
+    out = np.empty((len(X), 2, N))
+    system._heun_kernel(W, out)
+    for k in range(2):
+        _assert_same_bits(got[k], want[k])
+        _assert_same_bits(out[:, k], want[k])
+
+
+def test_compiled_heun_step_signed_zero_and_overflow_rows():
+    # x' = x*x with noise x: rows at +-0.0 keep their signs, a row at 1e155
+    # overflows to inf in the predictor and to nan in the corrector
+    system = dyn.SDESystem(1, vf.make_field(1, ["x*x"], ["x"]), (vf.make_field(1, ["x"], ["x"]),))
+    X = np.array([[0.0], [-0.0], [1e155], [1.0]])
+    dB = np.array([[-0.0], [0.1], [0.0], [-0.0]])
+    for dt in (1e-3, 0.5):
+        want = _reference_heun_step(system, X, dB, dt)
+        got = dyn._heun_step(system, X, dB, dt)
+        for k in range(2):
+            assert np.array_equal(_bits(got[k]), _bits(want[k]))
+    assert np.isinf(got[1][2, 0]) and np.isnan(got[0][2, 0])
+
+
+def _reference_paths(system, x0, T, dt, n_paths, seed, stride):
+    """All paths in one batch; every step checks each row and rebuilds the
+    state with np.where, as the step loop did before its fast path."""
+    n_steps = round(T / dt)
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    d = system.d
+    dB = np.empty((n_paths, n_steps, d))
+    for p in range(n_paths):
+        rng = np.random.Generator(np.random.PCG64(dyn.path_seed(seed, p)))
+        dB[p] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
+    X = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, system.dim)).copy()
+    states = np.empty((n_paths, len(steps), system.dim))
+    increments = np.zeros((n_paths, len(steps) - 1, d))
+    alive = np.ones(n_paths, dtype=bool)
+    blown = np.zeros(n_paths, dtype=bool)
+    states[:, 0] = X
+    seg = 0
+    for step in range(1, n_steps + 1):
+        Xn, _ = _reference_heun_step(system, X, dB[:, step - 1], dt)
+        ok = alive & np.isfinite(Xn).all(axis=1)
+        blown |= alive & ~ok
+        alive = ok
+        X = np.where(alive[:, None], Xn, X)
+        increments[:, seg] += dB[:, step - 1]
+        if step in steps:
+            states[:, steps.index(step)] = X
+            seg = min(steps.index(step), len(steps) - 2)
+    return states, increments, blown
+
+
+class TestStepLoop:
+    # Two systems on which some paths blow up, none before step 100 of 1000:
+    # x' = x^2 from 0.9 overflows near t = 1.1, earlier on some paths; with
+    # noise sqrt(x) from 0.5 a predictor below 0 gives nan, and a frozen path
+    # sits at a small positive x from which later steps are finite again.
+    SYSTEMS = {"riccati": (["x*x"], ["0.5"], 0.9), "sqrt": (["0.2"], ["sqrt(x)"], 0.5)}
+
+    @pytest.mark.parametrize("chunk_size", [2048, 7])
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_late_partial_blowups_match_per_row_loop(self, name, chunk_size):
+        drift, noise, x0 = self.SYSTEMS[name]
+        system = dyn.SDESystem(1, vf.make_field(1, drift, ["x"]),
+                               (vf.make_field(1, noise, ["x"]),), name)
+        kw = dict(T=1.0, dt=1e-3, n_paths=40, seed=7)
+        states, increments, blown = _reference_paths(system, [x0], **kw, stride=10)
+        assert 0 < blown.sum() < kw["n_paths"]
+        assert np.all(states[:, 10] != states[:, 9])  # every path still moves at step 100
+        ens = dyn.simulate_paths(system, [x0], **kw, store_stride=10, chunk_size=chunk_size)
+        assert np.array_equal(_bits(ens.states), _bits(states))
+        assert np.array_equal(_bits(ens.increments), _bits(increments))
+        assert np.array_equal(ens.blown, blown)
+        assert ens.meta["blowups"] == int(blown.sum())
+
+    def test_ensemble_matches_reference_on_catalog_system(self, heisenberg):
+        # d = 2, N = 3, a short last chunk (20 = 7 + 7 + 6) and no blow-up
+        kw = dict(T=0.05, dt=1e-3, n_paths=20, seed=3)
+        states, increments, blown = _reference_paths(heisenberg.system, [1.0, 0.0, 0.0],
+                                                     **kw, stride=5)
+        for chunk_size in (2048, 7):
+            ens = dyn.simulate_paths(heisenberg.system, [1.0, 0.0, 0.0], **kw, store_stride=5,
+                                     chunk_size=chunk_size)
+            assert np.array_equal(_bits(ens.states), _bits(states))
+            assert np.array_equal(_bits(ens.increments), _bits(increments))
+            assert not ens.blown.any() and not blown.any()
+
+    def test_blowups_raise_no_warnings(self):
+        # drift and noise overflow together, so a step meets inf - inf
+        V = vf.make_field(1, ["x*x"], ["x"])
+        system = dyn.SDESystem(1, V, (V,), "explosive")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = dyn.simulate_paths(system, [3.0], 1.0, 1e-3, 4, seed=0, store_stride=100)
+        assert ens.blown.all()
+
+    def test_stored_entries_capped_before_allocation(self, circles):
+        with pytest.raises(ValueError, match="stored values"):
+            dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, 10**12, seed=0)
+        # the cap counts the records and the increment sums: N + d = 3 per stored step
+        P = dyn.MAX_STORED_ENTRIES // (3 * 1001) + 1
+        with pytest.raises(ValueError, match="stored values"):
+            dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, P, seed=0)

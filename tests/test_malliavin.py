@@ -58,9 +58,9 @@ class TestVariational:
                      "blown", "aborted"):
             assert np.array_equal(getattr(one, name), getattr(many, name)), name
 
-    def test_field_evaluations_per_step(self, monkeypatch, heisenberg):
-        counts = {"eval_batch": 0, "jacobian_batch": 0}
-        for name in counts:
+    def test_compiled_step_and_jacobians_per_step(self, monkeypatch, heisenberg):
+        counts = {"eval_batch": 0, "jacobian_batch": 0, "heun": 0}
+        for name in ("eval_batch", "jacobian_batch"):
             original = getattr(vf.VectorField, name)
 
             def counted(self, X, _name=name, _original=original):
@@ -69,11 +69,19 @@ class TestVariational:
 
             monkeypatch.setattr(vf.VectorField, name, counted)
         system = heisenberg.system
+        kernel = system._heun_kernel
+
+        def counted_kernel(W, out):
+            counts["heun"] += 1
+            kernel(W, out)
+
+        monkeypatch.setitem(system.__dict__, "_heun_kernel", counted_kernel)
         mal.simulate_variational(system, [1.0, 0.0, 0.0], 0.05, 1e-3, seed=1, n_paths=3,
                                  store_stride=10)
-        # drift and noises at X and at the shared Heun predictor, once each
-        assert counts == {"eval_batch": 50 * 2 * (1 + system.d),
-                          "jacobian_batch": 50 * 2 * (1 + system.d)}
+        # one compiled Heun step per step gives the state and the shared
+        # predictor; the field Jacobians are taken at both, once each
+        assert counts == {"eval_batch": 0, "jacobian_batch": 50 * 2 * (1 + system.d),
+                          "heun": 50}
 
     def test_singular_jacobian_is_aborted(self):
         # dt DV0 = [[-1, -1], [1, -1]] makes the Heun step matrix
