@@ -5,15 +5,18 @@ factor lives here in the integrators, never in the stored fields, so that
 the generator of the simulated process is exactly V0 + sum_i V_i^2.
 
 Flows of single fields use fixed-step RK4; paths use the stochastic Heun
-predictor-corrector, which integrates the Stratonovich form directly.  The
-whole Heun step, drift and noise fields at the state and at the predictor
-included, is one kernel compiled per system (`_compile_heun_step`) from the
-field trees; it runs over column-major chunks of paths, with floating-point
-warnings off, and gives the values of the step as array arithmetic to the
-bit.  Ensembles are reproducible: each path consumes its own substream
-derived from the master seed by a SplitMix64 mix, so results are
-bit-identical for a given (system, x0, T, dt, n_paths, seed) regardless of
-chunking or thread count.
+predictor-corrector, which integrates the Stratonovich form directly.  Both
+steps are kernels compiled from the field trees at first use: the RK4 step
+once per VectorField (`_compile_rk4_step`, with a twin that also
+writes the four stage Jacobians for `flow_jacobian`), the whole Heun step,
+drift and noise fields at the state and at the predictor included, once per
+system (`_compile_heun_step`).  They run over column-major workspaces, one
+call per step, with floating-point warnings off, and give the values of the
+step as array arithmetic to the bit; a NumericField takes its RK4 step as
+that array arithmetic.  Ensembles are reproducible: each path consumes its
+own substream derived from the master seed by a SplitMix64 mix, so results
+are bit-identical for a given (system, x0, T, dt, n_paths, seed) regardless
+of chunking or thread count.
 """
 
 from __future__ import annotations
@@ -58,11 +61,11 @@ def path_seed(master_seed, path_index):
 
 
 class FlowBlowUp(RuntimeError):
-    """An integral curve left the finite range."""
+    """An integral curve, or its Jacobian, left the finite range."""
 
-    def __init__(self, time):
+    def __init__(self, time, what="flow state"):
         self.time = time
-        super().__init__(f"flow state became non-finite near t = {time:.6g}")
+        super().__init__(f"{what} became non-finite near t = {time:.6g}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,38 @@ class NumericField:
                 out[..., :, i] = (self.eval_batch(xp) - self.eval_batch(xm)) / (2 * h[..., None])
         return out
 
+    def _rk4_stages(self, W):
+        """The RK4 step on the rows of a workspace (see _rk4_workspace) by array
+        arithmetic: the new state and the four stage points."""
+        N = self.dim
+        X = np.ascontiguousarray(W[:, :N])  # the callable gets C-ordered rows, as from a caller
+        half_h, h, sixth_h = (W[:, N + i, None] for i in range(3))
+        k1 = self.eval_batch(X)
+        x2 = X + half_h * k1
+        k2 = self.eval_batch(x2)
+        x3 = X + half_h * k2
+        k3 = self.eval_batch(x3)
+        x4 = X + h * k3
+        k4 = self.eval_batch(x4)
+        return X + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (X, x2, x3, x4)
+
+    def _rk4_kernel(self, W, out):
+        """The RK4 step with VectorField._rk4_kernel's workspace and output."""
+        with np.errstate(all="ignore"):
+            out[...] = self._rk4_stages(W)[0]
+
+    def _rk4_jacobian_kernel(self, W, out):
+        """The RK4 step and its stage Jacobians, laid out as
+        VectorField._rk4_jacobian_kernel writes them."""
+        N = self.dim
+        with np.errstate(all="ignore"):
+            out[:, 0], points = self._rk4_stages(W)
+            for s, Y in enumerate(points):
+                out[:, 1 + s * N:1 + (s + 1) * N] = self.jacobian_batch(Y)
+
 
 def _as_numeric(fieldlike):
-    if hasattr(fieldlike, "eval_batch"):
+    if isinstance(fieldlike, (VectorField, NumericField)):
         return fieldlike
     raise TypeError("expected a VectorField or NumericField")
 
@@ -176,10 +208,12 @@ def _step_plan(t, cfg, shared=False):
 
     A row takes ceil(|t|/dt) steps (at least one, none for t = 0) of size
     t/count, where |t| is the row's own or, when `shared`, the largest over
-    all rows.  Rejects a horizon beyond cfg.max_time.
+    all rows.  Rejects a non-finite time and a horizon beyond cfg.max_time.
     """
     a = np.abs(t)
     tmax = float(np.max(a))
+    if not math.isfinite(tmax):
+        raise ValueError(f"flow horizon {tmax} is not finite")
     if not tmax <= cfg.max_time:
         raise ValueError(f"flow horizon {tmax:.3g} exceeds the configured maximum")
     if shared:
@@ -205,55 +239,126 @@ def _rk4_rows(V, X, h, counts):
     """Row i of X after counts[i] RK4 steps of size h[i] (a new array).
 
     Counts must not decrease down the rows, so the rows still advancing at
-    step s are the suffix X[lo:].  Raises FlowBlowUp when an advancing row
-    turns non-finite, at the time that row has reached.
+    step s are the suffix W[lo:] of the column-major workspace that holds
+    the state; each step is one call of the field's RK4 kernel.  Raises
+    FlowBlowUp when an advancing row turns non-finite, at the time that row
+    has reached.
     """
-    X = np.array(X, dtype=float)
+    W = _rk4_workspace(V, X, h)
+    N = V.dim
+    out = np.empty((len(W), N), order="F")
+    step = V._rk4_kernel
     for s in range(int(counts.max(initial=0))):
         lo = int(np.searchsorted(counts, s, side="right"))
-        Y = _rk4_step(V, X[lo:], h[lo:])
-        bad = ~np.isfinite(Y).all(axis=1)
-        if bad.any():
+        Y = out[lo:]
+        step(W[lo:], Y)
+        if not np.isfinite(Y).all():
+            bad = ~np.isfinite(Y).all(axis=1)
             raise FlowBlowUp((s + 1) * float(np.max(np.abs(h[lo:][bad]))))
-        X[lo:] = Y
-    return X
+        W[lo:, :N] = Y
+    return np.ascontiguousarray(W[:, :N])
 
 
-def _rk4_step(V, X, h):
-    hc = h[:, None]
-    k1 = V.eval_batch(X)
-    k2 = V.eval_batch(X + 0.5 * hc * k1)
-    k3 = V.eval_batch(X + 0.5 * hc * k2)
-    k4 = V.eval_batch(X + hc * k3)
-    return X + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_workspace(V, X, h):
+    """Column-major rows for the RK4 kernels of V: the state X, then 0.5 h, h
+    and h/6 for each row's step size h."""
+    X = np.asarray(X, dtype=float)
+    N = V.dim
+    if X.shape[1:] != (N,):
+        raise ValueError(f"points of dimension {X.shape[-1]} for a field on R^{N}")
+    W = np.empty((len(X), N + 3), order="F")
+    W[:, :N] = X
+    W[:, N] = 0.5 * h
+    W[:, N + 1] = h
+    W[:, N + 2] = h / 6.0
+    return W
+
+
+def _compile_rk4_step(V, jacobians):
+    """One RK4 step of the flow of V, compiled into one kernel for every step size.
+
+    A VectorField compiles it at its first flow and keeps it (`_rk4_kernel`,
+    and `_rk4_jacobian_kernel` with `jacobians`).  kernel(W, out) reads rows
+    W (P, N + 3) laid out by _rk4_workspace: the state X in the first N
+    columns, then 0.5 h, h and h/6 for the row's step size h.  It writes the
+    new state to out (P, N), or, with `jacobians`, to out[:, 0] of out
+    (P, 4N + 1, N) and the Jacobians DV at the four stage points to
+    out[:, 1 + sN:1 + (s + 1)N].  The trees keep the operation order of the
+    array arithmetic
+
+        k1 = V(X), k2 = V(X + (0.5 h) k1), k3 = V(X + (0.5 h) k2), k4 = V(X + h k3)
+        Xn = X + (h/6) (((k1 + 2.0 k2) + 2.0 k3) + k4)
+
+    so the values are those of that arithmetic on eval_batch arrays to the
+    bit, nan and inf included, and no warning is raised.  The field enters
+    at a stage point by substituting its trees for the variables; the
+    kernel computes each shared subtree once.  A column-major W makes every
+    column the kernel reads contiguous.
+    """
+    N = V.dim
+    X = [ex.Var(j) for j in range(N)]
+    half_h, h, sixth_h = (ex.Var(N + i) for i in range(3))
+    two = ex.Const(2.0)
+
+    def add(a, b):
+        return ex.Binary("add", a, b)
+
+    def mul(a, b):
+        return ex.Binary("mul", a, b)
+
+    def advance(step, k):
+        return [add(x, mul(step, c)) for x, c in zip(X, k)]
+
+    points = [X]
+    k = [V.components]
+    for step in (half_h, half_h, h):
+        points.append(advance(step, k[-1]))
+        k.append(ex.substitute(V.components, points[-1]))
+    Xn = [add(x, mul(sixth_h, add(add(add(a, mul(two, b)), mul(two, c)), d)))
+          for x, a, b, c, d in zip(X, *k)]
+    if not jacobians:
+        return ex.compile_exprs(Xn, (N,))
+    entries = [e for row in V.jacobian_exprs for e in row]
+    stages = [e for Y in points for e in ex.substitute(entries, Y)]
+    return ex.compile_exprs(Xn + stages, (4 * N + 1, N))
 
 
 def flow_jacobian(V, x, t, cfg=None, with_endpoint=False):
-    """Jacobian of x -> e^{tV}(x), by joint RK4 on the variational equation."""
+    """Jacobian of x -> e^{tV}(x), by joint RK4 on the variational equation.
+
+    One kernel call per step moves the state and gives the field's Jacobians
+    at the four stage points; the Jacobian recursion is stacked matrix
+    products on them.  Raises FlowBlowUp when the state or the Jacobian
+    turns non-finite.
+    """
     cfg = cfg or FlowConfig()
     V = _as_numeric(V)
     X, t, single = _normalize_xt(x, t)
     B, n = X.shape
     J = np.broadcast_to(np.eye(n), (B, n, n)).copy()
     counts, h = _step_plan(t, cfg, shared=True)
+    W = _rk4_workspace(V, X, h)
+    # row-major, so that each stage's DV is a stack of C-ordered matrices as
+    # jacobian_batch returns them and `@` takes the same BLAS route
+    out = np.empty((B, 4 * n + 1, n))
+    DV = [out[:, 1 + s * n:1 + (s + 1) * n] for s in range(4)]
+    hj = h[:, None, None]
+    hmax = float(np.max(np.abs(h)))
+    step = V._rk4_jacobian_kernel
     for k in range(int(counts[0])):
-        hc = h[:, None]
-        hj = h[:, None, None]
-        k1 = V.eval_batch(X)
-        K1 = V.jacobian_batch(X) @ J
-        x2 = X + 0.5 * hc * k1
-        k2 = V.eval_batch(x2)
-        K2 = V.jacobian_batch(x2) @ (J + 0.5 * hj * K1)
-        x3 = X + 0.5 * hc * k2
-        k3 = V.eval_batch(x3)
-        K3 = V.jacobian_batch(x3) @ (J + 0.5 * hj * K2)
-        x4 = X + hc * k3
-        k4 = V.eval_batch(x4)
-        K4 = V.jacobian_batch(x4) @ (J + hj * K3)
-        X = X + (hc / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        J = J + (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        if not np.all(np.isfinite(X)):
-            raise FlowBlowUp((k + 1) * float(np.max(np.abs(h))))
+        step(W, out)
+        with np.errstate(all="ignore"):
+            K1 = DV[0] @ J
+            K2 = DV[1] @ (J + 0.5 * hj * K1)
+            K3 = DV[2] @ (J + 0.5 * hj * K2)
+            K4 = DV[3] @ (J + hj * K3)
+            J = J + (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+        if not np.isfinite(out[:, 0]).all():
+            raise FlowBlowUp((k + 1) * hmax)
+        if not np.isfinite(J).all():
+            raise FlowBlowUp((k + 1) * hmax, "flow Jacobian")
+        W[:, :n] = out[:, 0]
+    X = np.ascontiguousarray(W[:, :n])
     if with_endpoint:
         return (J[0], X[0]) if single else (J, X)
     return J[0] if single else J
@@ -278,7 +383,7 @@ def adjoint_push(V, Y, t, x, cfg=None, consistency_tol=1e-7):
     except np.linalg.LinAlgError:
         raise RuntimeError("forward flow Jacobian is numerically singular") from None
     err = np.max(np.abs(back - alt))
-    if err > consistency_tol * (1.0 + np.max(np.abs(back))):
+    if not err <= consistency_tol * (1.0 + np.max(np.abs(back))):
         raise RuntimeError(
             f"adjoint consistency check failed: routes differ by {err:.3e}"
         )
@@ -623,21 +728,24 @@ def flow_limit(v0perp, x, t_max, stall_tol=1e-8, divergence_radius=1e8,
     cfg = cfg or FlowConfig()
     V = _as_numeric(v0perp)
     y = np.asarray(x, dtype=float).copy()
+    W = _rk4_workspace(V, y[None, :], np.array([cfg.dt]))
     t = 0.0
     rank0 = rank_probe(y) if rank_probe is not None else None
     check_every = 20
     res = float(np.linalg.norm(V.eval_batch(y[None, :])[0]))
     if res < stall_tol:
         return FlowLimitResult("converged", y, res, 0.0)
-    Y = y[None, :]
-    h = np.array([cfg.dt])
+    Y = W[:, :len(y)]
+    out = np.empty_like(Y)
+    step = V._rk4_kernel
     steps = 0
     while t < t_max:
-        Y = _rk4_step(V, Y, h)
+        step(W, out)
         t += cfg.dt
         steps += 1
-        if not np.all(np.isfinite(Y)):
-            return FlowLimitResult("diverged", Y[0], float("inf"), t)
+        if not np.all(np.isfinite(out)):
+            return FlowLimitResult("diverged", out[0], float("inf"), t)
+        Y[...] = out
         if steps % check_every == 0 or t >= t_max:
             res = float(np.linalg.norm(V.eval_batch(Y)[0]))
             if res < stall_tol:

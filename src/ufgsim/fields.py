@@ -85,6 +85,20 @@ class VectorField:
         entries = [e for row in self.jacobian_exprs for e in row]
         return ex.compile_exprs(entries, (self.dim, self.dim))
 
+    @cached_property
+    def _rk4_kernel(self):
+        """One RK4 step of the flow, compiled at first use (dynamics._compile_rk4_step)."""
+        from .dynamics import _compile_rk4_step  # dynamics imports this module
+
+        return _compile_rk4_step(self, jacobians=False)
+
+    @cached_property
+    def _rk4_jacobian_kernel(self):
+        """The RK4 step and its four stage Jacobians, compiled at first use."""
+        from .dynamics import _compile_rk4_step
+
+        return _compile_rk4_step(self, jacobians=True)
+
 
 def make_field(dim, component_texts, variable_names, name=""):
     comps = tuple(ex.parse_expression(t, variable_names) for t in component_texts)

@@ -350,6 +350,22 @@ class TestDeterminism:
         for flag, digest in digests.items():
             assert hashlib.sha256(paths[flag].read_bytes()).hexdigest() == digest, flag
 
+    # sha256 of the --out report of small runs of the commands built on RK4
+    # flows (zproc is pinned above), recorded before the RK4 step was compiled
+    @pytest.mark.parametrize("args, digest", [
+        (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.2",
+          "--samples", "10", "--seed", "0"],
+         "b759c943a15fa3d89860a1bda40ae7cc8dd4118a3688aa4ce24894c5ba83c090"),
+        (["check", "--system", "sine-ou", "--param", "k=2", "--condition", "lyapunov",
+          "--phi", "z*z", "--c1", "80", "--c2", "4", "--grid", "3", "--times", "0,0.5,1",
+          "--box", "-3:3,0.5:6"],
+         "5abd2ec0783fbf2c485fe541cf5c2fbb2d183e2c98aceb2ed93e76deb8919f60"),
+    ])
+    def test_flow_outputs_match_recorded_hashes(self, tmp_path, args, digest):
+        out = tmp_path / "report.json"
+        assert cli.run([*args, "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestSubcommands:
     def test_catalog_list(self, capsys):

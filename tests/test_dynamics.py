@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -641,3 +644,236 @@ class TestStepLoop:
         P = dyn.MAX_STORED_ENTRIES // (3 * 1001) + 1
         with pytest.raises(ValueError, match="stored values"):
             dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, P, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The compiled RK4 step and the flow loops, against the array arithmetic
+# ---------------------------------------------------------------------------
+
+def _reference_rk4_step(V, X, h):
+    """One RK4 step as array arithmetic on eval_batch values."""
+    with np.errstate(all="ignore"):
+        hc = h[:, None]
+        k1 = V.eval_batch(X)
+        k2 = V.eval_batch(X + 0.5 * hc * k1)
+        k3 = V.eval_batch(X + 0.5 * hc * k2)
+        k4 = V.eval_batch(X + hc * k3)
+        return X + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_rk4_rows(V, X, h, counts):
+    """The row-suffix RK4 loop on the array arithmetic."""
+    X = np.array(X, dtype=float)
+    for s in range(int(counts.max(initial=0))):
+        lo = int(np.searchsorted(counts, s, side="right"))
+        Y = _reference_rk4_step(V, X[lo:], h[lo:])
+        bad = ~np.isfinite(Y).all(axis=1)
+        if bad.any():
+            raise dyn.FlowBlowUp((s + 1) * float(np.max(np.abs(h[lo:][bad]))))
+        X[lo:] = Y
+    return X
+
+
+def _reference_flow_each(V, X, t, cfg):
+    counts, h = dyn._step_plan(t, cfg)
+    order = np.argsort(counts, kind="stable")
+    X = _reference_rk4_rows(V, X[order], h[order], counts[order])
+    return X[np.argsort(order)]
+
+
+def _reference_flow_jacobian(V, X, t, cfg):
+    """The joint RK4 loop on eval_batch and jacobian_batch arrays, with the
+    state checked first and then the Jacobian after each step."""
+    n = X.shape[1]
+    J = np.broadcast_to(np.eye(n), (len(X), n, n)).copy()
+    counts, h = dyn._step_plan(t, cfg, shared=True)
+    for k in range(int(counts[0])):
+        with np.errstate(all="ignore"):
+            hc = h[:, None]
+            hj = h[:, None, None]
+            k1 = V.eval_batch(X)
+            K1 = V.jacobian_batch(X) @ J
+            x2 = X + 0.5 * hc * k1
+            k2 = V.eval_batch(x2)
+            K2 = V.jacobian_batch(x2) @ (J + 0.5 * hj * K1)
+            x3 = X + 0.5 * hc * k2
+            k3 = V.eval_batch(x3)
+            K3 = V.jacobian_batch(x3) @ (J + 0.5 * hj * K2)
+            x4 = X + hc * k3
+            k4 = V.eval_batch(x4)
+            K4 = V.jacobian_batch(x4) @ (J + hj * K3)
+            X = X + (hc / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            J = J + (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+        if not np.all(np.isfinite(X)):
+            raise dyn.FlowBlowUp((k + 1) * float(np.max(np.abs(h))))
+        if not np.all(np.isfinite(J)):
+            raise dyn.FlowBlowUp((k + 1) * float(np.max(np.abs(h))), "flow Jacobian")
+    return J, X
+
+
+def _outcome(f, *args):
+    """The arrays f returns, or the time and message of the FlowBlowUp it raises."""
+    try:
+        out = f(*args)
+    except dyn.FlowBlowUp as err:
+        return err.time, str(err)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want[0], float):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+
+
+@st.composite
+def _flow_cases(draw):
+    """A field of dimension 1..3, rows (some at +-0.0 or large enough to
+    overflow) and per-row times: zero of both signs, negative, and step
+    counts from 1 to 12 at dt = 1e-3."""
+    N = draw(st.integers(1, 3))
+    V = vf.VectorField(N, tuple(draw(_field_component(N)) for _ in range(N)))
+    rows = draw(st.integers(1, 6))
+    X = np.array(draw(st.lists(st.lists(_coordinate, min_size=N, max_size=N),
+                               min_size=rows, max_size=rows)))
+    t = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1e-3, -1e-3, 0.0105]), st.floats(-0.012, 0.012)),
+        min_size=rows, max_size=rows)))
+    return V, X, t
+
+
+@given(_flow_cases())
+@settings(max_examples=200, deadline=None)
+def test_compiled_rk4_step_is_the_array_arithmetic_to_the_bit(case):
+    V, X, t = case
+    cfg = dyn.FlowConfig()
+    _, h = dyn._step_plan(t, cfg)
+    want = _reference_rk4_step(V, X, h)
+    W = dyn._rk4_workspace(V, X, h)
+    for field in (V, dyn.NumericField(V.dim, V.eval_batch)):
+        out = np.empty(X.shape, order="F")
+        field._rk4_kernel(W, out)
+        _assert_same_bits(out, want)
+    # the kernel itself, on a row-major workspace and output
+    out = np.empty(X.shape)
+    V._rk4_kernel(np.ascontiguousarray(W), out)
+    _assert_same_bits(out, want)
+    Xn = np.empty((len(X), 4 * V.dim + 1, V.dim))
+    V._rk4_jacobian_kernel(W, Xn)
+    _assert_same_bits(Xn[:, 0], want)
+
+
+@given(_flow_cases())
+@settings(max_examples=200, deadline=None)
+def test_flow_loops_are_the_array_arithmetic_to_the_bit(case):
+    V, X, t = case
+    cfg = dyn.FlowConfig()
+    want = _outcome(_reference_flow_each, V, X, t, cfg)
+    _assert_same_outcome(_outcome(dyn._flow_each, V, X, t, cfg), want)
+    counts, h = dyn._step_plan(t, cfg)
+    order = np.argsort(counts, kind="stable")
+    args = X[order], h[order], counts[order]
+    _assert_same_outcome(_outcome(dyn._rk4_rows, V, *args),
+                         _outcome(_reference_rk4_rows, V, *args))
+    counts, h = dyn._step_plan(t, cfg, shared=True)
+    _assert_same_outcome(_outcome(dyn.flow, V, X, t, cfg),
+                         _outcome(_reference_rk4_rows, V, X, h, counts))
+
+
+@given(_flow_cases())
+@settings(max_examples=200, deadline=None)
+def test_flow_jacobian_is_the_old_loop_to_the_bit(case):
+    V, X, t = case
+    cfg = dyn.FlowConfig()
+    want = _outcome(_reference_flow_jacobian, V, X, t, cfg)
+    got = _outcome(lambda: dyn.flow_jacobian(V, X, t, cfg, with_endpoint=True))
+    _assert_same_outcome(got, want)
+
+
+def test_flow_blowup_times_match_the_array_arithmetic():
+    # x' = x^2 leaves the finite range near t = 1/x0: at step 36 of 100 from
+    # 3, 69 of 200 from 1.5, 8 of 50 from 20 and, backwards, 203 of 300 from
+    # -0.5; the row at 0.5 does not reach its singular time
+    V = vf.make_field(1, ["x*x"], ["x"])
+    X = np.array([[0.5], [3.0], [1.5], [20.0], [-0.5]])
+    t = np.array([0.9, 1.0, 2.0, 0.5, -3.0])
+    cfg = dyn.FlowConfig(dt=0.01)
+    for rows in ([0, 1], [0, 2], [0, 3], [0, 4], [1, 2, 3, 4]):
+        want = _outcome(_reference_flow_each, V, X[rows], t[rows], cfg)
+        assert isinstance(want[0], float) and want[0] > 0
+        assert _outcome(dyn._flow_each, V, X[rows], t[rows], cfg) == want
+        counts, h = dyn._step_plan(t[rows], cfg, shared=True)
+        assert _outcome(dyn.flow, V, X[rows], t[rows], cfg) == _outcome(
+            _reference_rk4_rows, V, X[rows], h, counts)
+        assert _outcome(lambda: dyn.flow_jacobian(V, X[rows], t[rows], cfg)) == _outcome(
+            _reference_flow_jacobian, V, X[rows], t[rows], cfg)
+
+
+def test_loading_the_catalog_compiles_no_rk4_kernel():
+    # a fresh interpreter, so that no other test's flows have compiled anything
+    script = """
+import gc
+from ufgsim import catalog, cli, dynamics, fields
+compiled = []
+dynamics._compile_rk4_step = lambda *a: compiled.append(a)
+cli.build_parser()
+entries = [catalog.get(name) for name in catalog.list_entries()]
+left = [f for f in gc.get_objects() if isinstance(f, fields.VectorField)
+        and {"_rk4_kernel", "_rk4_jacobian_kernel"} & vars(f).keys()]
+print(len(entries), len(compiled), len(left))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=env)
+    n_entries, n_compiled, n_left = map(int, out.stdout.split())
+    assert n_entries == len(catalog.list_entries()) and n_compiled == n_left == 0
+
+
+class TestNonFiniteJacobians:
+    """A flow Jacobian or an adjoint push that turns non-finite is reported."""
+
+    sqrt_field = vf.make_field(1, ["sqrt(x)"], ["x"])
+
+    def test_infinite_flow_jacobian_raises(self):
+        # sqrt(x) stays at 0 from 0, where its derivative is infinite
+        with pytest.raises(dyn.FlowBlowUp, match="flow Jacobian") as err:
+            dyn.flow_jacobian(self.sqrt_field, [0.0], 0.5)
+        assert err.value.time == pytest.approx(1e-3)
+
+    def test_adjoint_push_through_it_raises(self):
+        const = vf.make_field(1, ["1"], ["x"])
+        with pytest.raises(dyn.FlowBlowUp, match="flow Jacobian"):
+            dyn.adjoint_push(self.sqrt_field, const, 0.5, [0.0])
+
+    def test_adjoint_push_rejects_nan_routes(self):
+        # Y is nan at the endpoint, so both routes are nan and their distance too
+        shift = vf.make_field(1, ["1"], ["x"])
+        Y = vf.make_field(1, ["sqrt(x - 10)"], ["x"])
+        with pytest.raises(RuntimeError, match="differ by nan"):
+            dyn.adjoint_push(shift, Y, 0.5, [0.0])
+
+    def test_overflow_raises_flow_blowup_without_warnings(self):
+        V = vf.make_field(2, ["x*x", "y"], ["x", "y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dyn.FlowBlowUp, match="flow state"):
+                dyn.flow_jacobian(V, [1e200, 1.0], 0.5)
+
+    def test_points_of_another_dimension_rejected(self):
+        V = vf.make_field(2, ["y", "-x"], ["x", "y"])
+        for call in (lambda x: dyn.flow(V, x, 0.1), lambda x: dyn.flow_jacobian(V, x, 0.1),
+                     lambda x: dyn.flow_limit(V, x, 0.1)):
+            for x in ([1.0], [1.0, 0.0, 0.0]):
+                with pytest.raises(ValueError, match="dimension"):
+                    call(x)
+
+    def test_nan_time_is_not_finite(self):
+        for call in (lambda t: dyn.flow(self.sqrt_field, [1.0], t),
+                     lambda t: dyn.flow_jacobian(self.sqrt_field, [1.0], t),
+                     lambda t: dyn._flow_each(self.sqrt_field, np.ones((2, 1)),
+                                              np.array([0.1, t]), dyn.FlowConfig())):
+            with pytest.raises(ValueError, match="horizon nan is not finite"):
+                call(math.nan)
