@@ -54,7 +54,7 @@ class CatalogEntry:
 
     def selfcheck(self, n_points=20, tol=1e-10, seed=12345):
         """Re-derive every known symbolic identity numerically, under the
-        domain check (one walk per field: cheaper here than compiling it)."""
+        domain check (each field's checked kernel)."""
         rng = np.random.default_rng(seed)
         pts = np.column_stack([
             rng.uniform(lo, hi, size=n_points) for lo, hi in self.sample_box
@@ -371,10 +371,10 @@ def stationary_density_normalization():
     """
     from scipy.integrate import quad  # loaded here only: a slow import, one caller
 
-    e = stationary_density_expr()
+    density = VectorField(1, (stationary_density_expr(),))  # compiled once, checked
 
     def f(z):
-        return ex.evaluate(e, [z])
+        return float(density([z])[0])
 
     total_err = 0.0
     prev = None

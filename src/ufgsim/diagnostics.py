@@ -188,20 +188,22 @@ def same_leaf_coupling(system, x, y, f, times, n_paths, seed, dt=1e-3):
     times = [float(t) for t in times]
     ex_ = simulate_paths(system, x, max(times), dt, n_paths, seed, store_times=times)
     ey_ = simulate_paths(system, y, max(times), dt, n_paths, seed, store_times=times)
+    kernel = ex.compile_exprs([f], ())
     out = []
     for t in times:
         tg, Xx = ex_.state_at(t)
         _, Xy = ey_.state_at(t)
-        fx = _apply_observable(f, Xx)
-        fy = _apply_observable(f, Xy)
+        fx = _apply_observable(kernel, Xx)
+        fy = _apply_observable(kernel, Xy)
         d = fx - fy
         out.append((float(tg), float(abs(np.mean(d))),
                     float(np.std(d, ddof=1) / math.sqrt(len(d)))))
     return out
 
 
-def _apply_observable(f, X):
-    vals = ex.evaluate_array(f, X)
+def _apply_observable(kernel, X):
+    vals = np.empty(X.shape[:-1])
+    kernel(X, vals)
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
@@ -229,12 +231,13 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
                         store_times=times.tolist())
     em = simulate_paths(system, x - h * u, float(np.max(times)), dt, n_paths, seed,
                         store_times=times.tolist())
+    kernel = ex.compile_exprs([f], ())
     est = np.empty(times.shape)
     err = np.empty(times.shape)
     for i, ti in enumerate(times):
         _, Xp = ep.state_at(ti)
         _, Xm = em.state_at(ti)
-        d = (_apply_observable(f, Xp) - _apply_observable(f, Xm)) * (norm / (2.0 * h))
+        d = (_apply_observable(kernel, Xp) - _apply_observable(kernel, Xm)) * (norm / (2.0 * h))
         est[i] = np.mean(d)
         err[i] = np.std(d, ddof=1) / math.sqrt(len(d))
     if np.ndim(t) == 0:
@@ -287,8 +290,9 @@ def fokker_planck_residual(system, rho, grid):
     resid = stationary_fp_operator(system, rho)
     Z = np.asarray(grid, dtype=float).reshape(-1, 1)
     check = ex.DomainCheck(Z.shape[:-1])
-    r = check.evaluate(resid, Z)
-    rho_abs = np.abs(check.evaluate(rho, Z))
+    vals = np.empty(Z.shape[:-1] + (2,))
+    ex.compile_exprs([resid, rho], (2,), check=True)(Z, vals, check)
+    r, rho_abs = vals[:, 0], np.abs(vals[:, 1])
     ok = ~check.bad
     skipped = int(check.bad.sum())
     profile = list(zip(Z[ok, 0].tolist(), r[ok].tolist()))

@@ -19,22 +19,22 @@ Design notes:
   multiplication at construction time (``x^3 -> x*x*x``, ``x^-2 ->
   1/(x*x)``), so pow nodes only ever carry non-integer constant exponents
   and are defined only for positive bases.
-* One evaluation walk is the reference.  ``evaluate_array`` runs it over
-  rows of points and lets nan/inf through; ``DomainCheck.evaluate`` runs it
-  under the domain check, and ``evaluate`` is that check on one row.  The
-  domain rule: a row fails when any subexpression value on it is non-finite,
-  when a pow base on it is <= 0, or when the point lacks a coordinate the
-  expression uses; the error names the first failing node in post-order.
-* Unchecked batch evaluation of vector fields and Jacobians runs compiled
-  kernels instead (``compile_exprs``): one straight-line function per list
-  of trees, making the walk's calls once per distinct subtree, so no tree is
-  walked per component or per call.  Only the walk names a failing subtree;
-  a property test holds kernel and walk equal to the bit, nan/inf included.
+* One evaluator: ``compile_exprs`` turns a list of trees into one
+  straight-line numpy function that computes each distinct subtree once.
+  Unchecked kernels let nan/inf through (``evaluate_array``, field, Jacobian,
+  Heun and RK4 kernels); checked kernels report to a ``DomainCheck``
+  (``DomainCheck.evaluate``, ``evaluate`` on one row, ``VectorField`` calls).
+  The domain rule: a row fails when any subexpression value on it is
+  non-finite, when a pow base on it is <= 0, or when the point lacks a
+  coordinate the expression uses; the error names the first failing node in
+  post-order.  The tests hold both kinds of kernel to a reference tree walk
+  to the bit.
 * Simplification is structural only: constant folding, 0/1 absorption,
   double-negation removal and cancellation of structurally identical
-  subtrahends.  No distribution, no term reordering.  A constant node is
-  folded by the same walk and left unfolded when it fails the domain check,
-  so simplification keeps every value on the expression's domain to the bit.
+  subtrahends.  No distribution, no term reordering.  A node over constants
+  is folded by the kernels' own operator callables and left unfolded when it
+  fails the domain rule, so simplification keeps every value on the
+  expression's domain to the bit.
 * The canonical printer emits fully parenthesized text; parsing the printed
   form of a simplified expression reproduces it node for node.
 
@@ -117,16 +117,6 @@ class Binary(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-
-def const(v):
-    return Const(float(v))
-
-
-def var(i):
-    if i < 0:
-        raise ValueError("variable index must be non-negative")
-    return Var(int(i))
 
 
 def _expand_int_pow(base, n):
@@ -352,9 +342,9 @@ def to_string(e, variable_names=None):
 # ---------------------------------------------------------------------------
 
 class DomainCheck:
-    """The domain check (module notes) of evaluation walks over rows of shape `shape`.
+    """The domain check (module notes) of checked kernels run over rows of shape `shape`.
 
-    `bad` flags the rows that failed in any walk made under this check;
+    `bad` flags the rows that failed in any kernel run under this check;
     `error` is the EvalDomainError for the first failing node, or None.
     """
 
@@ -364,15 +354,20 @@ class DomainCheck:
 
     def evaluate(self, e, points):
         """``evaluate_array(e, points)``, recording the rows that fail the check."""
-        return _evaluate(e, points, self)
+        return _evaluate_compiled(e, points, self)
 
-    def _visit(self, node, out, args):
-        ok = np.isfinite(out)
+    def _visit(self, node, value, *operands):
+        """A checked kernel's call after computing `node` from `operands`."""
+        ok = np.isfinite(value)
         if type(node) is Binary and node.op == "pow":
-            ok &= args[0] > 0.0
+            ok &= operands[0] > 0.0
         if not ok.all():
-            self._fail(node, ~ok, [out, *args])
-        return out
+            self._fail(node, ~ok, [value, *operands])
+
+    def _absent(self, X, i):
+        """Coordinate i of points X that lack it: reported, then read as nan."""
+        self._fail(Var(i), True, [], f"point has no coordinate {i}")
+        return np.full(X.shape[:-1], np.nan)
 
     def _fail(self, node, bad, values, brief=None):
         if self.error is None:
@@ -410,47 +405,21 @@ _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
            "div": np.divide, "pow": _pow}
 
 
-def _evaluate(e, points, check):
-    """The one evaluation walk, in post-order; `check` is None or a DomainCheck."""
-    points = np.asarray(points, dtype=float)
-    with np.errstate(all="ignore"):
-        out = _walk(e, points, check)
-    return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
-
-
-def _walk(node, points, check):
-    # a module-level function, not a closure: a self-referencing closure would
-    # keep `points` alive in a reference cycle until the cyclic GC runs
-    match node:
-        case Const(value=v):
-            out, args = v, ()
-        case Var(index=i):
-            args = ()
-            try:
-                out = points[..., i]
-            except IndexError:
-                if check is None:
-                    raise
-                check._fail(node, True, [], f"point has no coordinate {i}")
-                out = np.full(points.shape[:-1], np.nan)
-        case Unary(op=op, child=c):
-            args = (_walk(c, points, check),)
-            out = _UNARY[op](*args)
-        case Binary(op=op, left=l, right=r):
-            args = (_walk(l, points, check), _walk(r, points, check))
-            out = _BINARY[op](*args)
-        case _:
-            raise TypeError(f"not an Expr node: {node!r}")
-    return out if check is None else check._visit(node, out, args)
-
-
 def evaluate_array(e, points):
     """Vectorized evaluation over points of shape (..., N).
 
     Domain violations produce nan/inf in the output instead of raising; the
     caller (Monte Carlo kernels) is responsible for flagging non-finite rows.
     """
-    return _evaluate(e, points, None)
+    return _evaluate_compiled(e, points)
+
+
+def _evaluate_compiled(e, points, *check):
+    """e's kernel at `points`, checked under a DomainCheck if one is given."""
+    points = np.asarray(points, dtype=float)
+    out = np.empty(points.shape[:-1])
+    compile_exprs([e], (), check=bool(check))(points, out, *check)
+    return out
 
 
 def _literal(v):
@@ -461,18 +430,22 @@ def _literal(v):
     return "-" + text if math.copysign(1.0, v) < 0 else text
 
 
-def compile_exprs(exprs, target):
+def compile_exprs(exprs, target, check=False):
     """One straight-line function ``kernel(X, out)`` for a list of trees.
 
     ``kernel`` writes the value of ``exprs[n]`` at points X of shape (..., N)
     to ``out[..., k]``, k the n-th index of the trailing shape ``target`` of
-    ``out`` in row-major order.  It makes exactly the calls of the unchecked
-    walk (the ``_UNARY``/``_BINARY`` callables on the same operands, under
-    ``errstate(all="ignore")``), so its values are ``evaluate_array``'s to the
-    bit, nan/inf included.  Subtrees are numbered by their right-hand side
-    text (so -0.0 and 0.0 stay apart), each distinct one is computed once, and
-    its temporary is deleted after its last use.  The source is generated from
-    the nodes alone: table op names, variable indices and float literals.
+    ``out`` in row-major order, calling the ``_UNARY``/``_BINARY`` callables
+    under ``errstate(all="ignore")``.  Subtrees are numbered by their
+    right-hand side text (so -0.0 and 0.0 stay apart); each distinct one is
+    computed once, in the post-order of its first occurrence, and its
+    temporary deleted after its last use.  The source is generated from the
+    nodes alone: table op names, variable indices and float literals.
+
+    With ``check`` it is ``kernel(X, out, check)``, calling the DomainCheck's
+    ``_visit(node, value, *operands)`` after each temporary and non-finite
+    constant; a coordinate X lacks is reported and read as nan.  The first
+    failure is then that of checking the trees in turn, node by node.
     """
     exprs = list(exprs)
     slots = list(np.ndindex(*target))
@@ -481,6 +454,7 @@ def compile_exprs(exprs, target):
     temps = {}  # right-hand side -> temp name
     seen = {}  # id(node) -> its temp or literal; the trees keep every id alive
     stmts = []  # (line, names it reads), each temp after the temps it reads
+    nodes = {}  # name -> node, for the checked kernel's calls
 
     def number(node):
         ref = seen.get(id(node))
@@ -488,9 +462,15 @@ def compile_exprs(exprs, target):
             args = [number(c) for c in _children(node)]
             if type(node) is Const:
                 ref = _literal(node.value)
+                if check and not math.isfinite(node.value):
+                    visit(node, ref, args)
             else:
+                code = None
                 if type(node) is Var:
-                    rhs = f"X[..., {operator.index(node.index)}]"
+                    i = operator.index(node.index)
+                    rhs = f"X[..., {i}]"
+                    if check:
+                        code = f"{rhs} if X.shape[-1] > {i} else check._absent(X, {i})"
                 elif node.op in (_UNARY if type(node) is Unary else _BINARY):
                     rhs = f"{node.op}({', '.join(args)})"
                 else:
@@ -498,9 +478,16 @@ def compile_exprs(exprs, target):
                 ref = temps.get(rhs)
                 if ref is None:
                     ref = temps[rhs] = f"t{len(temps)}"
-                    stmts.append((f"{ref} = {rhs}", args))
+                    stmts.append((f"{ref} = {code or rhs}", args))
+                    if check:
+                        visit(node, ref, args)
             seen[id(node)] = ref
         return ref
+
+    def visit(node, ref, args):
+        name = f"n{len(nodes)}"
+        nodes[name] = node
+        stmts.append((f"check._visit({', '.join([name, ref, *args])})", [ref, *args]))
 
     for e, k in zip(exprs, slots):
         ref = number(e)
@@ -512,10 +499,11 @@ def compile_exprs(exprs, target):
         lines.append(line)
         lines += [f"del {r}" for r in dict.fromkeys(reads) if last.get(r) == i]
     body = "".join(f"\n        {line}" for line in lines) or "\n        pass"
-    source = f"def kernel(X, out):\n    with errstate(all='ignore'):{body}\n"
-    namespace = {"errstate": np.errstate, **_UNARY, **_BINARY}
+    signature = "X, out, check" if check else "X, out"
+    source = f"def kernel({signature}):\n    with errstate(all='ignore'):{body}\n"
+    namespace = {"errstate": np.errstate, **_UNARY, **_BINARY, **nodes}
     exec(compile(source, "<ufgsim.expr kernel>", "exec"), namespace)
-    kernel = namespace["kernel"]
+    kernel = namespace.pop("kernel")  # popped: no cycle through its globals
     kernel.source = source
     return kernel
 
@@ -532,13 +520,17 @@ def _children(node):
 
 
 def evaluate(e, point):
-    """Evaluate at one point (sequence of reals): the array walk on one row.
+    """Evaluate at one point, a 1-D sequence of reals: the checked kernel on one row.
 
-    Raises EvalDomainError naming the first subtree that fails the domain
-    check (see DomainCheck); never silently returns inf/nan.
+    Raises ValueError for a point that is not 1-D, and EvalDomainError naming
+    the first subtree that fails the domain check (see DomainCheck); never
+    silently returns inf/nan.
     """
+    point = np.asarray(point, dtype=float)
+    if point.ndim != 1:
+        raise ValueError(f"a point is a 1-D sequence of coordinates, got shape {point.shape}")
     check = DomainCheck((1,))
-    out = check.evaluate(e, np.asarray(point, dtype=float)[None])
+    out = check.evaluate(e, point[None])
     if check.error is not None:
         raise check.error
     return float(out[0])
@@ -603,10 +595,13 @@ def differentiate(e, var_index):
 
 def _fold(node):
     """A node over constants as the Const of its value, or the node itself when
-    its value fails the domain check."""
-    check = DomainCheck(())
-    v = check.evaluate(node, ())
-    return node if check.error is not None else Const(float(v))
+    it fails the domain check: a non-finite operand or value, or a pow base <= 0."""
+    args = [c.value for c in _children(node)]
+    with np.errstate(all="ignore"):
+        v = (_UNARY if type(node) is Unary else _BINARY)[node.op](*args)
+    if not all(map(math.isfinite, [v, *args])) or (node.op == "pow" and args[0] <= 0.0):
+        return node
+    return Const(float(v))
 
 
 def _is_const(e, v):
@@ -665,16 +660,9 @@ def simplify(e):
 
 def max_variable_index(e):
     """Largest variable index used, or -1 for a closed expression."""
-    match e:
-        case Const():
-            return -1
-        case Var(index=i):
-            return i
-        case Unary(child=c):
-            return max_variable_index(c)
-        case Binary(left=l, right=r):
-            return max(max_variable_index(l), max_variable_index(r))
-    raise TypeError(f"not an Expr node: {e!r}")
+    if type(e) is Var:
+        return e.index
+    return max(map(max_variable_index, _children(e)), default=-1)
 
 
 def substitute(exprs, values):

@@ -43,7 +43,7 @@ class VectorField:
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, x.shape[-1])
         check = ex.DomainCheck(X.shape[:-1])
-        out = self._eval(X, check).reshape(x.shape)
+        out = self._eval(X, check).reshape(x.shape[:-1] + (self.dim,))
         if check.error is not None:
             raise check.error
         return out
@@ -60,11 +60,14 @@ class VectorField:
         return ex.compile_exprs(self.components, (self.dim,))
 
     def _eval(self, X, check):
-        """The components by the checked walk: the reference for `eval_batch`."""
-        out = np.empty(X.shape, dtype=float)
-        for j, c in enumerate(self.components):
-            out[..., j] = check.evaluate(c, X)
+        """The components at points X (..., N) by the checked kernel."""
+        out = np.empty(X.shape[:-1] + (self.dim,))
+        self._checked_kernel(X, out, check)
         return out
+
+    @cached_property
+    def _checked_kernel(self):
+        return ex.compile_exprs(self.components, (self.dim,), check=True)
 
     @cached_property
     def jacobian_exprs(self):

@@ -582,7 +582,9 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
     X[:, n:] = _flow_each(ode_field, X[:, n:], np.repeat(np.maximum(times, 0.0), len(pts)), cfg)
     X = X.reshape(len(times), len(pts), N)  # (time, point, N)
     check = ex.DomainCheck(X.shape[:-1])
-    margins = check.evaluate(Lphi, X) - (c1 - c2 * check.evaluate(phi, X))
+    vals = np.empty(X.shape[:-1] + (2,))
+    ex.compile_exprs([Lphi, phi], (2,), check=True)(X, vals, check)
+    margins = vals[..., 0] - (c1 - c2 * vals[..., 1])
     skip = check.bad.any(axis=0)  # a point is skipped when any time fails
     worst = np.full(len(pts), -np.inf)
     worst_t = np.full(len(pts), times[0])

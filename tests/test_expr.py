@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufgsim import expr as ex
+import reference_walk as ref
 
 
 def central_diff(e, p, i, scale=1e-6):
@@ -244,7 +246,7 @@ class TestSimplify:
         e = ex.parse_expression("tanh(0.5180628768869379)*x", ["x"])
         s = ex.simplify(e)
         assert s.left == ex.Const(float(np.tanh(0.5180628768869379)))
-        assert ex.evaluate_array(s, [[1.0]])[0] == ex.evaluate_array(e, [[1.0]])[0]
+        assert ref.evaluate_array(s, [[1.0]])[0] == ref.evaluate_array(e, [[1.0]])[0]
 
     def test_no_folding_outside_the_domain(self):
         for text in ("log(0 - 1)", "sqrt(0 - 4)", "1/0", "(0 - 2)^0.5", "exp(1000)"):
@@ -319,7 +321,7 @@ def _bits(v):
 @settings(max_examples=300, deadline=None)
 def test_evaluate_is_the_array_walk_on_one_row(e, rows):
     P = np.array(rows)
-    check = ex.DomainCheck((len(P),))
+    check = ref.WalkCheck((len(P),))
     check.evaluate(e, P)
     for p, bad in zip(P, check.bad):
         try:
@@ -328,7 +330,7 @@ def test_evaluate_is_the_array_walk_on_one_row(e, rows):
             assert bad
             continue
         assert not bad
-        assert _bits(v) == _bits(ex.evaluate_array(e, p[None])[0])
+        assert _bits(v) == _bits(ref.evaluate_array(e, p[None])[0])
 
 
 @given(_expr_strategy, _point_rows)
@@ -366,7 +368,7 @@ def test_compiled_kernel_is_the_walk_to_the_bit(exprs, rows):
     P = np.array(rows)
     got = _kernel_values(exprs, P)
     for n, e in enumerate(exprs):
-        assert _same_bits(got[:, n], ex.evaluate_array(e, P)), ex.to_string(e)
+        assert _same_bits(got[:, n], ref.evaluate_array(e, P)), ex.to_string(e)
 
 
 class TestCompile:
@@ -384,7 +386,7 @@ class TestCompile:
         P = np.array([[0.5, 2.0], [-1.0, 3.0], [1e300, 1e300]])
         got = _kernel_values(exprs, P)
         for n, e in enumerate(exprs):
-            assert _same_bits(got[:, n], ex.evaluate_array(e, P))
+            assert _same_bits(got[:, n], ref.evaluate_array(e, P))
 
     def test_bare_leaves_fill_every_row(self):
         exprs = [ex.Const(2.5), ex.Var(1), ex.Var(0)]
@@ -402,7 +404,7 @@ class TestCompile:
         P = np.array([[-2.0], [0.0], [3.0], [np.nan], [-np.inf]])
         got = _kernel_values(exprs, P)
         for n, e in enumerate(exprs):
-            assert _same_bits(got[:, n], ex.evaluate_array(e, P)), ex.to_string(e)
+            assert _same_bits(got[:, n], ref.evaluate_array(e, P)), ex.to_string(e)
         assert np.signbit(got[:, 0]).all() and not np.signbit(got[:, 1]).any()
         assert np.signbit(got[:, 5]).all() and np.isnan(got[:, 5]).all()
 
@@ -417,3 +419,138 @@ class TestCompile:
     def test_expression_count_must_fill_the_target(self):
         with pytest.raises(ValueError, match="2 expressions"):
             ex.compile_exprs([ex.ONE, ex.ZERO], (3,))
+
+
+_wide_leaf = st.one_of(
+    _leaf,
+    st.integers(min_value=0, max_value=2).map(ex.Var),
+    st.sampled_from([math.inf, -math.inf, math.nan]).map(ex.Const),
+)
+_wide_expr = st.recursive(_wide_leaf, lambda s: _combine([s, s]), max_leaves=12)
+_wide_coordinate = st.one_of(_coordinate, st.sampled_from([math.inf, -math.inf, math.nan]))
+_wide_rows = st.integers(min_value=1, max_value=3).flatmap(
+    lambda w: st.lists(st.lists(_wide_coordinate, min_size=w, max_size=w), min_size=1, max_size=6))
+
+
+@given(st.lists(_wide_expr, min_size=1, max_size=3), _wide_rows)
+@settings(max_examples=300, deadline=None)
+def test_checked_kernel_is_the_checked_walk(exprs, rows):
+    # trees over x1..x3 at points of width 1-3, so coordinates go missing; the
+    # walk checks the trees one after another under one check
+    exprs = [*exprs, ex.Binary("sub", ex.Unary("exp", exprs[0]), exprs[-1])]
+    P = np.array(rows)
+    walk = ref.WalkCheck((len(P),))
+    want = [walk.evaluate(e, P) for e in exprs]
+    check = ex.DomainCheck((len(P),))
+    got = np.empty((len(P), len(exprs)))
+    ex.compile_exprs(exprs, (len(exprs),), check=True)(P, got, check)
+    for n, e in enumerate(exprs):
+        assert _same_bits(got[:, n], want[n]), ex.to_string(e)
+    assert np.array_equal(check.bad, walk.bad)
+    assert (check.error is None) == (walk.error is None)
+    if walk.error is not None:
+        assert check.error.brief == walk.error.brief
+        assert check.error.subtree == walk.error.subtree
+
+
+@given(_wide_expr)
+@settings(max_examples=300, deadline=None)
+def test_simplify_folds_as_the_walk(e):
+    assert ex.to_string(ex.simplify(e)) == ex.to_string(ref.simplify(e))
+
+
+def test_evaluate_rejects_a_point_that_is_not_1d():
+    log_x = ex.parse_expression("log(x)", ["x"])
+    for point in (2.0, -1.0, [[1.0, 2.0], [3.0, 4.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            ex.evaluate(log_x, point)
+
+
+_finite_rows = st.lists(st.tuples(st.floats(min_value=-4, max_value=4),
+                                  st.floats(min_value=-4, max_value=4)), min_size=1, max_size=4)
+
+
+def _defined_rows(e, *point_sets):
+    """Rows on which the walk's domain check passes for e at every point set."""
+    check = ref.WalkCheck((len(point_sets[0]),))
+    for P in point_sets:
+        check.evaluate(e, P)
+    return ~check.bad
+
+
+def _denominators(e):
+    match e:
+        case ex.Binary(op="div", left=l, right=r):
+            return [r, *_denominators(l), *_denominators(r)]
+        case ex.Binary(left=l, right=r):
+            return _denominators(l) + _denominators(r)
+        case ex.Unary(child=c):
+            return _denominators(c)
+    return []
+
+
+@given(_expr_strategy, _finite_rows, st.integers(min_value=0, max_value=1))
+@settings(max_examples=300, deadline=None)
+def test_differentiate_matches_central_differences(e, rows, i):
+    # fd - d is the mean of d(x + t) - d(x) over |t| <= h, so it is bounded by
+    # the variation of d over the stencil, seen at its ends, plus rounding
+    d = ex.differentiate(e, i)
+    P = np.array(rows)
+    h = 1e-5 * np.maximum(1.0, np.abs(P[:, i]))
+    step = np.zeros_like(P)
+    step[:, i] = h
+    ok = _defined_rows(e, P + step, P - step) & _defined_rows(d, P, P + step, P - step)
+    for q in _denominators(e) + _denominators(d):  # a pole between the stencil's points
+        signs = [np.sign(ref.evaluate_array(q, Q)) for Q in (P - step, P, P + step)]
+        ok &= (signs[0] == signs[1]) & (signs[1] == signs[2])
+    f_plus, f_minus = ref.evaluate_array(e, P + step)[ok], ref.evaluate_array(e, P - step)[ok]
+    want = ref.evaluate_array(d, P)[ok]
+    with np.errstate(over="ignore"):  # an overflowing difference meets an infinite allowance
+        fd = (f_plus - f_minus) / (2 * h[ok])
+        variation = np.maximum(np.abs(ref.evaluate_array(d, P + step)[ok] - want),
+                               np.abs(ref.evaluate_array(d, P - step)[ok] - want))
+        rounding = 1e-10 * (np.abs(want) + (np.abs(f_plus) + np.abs(f_minus)) / h[ok]) + 1e-300
+        # a stencil over which d varies much may straddle a pole: not compared
+        smooth = variation <= 1e-2 * (1.0 + np.abs(want))
+        assert np.all((np.abs(fd - want) <= variation + rounding)[smooth]), ex.to_string(e)
+
+
+def _sympy(e, sp, xs):
+    match e:
+        case ex.Const(value=v):
+            return sp.Float(v, 30)  # the double exactly
+        case ex.Var(index=i):
+            return xs[i]
+        case ex.Unary(op="neg", child=c):
+            return -_sympy(c, sp, xs)
+        case ex.Unary(op=op, child=c):
+            return getattr(sp, op)(_sympy(c, sp, xs))
+        case ex.Binary(op=op, left=l, right=r):
+            a, b = _sympy(l, sp, xs), _sympy(r, sp, xs)
+            return {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                    "div": operator.truediv, "pow": operator.pow}[op](a, b)
+
+
+def test_differentiate_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    xs = sp.symbols("x1 x2")
+
+    @given(_expr_strategy, _finite_rows, st.integers(min_value=0, max_value=1))
+    @settings(max_examples=300, deadline=None)
+    def check(e, rows, i):
+        # both derivatives evaluated at 30 digits at the point: they differ only by
+        # the rounding of the constants differentiate folds
+        d = ex.differentiate(e, i)
+        P = np.array(rows)
+        P = P[_defined_rows(e, P) & _defined_rows(d, P)]
+        if not len(P):  # nothing to compare, and sympy raises on a constant 1/0
+            return
+        theirs = sp.diff(_sympy(e, sp, xs), xs[i])
+        ours = _sympy(d, sp, xs)
+        for p in P:
+            at = {x: sp.Float(v, 30) for x, v in zip(xs, p)}
+            want = complex(theirs.xreplace(at).evalf(30))
+            got = complex(ours.xreplace(at).evalf(30))
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), ex.to_string(e)
+
+    check()

@@ -9,6 +9,7 @@ from ufgsim import catalog
 from ufgsim import expr as ex
 from ufgsim import fields as vf
 from conftest import sample_points
+import reference_walk as ref
 
 
 def numeric_bracket(V, W, x, step=1e-5):
@@ -279,7 +280,7 @@ class TestKernels:
                 want = np.empty(pts.shape + (V.dim,))
                 for j in range(V.dim):
                     for i in range(V.dim):
-                        want[:, j, i] = ex.evaluate_array(V.jacobian_exprs[j][i], pts)
+                        want[:, j, i] = ref.evaluate_array(V.jacobian_exprs[j][i], pts)
                 assert np.array_equal(_bits(V.jacobian_batch(pts)), _bits(want))
                 grid = pts[:12].reshape(3, 4, V.dim)
                 assert np.array_equal(_bits(V.jacobian_batch(grid)),
@@ -288,13 +289,22 @@ class TestKernels:
     def test_eval_batch_is_the_checked_walk_on_finite_rows(self, rng):
         for tab, pts in _kernel_cases(rng):
             for V in {*tab.fields.values(), *tab.base_fields}:
-                check = ex.DomainCheck(pts.shape[:-1])
-                want = V._eval(pts, check)
+                check = ref.WalkCheck(pts.shape[:-1])
+                want = np.stack([check.evaluate(c, pts) for c in V.components], axis=-1)
                 got = V.eval_batch(pts)
+                kernel_check = ex.DomainCheck(pts.shape[:-1])
+                assert np.array_equal(_bits(V._eval(pts, kernel_check)), _bits(want))
+                assert np.array_equal(kernel_check.bad, check.bad)
                 assert not check.bad[:12].any()
                 assert np.array_equal(_bits(got[~check.bad]), _bits(want[~check.bad]))
                 nonfinite = ~np.isfinite(got).all(axis=-1)
                 assert np.array_equal(nonfinite, nonfinite & check.bad)
+
+    def test_call_gives_dim_components_and_names_a_missing_coordinate(self):
+        V = vf.make_field(2, ["y", "sin(x)"], ["x", "y"])
+        assert np.array_equal(V([1.0, 2.0, 3.0]), V([1.0, 2.0]))
+        with pytest.raises(ex.EvalDomainError, match="point has no coordinate 1"):
+            V([1.0])
 
     def test_unchecked_frame_is_the_checked_frame(self, rng):
         for tab, pts in _kernel_cases(rng):
