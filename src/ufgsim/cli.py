@@ -516,6 +516,8 @@ def cmd_fpresidual(args):
 
 
 def cmd_derivative(args):
+    if args.h == 0:
+        raise UsageError("--h must be nonzero: it is the central-difference step")
     params = parse_param_list(args.param)
     system, entry, variables = load_system(args.system, params)
     f = ex.parse_expression(args.f, list(variables))

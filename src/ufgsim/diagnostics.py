@@ -181,24 +181,30 @@ def convergence_study(system, x0, times, references, n_paths, seed,
 def same_leaf_coupling(system, x, y, f, times, n_paths, seed, dt=1e-3):
     """|P_t f(x) - P_t f(y)| with common random numbers, per requested time.
 
-    Both ensembles reuse the same per-path substreams, so the difference of
-    sample means is itself a per-path average with its own standard error.
-    Returns a list of (grid time, |difference|, standard error).
+    The two starts are coupled: one ensemble drives both with the same
+    per-path increments, so the difference of sample means is itself a
+    per-path average with its own standard error.  Returns a list of (grid
+    time, |difference|, standard error).  Rejects fewer than two paths.
     """
+    _need_two_paths(n_paths)
     times = [float(t) for t in times]
-    ex_ = simulate_paths(system, x, max(times), dt, n_paths, seed, store_times=times)
-    ey_ = simulate_paths(system, y, max(times), dt, n_paths, seed, store_times=times)
+    ens = simulate_paths(system, np.array([x, y], dtype=float), max(times), dt, n_paths, seed,
+                         store_times=times)
     kernel = ex.compile_exprs([f], ())
     out = []
     for t in times:
-        tg, Xx = ex_.state_at(t)
-        _, Xy = ey_.state_at(t)
+        tg, (Xx, Xy) = ens.state_at(t)
         fx = _apply_observable(kernel, Xx)
         fy = _apply_observable(kernel, Xy)
         d = fx - fy
         out.append((float(tg), float(abs(np.mean(d))),
                     float(np.std(d, ddof=1) / math.sqrt(len(d)))))
     return out
+
+
+def _need_two_paths(n_paths):
+    if n_paths < 2:
+        raise ValueError(f"need at least two paths for a standard error, got {n_paths}")
 
 
 def _apply_observable(kernel, X):
@@ -213,12 +219,17 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
     Uses central differences between starts x +- h u with u the unit vector
     of the direction field at x and shared Brownian increments; the result is
     scaled by |direction(x)| so it estimates the derivative along the field
-    itself (a plain unit-direction derivative would miss that factor).
-    Returns (estimate, standard error), arrays when `t` is a sequence.
+    itself (a plain unit-direction derivative would miss that factor).  The
+    two starts are coupled in one ensemble (see simulate_paths).  Returns
+    (estimate, standard error), arrays when `t` is a sequence.  Rejects
+    fewer than two paths and a step h that is zero or not finite.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
         raise ValueError(f"x0 must have shape ({system.dim},)")
+    _need_two_paths(n_paths)
+    if h is not None and not (math.isfinite(h) and h != 0):
+        raise ValueError(f"difference step h = {h!r} must be a nonzero finite number")
     vdir = direction(x)
     norm = float(np.linalg.norm(vdir))
     if norm == 0.0:
@@ -227,16 +238,13 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
         h = 1e-3 * (1.0 + float(np.linalg.norm(x)))
     u = vdir / norm
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    ep = simulate_paths(system, x + h * u, float(np.max(times)), dt, n_paths, seed,
-                        store_times=times.tolist())
-    em = simulate_paths(system, x - h * u, float(np.max(times)), dt, n_paths, seed,
-                        store_times=times.tolist())
+    ens = simulate_paths(system, np.array([x + h * u, x - h * u]), float(np.max(times)), dt,
+                         n_paths, seed, store_times=times.tolist())
     kernel = ex.compile_exprs([f], ())
     est = np.empty(times.shape)
     err = np.empty(times.shape)
     for i, ti in enumerate(times):
-        _, Xp = ep.state_at(ti)
-        _, Xm = em.state_at(ti)
+        _, (Xp, Xm) = ens.state_at(ti)
         d = (_apply_observable(kernel, Xp) - _apply_observable(kernel, Xm)) * (norm / (2.0 * h))
         est[i] = np.mean(d)
         err[i] = np.std(d, ddof=1) / math.sqrt(len(d))

@@ -60,6 +60,69 @@ def path_seed(master_seed, path_index):
     return splitmix64(path_index, seed=master_seed & _MASK64)
 
 
+def _path_seeds(master_seed, paths):
+    """path_seed(master_seed, p) for each p of the integer array `paths`, as
+    uint64, by the SplitMix64 finalizer in wrapping uint64 arithmetic."""
+    z = (np.asarray(paths, dtype=np.uint64) + 1) * np.uint64(_GOLDEN)
+    z = z + np.uint64(master_seed & _MASK64)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix and mix
+# multipliers on a pool of four uint32 words, and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_seed_words(seeds):
+    """SeedSequence(s).generate_state(4, np.uint64) for each s of the uint64
+    array `seeds`, as (P, 4) uint64: the words np.random.PCG64(s) seeds from.
+
+    numpy's pool mixing run on whole arrays of uint32, which wrap as its C
+    arithmetic does.  A seed's entropy is its low and high 32-bit words; the
+    high word of a seed below 2^32 is hashed as the zero numpy puts in an
+    empty pool slot.  The running hash constant is the same for every seed.
+    """
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ (value >> 16)
+        return hashmix
+
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in ((seeds & 0xFFFFFFFF).astype(np.uint32),
+                                 (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * np.uint32(_MIX_L) - hashmix(pool[src]) * np.uint32(_MIX_R)
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # uint64 word k is uint32 word 2k below word 2k + 1, as numpy views them
+    return np.stack([out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)], axis=1)
+
+
+def _pcg64_state(words):
+    """The state np.random.PCG64(s) starts in, for the four seed words of s
+    (a row of _pcg64_seed_words as Python ints): PCG64's set-seed, inc =
+    2 seq + 1 and two LCG steps from 0 with the seed state added between."""
+    s_hi, s_lo, q_hi, q_lo = words
+    inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+    state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 class FlowBlowUp(RuntimeError):
     """An integral curve, or its Jacobian, left the finite range."""
 
@@ -419,8 +482,10 @@ def stratonovich_to_ito(system):
 class PathEnsemble:
     """Seeded Monte Carlo paths stored on a (possibly strided) time grid.
 
-    `increments` holds the Brownian increments aggregated over each stored
-    interval; with stride 1 these are the raw per-step increments with
+    `states` is (P, K, N) and `blown` (P,); an ensemble of m coupled starts
+    has a leading start axis on both.  `increments` (P, K - 1, d) holds the
+    Brownian increments aggregated over each stored interval, shared by
+    coupled starts; with stride 1 these are the raw per-step increments with
     variance dt per component.  Regenerating with the same arguments gives
     bit-identical arrays.
     """
@@ -435,16 +500,16 @@ class PathEnsemble:
 
     @property
     def n_paths(self):
-        return self.states.shape[0]
+        return self.states.shape[-3]
 
     @property
     def dim(self):
-        return self.states.shape[2]
+        return self.states.shape[-1]
 
     def state_at(self, t):
         """States at the stored time closest to t, plus that grid time."""
         k = int(np.argmin(np.abs(self.times - t)))
-        return self.times[k], self.states[:, k, :]
+        return self.times[k], self.states[..., k, :]
 
     def write_csv(self, fh, stride=1):
         n = self.dim
@@ -491,21 +556,32 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     consumes the substream seeded by path_seed(seed, p), so the chunking
     never changes the output.
 
-    A chunk's state lives column-major in the workspace the kernel reads,
-    beside the current step's increments; the increments are drawn
-    step-major into one block shared by all chunks.  While every path of
-    the chunk is alive, a step checks the whole new state at once and takes
-    it; the per-row freeze runs only from the first step that fails that
-    check.
+    `x0` is one start (N,) or m coupled starts (m, N).  Coupled starts share
+    each path's one draw of increments: a chunk of n paths runs as m n rows,
+    row j n + i being path i from start j, so every start gets the values a
+    run of its own would give, blow-ups frozen and flagged per row.
+
+    Seeding runs once for all paths before anything is allocated per chunk:
+    path seeds and numpy's SeedSequence mixing are array arithmetic
+    (_path_seeds, _pcg64_seed_words), and each path sets one reused PCG64
+    to the state np.random.PCG64(path_seed(seed, p)) would start in.  Its
+    normals fill the path's row of one path-major (chunk, steps, d) block,
+    scaled by sqrt(dt) once per chunk.  A chunk's state lives column-major
+    in the workspace the kernel reads, beside the current step's increments,
+    which are copied in from the block and summed from there.  While every
+    row of the chunk is alive, a step checks the whole new state at once and
+    takes it; the per-row freeze runs only from the first step that fails
+    that check.
 
     Rejects, before allocating anything, a horizon whose increment block
     exceeds MAX_INCREMENT_BLOCK and an ensemble whose stored arrays (the
-    records, `record_size` float64 entries per path and stored step, N by
-    default, and the increment sums) exceed MAX_STORED_ENTRIES.
+    records, `record_size` float64 entries per path, start and stored step,
+    N by default, and the increment sums) exceed MAX_STORED_ENTRIES.
 
     Returns the stored step indices, the recorded arrays (each of shape
-    (P, n_stored, ...)), the Brownian increments summed over each stored
-    interval, and the blown and aborted flags.
+    (P, n_stored, ...), (m, P, n_stored, ...) for coupled starts), the
+    Brownian increments summed over each stored interval (P, n_stored - 1,
+    d), and the blown and aborted flags ((P,) or (m, P)).
     """
     if not (T > 0 and dt > 0 and n_paths >= 1):
         raise ValueError("need T > 0, dt > 0, n_paths >= 1")
@@ -514,48 +590,61 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     if store_stride < 1:
         raise ValueError(f"store stride must be >= 1, got {store_stride!r}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(f"x0 must have shape ({system.dim},)")
-    P, N, d = n_paths, system.dim, system.d
+    starts = np.atleast_2d(x0)
+    if x0.ndim > 2 or not starts.size or starts.shape[1] != system.dim:
+        raise ValueError(f"x0 must have shape ({system.dim},) or (m, {system.dim})")
+    P, N, d, m = n_paths, system.dim, system.d, len(starts)
     block = min(P, chunk_size) * d * (T / dt)
     if not block <= MAX_INCREMENT_BLOCK:
         raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {block:.3g} Brownian "
                          f"increments per chunk, more than the cap of {MAX_INCREMENT_BLOCK}")
     n_steps = int(round(T / dt))
     n_stored = len(store_times) + 2 if store_times is not None else -(-n_steps // store_stride) + 1
-    stored = P * n_stored * ((N if record_size is None else record_size) + d)
+    stored = P * n_stored * (m * (N if record_size is None else record_size) + d)
     if stored > MAX_STORED_ENTRIES:
         raise ValueError(f"{P} paths stored at {n_stored} times need {stored:.3g} stored "
                          f"values, more than the cap of {MAX_STORED_ENTRIES}")
     steps = _stored_steps(n_steps, store_stride, store_times, dt)
     step = system._heun_kernel
+    # every path's seed words before the increment block: seeding each chunk
+    # just before its draws leaves temporaries between the large blocks and
+    # fragments the heap; slices of chunk_size bound the temporaries
+    words = np.empty((P, 4), dtype=np.uint64)
+    for lo in range(0, P, chunk_size):
+        paths = np.arange(lo, min(P, lo + chunk_size))
+        words[lo:lo + chunk_size] = _pcg64_seed_words(_path_seeds(seed, paths))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
 
     records = None
     increments = np.zeros((P, len(steps) - 1, d))
-    blown = np.zeros(P, dtype=bool)
-    aborted = np.zeros(P, dtype=bool)
-    dB = np.empty((n_steps, min(P, chunk_size), d))
+    blown = np.zeros((m, P), dtype=bool)
+    aborted = np.zeros((m, P), dtype=bool)
+    G = np.empty((min(P, chunk_size), n_steps, d))
     for lo in range(0, P, chunk_size):
         hi = min(P, lo + chunk_size)
         n = hi - lo
-        for p in range(lo, hi):
-            rng = np.random.Generator(np.random.PCG64(path_seed(seed, p)))
-            dB[:, p - lo] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
-        W = _heun_workspace(n, N, d, dt)
-        out = np.empty((n, 2, N), order="F")
+        for g, w in zip(G, words[lo:hi].tolist()):
+            bits.state = _pcg64_state(w)
+            rng.standard_normal(out=g)
+        G[:n] *= math.sqrt(dt)
+        W = _heun_workspace(m * n, N, d, dt)
+        out = np.empty((m * n, 2, N), order="F")
         X = W[:, :N]
-        X[...] = x0
-        rest = tuple(np.broadcast_to(a, (n,) + np.shape(a)).copy() for a in start)
-        alive = np.ones(n, dtype=bool)
-        intact = True  # no path of the chunk blown or aborted yet
+        X[...] = np.repeat(starts, n, axis=0)
+        dB = W[:, N:N + d]
+        dB_starts = dB.reshape(m, n, d)  # a view: the column-major rows split by start
+        rest = tuple(np.broadcast_to(a, (m * n,) + np.shape(a)).copy() for a in start)
+        alive = np.ones(m * n, dtype=bool)
+        intact = True  # no row of the chunk blown or aborted yet
         row = None
         k = 0  # index of the next stored step
         for s in range(n_steps + 1):
             if s:
-                W[:, N:N + d] = dB[s - 1, :n]
+                dB_starts[...] = G[:n, s - 1]
                 step(W, out)
                 Xn = out[:, 0]
-                new = advance(X, out[:, 1], W[:, N:N + d], *rest) if advance else ()
+                new = advance(X, out[:, 1], dB, *rest) if advance else ()
                 if intact and np.isfinite(Xn).all() and all(np.isfinite(a).all() for a in new):
                     X[...] = Xn
                     rest = new
@@ -563,26 +652,29 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
                     intact = False
                     ok = alive.copy()
                     for a in (Xn, *new):
-                        ok &= np.isfinite(a).reshape(n, -1).all(axis=1)
-                    blown[lo:hi] |= alive & ~ok
+                        ok &= np.isfinite(a).reshape(m * n, -1).all(axis=1)
+                    blown[:, lo:hi] |= (alive & ~ok).reshape(m, n)
                     alive = ok
                     np.copyto(X, Xn, where=alive[:, None])
                     rest = tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
                                  for a, b in zip(new, rest))
-                increments[lo:hi, seg] += dB[s - 1, :n]
+                increments[lo:hi, seg] += dB[:n]
             if s != steps[k]:
                 continue
             row, bad = store((X, *rest), alive, row)
             if bad is not None:
-                aborted[lo:hi] |= bad
+                aborted[:, lo:hi] |= bad.reshape(m, n)
                 alive &= ~bad
                 intact = intact and bool(alive.all())
             if records is None:
-                records = tuple(np.empty((P, len(steps)) + a.shape[1:]) for a in row)
+                records = tuple(np.empty((m, P, len(steps)) + a.shape[1:]) for a in row)
             for rec, a in zip(records, row):
-                rec[lo:hi, k] = a
+                rec[:, lo:hi, k] = a.reshape((m, n) + a.shape[1:])
             seg = min(k, len(steps) - 2)
             k += 1
+    if x0.ndim == 1:
+        records = tuple(rec[0] for rec in records)
+        blown, aborted = blown[0], aborted[0]
     return steps, records, increments, blown, aborted
 
 
@@ -593,10 +685,17 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     Paths whose state turns non-finite are frozen at their last finite value
     and flagged; the blow-up count lands in `meta`.  Path p consumes the
     substream seeded by path_seed(seed, p), so any chunking or scheduling
-    produces identical output.  Rejects T <= 0, dt <= 0, n_paths < 1, a
-    horizon shorter than one step, one whose increment block exceeds
-    MAX_INCREMENT_BLOCK and an ensemble whose stored arrays exceed
-    MAX_STORED_ENTRIES; any other horizon is rounded to whole steps.
+    produces identical output.  Seeding is one vectorised pass over all
+    paths that gives each path the generator state np.random.PCG64(seed_p)
+    starts in, and the draws go into a path-major block (see _run_ensemble).
+
+    With m starts x0 (m, N) the starts are coupled: they share each path's
+    one draw of increments, and the ensemble holds states (m, P, K, N) and
+    blown flags (m, P), start j's equal to those of a run from x0[j] alone.
+    Rejects T <= 0, dt <= 0, n_paths < 1, a horizon shorter than one step,
+    one whose increment block exceeds MAX_INCREMENT_BLOCK and an ensemble
+    whose stored arrays exceed MAX_STORED_ENTRIES; any other horizon is
+    rounded to whole steps.
     """
     steps, (states,), increments, blown, _ = _run_ensemble(
         system, x0, T, dt, n_paths, seed,

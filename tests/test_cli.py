@@ -136,6 +136,18 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE and out == ""
         assert json.loads(err)["error"] == "x0 must have shape (2,)"
 
+    @pytest.mark.parametrize("args, needle", [
+        (["--paths", "1"], "two paths"),
+        (["--h", "0"], "--h"),
+        (["--h", "-0"], "--h"),
+    ])
+    def test_degenerate_derivative_rejected(self, capsys, args, needle):
+        code, out, err = run_cli(["derivative", "--system", "grushin", "--param", "k=0.5",
+                                  "--f", "sin(z)", "--direction", "V1", "--x0", "0,1",
+                                  "--t", "0.01", "--paths", "2", *args], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert needle in json.loads(err)["error"]  # one JSON line, no numpy warnings
+
     @pytest.mark.parametrize("t, dt", [("1e15", "0.001"), ("1e300", "1e-300")])
     def test_unbounded_horizon_rejected_up_front(self, capsys, t, dt):
         start = time.perf_counter()
@@ -311,7 +323,9 @@ class TestDeterminism:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # sha256 of the outputs of small simulator runs, recorded before the Heun
-    # step was compiled; the riccati system blows up on 10 of its 40 paths
+    # step was compiled; the riccati system blows up on 10 of its 40 paths.
+    # The last two runs cross the 2048-path chunk boundary; they were recorded
+    # while each path still built its own numpy PCG64 generator.
     @pytest.mark.parametrize("args, digests", [
         (["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.2",
           "--paths", "32", "--seed", "42", "--stride", "100"],
@@ -339,6 +353,12 @@ class TestDeterminism:
         (["malliavin", "--system", "grushin", "--param", "k=-1", "--x0", "0,1", "--t", "0.3",
           "--paths", "8", "--seed", "2", "--split", "1", "--stride", "10"],
          {"--out": "1a1dbf302912459a01f9ad46483ec7fc996c5e95fa7c5d120a8afede2f762328"}),
+        (["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+          "--paths", "2100", "--seed", "4", "--stride", "5"],
+         {"--out": "1b2dbb134cf6b6829a03de55b6a3342805de39c1698bff8447055b9cb026210e"}),
+        (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
+          "--direction", "V1", "--x0", "0,1", "--t", "0.01", "--paths", "2100", "--seed", "4"],
+         {"--out": "9e2a73bc002850d0246d8d8fe17bb5332a270c7981eeb2cd36eb5284bd0c9937"}),
     ])
     def test_simulator_outputs_match_recorded_hashes(self, tmp_path, args, digests):
         riccati = tmp_path / "riccati.sys"

@@ -106,6 +106,12 @@ class TestCoupling:
         assert out[-1][1] < out[0][1]
 
 
+    def test_one_path_rejected(self, sine_ou_k2):
+        f = ex.parse_expression("z", ["z", "zeta"])
+        with pytest.raises(ValueError, match="two paths"):
+            dg.same_leaf_coupling(sine_ou_k2.system, [0.0, 4.0], [1.0, 4.0], f, [0.1], 1, seed=0)
+
+
 class TestSemigroupDerivative:
     def test_constant_observable(self, grushin_minus1):
         f = ex.parse_expression("3", ["z", "zeta"])
@@ -151,6 +157,14 @@ class TestSemigroupDerivative:
         scale = np.linalg.norm(direction(x)) / (2 * h)
         err_indep = math.sqrt(fp.var(ddof=1) + fm.var(ddof=1)) * scale / math.sqrt(2000)
         assert err_crn < err_indep
+
+    @pytest.mark.parametrize("kw", [dict(n_paths=1), dict(n_paths=10, h=0.0),
+                                    dict(n_paths=10, h=math.nan)])
+    def test_degenerate_estimate_rejected(self, grushin_minus1, kw):
+        f = ex.parse_expression("z", ["z", "zeta"])
+        with pytest.raises(ValueError):
+            dg.semigroup_derivative(grushin_minus1.system, f, grushin_minus1.system.noises[0],
+                                    [0.0, 1.0], 0.5, seed=0, **kw)
 
     def test_zero_direction_rejected(self, grushin_minus1):
         f = ex.parse_expression("z", ["z", "zeta"])

@@ -44,6 +44,27 @@ class TestSeeding:
         assert len(seeds) == 1000
         assert dyn.path_seed(42, 7) != dyn.path_seed(43, 7)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    def test_vectorised_path_seed_matches_scalar(self, paths):
+        for master in (-1, 0, 2**64 + 5):
+            got = dyn._path_seeds(master, np.array(paths, dtype=np.uint64))
+            assert got.tolist() == [dyn.path_seed(master, p) for p in paths]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    def test_vectorised_seeding_matches_numpy(self, seeds):
+        # fails when numpy changes how SeedSequence or PCG64 seed themselves
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, *seeds]
+        words = dyn._pcg64_seed_words(np.array(seeds, dtype=np.uint64))
+        bits = np.random.PCG64(0)
+        for s, w in zip(seeds, words.tolist()):
+            ref = np.random.PCG64(s)
+            assert dyn._pcg64_state(w) == ref.state
+            bits.state = dyn._pcg64_state(w)
+            got = np.random.Generator(bits).standard_normal(7)
+            assert np.array_equal(got, np.random.Generator(ref).standard_normal(7))
+
 
 class TestFlow:
     def test_constant_field_exact(self):
@@ -627,6 +648,25 @@ class TestStepLoop:
             assert np.array_equal(_bits(ens.states), _bits(states))
             assert np.array_equal(_bits(ens.increments), _bits(increments))
             assert not ens.blown.any() and not blown.any()
+
+    @pytest.mark.parametrize("chunk_size", [2048, 7])
+    def test_coupled_starts_match_separate_runs(self, heisenberg, chunk_size):
+        drift, noise, _ = self.SYSTEMS["riccati"]
+        riccati = dyn.SDESystem(1, vf.make_field(1, drift, ["x"]),
+                                (vf.make_field(1, noise, ["x"]),), "riccati")
+        cases = [(riccati, [[0.9], [-2.0]], 1.0),
+                 (heisenberg.system, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 0.05)]
+        for system, starts, T in cases:
+            kw = dict(T=T, dt=1e-3, n_paths=20, seed=7, store_stride=10, chunk_size=chunk_size)
+            ens = dyn.simulate_paths(system, starts, **kw)
+            assert ens.states.shape[:2] == ens.blown.shape == (2, 20)
+            for j, x0 in enumerate(starts):
+                one = dyn.simulate_paths(system, x0, **kw)
+                assert np.array_equal(_bits(ens.states[j]), _bits(one.states))
+                assert np.array_equal(_bits(ens.increments), _bits(one.increments))
+                assert np.array_equal(ens.blown[j], one.blown)
+            if system is riccati:  # one start blows up on some paths, the other on none
+                assert ens.blown[0].any() and not ens.blown[1].any()
 
     def test_blowups_raise_no_warnings(self):
         # drift and noise overflow together, so a step meets inf - inf
