@@ -358,6 +358,10 @@ def cmd_decompose(args):
 
 
 def cmd_chart(args):
+    if not args.eps > 0:
+        raise UsageError(f"--eps must be positive: it is the chart radius, got {args.eps!r}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
     level = args.level if args.level is not None else (entry.level if entry else 1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .dynamics import FlowConfig, NumericField, _flow_each, flow, flow_jacobian
+from .dynamics import FlowBlowUp, FlowConfig, NumericField, _flow_each, flow, flow_jacobian
 from .fields import VectorField
 from .linalg import (
     alignment_certificate,
@@ -35,6 +35,7 @@ from .linalg import (
     rank_from_singular_values,
     svd_rank,
     sym_outer_max_eig,
+    vecnorm,
 )
 
 DEFAULT_RTOL = 1e-8
@@ -263,7 +264,7 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
                 # one matrix-vector product per target, as B @ c for a single c
                 R = Vi - (B @ np.ascontiguousarray(C.T)[:, :, None])[..., 0]
                 max_coeff = _positive_max(np.max(np.abs(C), axis=0))
-            resid = np.sqrt(np.vecdot(R, R)) / (1.0 + np.sqrt(np.vecdot(Vi, Vi)))
+            resid = vecnorm(R) / (1.0 + vecnorm(Vi))
             records.append(PointRecord(list(map(float, pts[i])), _positive_max(resid),
                                        max_coeff=max_coeff, extra={"_idx": int(i)}))
     return _finish_report("ufg", m, None, records,
@@ -313,45 +314,67 @@ def check_kalman(A, Q, rtol=DEFAULT_RTOL):
 # Obtuse-angle conditions
 # ---------------------------------------------------------------------------
 
+def _alignment_records(pts, U, W, lambda0, tol):
+    """One alignment record per regular point, from pairs (u, w) stacked (P, K, n).
+
+    Point i is skipped when any entry of U[i] or W[i] is not finite and is
+    singular when every W[i] vanishes.  Elsewhere, with
+    tau_k = tol (1 + |u_k||w_k|), the record holds the worst margin
+    max_k max-eig sym((u_k + lambda0 w_k) w_k^T) - tau_k and the
+    certificate min_k alignment_certificate(u_k, w_k, tau_k).  The folds
+    over k keep Python's max/min rule: a nan entry is passed over and the
+    first of equal entries is kept.  Overflow is reported in the records,
+    not warned.  Returns (records, singular points, skipped count).
+    """
+    finite = np.isfinite(U).all(axis=(1, 2)) & np.isfinite(W).all(axis=(1, 2))
+    singular = finite & ~W.any(axis=(1, 2))
+    regular = np.flatnonzero(finite & ~singular)
+    u, w = U[regular], W[regular]
+    with np.errstate(all="ignore"):
+        tau = tol * (1.0 + vecnorm(u) * vecnorm(w))
+        margin = sym_outer_max_eig(u + lambda0 * w, w) - tau
+    cert = alignment_certificate(u, w, tau)
+    worst = np.full(len(regular), -np.inf)
+    best = np.full(len(regular), np.inf)
+    for k in range(U.shape[1]):
+        worst = np.where(margin[:, k] > worst, margin[:, k], worst)
+        best = np.where(cert[:, k] < best, cert[:, k], best)
+    records = [PointRecord(list(map(float, pts[i])), float(m),
+                           extra={"lambda0_certified": float(c), "_idx": int(i)})
+               for i, m, c in zip(regular, worst, best)]
+    return records, [[float(v) for v in x] for x in pts[singular]], int(np.sum(~finite))
+
+
+def _alignment_report(condition, table, pts, U, W, lambda0, tol, notes=None):
+    rep = _finish_report(condition, table.m, lambda0,
+                         *_alignment_records(pts, U, W, lambda0, tol),
+                         residual_tol=0.0, notes=notes)
+    if rep.records:
+        rep.notes["lambda0_certified_min"] = float(
+            min(r.extra["lambda0_certified"] for r in rep.records)
+        )
+    return rep
+
+
 def check_oac(table, plan, lambda0, tol=1e-9):
     """First-order alignment test, see the module docstring.
 
     For every level-m index the pair (u, w) = (bracket with the drift, the
     field itself) must satisfy max-eig sym((u + lambda0 w) w^T) <= tol
     (1 + |u||w|).  The largest certifiable lambda0 at each point is solved in
-    closed form from the aligned component and reported.
+    closed form from the aligned component and reported.  All points and
+    indices go through one stacked pass (_alignment_records).
     """
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
     alphas = table.r_m()
     pts = plan.sample(table.dim)
-    wv = {a: table.field(a).eval_batch(pts) for a in alphas}
-    uv = {a: table.field(a.extend(0)).eval_batch(pts) for a in alphas}
-    records, singular, skipped = [], [], 0
-    for i, x in enumerate(pts):
-        ws = {a: wv[a][i] for a in alphas}
-        us = {a: uv[a][i] for a in alphas}
-        if not all(np.all(np.isfinite(v)) for v in list(ws.values()) + list(us.values())):
-            skipped += 1
-            continue
-        if max(np.max(np.abs(v)) for v in ws.values()) == 0.0:
-            singular.append([float(v) for v in x])
-            continue
-        worst, cert = -np.inf, np.inf
-        for a in alphas:
-            w, u = ws[a], us[a]
-            tau = tol * (1.0 + np.linalg.norm(u) * np.linalg.norm(w))
-            worst = max(worst, sym_outer_max_eig(u + lambda0 * w, w) - tau)
-            cert = min(cert, alignment_certificate(u, w, tau))
-        records.append(PointRecord(list(map(float, x)), float(worst),
-                                   extra={"lambda0_certified": float(cert), "_idx": i}))
-    rep = _finish_report("oac", table.m, lambda0, records, singular, skipped,
-                         residual_tol=0.0)
-    if rep.records:
-        rep.notes["lambda0_certified_min"] = float(
-            min(r.extra["lambda0_certified"] for r in rep.records)
-        )
-    return rep
+    W = np.empty((len(pts), len(alphas), table.dim))
+    U = np.empty_like(W)
+    for k, a in enumerate(alphas):
+        W[:, k] = table.field(a).eval_batch(pts)
+        U[:, k] = table.field(a.extend(0)).eval_batch(pts)
+    return _alignment_report("oac", table, pts, U, W, lambda0, tol)
 
 
 def _second_order_coefficients(a_field, b_field):
@@ -422,11 +445,10 @@ def _commutator_with_field(S, w, v_field):
     return S2, w2
 
 
-def _eval_operator_coeffs(S, w, pts):
+def _eval_operator_coeffs(S, w, pts, out):
+    """Write the (Hessian, gradient) jet coefficients S, w at pts to out (P, n*n + n)."""
     n = len(w)
-    out = np.empty((len(pts), n * n + n))
     ex.compile_exprs([*(e for row in S for e in row), *w], (n * n + n,))(pts, out)
-    return out
 
 
 def check_oac2(table, plan, lambda0, tol=1e-9):
@@ -435,7 +457,7 @@ def check_oac2(table, plan, lambda0, tol=1e-9):
     Pairs (alpha, beta) from the level-m set with alpha != beta and neither a
     bare noise singleton; each composition and its drift commutator are
     reduced to coefficient vectors over the (Hessian, gradient) jet, then
-    tested exactly like the first-order condition.
+    tested exactly like the first-order condition, in the same stacked pass.
     """
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
@@ -450,37 +472,16 @@ def check_oac2(table, plan, lambda0, tol=1e-9):
         rep.notes["pairs"] = 0
         return rep
 
-    coeffs = []
-    for a, b in pairs:
+    n = table.dim * table.dim + table.dim
+    W = np.empty((len(pts), len(pairs), n))  # w: the composition's coefficients
+    U = np.empty_like(W)  # u: its commutator with the drift
+    for k, (a, b) in enumerate(pairs):
         S, w = _second_order_coefficients(table.field(a), table.field(b))
         S2, w2 = _commutator_with_field(S, w, table.drift)
-        coeffs.append((_eval_operator_coeffs(S, w, pts),
-                       _eval_operator_coeffs(S2, w2, pts)))
-
-    records, singular, skipped = [], [], 0
-    for i, x in enumerate(pts):
-        rows = [(u1[i], u2[i]) for u1, u2 in coeffs]
-        if not all(np.all(np.isfinite(r[0])) and np.all(np.isfinite(r[1])) for r in rows):
-            skipped += 1
-            continue
-        if max(np.max(np.abs(r[0])) for r in rows) == 0.0:
-            singular.append([float(v) for v in x])
-            continue
-        worst, cert = -np.inf, np.inf
-        for u1, u2 in rows:
-            tau = tol * (1.0 + np.linalg.norm(u2) * np.linalg.norm(u1))
-            worst = max(worst, sym_outer_max_eig(u2 + lambda0 * u1, u1) - tau)
-            cert = min(cert, alignment_certificate(u2, u1, tau))
-        records.append(PointRecord(list(map(float, x)), float(worst),
-                                   extra={"lambda0_certified": float(cert), "_idx": i}))
-    rep = _finish_report("oac2", table.m, lambda0, records, singular, skipped,
-                         residual_tol=0.0)
-    rep.notes["pairs"] = len(pairs)
-    if rep.records:
-        rep.notes["lambda0_certified_min"] = float(
-            min(r.extra["lambda0_certified"] for r in rep.records)
-        )
-    return rep
+        _eval_operator_coeffs(S, w, pts, W[:, k])
+        _eval_operator_coeffs(S2, w2, pts, U[:, k])
+    return _alignment_report("oac2", table, pts, U, W, lambda0, tol,
+                             notes={"pairs": len(pairs)})
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +667,18 @@ class Chart:
         return Y, JPsi
 
     def inverse(self, x):
-        """Damped Newton inversion of the forward map; starts from the origin."""
+        """Damped Newton inversion of the forward map; starts from the origin.
+
+        Each line-search trial evaluates forward_jacobian, so the accepted
+        trial's (Y, J) is that of the next iterate and is not recomputed.
+        """
         X = np.atleast_2d(np.asarray(x, dtype=float))
         B = X.shape[0]
         T = np.zeros((B, self.dim))
+        lim = 1.4 * self.radius
+        known = None  # forward_jacobian(T), when the accepted trial gave it
         for _ in range(self.newton.max_iter):
-            Y, J = self.forward_jacobian(T)
+            Y, J = known or self.forward_jacobian(T)
             R = Y - X
             rn = np.linalg.norm(R, axis=1)
             if np.all(rn <= self.newton.tol):
@@ -684,15 +691,20 @@ class Chart:
                 ) from None
             lam = np.ones(B)
             for _ in range(8):
-                cand = np.clip(T - lam[:, None] * step, -1.4 * self.radius, 1.4 * self.radius)
-                Yc = self.forward(cand)
+                cand = np.clip(T - lam[:, None] * step, -lim, lim)
+                try:
+                    Yc, Jc = self.forward_jacobian(cand)
+                except FlowBlowUp:  # forward raises its own report when the state blew up
+                    Yc, Jc = self.forward(cand), None
                 better = np.linalg.norm(Yc - X, axis=1) <= rn * (1 - 0.25 * lam) + self.newton.tol
                 if np.all(better):
+                    T, known = cand, None if Jc is None else (Yc, Jc)
                     break
                 lam = np.where(better, lam, lam * 0.5)
-            T = np.clip(T - lam[:, None] * step, -1.4 * self.radius, 1.4 * self.radius)
+            else:
+                T, known = np.clip(T - lam[:, None] * step, -lim, lim), None
         else:
-            Y, _ = self.forward_jacobian(T)
+            Y, _ = known or self.forward_jacobian(T)
             rn = np.linalg.norm(Y - X, axis=1)
             if np.any(rn > self.newton.tol * 100):
                 raise RuntimeError(

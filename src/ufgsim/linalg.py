@@ -74,11 +74,13 @@ def sym_outer_max_eig(a, b):
 
     The matrix has rank at most two and its nonzero eigenvalues are
     (<a,b> +- |a||b|)/2, so (<a,b> + |a||b|)/2 (which is >= 0 by
-    Cauchy-Schwarz) bounds the whole spectrum from above.
+    Cauchy-Schwarz) bounds the whole spectrum from above.  Vectors run along
+    the last axis of a and b; leading axes are stacked, and 1-D vectors give
+    a scalar.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return 0.5 * (float(a @ b) + np.linalg.norm(a) * np.linalg.norm(b))
+    return 0.5 * (np.vecdot(a, b) + vecnorm(a) * vecnorm(b))
 
 
 def alignment_certificate(a, b, tol_scaled):
@@ -87,16 +89,21 @@ def alignment_certificate(a, b, tol_scaled):
     Writing a = p b/|b|^2 ... splitting a into the component along b and the
     orthogonal remainder a_perp, the eigenvalue bound reduces to the scalar
     inequality  lam |b|^2 + <a,b> <= tau - B^2/tau  with  B = |a_perp||b|/2,
-    which this solves exactly.  Returns +inf when b vanishes (the condition
-    is vacuous there).
+    which this solves exactly.  Returns +inf where b vanishes (the condition
+    is vacuous there).  Stacked over leading axes like sym_outer_max_eig;
+    tau = max(tol_scaled, RANK_FLOOR) by Python's `max` rule, nan kept.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    bb = float(b @ b)
-    if bb == 0.0:
-        return np.inf
-    ab = float(a @ b)
-    a_perp = a - (ab / bb) * b
-    tau = max(tol_scaled, RANK_FLOOR)
-    B = 0.5 * np.linalg.norm(a_perp) * np.sqrt(bb)
-    return (tau - B * B / tau - ab) / bb
+    with np.errstate(all="ignore"):  # the rows with bb == 0 are replaced below
+        bb = np.vecdot(b, b)
+        ab = np.vecdot(a, b)
+        a_perp = a - (ab / bb)[..., None] * b
+        tau = np.where(RANK_FLOOR > tol_scaled, RANK_FLOOR, tol_scaled)
+        B = 0.5 * vecnorm(a_perp) * np.sqrt(bb)
+        return np.where(bb == 0.0, np.inf, (tau - B * B / tau - ab) / bb)[()]
+
+
+def vecnorm(v):
+    """Euclidean norm along the last axis: sqrt(<v, v>), as np.linalg.norm of a 1-D v."""
+    return np.sqrt(np.vecdot(v, v))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ufgsim import catalog
+from ufgsim import catalog, expr as ex
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,23 @@ def sample_points(entry, n, rng):
     return np.column_stack([
         rng.uniform(lo, hi, size=n) for lo, hi in entry.sample_box
     ])
+
+
+def compiled_evaluate(exprs, shape=()):
+    """`ex.evaluate` for the trees `exprs`, with their checked kernel compiled once.
+
+    f(x) evaluates them at one point x (N,) and returns the values laid out
+    in `shape` (a float for shape ()), raising the EvalDomainError that
+    checking the trees in turn raises.
+    """
+    kernel = ex.compile_exprs(exprs, shape, check=True)
+
+    def f(x):
+        check = ex.DomainCheck((1,))
+        out = np.empty((1, *shape))
+        kernel(np.asarray(x, dtype=float)[None], out, check)
+        if check.error is not None:
+            raise check.error
+        return float(out[0]) if shape == () else out[0]
+
+    return f

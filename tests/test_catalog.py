@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ufgsim import catalog, expr as ex
+from ufgsim import catalog
 from ufgsim.cli import parse_system_file
+from conftest import compiled_evaluate
 
 
 class TestRegistry:
@@ -82,14 +83,14 @@ class TestDensity:
         assert c > 0 and err < 1e-8
         rho = catalog.stationary_density_expr(normalized=True)
         from scipy.integrate import quad
-        total, _ = quad(lambda z: ex.evaluate(rho, [z]), 1e-6, 2 * math.pi - 1e-6,
-                        limit=200)
+        rho_at = compiled_evaluate([rho])
+        total, _ = quad(lambda z: rho_at([z]), 1e-6, 2 * math.pi - 1e-6, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_density_positive_inside(self):
-        rho = catalog.stationary_density_expr()
+        rho = compiled_evaluate([catalog.stationary_density_expr()])
         for z in np.linspace(0.3, 6.0, 11):
-            assert ex.evaluate(rho, [z]) > 0
+            assert rho([z]) > 0
 
 
 class TestExport:

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +149,32 @@ class TestExitCodes:
                                   "--t", "0.01", "--paths", "2", *args], capsys)
         assert code == cli.EXIT_USAGE and out == ""
         assert needle in json.loads(err)["error"]  # one JSON line, no numpy warnings
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--samples", "0"], "--samples"),
+        (["--samples", "-2"], "--samples"),
+        (["--eps", "0"], "--eps"),
+        (["--eps", "-0.3"], "--eps"),
+    ])
+    def test_degenerate_chart_rejected_up_front(self, capsys, args, flag):
+        with mock.patch.object(cli, "build_hierarchy", side_effect=AssertionError("work begun")):
+            code, out, err = run_cli(["chart", "--system", "random-circles", "--x0", "1,0",
+                                      "--eps", "0.3", *args], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert json.loads(err)["error"].startswith(flag)
+
+    @pytest.mark.parametrize("args", [
+        ["--lambda0", "1e308", "--grid", "6"],
+        ["--lambda0", "0.5", "--box", "1e200:1e300,1e200:1e300", "--grid", "4"],
+    ])
+    def test_overflowing_alignment_check_warns_nothing(self, capsys, args):
+        # the reports are pinned in test_check_reports_match_recorded_hashes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["check", "--system", "grushin", "--param", "k=-1",
+                                      "--condition", "oac", *args], capsys)
+        assert [str(w.message) for w in caught] == [] and err == ""
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED) and json.loads(out)["records"]
 
     @pytest.mark.parametrize("t, dt", [("1e15", "0.001"), ("1e300", "1e-300")])
     def test_unbounded_horizon_rejected_up_front(self, capsys, t, dt):
@@ -316,6 +344,19 @@ class TestDeterminism:
          2, "ca448bae675ff48c54995790cd7abf26f994f761895e9c308498c4e2ddc0814d"),
         (["circle-line", "--condition", "oac", "--grid", "6"], 0,
          "cf9d612e5a1adced2b5702a730e4e9c0a525fea5516ded1a98574b480136d99c"),
+        # recorded before the alignment checks became one stacked pass; the last
+        # two overflow in norms and products on every row
+        (["grushin", "--param", "k=-1", "--condition", "oac2", "--lambda0", "0.5",
+          "--level", "3", "--grid", "6"], 2,
+         "9abc06149869926b86db07d461d8a17ceefdf61b96c17cb4a782f67fc6d150f3"),
+        (["circle-line", "--condition", "oac2", "--level", "3", "--grid", "6"], 0,
+         "f0617f6d2d880ef8cfa9798cced5fe2f9ff08e1cb39f4f66629ddce779d2b7fd"),
+        (["grushin", "--param", "k=-1", "--condition", "oac", "--lambda0", "1e308",
+          "--grid", "6"], 2,
+         "857f71f4ee781a4afe8a7c6c5551abcd1a7c9f97db9ad86ee6ac031b5eab2376"),
+        (["grushin", "--param", "k=-1", "--condition", "oac", "--lambda0", "0.5",
+          "--box", "1e200:1e300,1e200:1e300", "--grid", "4"], 0,
+         "80abba351090dc4b445ed2be3957bab3629304cd04d360263f6b96b07cc5ddd3"),
     ])
     def test_check_reports_match_recorded_hashes(self, tmp_path, args, code, digest):
         out = tmp_path / "report.json"
@@ -371,7 +412,9 @@ class TestDeterminism:
             assert hashlib.sha256(paths[flag].read_bytes()).hexdigest() == digest, flag
 
     # sha256 of the --out report of small runs of the commands built on RK4
-    # flows (zproc is pinned above), recorded before the RK4 step was compiled
+    # flows (zproc is pinned above), recorded before the RK4 step was compiled;
+    # the chart at eps 0.9, whose Newton line search rejects a trial, was
+    # recorded before the trials kept their Jacobian
     @pytest.mark.parametrize("args, digest", [
         (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.2",
           "--samples", "10", "--seed", "0"],
@@ -380,6 +423,9 @@ class TestDeterminism:
           "--phi", "z*z", "--c1", "80", "--c2", "4", "--grid", "3", "--times", "0,0.5,1",
           "--box", "-3:3,0.5:6"],
          "5abd2ec0783fbf2c485fe541cf5c2fbb2d183e2c98aceb2ed93e76deb8919f60"),
+        (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.9",
+          "--samples", "10", "--seed", "0"],
+         "87efc82278f84402757d3e068d8e8716104d228d56423895e347e4c09ed7ea0e"),
     ])
     def test_flow_outputs_match_recorded_hashes(self, tmp_path, args, digest):
         out = tmp_path / "report.json"

@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference_alignment
 from ufgsim import catalog, expr as ex, fields as vf, geometry as geo
-from ufgsim.dynamics import SDESystem, flow
+from ufgsim.dynamics import FlowBlowUp, SDESystem, flow
 from ufgsim.linalg import svd_rank, sym_outer_max_eig
-from conftest import sample_points
+from conftest import compiled_evaluate, sample_points
 
 
 def table_for(entry, level=None):
@@ -377,6 +383,9 @@ class TestOAC2:
                         continue
                     S, w = geo._second_order_coefficients(tab.field(a_idx), tab.field(b_idx))
                     S2, w2 = geo._commutator_with_field(S, w, tab.drift)
+                    jet = compiled_evaluate([*(e for row in S for e in row), *w], (n * n + n,))
+                    jet2 = compiled_evaluate([*(e for row in S2 for e in row), *w2],
+                                             (n * n + n,))
                     for _ in range(5):
                         H = rng.standard_normal((n, n))
                         H = H + H.T
@@ -393,19 +402,128 @@ class TestOAC2:
                                               apply_operator(tab.field(b_idx),
                                                              apply_operator(tab.drift, f)))
                         x = sample_points(entry, 1, rng)[0]
-                        jet_S = np.array([[ex.evaluate(S[i][j], x) for j in range(n)]
-                                          for i in range(n)])
-                        jet_w = np.array([ex.evaluate(w[j], x) for j in range(n)])
+                        Pf_x, PV0f_x, V0Pf_x = compiled_evaluate([Pf, PV0f, V0Pf], (3,))(x)
+                        jet_x, jet2_x = jet(x), jet2(x)
+                        jet_S = jet_x[:n * n].reshape(n, n)
+                        jet_w = jet_x[n * n:]
                         grad = H @ x + g
                         want = float(np.sum(jet_S * H) + jet_w @ grad)
-                        got = ex.evaluate(Pf, x)
+                        got = float(Pf_x)
                         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
-                        jet_S2 = np.array([[ex.evaluate(S2[i][j], x) for j in range(n)]
-                                           for i in range(n)])
-                        jet_w2 = np.array([ex.evaluate(w2[j], x) for j in range(n)])
+                        jet_S2 = jet2_x[:n * n].reshape(n, n)
+                        jet_w2 = jet2_x[n * n:]
                         want2 = float(np.sum(jet_S2 * H) + jet_w2 @ grad)
-                        got2 = ex.evaluate(PV0f, x) - ex.evaluate(V0Pf, x)
+                        got2 = float(PV0f_x) - float(V0Pf_x)
                         assert got2 == pytest.approx(want2, rel=1e-8, abs=1e-8)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _record_bits(records):
+    return [(point, _bits(worst), _bits(cert), i) for point, worst, cert, i in records]
+
+
+@st.composite
+def alignment_inputs(draw):
+    """Stacked (u, w) pairs (P, K, n) with regular, singular and non-finite points."""
+    P, K, n = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    entries = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    scales = st.sampled_from([1.0, 1e-160, 1e150, 1e154, 1e300])  # norms and products overflow
+    U = draw(arrays(np.float64, (P, K, n), elements=entries)) * draw(scales)
+    W = draw(arrays(np.float64, (P, K, n), elements=entries)) * draw(scales)
+    kinds = st.sampled_from(["regular", "zero w", "one zero w", "non-finite"])
+    for i in range(P):
+        kind = draw(kinds)
+        if kind == "zero w":  # singular: every w vanishes, with either sign of zero
+            W[i] = np.where(draw(arrays(bool, (K, n))), -0.0, 0.0)
+        elif kind == "one zero w":  # a vacuous index: its certificate is +inf
+            W[i, draw(st.integers(0, K - 1))] = 0.0
+        elif kind == "non-finite":  # skipped
+            where = (i, draw(st.integers(0, K - 1)), draw(st.integers(0, n - 1)))
+            (U if draw(st.booleans()) else W)[where] = draw(
+                st.sampled_from([np.inf, -np.inf, np.nan]))
+    lambda0 = draw(st.sampled_from([0.5, 1.0, 3.0, 1e-300, 1e308]))
+    tol = draw(st.sampled_from([1e-9, 1e-10, 0.0, 1.0]))
+    return U, W, lambda0, tol
+
+
+def reference_alignment_records(pts, U, W, lambda0, tol):
+    """The per-point loop on one C-ordered (P, n) array per index, as it read them."""
+    K = U.shape[1]
+    with np.errstate(all="ignore"):
+        return reference_alignment.alignment_records(
+            pts, [np.ascontiguousarray(U[:, k]) for k in range(K)],
+            [np.ascontiguousarray(W[:, k]) for k in range(K)], lambda0, tol)
+
+
+def stacked_alignment_records(pts, U, W, lambda0, tol):
+    records, singular, skipped = geo._alignment_records(pts, U, W, lambda0, tol)
+    return ([(r.point, r.residual, r.extra["lambda0_certified"], r.extra["_idx"])
+             for r in records], singular, skipped)
+
+
+class TestAlignmentStacked:
+    """`_alignment_records` runs all points and indices at once; its records are
+    those of the per-point loop, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(alignment_inputs())
+    def test_records_equal_pointwise_reference(self, inputs):
+        U, W, lambda0, tol = inputs
+        pts = np.arange(2.0 * len(U)).reshape(-1, 2)
+        got, singular, skipped = stacked_alignment_records(pts, U, W, lambda0, tol)
+        want, want_singular, want_skipped = reference_alignment_records(pts, U, W, lambda0, tol)
+        assert _record_bits(got) == _record_bits(want)
+        assert (singular, skipped) == (want_singular, want_skipped)
+
+    def test_nan_margins_are_passed_over_as_python_max_does(self):
+        # index 0 overflows to inf - inf: its margin and certificate are nan, and
+        # Python's max and min keep the other index where np.maximum would not
+        U = np.array([[[1e300], [-1.0]]])
+        W = np.array([[[1e300], [1.0]]])
+        pts = np.zeros((1, 1))
+        got = stacked_alignment_records(pts, U, W, 0.5, 1e-9)[0]
+        want = reference_alignment_records(pts, U, W, 0.5, 1e-9)[0]
+        alone = stacked_alignment_records(pts, U[:, 1:], W[:, 1:], 0.5, 1e-9)[0]
+        assert _record_bits(got) == _record_bits(want) == _record_bits(alone)
+
+    @pytest.mark.parametrize("name, params, condition, level, grid", [
+        ("grushin", {"k": -1.0}, "oac", None, 9),
+        ("sine-ou", {"k": 2.0}, "oac", 2, 6),
+        ("ufg-heisenberg", {}, "oac", None, 4),
+        ("grushin", {"k": -1.0}, "oac2", 3, 6),
+        ("circle-line", {}, "oac2", 3, 40),
+    ])
+    def test_catalog_reports_equal_reference(self, name, params, condition, level, grid):
+        entry = catalog.get(name, params)
+        tab = table_for(entry, level)
+        plan = geo.SamplePlan(box=entry.sample_box, grid=grid)
+        pts = plan.sample(tab.dim)
+        if condition == "oac":
+            rep = geo.check_oac(tab, plan, 0.5)
+            ws = [tab.field(a).eval_batch(pts) for a in tab.r_m()]
+            us = [tab.field(a.extend(0)).eval_batch(pts) for a in tab.r_m()]
+        else:
+            rep = geo.check_oac2(tab, plan, 0.5)
+            alphas = [a for a in tab.r_m() if len(a.entries) >= 2]
+            ws, us = [], []
+            for a in alphas:
+                for b in alphas:
+                    if a != b:
+                        S, w = geo._second_order_coefficients(tab.field(a), tab.field(b))
+                        S2, w2 = geo._commutator_with_field(S, w, tab.drift)
+                        for coeffs, out in (((S, w), ws), ((S2, w2), us)):
+                            out.append(np.empty((len(pts), tab.dim * (tab.dim + 1))))
+                            geo._eval_operator_coeffs(*coeffs, pts, out[-1])
+        with np.errstate(all="ignore"):
+            want = reference_alignment.alignment_records(pts, us, ws, 0.5, 1e-9)
+        got = [(r.point, _bits(r.residual), _bits(r.extra["lambda0_certified"]))
+               for r in rep.records]
+        assert got == [(p, _bits(m), _bits(c)) for p, m, c, _ in want[0]]
+        assert (rep.singular_points, rep.skipped_points) == want[1:]
+        assert rep.records
 
 
 class TestLyapunov:
@@ -453,7 +571,8 @@ class TestLyapunov:
         times = [0.0, 0.5, 1.0]
         rep = geo.check_lyapunov(system, phi, plan, c1=80.0, c2=4.0,
                                  ode_solution_times=times)
-        Lphi = geo.generator_apply(system, phi)
+        Lphi = compiled_evaluate([geo.generator_apply(system, phi)])
+        phi_at = compiled_evaluate([phi])
         ode = vf.make_field(1, ["-sin(zeta)"], ["zeta"])
         want, skipped = [], 0
         for x in plan.sample(2):
@@ -461,7 +580,7 @@ class TestLyapunov:
             try:
                 for t in times:
                     pt = np.concatenate([x[:1], flow(ode, x[1:], t) if t > 0 else x[1:]])
-                    margins.append(ex.evaluate(Lphi, pt) - (80.0 - 4.0 * ex.evaluate(phi, pt)))
+                    margins.append(Lphi(pt) - (80.0 - 4.0 * phi_at(pt)))
             except ex.EvalDomainError:
                 skipped += 1
                 continue
@@ -495,6 +614,40 @@ class TestLyapunov:
             geo.check_lyapunov(sine_ou_k2.system, phi,
                                geo.SamplePlan(box=((-1, 1), (0.5, 1)), grid=3),
                                c1=1.0, c2=1.0, ode_solution_times=[0.0])
+
+
+def reference_inverse(chart, x, counts):
+    """Chart.inverse as it was: line-search trials call forward, and the next
+    iterate's forward_jacobian is computed afresh; `counts` tallies both."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    B = X.shape[0]
+    T = np.zeros((B, chart.dim))
+    for _ in range(chart.newton.max_iter):
+        counts["forward_jacobian"] += 1
+        Y, J = chart.forward_jacobian(T)
+        R = Y - X
+        rn = np.linalg.norm(R, axis=1)
+        if np.all(rn <= chart.newton.tol):
+            break
+        step = np.linalg.solve(J, R[:, :, None])[:, :, 0]
+        counts["steps"] += 1
+        lam = np.ones(B)
+        for _ in range(8):
+            cand = np.clip(T - lam[:, None] * step, -1.4 * chart.radius, 1.4 * chart.radius)
+            counts["trials"] += 1
+            Yc = chart.forward(cand)
+            better = np.linalg.norm(Yc - X, axis=1) <= rn * (1 - 0.25 * lam) + chart.newton.tol
+            if np.all(better):
+                break
+            lam = np.where(better, lam, lam * 0.5)
+        T = np.clip(T - lam[:, None] * step, -1.4 * chart.radius, 1.4 * chart.radius)
+    else:
+        counts["forward_jacobian"] += 1
+        Y, _ = chart.forward_jacobian(T)
+        rn = np.linalg.norm(Y - X, axis=1)
+        if np.any(rn > chart.newton.tol * 100):
+            raise RuntimeError("did not converge")
+    return T
 
 
 class TestChart:
@@ -542,3 +695,59 @@ class TestChart:
         chart = geo.build_chart(tab, [1.0, 0.0], eps=0.2, v0perp=circles.v0perp)
         with pytest.raises(ValueError, match="domain"):
             geo.verify_chart_structure(chart, tab, [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("eps, max_iter, outcome", [
+        (0.2, 50, "converges"), (0.9, 50, "rejects trials"),
+        (0.9, 6, "converges in the fallback"), (0.9, 3, "does not converge")])
+    def test_inverse_equals_reference_to_the_bit(self, circles, eps, max_iter, outcome):
+        tab = table_for(circles)
+        chart = geo.build_chart(tab, [1.0, 0.0], eps=eps, v0perp=circles.v0perp,
+                                newton_cfg=geo.NewtonConfig(max_iter=max_iter))
+        X = chart.forward(np.random.default_rng(2).uniform(-eps, eps, size=(10, 2)))
+        counts = dict.fromkeys(["forward_jacobian", "steps", "trials"], 0)
+        if outcome == "does not converge":
+            with pytest.raises(RuntimeError, match="did not converge"):
+                reference_inverse(chart, X, counts)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                chart.inverse(X)
+            return
+        want = reference_inverse(chart, X, counts)
+        if outcome == "rejects trials":
+            assert counts["trials"] > counts["steps"]
+        assert (counts["steps"] == max_iter) == (outcome == "converges in the fallback")
+        assert chart.inverse(X).tobytes() == want.tobytes()
+
+    def test_inverse_reuses_the_accepted_trial(self, rng, circles):
+        tab = table_for(circles)
+        chart = geo.build_chart(tab, [1.0, 0.0], eps=0.2, v0perp=circles.v0perp)
+        X = chart.forward(rng.uniform(-0.2, 0.2, size=(20, 2)))
+        counts = dict.fromkeys(["forward_jacobian", "steps", "trials"], 0)
+        want = reference_inverse(chart, X, counts)
+        assert counts["trials"] == counts["steps"] > 0  # every first trial accepted
+        with mock.patch.object(geo, "flow", wraps=geo.flow) as flow_calls, \
+                mock.patch.object(geo.Chart, "forward_jacobian", autospec=True,
+                                  side_effect=geo.Chart.forward_jacobian) as jac_calls:
+            got = chart.inverse(X)
+        assert flow_calls.call_count == 0
+        assert jac_calls.call_count == counts["forward_jacobian"]
+        assert got.tobytes() == want.tobytes()
+
+    def test_trial_whose_jacobian_blows_up_is_judged_by_forward(self, circles):
+        # a trial's flow Jacobian alone turning non-finite must not end the
+        # inversion: forward judges the trial, as it did before trials kept J
+        tab = table_for(circles)
+        chart = geo.build_chart(tab, [1.0, 0.0], eps=0.2, v0perp=circles.v0perp)
+        X = chart.forward(np.random.default_rng(2).uniform(-0.2, 0.2, size=(10, 2)))
+        want = reference_inverse(chart, X, dict.fromkeys(["forward_jacobian", "steps",
+                                                          "trials"], 0))
+        jacobian, calls = geo.Chart.forward_jacobian, []
+
+        def first_trial_blows_up(self, t):
+            calls.append(t)
+            if len(calls) == 2:
+                raise FlowBlowUp(0.1, "flow Jacobian")
+            return jacobian(self, t)
+
+        with mock.patch.object(geo.Chart, "forward_jacobian", first_trial_blows_up):
+            assert chart.inverse(X).tobytes() == want.tobytes()
+

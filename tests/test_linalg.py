@@ -84,3 +84,19 @@ class TestAlignment:
 
     def test_vacuous_when_direction_vanishes(self):
         assert alignment_certificate(np.ones(3), np.zeros(3), 1e-9) == np.inf
+
+    def test_stacked_rows_equal_one_dimensional_calls(self, rng):
+        # leading axes stack: each row gives the bits of the 1-D call on it
+        A = rng.standard_normal((4, 3, 5)) * 10.0 ** rng.integers(-3, 4, size=(4, 3, 1))
+        B = rng.standard_normal((4, 3, 5))
+        B[1, 2] = 0.0  # a vacuous row
+        tau = 10.0 ** rng.uniform(-9, -3, size=(4, 3))
+        eig = sym_outer_max_eig(A, B)
+        cert = alignment_certificate(A, B, tau)
+        assert eig.shape == cert.shape == (4, 3)
+        for idx in np.ndindex(4, 3):
+            one_eig = sym_outer_max_eig(A[idx], B[idx])
+            one_cert = alignment_certificate(A[idx], B[idx], float(tau[idx]))
+            assert isinstance(one_eig, float) and isinstance(one_cert, float)
+            assert (one_eig, one_cert) == (eig[idx], cert[idx])
+        assert cert[1, 2] == np.inf
