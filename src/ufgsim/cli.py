@@ -454,8 +454,14 @@ def cmd_ranks(args):
 
 
 def cmd_malliavin(args):
+    if not args.cond_threshold >= 1:
+        raise UsageError(f"--cond-threshold must be at least 1: it bounds a condition "
+                         f"number, got {args.cond_threshold!r}")
     params = parse_param_list(args.param)
     system, _, _ = load_system(args.system, params)
+    if not 1 <= args.split <= system.dim:
+        raise UsageError(f"--split must be in 1..{system.dim} for a {system.dim}-dimensional "
+                         f"system, got {args.split}")
     vp = simulate_variational(system, parse_point(args.x0), _horizon(args), args.dt,
                               args.seed, n_paths=args.paths, store_stride=args.stride)
     M = malliavin_matrix(vp, system)

@@ -10,7 +10,9 @@ steps are kernels compiled from the field trees at first use: the RK4 step
 once per VectorField (`_compile_rk4_step`, with a twin that also
 writes the four stage Jacobians for `flow_jacobian`), the whole Heun step,
 drift and noise fields at the state and at the predictor included, once per
-system (`_compile_heun_step`).  They run over column-major workspaces, one
+system (`_compile_heun_step`, with a twin that also writes the step's
+linearizations at the state and at the predictor for the variational
+paths of `malliavin`).  They run over column-major workspaces, one
 call per step, with floating-point warnings off, and give the values of the
 step as array arithmetic to the bit; a NumericField takes its RK4 step as
 that array arithmetic.  Ensembles are reproducible: each path consumes its
@@ -169,7 +171,12 @@ class SDESystem:
     @cached_property
     def _heun_kernel(self):
         """The stochastic Heun step compiled at first use (see _compile_heun_step)."""
-        return _compile_heun_step(self)
+        return _compile_heun_step(self, linearizations=False)
+
+    @cached_property
+    def _variational_kernel(self):
+        """The Heun step and its linearizations at X and Xp, compiled at first use."""
+        return _compile_heun_step(self, linearizations=True)
 
 
 class NumericField:
@@ -543,11 +550,12 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
                   chunk_size=2048):
     """The seeded ensemble loop behind simulate_paths and simulate_variational.
 
-    Each path carries a state tuple (X, *rest), rest starting at `start`.  The
-    system's compiled stochastic Heun step (_compile_heun_step) moves X;
-    `advance(X, Xp, dB, *rest)`, when given, returns the new rest from the
-    step's state, Heun predictor and increments.  A path whose new state has
-    a non-finite entry is frozen at its last finite state and flagged blown.
+    Each path carries a state tuple (X, *rest), rest starting at `start`.
+    The system's compiled stochastic Heun step (_compile_heun_step) moves X;
+    with `advance` it is the variational twin, and `advance(E, *rest)`
+    returns the new rest from the step's linearizations E = [G(X); G(Xp)]
+    (P, 2N, N).  A path whose new state or rest has a non-finite entry is
+    frozen at its last finite state and flagged blown.
     At t = 0 and at each stored step, `store(S, alive, last)` returns the
     arrays to record and a mask of paths that failed a check (or None),
     which are frozen and flagged aborted; `last` is what it returned at the
@@ -605,7 +613,9 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
         raise ValueError(f"{P} paths stored at {n_stored} times need {stored:.3g} stored "
                          f"values, more than the cap of {MAX_STORED_ENTRIES}")
     steps = _stored_steps(n_steps, store_stride, store_times, dt)
-    step = system._heun_kernel
+    # the kernel compiles at first use: compiling it after the blocks below
+    # are allocated raised the ensemble benchmark's peak RSS by 14 MB
+    step, rows = _heun_kernel_rows(system, advance is not None)
     # every path's seed words before the increment block: seeding each chunk
     # just before its draws leaves temporaries between the large blocks and
     # fragments the heap; slices of chunk_size bound the temporaries
@@ -629,7 +639,7 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
             rng.standard_normal(out=g)
         G[:n] *= math.sqrt(dt)
         W = _heun_workspace(m * n, N, d, dt)
-        out = np.empty((m * n, 2, N), order="F")
+        out = np.empty((m * n, rows, N), order="F")
         X = W[:, :N]
         X[...] = np.repeat(starts, n, axis=0)
         dB = W[:, N:N + d]
@@ -644,7 +654,7 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
                 dB_starts[...] = G[:n, s - 1]
                 step(W, out)
                 Xn = out[:, 0]
-                new = advance(X, out[:, 1], dB, *rest) if advance else ()
+                new = advance(out[:, 2:], *rest) if advance else ()
                 if intact and np.isfinite(Xn).all() and all(np.isfinite(a).all() for a in new):
                     X[...] = Xn
                     rest = new
@@ -712,24 +722,29 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     return PathEnsemble(seed, dt, steps * dt, states, increments, blown, meta)
 
 
-def _compile_heun_step(system):
+def _compile_heun_step(system, linearizations):
     """One stochastic Heun step of `system`, compiled into one kernel for every dt.
 
     kernel(W, out) reads rows W (P, N + d + 2): the state X in the first N
     columns, the step's increments dB in the next d, then dt and dt/2; it
     writes the new state to out[:, 0] and the predictor Xp to out[:, 1] of
-    out (P, 2, N).  The trees keep the operation order of the array
-    arithmetic
+    out (P, 2, N).  With `linearizations`, out is (P, 2 + 2N, N) and the
+    kernel also writes the step's linearization G(X) to out[:, 2:2 + N] and
+    G(Xp) to out[:, 2 + N:], where J_{n+1} = (I + (G(X) + G(Xp) +
+    G(Xp) G(X)) / 2) J_n is the Heun step of the variational equation.  The
+    trees keep the operation order of the array arithmetic
 
         g(Y) = 0.0 + V_1(Y) dB^1 + ... + V_d(Y) dB^d
         Xp = (X + V0(X) dt) + sqrt(2) g(X)
         Xn = (X + (dt/2) (V0(X) + V0(Xp))) + (0.5 sqrt(2)) (g(X) + g(Xp))
+        G(Y) = dt DV0(Y) + (sqrt(2) dB^1) DV_1(Y) + ... + (sqrt(2) dB^d) DV_d(Y)
 
-    so the values are those of that arithmetic on eval_batch arrays to the
-    bit, nan and inf included, and no warning is raised.  The fields enter
-    at Xp by substituting the predictor trees for the variables; the kernel
-    computes each shared subtree once.  Column-major W and out make every
-    column it reads and writes contiguous.
+    (G summed left to right), so the values are those of that arithmetic on
+    eval_batch and jacobian_batch arrays to the bit, nan and inf included,
+    and no warning is raised.  The fields and their Jacobians enter at Xp by
+    substituting the predictor trees for the variables; the kernel computes
+    each shared subtree once.  Column-major W and out make every column it
+    reads and writes contiguous.
     """
     N, d = system.dim, system.d
     X = [ex.Var(j) for j in range(N)]
@@ -757,7 +772,19 @@ def _compile_heun_step(system):
     a1, g1 = fields_at(Xp)
     Xn = [add(add(x, mul(half_dt, add(a, b))), mul(ex.Const(0.5 * SQRT2), add(g, h)))
           for x, a, b, g, h in zip(X, a0, a1, g0, g1)]
-    return ex.compile_exprs(Xn + Xp, (2, N))
+    if not linearizations:
+        return ex.compile_exprs(Xn + Xp, (2, N))
+    entries = [[e for row in V.jacobian_exprs for e in row] for V in system.all_fields()]
+    scales = [mul(ex.Const(SQRT2), b) for b in dB]
+
+    def linearization(Y):
+        D0, *noises = (ex.substitute(E, Y) for E in entries)
+        G = [mul(dt, e) for e in D0]
+        for c, D in zip(scales, noises):
+            G = [add(acc, mul(c, e)) for acc, e in zip(G, D)]
+        return G
+
+    return ex.compile_exprs(Xn + Xp + linearization(X) + linearization(Xp), (2 + 2 * N, N))
 
 
 def _heun_workspace(n, N, d, dt):
@@ -768,15 +795,32 @@ def _heun_workspace(n, N, d, dt):
     return W
 
 
-def _heun_step(system, X, dB, dt):
-    """One stochastic Heun step from the rows X (P, N) with increments dB (P, d):
-    the new state and the predictor Xp, by the system's compiled step."""
+def _heun_kernel_rows(system, linearizations):
+    """The system's compiled Heun step, or its variational twin with
+    `linearizations`, and the number of rows of N values it writes per path."""
+    if linearizations:
+        return system._variational_kernel, 2 + 2 * system.dim
+    return system._heun_kernel, 2
+
+
+def _heun_rows(system, X, dB, dt, linearizations=False):
+    """What one compiled stochastic Heun step writes from the rows X (P, N)
+    with increments dB (P, d): the new state in out[:, 0], the predictor Xp
+    in out[:, 1] and, with `linearizations`, G(X) and G(Xp) in out[:, 2:]."""
     N, d = system.dim, system.d
     W = _heun_workspace(len(X), N, d, dt)
     W[:, :N] = X
     W[:, N:N + d] = dB
-    out = np.empty((len(W), 2, N), order="F")
-    system._heun_kernel(W, out)
+    kernel, rows = _heun_kernel_rows(system, linearizations)
+    out = np.empty((len(X), rows, N), order="F")
+    kernel(W, out)
+    return out
+
+
+def _heun_step(system, X, dB, dt):
+    """One stochastic Heun step from the rows X (P, N) with increments dB (P, d):
+    the new state and the predictor Xp, by the system's compiled step."""
+    out = _heun_rows(system, X, dB, dt)
     return out[:, 0], out[:, 1]
 
 

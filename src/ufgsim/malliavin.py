@@ -4,10 +4,12 @@ For the Stratonovich system dX = V0 dt + sqrt(2) sum_i V_i o dB^i the state
 Jacobian J_t = dX_t/dx_0 obeys the linearized equation dJ = DV0(X) J dt +
 sqrt(2) sum_i DV_i(X) J o dB^i.  One stochastic Heun step is linear in J,
 J_{n+1} = M_n J_n, with M_n built from the field Jacobians at the current
-state and at the Heun predictor that the state step already computes.  The
-inverse K = J^{-1} is needed only on the stored grid, so it is computed there
-by a direct batched inverse, and every path is checked for |J K - I| within
-the 1e-6 consistency budget.
+state and at the Heun predictor.  One compiled kernel call per step
+(`SDESystem._variational_kernel`) gives the new state together with the
+step's linearizations at the state and at the predictor; M_n and M_n J_n are
+stacked matrix products on them.  The inverse K = J^{-1} is needed only on
+the stored grid, so it is computed there by a direct batched inverse, and
+every path is checked for |J K - I| within the 1e-6 consistency budget.
 
 The reduced covariance follows the convention without the sqrt(2) factor on
 the noise columns:  C_t = sum_k int_0^t J_s^{-1} V_k V_k^T (J_s^{-1})^T ds,
@@ -21,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SQRT2, _heun_step, _run_ensemble
+# _heun_step is not called here: the name stays bound for perfbench's tracer,
+# which wraps it at this binding site
+from .dynamics import _heun_rows, _heun_step, _run_ensemble  # noqa: F401
 
 DEFAULT_CONSISTENCY_TOL = 1e-6
 DEFAULT_COND_THRESHOLD = 1e10
@@ -57,25 +61,19 @@ class VariationalPath:
         return np.max(np.abs(prod - I), axis=(1, 2, 3))
 
 
-def step_matrix(system, X, dB, dt, Xp=None):
-    """One-step linear update M with J_{n+1} = M J_n under stochastic Heun.
-
-    `Xp` is the Heun predictor that `_heun_step` returns for (X, dB); it is
-    computed here when not given.
-    """
-    if Xp is None:
-        Xp = _heun_step(system, X, dB, dt)[1]
-    G = _step_linearization(system, X, dB, dt)
-    Gp = _step_linearization(system, Xp, dB, dt)
-    return np.eye(X.shape[1]) + 0.5 * (G + Gp + Gp @ G)
+def step_matrix(system, X, dB, dt):
+    """One-step linear update M with J_{n+1} = M J_n under stochastic Heun,
+    per row of X (P, N) with increments dB (P, d)."""
+    E = _heun_rows(system, X, dB, dt, linearizations=True)[:, 2:]
+    return _heun_matrix(np.eye(system.dim), E)
 
 
-def _step_linearization(system, X, dB, dt):
-    """dt DV0(X) + sqrt(2) sum_i dB^i DV_i(X), per row."""
-    G = dt * system.drift.jacobian_batch(X)
-    for i, V in enumerate(system.noises):
-        G += SQRT2 * dB[:, i, None, None] * V.jacobian_batch(X)
-    return G
+def _heun_matrix(I, E):
+    """I + (G + Gp + Gp G) / 2 from the linearizations E = [G; Gp] (P, 2N, N)
+    that the variational kernel writes."""
+    N = len(I)
+    G, Gp = E[:, :N], E[:, N:]
+    return I + 0.5 * (G + Gp + Gp @ G)
 
 
 def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
@@ -84,14 +82,17 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
 
     Runs the ensemble loop of `simulate_paths` on the same per-path
     substreams, so the states coincide bit for bit with a plain ensemble
-    run.  At each stored time K = J^{-1} is computed directly; a path is
-    flagged `aborted` when |J K - I| is not within consistency_tol (singular
-    or near-singular Jacobian).  A frozen path keeps its last stored K.
+    run; its kernel is the system's variational twin of the Heun step, so a
+    step is one kernel call.  At each stored time K = J^{-1} is computed
+    directly; a path is flagged `aborted` when |J K - I| is not within
+    consistency_tol (singular or near-singular Jacobian).  A frozen path
+    keeps its last stored K.
     """
-    I = np.eye(system.dim)
+    N = system.dim
+    I = np.eye(N)
 
-    def advance(X, Xp, dB, J):
-        return (step_matrix(system, X, dB, dt, Xp) @ J,)
+    def advance(E, J):
+        return (_heun_matrix(I, E) @ J,)
 
     def store(S, alive, last):
         X, J = S
@@ -101,9 +102,12 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
         err = np.max(np.abs(J @ K - I), axis=(1, 2))
         return (X, J, K), alive & ~(err <= consistency_tol)
 
-    steps, (states, jacs, invs), increments, blown, aborted = _run_ensemble(
-        system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
-        store_stride=store_stride, record_size=system.dim * (1 + 2 * system.dim))
+    # warnings off: a path whose J overflows is flagged blown, one whose
+    # |J K - I| is not finite aborted
+    with np.errstate(all="ignore"):
+        steps, (states, jacs, invs), increments, blown, aborted = _run_ensemble(
+            system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
+            store_stride=store_stride, record_size=N * (1 + 2 * N))
     meta = {
         "system": system.name,
         "x0": np.asarray(x0, dtype=float).tolist(),
@@ -117,18 +121,25 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
 
 
 def _refresh_inverse(J, K, alive):
-    """inv(J) on the alive rows; other rows, and singular ones, keep K."""
-    out = K.copy()
-    if np.any(alive):
-        try:
-            out[alive] = np.linalg.inv(J[alive])
-        except np.linalg.LinAlgError:
-            for idx in np.where(alive)[0]:
-                try:
-                    out[idx] = np.linalg.inv(J[idx])
-                except np.linalg.LinAlgError:
-                    pass
-    return out
+    """inv(J) on the alive rows; other rows, and singular ones, keep K.
+
+    While every row is alive this is inv(J), with no copy of K; LAPACK
+    inverts each matrix on its own, so the rows are the same either way.
+    """
+    try:
+        if alive.all():
+            return np.linalg.inv(J)
+        out = K.copy()
+        out[alive] = np.linalg.inv(J[alive])
+        return out
+    except np.linalg.LinAlgError:
+        out = K.copy()
+        for idx in np.flatnonzero(alive):
+            try:
+                out[idx] = np.linalg.inv(J[idx])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def reduced_covariance(vpath, system):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from ufgsim import catalog, expr as ex
+from ufgsim import catalog, dynamics as dyn, expr as ex, fields as vf
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +60,51 @@ def compiled_evaluate(exprs, shape=()):
         return float(out[0]) if shape == () else out[0]
 
     return f
+
+
+def assert_same_bits(got, want):
+    """Equal to the bit, except that a nan may differ from a nan in sign and
+    payload: where nans of both signs meet, numpy's vector loop and its scalar
+    tail keep different operands, so the array arithmetic itself can give
+    -nan on some rows of an array and +nan on others."""
+    got, want = np.ascontiguousarray(got, dtype=float), np.ascontiguousarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def field_component(dim):
+    """Random expression trees over the variables of R^dim."""
+    leaf = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]).map(ex.Const),
+                     st.floats(-3, 3).map(lambda v: ex.Const(round(v, 3))),
+                     st.integers(0, dim - 1).map(ex.Var))
+
+    def combine(s):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), s, s).map(
+                lambda t: ex.Binary(*t)),
+            st.tuples(st.sampled_from(["neg", "sin", "exp", "tanh", "log", "sqrt"]), s).map(
+                lambda t: ex.Unary(*t)))
+
+    return st.recursive(leaf, combine, max_leaves=6)
+
+
+coordinates = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0, 1e155, -1e200, 1e300]))
+increments = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([0.0, -0.0, 1e300]))
+
+
+@st.composite
+def heun_cases(draw):
+    """A system with N, d in 1..3, rows (some at +-0.0 or large enough to
+    overflow), increments and a step size."""
+    N, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    comp = field_component(N)
+    fields = [vf.VectorField(N, tuple(draw(comp) for _ in range(N))) for _ in range(d + 1)]
+    system = dyn.SDESystem(N, fields[0], tuple(fields[1:]), "random")
+    rows = draw(st.integers(1, 10))
+    X = np.array(draw(st.lists(st.lists(coordinates, min_size=N, max_size=N),
+                               min_size=rows, max_size=rows)))
+    dB = np.array(draw(st.lists(st.lists(increments, min_size=d, max_size=d),
+                                min_size=rows, max_size=rows)))
+    dt = draw(st.sampled_from([1e-3, 0.01, 1 / 3, 0.5, 2.0]))
+    return system, X, dB, dt

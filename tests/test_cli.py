@@ -163,6 +163,22 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE and out == ""
         assert json.loads(err)["error"].startswith(flag)
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--split", "0"], "--split"),
+        (["--split", "3"], "--split"),
+        (["--split", "-1"], "--split"),
+        (["--split", "1", "--cond-threshold", "-1"], "--cond-threshold"),
+        (["--split", "1", "--cond-threshold", "0.999"], "--cond-threshold"),
+    ])
+    def test_unhonourable_malliavin_check_rejected_up_front(self, capsys, args, flag):
+        with mock.patch.object(cli, "simulate_variational",
+                               side_effect=AssertionError("work begun")):
+            code, out, err = run_cli(["malliavin", "--system", "sine-ou", "--param", "k=2",
+                                      "--x0", "0,4", "--t", "0.01", "--paths", "2", *args],
+                                     capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert json.loads(err)["error"].startswith(flag)
+
     @pytest.mark.parametrize("args", [
         ["--lambda0", "1e308", "--grid", "6"],
         ["--lambda0", "0.5", "--box", "1e200:1e300,1e200:1e300", "--grid", "4"],
@@ -365,8 +381,10 @@ class TestDeterminism:
 
     # sha256 of the outputs of small simulator runs, recorded before the Heun
     # step was compiled; the riccati system blows up on 10 of its 40 paths.
-    # The last two runs cross the 2048-path chunk boundary; they were recorded
-    # while each path still built its own numpy PCG64 generator.
+    # The two simulate and derivative runs over 2100 paths cross the 2048-path
+    # chunk boundary; they were recorded while each path still built its own
+    # numpy PCG64 generator.  The malliavin run over 2100 paths (d = 2, a
+    # stride, exit 2) was recorded before the variational step was compiled.
     @pytest.mark.parametrize("args, digests", [
         (["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.2",
           "--paths", "32", "--seed", "42", "--stride", "100"],
@@ -400,6 +418,9 @@ class TestDeterminism:
         (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
           "--direction", "V1", "--x0", "0,1", "--t", "0.01", "--paths", "2100", "--seed", "4"],
          {"--out": "9e2a73bc002850d0246d8d8fe17bb5332a270c7981eeb2cd36eb5284bd0c9937"}),
+        (["malliavin", "--system", "ufg-heisenberg", "--x0", "1,0,0", "--t", "0.01",
+          "--paths", "2100", "--seed", "4", "--split", "2", "--stride", "3"],
+         {"--out": "4813dbe0046e48f4cc6b70e148de7610defdf824f169b7e8e385277ef2d41389"}),
     ])
     def test_simulator_outputs_match_recorded_hashes(self, tmp_path, args, digests):
         riccati = tmp_path / "riccati.sys"
@@ -407,7 +428,9 @@ class TestDeterminism:
         args = [str(riccati) if a == "RICCATI" else a for a in args]
         paths = {flag: tmp_path / flag.strip("-") for flag in digests}
         argv = [*args, *(v for flag, p in paths.items() for v in (flag, str(p)))]
-        assert cli.run(argv) == cli.EXIT_OK
+        # no ufg-heisenberg path passes the split-2 block and rank check
+        violated = args[:3] == ["malliavin", "--system", "ufg-heisenberg"]
+        assert cli.run(argv) == (cli.EXIT_VIOLATED if violated else cli.EXIT_OK)
         for flag, digest in digests.items():
             assert hashlib.sha256(paths[flag].read_bytes()).hexdigest() == digest, flag
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ufgsim import catalog, dynamics as dyn, expr as ex, fields as vf
 from ufgsim.diagnostics import gaussian, ks_distance
-from conftest import sample_points
+from conftest import assert_same_bits, coordinates, field_component, heun_cases, sample_points
 
 
 def expm_oracle(A):
@@ -504,54 +504,7 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def _assert_same_bits(got, want):
-    """Equal to the bit, except that a nan may differ from a nan in sign and
-    payload: where nans of both signs meet, numpy's vector loop and its scalar
-    tail keep different operands, so the array arithmetic itself can give
-    -nan on some rows of an array and +nan on others."""
-    got, want = np.ascontiguousarray(got, dtype=float), np.ascontiguousarray(want, dtype=float)
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-
-
-def _field_component(dim):
-    leaf = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]).map(ex.Const),
-                     st.floats(-3, 3).map(lambda v: ex.Const(round(v, 3))),
-                     st.integers(0, dim - 1).map(ex.Var))
-
-    def combine(s):
-        return st.one_of(
-            st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), s, s).map(
-                lambda t: ex.Binary(*t)),
-            st.tuples(st.sampled_from(["neg", "sin", "exp", "tanh", "log", "sqrt"]), s).map(
-                lambda t: ex.Unary(*t)))
-
-    return st.recursive(leaf, combine, max_leaves=6)
-
-
-_coordinate = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0, 1e155, -1e200, 1e300]))
-_increment = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([0.0, -0.0, 1e300]))
-
-
-@st.composite
-def _heun_cases(draw):
-    """A system with N, d in 1..3, rows (some at +-0.0 or large enough to
-    overflow), increments and a step size."""
-    N, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    comp = _field_component(N)
-    fields = [vf.VectorField(N, tuple(draw(comp) for _ in range(N))) for _ in range(d + 1)]
-    system = dyn.SDESystem(N, fields[0], tuple(fields[1:]), "random")
-    rows = draw(st.integers(1, 10))
-    X = np.array(draw(st.lists(st.lists(_coordinate, min_size=N, max_size=N),
-                               min_size=rows, max_size=rows)))
-    dB = np.array(draw(st.lists(st.lists(_increment, min_size=d, max_size=d),
-                                min_size=rows, max_size=rows)))
-    dt = draw(st.sampled_from([1e-3, 0.01, 1 / 3, 0.5, 2.0]))
-    return system, X, dB, dt
-
-
-@given(_heun_cases())
+@given(heun_cases())
 @settings(max_examples=200, deadline=None)
 def test_compiled_heun_step_is_the_array_arithmetic_to_the_bit(case):
     system, X, dB, dt = case
@@ -564,8 +517,8 @@ def test_compiled_heun_step_is_the_array_arithmetic_to_the_bit(case):
     out = np.empty((len(X), 2, N))
     system._heun_kernel(W, out)
     for k in range(2):
-        _assert_same_bits(got[k], want[k])
-        _assert_same_bits(out[:, k], want[k])
+        assert_same_bits(got[k], want[k])
+        assert_same_bits(out[:, k], want[k])
 
 
 def test_compiled_heun_step_signed_zero_and_overflow_rows():
@@ -766,7 +719,7 @@ def _assert_same_outcome(got, want):
     else:
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            _assert_same_bits(a, b)
+            assert_same_bits(a, b)
 
 
 @st.composite
@@ -775,9 +728,9 @@ def _flow_cases(draw):
     overflow) and per-row times: zero of both signs, negative, and step
     counts from 1 to 12 at dt = 1e-3."""
     N = draw(st.integers(1, 3))
-    V = vf.VectorField(N, tuple(draw(_field_component(N)) for _ in range(N)))
+    V = vf.VectorField(N, tuple(draw(field_component(N)) for _ in range(N)))
     rows = draw(st.integers(1, 6))
-    X = np.array(draw(st.lists(st.lists(_coordinate, min_size=N, max_size=N),
+    X = np.array(draw(st.lists(st.lists(coordinates, min_size=N, max_size=N),
                                min_size=rows, max_size=rows)))
     t = np.array(draw(st.lists(
         st.one_of(st.sampled_from([0.0, -0.0, 1e-3, -1e-3, 0.0105]), st.floats(-0.012, 0.012)),
@@ -796,14 +749,14 @@ def test_compiled_rk4_step_is_the_array_arithmetic_to_the_bit(case):
     for field in (V, dyn.NumericField(V.dim, V.eval_batch)):
         out = np.empty(X.shape, order="F")
         field._rk4_kernel(W, out)
-        _assert_same_bits(out, want)
+        assert_same_bits(out, want)
     # the kernel itself, on a row-major workspace and output
     out = np.empty(X.shape)
     V._rk4_kernel(np.ascontiguousarray(W), out)
-    _assert_same_bits(out, want)
+    assert_same_bits(out, want)
     Xn = np.empty((len(X), 4 * V.dim + 1, V.dim))
     V._rk4_jacobian_kernel(W, Xn)
-    _assert_same_bits(Xn[:, 0], want)
+    assert_same_bits(Xn[:, 0], want)
 
 
 @given(_flow_cases())

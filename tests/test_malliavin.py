@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ufgsim import dynamics as dyn, fields as vf, malliavin as mal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_variational
+from ufgsim import catalog, dynamics as dyn, fields as vf, malliavin as mal
+from conftest import assert_same_bits, heun_cases
 
 
 def ou_system(k):
@@ -59,7 +64,7 @@ class TestVariational:
             assert np.array_equal(getattr(one, name), getattr(many, name)), name
 
     def test_compiled_step_and_jacobians_per_step(self, monkeypatch, heisenberg):
-        counts = {"eval_batch": 0, "jacobian_batch": 0, "heun": 0}
+        counts = {"eval_batch": 0, "jacobian_batch": 0, "heun": 0, "variational": 0}
         for name in ("eval_batch", "jacobian_batch"):
             original = getattr(vf.VectorField, name)
 
@@ -69,19 +74,19 @@ class TestVariational:
 
             monkeypatch.setattr(vf.VectorField, name, counted)
         system = heisenberg.system
-        kernel = system._heun_kernel
+        for key, name in (("heun", "_heun_kernel"), ("variational", "_variational_kernel")):
+            kernel = getattr(system, name)
 
-        def counted_kernel(W, out):
-            counts["heun"] += 1
-            kernel(W, out)
+            def counted_kernel(W, out, _key=key, _kernel=kernel):
+                counts[_key] += 1
+                _kernel(W, out)
 
-        monkeypatch.setitem(system.__dict__, "_heun_kernel", counted_kernel)
+            monkeypatch.setitem(system.__dict__, name, counted_kernel)
         mal.simulate_variational(system, [1.0, 0.0, 0.0], 0.05, 1e-3, seed=1, n_paths=3,
                                  store_stride=10)
-        # one compiled Heun step per step gives the state and the shared
-        # predictor; the field Jacobians are taken at both, once each
-        assert counts == {"eval_batch": 0, "jacobian_batch": 50 * 2 * (1 + system.d),
-                          "heun": 50}
+        # one compiled variational Heun step per step gives the state, the
+        # predictor and the step's linearizations at both
+        assert counts == {"eval_batch": 0, "jacobian_batch": 0, "heun": 0, "variational": 50}
 
     def test_singular_jacobian_is_aborted(self):
         # dt DV0 = [[-1, -1], [1, -1]] makes the Heun step matrix
@@ -93,6 +98,94 @@ class TestVariational:
         assert np.array_equal(vp.jacobians[:, 1], np.zeros((2, 2, 2)))
         assert vp.aborted.all() and not vp.blown.any()
         assert np.all(np.isfinite(vp.inverses))
+
+
+@functools.cache
+def _system(name):
+    if name == "mixed-d2":
+        # every Jacobian entry of every field varies with the state, so the
+        # order of the sum over the noises shows in the last bit
+        V0, V1, V2 = (vf.make_field(2, c, ["x", "y"]) for c in (
+            ["sin(x)*y", "cos(y)+x*x"], ["exp(0.3*x)*y", "sin(x+y)"], ["x*y*y", "cos(x)*y"]))
+        return dyn.SDESystem(2, V0, (V1, V2), name)
+    return catalog.get(name, {"sine-ou": {"k": 2.0}, "grushin": {"k": -1.0}}.get(name)).system
+
+
+_coordinate = st.one_of(st.floats(-3, 3), st.sampled_from(
+    [0.0, -0.0, 1e155, -1e200, 1e300, math.inf, -math.inf, math.nan]))
+_increment = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([0.0, -0.0, 1e300, math.nan]))
+
+
+def _check_linearization(system, X, dB, dt):
+    """The variational kernel's rows and step_matrix against the array arithmetic."""
+    N, d = system.dim, system.d
+    W = dyn._heun_workspace(len(X), N, d, dt)
+    W[:, :N], W[:, N:N + d] = X, dB
+    out = np.empty((len(X), 2 + 2 * N, N))
+    system._variational_kernel(W, out)
+    Xn, Xp = dyn._heun_step(system, X, dB, dt)
+    with np.errstate(all="ignore"):
+        G = reference_variational.step_linearization(system, X, dB, dt)
+        Gp = reference_variational.step_linearization(system, Xp, dB, dt)
+        M = reference_variational.step_matrix(system, X, dB, dt, Xp)
+        got = mal.step_matrix(system, X, dB, dt)
+    assert_same_bits(out[:, 0], Xn)
+    assert_same_bits(out[:, 1], Xp)
+    assert_same_bits(out[:, 2:2 + N], G)
+    assert_same_bits(out[:, 2 + N:], Gp)
+    assert_same_bits(got, M)
+
+
+class TestCompiledLinearization:
+    @pytest.mark.parametrize("name", ["sine-ou", "grushin", "ufg-heisenberg", "mixed-d2"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_is_the_array_arithmetic_to_the_bit(self, name, data):
+        system = _system(name)
+        N, d = system.dim, system.d
+        rows = data.draw(st.integers(1, 8))
+        X = np.array(data.draw(st.lists(st.lists(_coordinate, min_size=N, max_size=N),
+                                        min_size=rows, max_size=rows)))
+        dB = np.array(data.draw(st.lists(st.lists(_increment, min_size=d, max_size=d),
+                                         min_size=rows, max_size=rows)))
+        dt = data.draw(st.sampled_from([1e-3, 0.01, 1 / 3, 0.5]))
+        _check_linearization(system, X, dB, dt)
+
+    # random fields with up to three noises, where the order of the sum over
+    # the noises and of the products in each term shows in the last bit
+    @given(heun_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_kernel_is_the_array_arithmetic_to_the_bit(self, case):
+        _check_linearization(*case)
+
+    # consistency tolerances of 1.3e-16 and 2e-16 sit among the paths' |JK - I|
+    # errors (multiples of 2^-53 and up to 3e-16), so some paths abort at
+    # different stored steps and others run to the end; the riccati drift
+    # blows up 33 of its 40 paths, and mixed-d2 one of 20
+    @pytest.mark.parametrize("name, x0, T, P, stride, tol, aborted, blown", [
+        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 1.3e-16, 12, 0),
+        ("ufg-heisenberg", [1.0, 0.0, 0.0], 0.2, 40, 7, 2e-16, 10, 0),
+        ("ufg-heisenberg", [1.0, 0.0, 0.0], 0.2, 40, 1, 2e-16, 12, 0),
+        ("grushin", [0.2, 1.5], 0.3, 20, 3, 1e-6, 0, 0),
+        ("mixed-d2", [0.3, 0.8], 0.3, 20, 2, 1e-6, 0, 1),
+        ("riccati", [0.9], 1.5, 40, 10, 1e-6, 0, 33),
+    ])
+    def test_simulation_is_the_reference_loop(self, name, x0, T, P, stride, tol, aborted,
+                                              blown):
+        if name == "riccati":
+            system = dyn.SDESystem(1, vf.make_field(1, ["x*x"], ["x"]),
+                                   (vf.make_field(1, ["0.5"], ["x"]),), name)
+        else:
+            system = _system(name)
+        vp = mal.simulate_variational(system, x0, T, 1e-3, seed=3, n_paths=P,
+                                      store_stride=stride, consistency_tol=tol)
+        want = reference_variational.simulate_variational(system, x0, T, 1e-3, 3, P,
+                                                          stride, tol)
+        for field_name, a in zip(("times", "states", "jacobians", "inverses", "increments",
+                                  "blown", "aborted"), want):
+            assert np.array_equal(getattr(vp, field_name), a), field_name
+        assert (int(vp.aborted.sum()), int(vp.blown.sum())) == (aborted, blown)
+
 
 class TestReducedCovariance:
     def test_ou_closed_form(self):
