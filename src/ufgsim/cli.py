@@ -229,6 +229,11 @@ def report_payload(command, system_name, params, metadata, **body):
     return payload
 
 
+def _level(args, entry):
+    """--level, else the catalog entry's level, else 1."""
+    return args.level if args.level is not None else (entry.level if entry else 1)
+
+
 def _v0perp_for(entry, system, level, rtol):
     if entry is not None and entry.v0perp is not None:
         return entry.v0perp
@@ -284,7 +289,7 @@ def _plan_from_args(args, entry):
 def cmd_check(args):
     params = parse_param_list(args.param)
     system, entry, variables = load_system(args.system, params)
-    level = args.level if args.level is not None else (entry.level if entry else 1)
+    level = _level(args, entry)
     metadata = {
         "seed": None, "dt": None, "grid": args.grid, "rtol": args.rtol,
         "tol": args.tol, "level": level, "lambda0": args.lambda0,
@@ -336,7 +341,7 @@ def cmd_check(args):
 def cmd_decompose(args):
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
-    level = args.level if args.level is not None else (entry.level if entry else 1)
+    level = _level(args, entry)
     table = build_hierarchy(system.all_fields(), level)
     plan = _plan_from_args(args, entry)
     pts = plan.sample(system.dim)
@@ -364,7 +369,7 @@ def cmd_chart(args):
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
-    level = args.level if args.level is not None else (entry.level if entry else 1)
+    level = _level(args, entry)
     table = build_hierarchy(system.all_fields(), level)
     x0 = parse_point(args.x0)
     v0perp = entry.v0perp if entry is not None else None
@@ -431,7 +436,7 @@ def cmd_zproc(args):
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
     ens = _simulate_from_args(args, system)
-    level = args.level if args.level is not None else (entry.level if entry else 1)
+    level = _level(args, entry)
     v0perp = _v0perp_for(entry, system, level, args.rtol)
     z = auxiliary_process(ens, v0perp, FlowConfig(dt=args.dt))
     _write_ensemble_csv(z, args.out)
@@ -441,7 +446,7 @@ def cmd_zproc(args):
 def cmd_ranks(args):
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
-    level = args.level if args.level is not None else (entry.level if entry else 1)
+    level = _level(args, entry)
     table = build_hierarchy(system.all_fields(), level)
     ens = _simulate_from_args(args, system)
     ranks = rank_along_path(ens.times, ens.states, table, rtol=args.rtol)

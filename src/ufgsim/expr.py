@@ -665,6 +665,13 @@ def max_variable_index(e):
     return max(map(max_variable_index, _children(e)), default=-1)
 
 
+def min_variable_index(e):
+    """Smallest variable index used, or inf for a closed expression."""
+    if type(e) is Var:
+        return e.index
+    return min(map(min_variable_index, _children(e)), default=math.inf)
+
+
 def substitute(exprs, values):
     """The trees `exprs` with every Var(i) replaced by the tree values[i].
 

@@ -49,7 +49,6 @@ class SamplePlan:
     box: tuple = ()
     grid: int = 32
     points: np.ndarray | None = None
-    exclude: object = None
 
     def sample(self, dim=None):
         if self.points is not None:
@@ -66,9 +65,6 @@ class SamplePlan:
             pts = np.column_stack([m.ravel() for m in mesh])
         if dim is not None and pts.shape[1] != dim:
             raise ValueError(f"plan points have dimension {pts.shape[1]}, expected {dim}")
-        if self.exclude is not None:
-            keep = np.array([not self.exclude(p) for p in pts], dtype=bool)
-            pts = pts[keep]
         if len(pts) < 1:
             raise ValueError("sample plan produced no points")
         return pts
@@ -132,10 +128,7 @@ class ConditionReport:
 
 def _finish_report(condition, level, lambda0, records, singular, skipped,
                    residual_tol, coeff_threshold=None, notes=None):
-    """Order records, derive the three-state verdict and the worst point."""
-    records.sort(key=lambda r: r.extra.get("_idx", 0))
-    for r in records:
-        r.extra.pop("_idx", None)
+    """Derive the three-state verdict and the worst point from records in point order."""
     violated = [r for r in records if r.residual > residual_tol]
     verdict = "satisfied_on_samples"
     worst = None
@@ -172,25 +165,30 @@ def decompose_drift(table, x, rtol=DEFAULT_RTOL):
 def decompose_drift_rows(table, X, rtol=DEFAULT_RTOL):
     """Split the drift at each row of X (P, N) into bracket-span and orthogonal parts.
 
-    The in-span part is the least-squares projection onto the columns of the
-    bracket frame (SVD pseudo-inverse with relative cutoff rtol); the returned
-    residual is max_beta |<v_perp, column_beta>| / (1 + |v_perp|).  The
-    frames and the drift are evaluated once over all rows under the domain
-    check (a frame failure names its bracket); returns one (v_par, v_perp,
-    residual) per row.
+    The frames and the drift are evaluated once over all rows under the
+    domain check (a frame failure names its bracket) and split by
+    `_drift_split`; returns one (v_par, v_perp, residual) per row.
     """
-    frames = table.evaluate_frame("brackets", X)
-    drifts = table.drift(X)
-    out = []
-    for F, v0 in zip(frames, drifts):
-        v_par = project_onto_columns(F, v0, rtol=rtol)
-        v_perp = v0 - v_par
-        if F.shape[1]:
-            residual = float(np.max(np.abs(F.T @ v_perp)) / (1.0 + np.linalg.norm(v_perp)))
-        else:
-            residual = 0.0
-        out.append((v_par, v_perp, residual))
-    return out
+    v_par, v_perp, residual = _drift_split(table.evaluate_frame("brackets", X),
+                                           table.drift(X), rtol)
+    return list(zip(v_par, v_perp, map(float, residual)))
+
+
+def _drift_split(frames, drifts, rtol):
+    """Stacked split of drifts (..., N) against frames (..., N, k): (v_par, v_perp, residual).
+
+    The in-span part is the least-squares projection onto the frame's columns
+    (`project_onto_columns`, cutoff rtol); the residual is
+    max_beta |<v_perp, column_beta>| / (1 + |v_perp|), 0 for a frame without
+    columns.
+    """
+    v_par = project_onto_columns(frames, drifts, rtol=rtol)
+    v_perp = drifts - v_par
+    residual = np.zeros(frames.shape[:-2])
+    if frames.shape[-1]:
+        dots = (np.swapaxes(frames, -1, -2) @ v_perp[..., None])[..., 0]
+        residual = np.max(np.abs(dots), axis=-1) / (1.0 + vecnorm(v_perp))
+    return v_par, v_perp, residual
 
 
 def drift_orthogonal_field(table, rtol=DEFAULT_RTOL, name="drift-orthogonal"):
@@ -202,12 +200,9 @@ def drift_orthogonal_field(table, rtol=DEFAULT_RTOL, name="drift-orthogonal"):
     """
     def fn(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        frames = table.evaluate_frame_batch("brackets", X)
         drifts = table.drift.eval_batch(X)
-        out = np.empty_like(drifts)
-        for i in range(X.shape[0]):
-            out[i] = drifts[i] - project_onto_columns(frames[i], drifts[i], rtol=rtol)
-        return out
+        return drifts - project_onto_columns(table.evaluate_frame_batch("brackets", X),
+                                             drifts, rtol=rtol)
 
     return NumericField(table.dim, fn, name=name)
 
@@ -266,7 +261,7 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
                 max_coeff = _positive_max(np.max(np.abs(C), axis=0))
             resid = vecnorm(R) / (1.0 + vecnorm(Vi))
             records.append(PointRecord(list(map(float, pts[i])), _positive_max(resid),
-                                       max_coeff=max_coeff, extra={"_idx": int(i)}))
+                                       max_coeff=max_coeff))
     return _finish_report("ufg", m, None, records,
                           [[float(v) for v in x] for x in pts[singular]],
                           int(np.sum(~finite)), residual_tol, coeff_blowup_threshold)
@@ -287,7 +282,7 @@ def check_hormander(table, plan, variant="HC", rtol=DEFAULT_RTOL):
     records = [PointRecord(
         list(map(float, pts[i])), float(N - r),
         min_eig=float(sv[N - 1]) if len(sv) >= N else 0.0,
-        extra={"rank": int(r), "_idx": int(i)},
+        extra={"rank": int(r)},
     ) for i, sv, r in zip(finite, s, ranks)]
     return _finish_report(variant.lower(), table.m, None, records, [],
                           len(pts) - len(finite), residual_tol=0.0)
@@ -340,7 +335,7 @@ def _alignment_records(pts, U, W, lambda0, tol):
         worst = np.where(margin[:, k] > worst, margin[:, k], worst)
         best = np.where(cert[:, k] < best, cert[:, k], best)
     records = [PointRecord(list(map(float, pts[i])), float(m),
-                           extra={"lambda0_certified": float(c), "_idx": int(i)})
+                           extra={"lambda0_certified": float(c)})
                for i, m, c in zip(regular, worst, best)]
     return records, [[float(v) for v in x] for x in pts[singular]], int(np.sum(~finite))
 
@@ -466,8 +461,8 @@ def check_oac2(table, plan, lambda0, tol=1e-9):
     pts = plan.sample(table.dim)
     if not pairs:
         recs = [PointRecord(list(map(float, x)), -tol,
-                            extra={"lambda0_certified": float("inf"), "_idx": i})
-                for i, x in enumerate(pts)]
+                            extra={"lambda0_certified": float("inf")})
+                for x in pts]
         rep = _finish_report("oac2", table.m, lambda0, recs, [], 0, residual_tol=0.0)
         rep.notes["pairs"] = 0
         return rep
@@ -488,38 +483,6 @@ def check_oac2(table, plan, lambda0, tol=1e-9):
 # Lyapunov certificate
 # ---------------------------------------------------------------------------
 
-def _shift_variables(e, offset):
-    match e:
-        case ex.Const():
-            return e
-        case ex.Var(index=i):
-            return ex.Var(i - offset)
-        case ex.Unary(op=op, child=c):
-            return ex.Unary(op, _shift_variables(c, offset))
-        case ex.Binary(op=op, left=l, right=r):
-            return ex.Binary(op, _shift_variables(l, offset), _shift_variables(r, offset))
-    raise TypeError
-
-
-def _min_variable_index(e):
-    match e:
-        case ex.Const():
-            return None
-        case ex.Var(index=i):
-            return i
-        case ex.Unary(child=c):
-            return _min_variable_index(c)
-        case ex.Binary(left=l, right=r):
-            a = _min_variable_index(l)
-            b = _min_variable_index(r)
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return min(a, b)
-    raise TypeError
-
-
 def ode_block_start(system):
     """First coordinate of the trailing deterministic block.
 
@@ -532,8 +495,7 @@ def ode_block_start(system):
         j = n - 1
         if any(V.components[j] != ex.ZERO for V in system.noises):
             break
-        lowest = _min_variable_index(system.drift.components[j])
-        if lowest is not None and lowest < n - 1:
+        if ex.min_variable_index(system.drift.components[j]) < n - 1:
             break
         n -= 1
     return n
@@ -574,9 +536,8 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
     Lphi = generator_apply(system, phi)
     pts = plan.sample(N)
     cfg = flow_cfg or FlowConfig()
-    ode_field = VectorField(
-        N - n, tuple(_shift_variables(system.drift.components[j], n) for j in range(n, N))
-    )
+    ode_field = VectorField(N - n, tuple(ex.substitute(system.drift.components[n:],
+                                                       [ex.Var(i - n) for i in range(N)])))
     times = [float(t) for t in ode_solution_times]
     # every (time, point) row with its block moved along the flow; t <= 0 leaves it
     X = np.tile(pts, (len(times), 1))
@@ -593,7 +554,7 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
         larger = margin > worst
         worst[larger], worst_t[larger] = margin[larger], t
     records = [PointRecord(list(map(float, pts[i])), float(worst[i]),
-                           extra={"worst_time": float(worst_t[i]), "_idx": int(i)})
+                           extra={"worst_time": float(worst_t[i])})
                for i in np.flatnonzero(~skip)]
     skipped = int(skip.sum())
     scale = tol * (1.0 + abs(c1) + abs(c2))
@@ -730,21 +691,24 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
     flow_cfg = flow_cfg or FlowConfig()
     newton_cfg = newton_cfg or NewtonConfig()
 
-    n0 = rank_at(table, "brackets", x0, rtol)
+    # the frame at x0 (row 0) and at x0 -+ delta e_i, in one checked evaluation
     delta = max(eps, 1e-4) / 2.0
-    for i in range(N):
-        for s in (-1.0, 1.0):
-            xp = x0.copy()
-            xp[i] += s * delta
-            if rank_at(table, "brackets", xp, rtol) != n0:
-                raise RuntimeError(
-                    f"rank of the bracket distribution is unstable near {x0.tolist()}; "
-                    "not a regular point"
-                )
+    probes = np.tile(x0, (2 * N + 1, 1))
+    axes = np.arange(N)
+    probes[1 + 2 * axes, axes] -= delta
+    probes[2 + 2 * axes, axes] += delta
+    frames = table.evaluate_frame("brackets", probes)
+    ranks = svd_rank(frames, rtol=rtol)
+    n0 = int(ranks[0])
+    if np.any(ranks != n0):
+        raise RuntimeError(
+            f"rank of the bracket distribution is unstable near {x0.tolist()}; "
+            "not a regular point"
+        )
 
     import scipy.linalg  # loaded here only: a slow import, one caller
 
-    F = table.evaluate_frame("brackets", x0)
+    F = frames[0]
     _, _, piv = scipy.linalg.qr(F, mode="economic", pivoting=True)
     chosen = sorted(piv[:n0])  # canonical order among the pivoted columns
     r_m = table.r_m()
@@ -753,7 +717,7 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
 
     if v0perp is None:
         v0perp = drift_orthogonal_field(table, rtol=rtol)
-    _, vperp_x0, _ = decompose_drift(table, x0, rtol)
+    _, vperp_x0, _ = _drift_split(F, table.drift(x0), rtol)
     used = [table.field(a)(x0) for a in basis_indices]
     uses_perp = bool(np.linalg.norm(vperp_x0) > rtol)
     if uses_perp:
@@ -771,7 +735,7 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
     if len(coord_fields) != N:
         raise RuntimeError("chart construction produced a degenerate basis")
 
-    return Chart(x0, int(n0), basis_indices, coord_fields, uses_perp,
+    return Chart(x0, n0, basis_indices, coord_fields, uses_perp,
                  float(eps), newton_cfg, flow_cfg)
 
 

@@ -31,19 +31,28 @@ def rank_from_singular_values(s, rtol=RANK_RTOL, floor=RANK_FLOOR):
 
 
 def project_onto_columns(frame, v, rtol=RANK_RTOL):
-    """Least-squares projection of v onto the column space of frame.
+    """Least-squares projection of v (..., N) onto the column space of frame (..., N, k).
 
-    Uses the SVD pseudo-inverse with relative cutoff rtol; returns the
-    projected vector (the component inside the span).
+    One stacked SVD; the left singular vectors u_j kept are those `svd_rank`
+    counts (s_j above rtol times max(s_0, RANK_FLOOR), none when s_0 is below
+    RANK_FLOOR).  The result sum_j <u_j, v> u_j is accumulated in index order
+    with elementwise operations, so a frame's projection has the same bits
+    alone as in any stack.  Leading axes are stacked; one (N, k) frame with
+    an (N,) vector gives an (N,) vector.
     """
-    if frame.shape[1] == 0:
-        return np.zeros_like(v)
+    frame = np.asarray(frame, dtype=float)
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape)
+    if frame.shape[-1] == 0:
+        return out
     u, s, _ = np.linalg.svd(frame, full_matrices=False)
-    keep = s > rtol * max(s[0], RANK_FLOOR) if s.size else np.zeros(0, dtype=bool)
-    if s.size and s[0] < RANK_FLOOR:
-        keep[:] = False
-    basis = u[:, keep]
-    return basis @ (basis.T @ v)
+    kept = rank_from_singular_values(s, rtol)[..., None]
+    coeff = u[..., 0, :] * v[..., 0, None]  # <u_j, v> for every j, summed over i in order
+    for i in range(1, u.shape[-2]):
+        coeff = coeff + u[..., i, :] * v[..., i, None]
+    for j in range(s.shape[-1]):
+        out = np.where(j < kept, out + coeff[..., j, None] * u[..., j], out)
+    return out
 
 
 def greedy_independent_columns(frame, rtol=RANK_RTOL, floor=RANK_FLOOR):

@@ -22,10 +22,6 @@ class TestSamplePlan:
         pts = geo.SamplePlan(box=((0, 1), (0, 2)), grid=3).sample(2)
         assert pts.shape == (9, 2)
 
-    def test_exclusion(self):
-        plan = geo.SamplePlan(box=((-1, 1),), grid=5, exclude=lambda p: abs(p[0]) < 0.1)
-        assert all(abs(p[0]) >= 0.1 for p in plan.sample(1))
-
     def test_explicit_points(self):
         pts = geo.SamplePlan(points=[[1.0, 2.0]]).sample(2)
         assert pts.shape == (1, 2)
@@ -56,6 +52,25 @@ class TestRank:
                 r = geo.rank_at(tab, "brackets", x)
                 r0 = geo.rank_at(tab, "brackets+drift", x)
                 assert r <= r0 <= r + 1
+
+
+@st.composite
+def frame_stacks(draw):
+    """Frames (P, N, k) with vectors (P, N): full rank, rank deficient, zero and tiny."""
+    P, N, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(0, 7))
+    entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+    F = np.empty((P, N, k))
+    for p in range(P):
+        kind = draw(st.sampled_from(["full", "deficient", "zero", "tiny"]))
+        F[p] = draw(arrays(float, (N, k), elements=entries))
+        if kind == "deficient" and k:
+            r = draw(st.integers(1, min(N, k)))
+            F[p] = F[p][:, :r] @ draw(arrays(float, (r, k), elements=entries))
+        elif kind == "zero":
+            F[p] = 0.0
+        elif kind == "tiny":  # the largest singular value is below RANK_FLOOR
+            F[p] *= 1e-14
+    return F, draw(arrays(float, (P, N), elements=entries))
 
 
 class TestDecompose:
@@ -129,6 +144,23 @@ class TestDecompose:
         with pytest.raises(ex.EvalDomainError, match=r"^sqrt of negative value -1.0"):
             geo.decompose_drift_rows(tab, np.array([[1.0], [-1.0]]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(frame_stacks())
+    def test_stacked_projection_equals_single_frames(self, case):
+        F, V = case
+        got = geo.project_onto_columns(F, V, rtol=geo.DEFAULT_RTOL)
+        assert got.shape == V.shape
+        for p in range(len(F)):
+            alone = geo.project_onto_columns(F[p].copy(), V[p].copy(), rtol=geo.DEFAULT_RTOL)
+            assert got[p].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("name", ["ufg-heisenberg", "sinfields"])
+    def test_drift_orthogonal_rows_equal_single_points(self, rng, name):
+        entry = catalog.get(name)
+        v0perp = geo.drift_orthogonal_field(table_for(entry))
+        X = sample_points(entry, 40, rng)
+        want = np.stack([v0perp(x) for x in X])
+        assert v0perp.eval_batch(X).tobytes() == want.tobytes()
 
 class TestUFG:
     def test_sinfields_level1(self):
@@ -190,8 +222,7 @@ def reference_check_ufg(table, plan, m, rtol=geo.DEFAULT_RTOL):
             else:
                 resid = np.linalg.norm(v) / (1.0 + np.linalg.norm(v))
             worst_res = max(worst_res, float(resid))
-        records.append(geo.PointRecord(list(map(float, x)), worst_res, max_coeff=worst_coeff,
-                                       extra={"_idx": i}))
+        records.append(geo.PointRecord(list(map(float, x)), worst_res, max_coeff=worst_coeff))
     return geo._finish_report("ufg", m, None, records, singular, skipped, 1e-8,
                               geo.DEFAULT_COEFF_BLOWUP)
 
@@ -459,8 +490,10 @@ def reference_alignment_records(pts, U, W, lambda0, tol):
 
 
 def stacked_alignment_records(pts, U, W, lambda0, tol):
+    """Records as (point, margin, certificate, row of the point); the points are distinct."""
+    row = {tuple(x): i for i, x in enumerate(pts.tolist())}
     records, singular, skipped = geo._alignment_records(pts, U, W, lambda0, tol)
-    return ([(r.point, r.residual, r.extra["lambda0_certified"], r.extra["_idx"])
+    return ([(r.point, r.residual, r.extra["lambda0_certified"], row[tuple(r.point)])
              for r in records], singular, skipped)
 
 
@@ -689,6 +722,24 @@ class TestChart:
         tab = table_for(circles)
         with pytest.raises(RuntimeError, match="not a regular point"):
             geo.build_chart(tab, [0.0, 0.0], eps=0.1, v0perp=circles.v0perp)
+
+    @pytest.mark.parametrize("x0", [[1.0, 0.0], [0.0, 0.0]])
+    def test_frame_evaluated_once(self, circles, x0):
+        # one checked evaluation at x0 and its 2N probes, whether or not x0 is regular
+        tab = table_for(circles)
+        frame, calls = vf.BracketTable._frame, []
+
+        def counted(table, *args, **kwargs):
+            calls.append(args)
+            return frame(table, *args, **kwargs)
+
+        with mock.patch.object(vf.BracketTable, "_frame", counted):
+            if x0 == [1.0, 0.0]:
+                assert geo.build_chart(tab, x0, eps=0.1).n == 1
+            else:
+                with pytest.raises(RuntimeError, match="not a regular point"):
+                    geo.build_chart(tab, x0, eps=0.1)
+        assert len(calls) == 1
 
     def test_domain_violation(self, circles):
         tab = table_for(circles)
