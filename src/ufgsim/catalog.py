@@ -80,9 +80,8 @@ class CatalogEntry:
         for j, f_ in enumerate(self.system.all_fields()):
             comps = ", ".join(ex.to_string(c, list(self.variables)) for c in f_.components)
             lines.append(f"V{j} = [{comps}]")
-        for key, val in self.params.items():
-            if isinstance(val, (int, float)):
-                lines.append(f"param {key} = {val!r}")
+        # the fields carry the parameter values; the lines only document them
+        lines += [f"# param {key} = {val!r}" for key, val in self.params.items()]
         return "\n".join(lines) + "\n"
 
 

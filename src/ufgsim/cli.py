@@ -128,16 +128,19 @@ def parse_reference_spec(text):
 
 
 def parse_system_file(path):
-    """Read the plain-text system format; errors carry line numbers."""
+    """Read the plain-text system format; errors carry line numbers.
+
+    Rejected, each naming its line: a `param` line (the format has no
+    parameters; their values go into the fields), a repeated key, a `dim`
+    or `noise` that is not an integer >= 1, an empty or repeated variable
+    name and a field V<j> with j > noise.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SystemFileError(f"cannot read '{path}': {err}") from None
-    dim = noise = None
-    variables = None
-    vfields = {}
-    params = {}
+    entries = {}  # key -> (line number, value text)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -145,29 +148,44 @@ def parse_system_file(path):
         if "=" not in line:
             raise SystemFileError(f"{path}:{lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key == "dim":
-            dim = int(val)
-        elif key == "noise":
-            noise = int(val)
-        elif key == "vars":
-            variables = tuple(v.strip() for v in val.split(","))
-        elif key.startswith("param "):
-            params[key[6:].strip()] = float(val)
-        elif key.startswith("V") and key[1:].isdigit():
-            if not (val.startswith("[") and val.endswith("]")):
-                raise SystemFileError(f"{path}:{lineno}: field {key} must be [expr, ...]")
-            vfields[int(key[1:])] = (lineno, [s for s in val[1:-1].split(",")])
-        else:
+        if key.startswith("param "):
+            raise SystemFileError(f"{path}:{lineno}: parameters are not read from system "
+                                  "files; write their values into the fields")
+        if key.startswith("V") and key[1:].isdigit():
+            key = f"V{int(key[1:])}"
+        elif key not in ("dim", "noise", "vars"):
             raise SystemFileError(f"{path}:{lineno}: unknown key '{key}'")
-    if dim is None or noise is None or variables is None:
+        if key in entries:
+            raise SystemFileError(
+                f"{path}:{lineno}: repeated key '{key}' (first on line {entries[key][0]})")
+        entries[key] = (lineno, val)
+    if not {"dim", "noise", "vars"} <= entries.keys():
         raise SystemFileError(f"{path}: need dim, noise and vars lines")
+
+    def count(key):
+        lineno, val = entries[key]
+        if not (val.isdecimal() and int(val) >= 1):
+            raise SystemFileError(f"{path}:{lineno}: {key} must be an integer >= 1, got '{val}'")
+        return int(val)
+
+    dim, noise = count("dim"), count("noise")
+    lineno, val = entries["vars"]
+    variables = tuple(v.strip() for v in val.split(","))
+    if not all(variables) or len(set(variables)) != len(variables):
+        raise SystemFileError(f"{path}:{lineno}: variable names must be non-empty and distinct")
     if len(variables) != dim:
         raise SystemFileError(f"{path}: {len(variables)} variable names for dim {dim}")
+    for key, (lineno, _) in entries.items():
+        if key.startswith("V") and int(key[1:]) > noise:
+            raise SystemFileError(f"{path}:{lineno}: field {key} beyond noise = {noise}")
     fields = []
     for j in range(noise + 1):
-        if j not in vfields:
+        if f"V{j}" not in entries:
             raise SystemFileError(f"{path}: missing field V{j}")
-        lineno, texts = vfields[j]
+        lineno, val = entries[f"V{j}"]
+        if not (val.startswith("[") and val.endswith("]")):
+            raise SystemFileError(f"{path}:{lineno}: field V{j} must be [expr, ...]")
+        texts = val[1:-1].split(",")
         if len(texts) != dim:
             raise SystemFileError(
                 f"{path}:{lineno}: field V{j} has {len(texts)} components, expected {dim}"
@@ -180,7 +198,7 @@ def parse_system_file(path):
                 raise SystemFileError(f"{path}:{lineno}: in V{j}: {err}") from None
         fields.append(VectorField(dim, tuple(comps), f"V{j}"))
     name = os.path.splitext(os.path.basename(path))[0]
-    system = SDESystem(dim, fields[0], tuple(fields[1:]), name, params)
+    system = SDESystem(dim, fields[0], tuple(fields[1:]), name)
     return system, variables
 
 

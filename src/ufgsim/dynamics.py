@@ -37,9 +37,12 @@ SQRT2 = math.sqrt(2.0)
 # float64 entries of one chunk's (paths, steps, noises) Brownian increment block
 # (512 MiB); a longer horizon is rejected before anything is allocated
 MAX_INCREMENT_BLOCK = 2**26
-# float64 entries an ensemble stores over all its paths, the recorded arrays
-# and the increment sums (1 GiB); a larger one is rejected the same way
+# float64 entries of the arrays an ensemble records over all its paths
+# (1 GiB); a larger one is rejected the same way
 MAX_STORED_ENTRIES = 2**27
+# paths per chunk of the ensemble loop: the increment block and the workspaces
+# hold one chunk's paths; the output does not depend on it
+CHUNK_PATHS = 2048
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -153,7 +156,6 @@ class SDESystem:
     drift: VectorField
     noises: tuple
     name: str = ""
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.drift.dim != self.dim or any(v.dim != self.dim for v in self.noises):
@@ -201,18 +203,20 @@ class NumericField:
         return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def jacobian_batch(self, X):
+        """Central differences in one field call over the 2N copies of the
+        rows, copy (+, i) with h added to column i and copy (-, i) with h
+        subtracted, h = fd_step max(1, |x_i|)."""
         X = np.asarray(X, dtype=float)
         n = self.dim
-        out = np.empty(X.shape[:-1] + (n, n), dtype=float)
         with np.errstate(all="ignore"):
+            h = self.fd_step * np.maximum(1.0, np.abs(X))
+            S = np.broadcast_to(X, (2, n) + X.shape).copy()
             for i in range(n):
-                h = self.fd_step * np.maximum(1.0, np.abs(X[..., i]))
-                xp = X.copy()
-                xm = X.copy()
-                xp[..., i] += h
-                xm[..., i] -= h
-                out[..., :, i] = (self.eval_batch(xp) - self.eval_batch(xm)) / (2 * h[..., None])
-        return out
+                S[0, i, ..., i] += h[..., i]
+                S[1, i, ..., i] -= h[..., i]
+            F = self.eval_batch(S.reshape(-1, n)).reshape(S.shape)
+            D = (F[0] - F[1]) / (2 * np.moveaxis(h, -1, 0)[..., None])
+        return np.ascontiguousarray(np.moveaxis(D, 0, -1))
 
     def _rk4_stages(self, W):
         """The RK4 step on the rows of a workspace (see _rk4_workspace) by array
@@ -240,8 +244,8 @@ class NumericField:
         N = self.dim
         with np.errstate(all="ignore"):
             out[:, 0], points = self._rk4_stages(W)
-            for s, Y in enumerate(points):
-                out[:, 1 + s * N:1 + (s + 1) * N] = self.jacobian_batch(Y)
+        DV = self.jacobian_batch(np.stack(points))
+        out[:, 1:] = np.swapaxes(DV, 0, 1).reshape(len(W), 4 * N, N)
 
 
 def _as_numeric(fieldlike):
@@ -489,19 +493,17 @@ def stratonovich_to_ito(system):
 class PathEnsemble:
     """Seeded Monte Carlo paths stored on a (possibly strided) time grid.
 
-    `states` is (P, K, N) and `blown` (P,); an ensemble of m coupled starts
-    has a leading start axis on both.  `increments` (P, K - 1, d) holds the
-    Brownian increments aggregated over each stored interval, shared by
-    coupled starts; with stride 1 these are the raw per-step increments with
-    variance dt per component.  Regenerating with the same arguments gives
-    bit-identical arrays.
+    `states` is (P, K, N) at the K stored `times` and `blown` (P,); an
+    ensemble of m coupled starts has a leading start axis on both.  The
+    Brownian increments are not kept: path p's are the draws of the
+    substream path_seed(seed, p).  Regenerating with the same arguments
+    gives bit-identical arrays.
     """
 
     seed: int
     dt: float
     times: np.ndarray
     states: np.ndarray
-    increments: np.ndarray
     blown: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -518,16 +520,13 @@ class PathEnsemble:
         k = int(np.argmin(np.abs(self.times - t)))
         return self.times[k], self.states[..., k, :]
 
-    def write_csv(self, fh, stride=1):
+    def write_csv(self, fh):
         n = self.dim
         fh.write("path_id,time," + ",".join(f"x{j + 1}" for j in range(n)) + "\n")
-        idx = list(range(0, len(self.times), stride))
-        if idx[-1] != len(self.times) - 1:
-            idx.append(len(self.times) - 1)
-        times = list(map(repr, self.times[idx].tolist()))
+        times = list(map(repr, self.times.tolist()))
         for p in range(self.n_paths):
             # one path at a time: Python floats take about four times the array's memory
-            for t, x in zip(times, self.states[p, idx].tolist()):
+            for t, x in zip(times, self.states[p].tolist()):
                 fh.write(f"{p},{t},{','.join(map(repr, x))}\n")
 
 
@@ -546,8 +545,7 @@ def _record_state(S, alive, last):
 
 
 def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
-                  store=_record_state, store_stride=1, store_times=None, record_size=None,
-                  chunk_size=2048):
+                  store=_record_state, store_stride=1, store_times=None, record_size=None):
     """The seeded ensemble loop behind simulate_paths and simulate_variational.
 
     Each path carries a state tuple (X, *rest), rest starting at `start`.
@@ -562,7 +560,7 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     previous stored step, None at t = 0, and X in S is a view that the loop
     overwrites, so `store` copies what it keeps beyond the record.  Path p
     consumes the substream seeded by path_seed(seed, p), so the chunking
-    never changes the output.
+    (CHUNK_PATHS paths at a time) never changes the output.
 
     `x0` is one start (N,) or m coupled starts (m, N).  Coupled starts share
     each path's one draw of increments: a chunk of n paths runs as m n rows,
@@ -576,20 +574,18 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     normals fill the path's row of one path-major (chunk, steps, d) block,
     scaled by sqrt(dt) once per chunk.  A chunk's state lives column-major
     in the workspace the kernel reads, beside the current step's increments,
-    which are copied in from the block and summed from there.  While every
-    row of the chunk is alive, a step checks the whole new state at once and
-    takes it; the per-row freeze runs only from the first step that fails
-    that check.
+    which are copied in from the block.  While every row of the chunk is
+    alive, a step checks the whole new state at once and takes it; the
+    per-row freeze runs only from the first step that fails that check.
 
     Rejects, before allocating anything, a horizon whose increment block
-    exceeds MAX_INCREMENT_BLOCK and an ensemble whose stored arrays (the
-    records, `record_size` float64 entries per path, start and stored step,
-    N by default, and the increment sums) exceed MAX_STORED_ENTRIES.
+    exceeds MAX_INCREMENT_BLOCK and an ensemble whose records
+    (`record_size` float64 entries per path, start and stored step, N by
+    default) exceed MAX_STORED_ENTRIES.
 
     Returns the stored step indices, the recorded arrays (each of shape
-    (P, n_stored, ...), (m, P, n_stored, ...) for coupled starts), the
-    Brownian increments summed over each stored interval (P, n_stored - 1,
-    d), and the blown and aborted flags ((P,) or (m, P)).
+    (P, n_stored, ...), (m, P, n_stored, ...) for coupled starts) and the
+    blown and aborted flags ((P,) or (m, P)).
     """
     if not (T > 0 and dt > 0 and n_paths >= 1):
         raise ValueError("need T > 0, dt > 0, n_paths >= 1")
@@ -602,13 +598,13 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     if x0.ndim > 2 or not starts.size or starts.shape[1] != system.dim:
         raise ValueError(f"x0 must have shape ({system.dim},) or (m, {system.dim})")
     P, N, d, m = n_paths, system.dim, system.d, len(starts)
-    block = min(P, chunk_size) * d * (T / dt)
+    block = min(P, CHUNK_PATHS) * d * (T / dt)
     if not block <= MAX_INCREMENT_BLOCK:
         raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {block:.3g} Brownian "
                          f"increments per chunk, more than the cap of {MAX_INCREMENT_BLOCK}")
     n_steps = int(round(T / dt))
     n_stored = len(store_times) + 2 if store_times is not None else -(-n_steps // store_stride) + 1
-    stored = P * n_stored * (m * (N if record_size is None else record_size) + d)
+    stored = P * n_stored * m * (N if record_size is None else record_size)
     if stored > MAX_STORED_ENTRIES:
         raise ValueError(f"{P} paths stored at {n_stored} times need {stored:.3g} stored "
                          f"values, more than the cap of {MAX_STORED_ENTRIES}")
@@ -618,21 +614,20 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     step, rows = _heun_kernel_rows(system, advance is not None)
     # every path's seed words before the increment block: seeding each chunk
     # just before its draws leaves temporaries between the large blocks and
-    # fragments the heap; slices of chunk_size bound the temporaries
+    # fragments the heap; slices of one chunk bound the temporaries
     words = np.empty((P, 4), dtype=np.uint64)
-    for lo in range(0, P, chunk_size):
-        paths = np.arange(lo, min(P, lo + chunk_size))
-        words[lo:lo + chunk_size] = _pcg64_seed_words(_path_seeds(seed, paths))
+    for lo in range(0, P, CHUNK_PATHS):
+        paths = np.arange(lo, min(P, lo + CHUNK_PATHS))
+        words[lo:lo + CHUNK_PATHS] = _pcg64_seed_words(_path_seeds(seed, paths))
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
 
     records = None
-    increments = np.zeros((P, len(steps) - 1, d))
     blown = np.zeros((m, P), dtype=bool)
     aborted = np.zeros((m, P), dtype=bool)
-    G = np.empty((min(P, chunk_size), n_steps, d))
-    for lo in range(0, P, chunk_size):
-        hi = min(P, lo + chunk_size)
+    G = np.empty((min(P, CHUNK_PATHS), n_steps, d))
+    for lo in range(0, P, CHUNK_PATHS):
+        hi = min(P, lo + CHUNK_PATHS)
         n = hi - lo
         for g, w in zip(G, words[lo:hi].tolist()):
             bits.state = _pcg64_state(w)
@@ -668,7 +663,6 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
                     np.copyto(X, Xn, where=alive[:, None])
                     rest = tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
                                  for a, b in zip(new, rest))
-                increments[lo:hi, seg] += dB[:n]
             if s != steps[k]:
                 continue
             row, bad = store((X, *rest), alive, row)
@@ -680,16 +674,27 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
                 records = tuple(np.empty((m, P, len(steps)) + a.shape[1:]) for a in row)
             for rec, a in zip(records, row):
                 rec[:, lo:hi, k] = a.reshape((m, n) + a.shape[1:])
-            seg = min(k, len(steps) - 2)
             k += 1
     if x0.ndim == 1:
         records = tuple(rec[0] for rec in records)
         blown, aborted = blown[0], aborted[0]
-    return steps, records, increments, blown, aborted
+    return steps, records, blown, aborted
 
 
-def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=2048,
-                   store_times=None):
+def _ensemble_meta(system, x0, T, dt, steps, store_stride, blown):
+    """The meta entries every ensemble carries."""
+    return {
+        "system": system.name,
+        "x0": np.asarray(x0, dtype=float).tolist(),
+        "T": float(T),
+        "dt": float(dt),
+        "n_steps": int(steps[-1]),
+        "store_stride": int(store_stride),
+        "blowups": int(blown.sum()),
+    }
+
+
+def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times=None):
     """Stochastic Heun ensemble for dX = V0 dt + sqrt(2) sum V_i o dB^i.
 
     Paths whose state turns non-finite are frozen at their last finite value
@@ -697,7 +702,9 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     substream seeded by path_seed(seed, p), so any chunking or scheduling
     produces identical output.  Seeding is one vectorised pass over all
     paths that gives each path the generator state np.random.PCG64(seed_p)
-    starts in, and the draws go into a path-major block (see _run_ensemble).
+    starts in, and the draws go into a path-major block (see _run_ensemble);
+    the states are stored at every `store_stride`-th step and at the last
+    one, or at the steps nearest `store_times`, 0 and T.
 
     With m starts x0 (m, N) the starts are coupled: they share each path's
     one draw of increments, and the ensemble holds states (m, P, K, N) and
@@ -707,19 +714,10 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, chunk_size=
     whose stored arrays exceed MAX_STORED_ENTRIES; any other horizon is
     rounded to whole steps.
     """
-    steps, (states,), increments, blown, _ = _run_ensemble(
-        system, x0, T, dt, n_paths, seed,
-        store_stride=store_stride, store_times=store_times, chunk_size=chunk_size)
-    meta = {
-        "system": system.name,
-        "x0": np.asarray(x0, dtype=float).tolist(),
-        "T": float(T),
-        "dt": float(dt),
-        "n_steps": int(steps[-1]),
-        "store_stride": int(store_stride),
-        "blowups": int(blown.sum()),
-    }
-    return PathEnsemble(seed, dt, steps * dt, states, increments, blown, meta)
+    steps, (states,), blown, _ = _run_ensemble(
+        system, x0, T, dt, n_paths, seed, store_stride=store_stride, store_times=store_times)
+    meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)
+    return PathEnsemble(seed, dt, steps * dt, states, blown, meta)
 
 
 def _compile_heun_step(system, linearizations):
@@ -843,10 +841,8 @@ def auxiliary_process(ensemble, v0perp, cfg=None):
     Z = Z.reshape(K, P, N).transpose(1, 0, 2)
     meta = dict(ensemble.meta)
     meta["transform"] = "auxiliary-process"
-    return PathEnsemble(
-        ensemble.seed, ensemble.dt, ensemble.times.copy(), np.ascontiguousarray(Z),
-        ensemble.increments.copy(), ensemble.blown.copy(), meta,
-    )
+    return PathEnsemble(ensemble.seed, ensemble.dt, ensemble.times.copy(),
+                        np.ascontiguousarray(Z), ensemble.blown.copy(), meta)
 
 
 @dataclass(frozen=True)

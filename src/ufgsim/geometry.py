@@ -718,16 +718,15 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
     if v0perp is None:
         v0perp = drift_orthogonal_field(table, rtol=rtol)
     _, vperp_x0, _ = _drift_split(F, table.drift(x0), rtol)
-    used = [table.field(a)(x0) for a in basis_indices]
+    span = F[:, chosen]
     uses_perp = bool(np.linalg.norm(vperp_x0) > rtol)
     if uses_perp:
         coord_fields.append(v0perp)
-        used.append(vperp_x0)
+        span = np.column_stack([span, vperp_x0])
 
-    span = np.column_stack(used) if used else np.zeros((N, 0))
     if span.shape[1] < N:
         u, s, _ = np.linalg.svd(span, full_matrices=True)
-        k = svd_rank(span, rtol=rtol)
+        k = int(rank_from_singular_values(s, rtol)) if s.size else 0
         for j in range(k, N):
             direction = u[:, j]
             comps = tuple(ex.Const(float(v)) for v in direction)

@@ -19,40 +19,26 @@ that absorb the noise scaling into the covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # _heun_step is not called here: the name stays bound for perfbench's tracer,
 # which wraps it at this binding site
-from .dynamics import _heun_rows, _heun_step, _run_ensemble  # noqa: F401
+from .dynamics import _heun_step  # noqa: F401
+from .dynamics import PathEnsemble, _ensemble_meta, _heun_rows, _run_ensemble
 
 DEFAULT_CONSISTENCY_TOL = 1e-6
 DEFAULT_COND_THRESHOLD = 1e10
 
 
-@dataclass
-class VariationalPath:
-    """States with Jacobians and inverse Jacobians on the stored grid."""
+@dataclass(kw_only=True)
+class VariationalPath(PathEnsemble):
+    """A path ensemble with Jacobians and inverse Jacobians on the stored grid."""
 
-    seed: int
-    dt: float
-    times: np.ndarray
-    states: np.ndarray       # (P, T, N)
     jacobians: np.ndarray    # (P, T, N, N)
     inverses: np.ndarray     # (P, T, N, N)
-    increments: np.ndarray   # (P, T-1, d)
-    blown: np.ndarray        # (P,)
     aborted: np.ndarray      # (P,) inverse-consistency failures
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_paths(self):
-        return self.states.shape[0]
-
-    @property
-    def dim(self):
-        return self.states.shape[2]
 
     def consistency_error(self):
         """max |J K - I| over stored times, per path."""
@@ -105,19 +91,13 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
     # warnings off: a path whose J overflows is flagged blown, one whose
     # |J K - I| is not finite aborted
     with np.errstate(all="ignore"):
-        steps, (states, jacs, invs), increments, blown, aborted = _run_ensemble(
+        steps, (states, jacs, invs), blown, aborted = _run_ensemble(
             system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
             store_stride=store_stride, record_size=N * (1 + 2 * N))
-    meta = {
-        "system": system.name,
-        "x0": np.asarray(x0, dtype=float).tolist(),
-        "T": float(T),
-        "dt": float(dt),
-        "blowups": int(blown.sum()),
-        "aborted": int(aborted.sum()),
-    }
-    return VariationalPath(seed, dt, steps * dt, states, jacs, invs, increments,
-                           blown, aborted, meta)
+    meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)
+    meta["aborted"] = int(aborted.sum())
+    return VariationalPath(seed, dt, steps * dt, states, blown, meta,
+                           jacobians=jacs, inverses=invs, aborted=aborted)
 
 
 def _refresh_inverse(J, K, alive):

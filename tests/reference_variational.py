@@ -49,7 +49,7 @@ def refresh_inverse(J, K, alive):
 
 
 def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consistency_tol):
-    """(times, states, jacobians, inverses, increments, blown, aborted) as
+    """(times, states, jacobians, inverses, blown, aborted) as
     `malliavin.simulate_variational` returns them in a VariationalPath."""
     n_steps = round(T / dt)
     steps = list(range(0, n_steps + 1, store_stride))
@@ -67,12 +67,10 @@ def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consist
     states = np.empty((n_paths, len(steps), N))
     jacobians = np.empty((n_paths, len(steps), N, N))
     inverses = np.empty((n_paths, len(steps), N, N))
-    increments = np.zeros((n_paths, len(steps) - 1, d))
     alive = np.ones(n_paths, dtype=bool)
     blown = np.zeros(n_paths, dtype=bool)
     aborted = np.zeros(n_paths, dtype=bool)
     states[:, 0], jacobians[:, 0], inverses[:, 0] = X, J, K
-    seg = 0
     for step in range(1, n_steps + 1):
         Xn, Xp = dyn._heun_step(system, X, dB[:, step - 1], dt)
         with np.errstate(all="ignore"):
@@ -82,7 +80,6 @@ def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consist
         alive = ok
         X = np.where(alive[:, None], Xn, X)
         J = np.where(alive[:, None, None], Jn, J)
-        increments[:, seg] += dB[:, step - 1]
         if step in steps:
             k = steps.index(step)
             K = refresh_inverse(J, K, alive)
@@ -91,5 +88,4 @@ def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consist
             aborted |= bad
             alive &= ~bad
             states[:, k], jacobians[:, k], inverses[:, k] = X, J, K
-            seg = min(k, len(steps) - 2)
-    return (np.asarray(steps) * dt, states, jacobians, inverses, increments, blown, aborted)
+    return (np.asarray(steps) * dt, states, jacobians, inverses, blown, aborted)

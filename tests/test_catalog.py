@@ -112,3 +112,5 @@ class TestExport:
             system, _ = parse_system_file(str(path))
             assert system.dim == entry.system.dim
             assert system.d == entry.system.d
+        # parameters are carried by the fields, and exported as comments only
+        assert "\n# param k = 2.0\n" in catalog.get("sine-ou").export_system_file()

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import tempfile
 import time
 import warnings
 from unittest import mock
@@ -68,6 +70,41 @@ class TestSystemFiles:
         path = tmp_path / "bad3.sys"
         path.write_text("dim = 1\nnoise = 1\nvars = x\nV0 = [x]\n")
         with pytest.raises(cli.SystemFileError, match="missing field V1"):
+            cli.parse_system_file(str(path))
+
+    GOOD = "dim = 2\nnoise = 1\nvars = z, zeta\nV0 = [-2*z, -sin(zeta)]\nV1 = [zeta, 0]\n"
+
+    # each edit of GOOD, the line it puts the fault on and a fragment of the error
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("", "param k = 2\n", 6, "parameters are not read"),
+        ("", "param k = nan\n", 6, "parameters are not read"),
+        ("dim = 2", "dim = 0", 1, "dim must be an integer >= 1"),
+        ("dim = 2", "dim = 2.5", 1, "dim must be an integer >= 1"),
+        ("noise = 1", "noise = -1", 2, "noise must be an integer >= 1"),
+        ("noise = 1", "noise = 0", 2, "noise must be an integer >= 1"),
+        ("", "noise = 1\n", 6, "repeated key 'noise' (first on line 2)"),
+        ("", "V01 = [1, 1]\n", 6, "repeated key 'V1'"),
+        ("", "V7 = [garbage((]\n", 6, "V7 beyond noise = 1"),
+        ("vars = z, zeta", "vars = z,", 3, "variable names"),
+        ("vars = z, zeta", "vars = z, z", 3, "variable names"),
+    ], ids=["param", "param-nan", "dim-0", "dim-real", "noise-negative", "noise-0",
+            "repeated-key", "repeated-field", "field-beyond-noise", "empty-var", "repeated-var"])
+    def test_malformed_file_rejected_at_its_line(self, capsys, tmp_path, old, new, line,
+                                                 message):
+        path = tmp_path / "bad.sys"
+        path.write_text(self.GOOD.replace(old, new, 1) if old else self.GOOD + new)
+        with pytest.raises(cli.SystemFileError, match=f":{line}: ") as err:
+            cli.parse_system_file(str(path))
+        assert message in str(err.value)
+        code, out, err = run_cli(["check", "--system", str(path), "--condition", "hc",
+                                  "--box", "-3:3,0.5:6", "--grid", "2"], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"{path}:{line}: " in json.loads(err)["error"]
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.sys"
+        path.write_bytes(self.GOOD.encode() + b"V2 = [\xff]\n")
+        with pytest.raises(cli.SystemFileError, match="cannot read"):
             cli.parse_system_file(str(path))
 
 
@@ -641,3 +678,46 @@ def test_fuzzed_command_lines_fail_as_json(cmd, edits):
     if code in (cli.EXIT_USAGE, cli.EXIT_NUMERIC):
         payload = json.loads(err.splitlines()[-1])
         assert isinstance(payload, dict) and "error" in payload, argv
+
+
+_SYSTEM_LINES = TestSystemFiles.GOOD.encode().splitlines()
+_SYSTEM_KEYS = [b"dim", b"noise", b"vars", b"V0", b"V1", b"V2", b"V7", b"V01", b"param k",
+                b"", b"W1"]
+_SYSTEM_VALUES = [b"2", b"1", b"0", b"-1", b"2.5", b"x", b"", b"3", b"10000000000",
+                  b"z, zeta", b"z,", b"z, z", b"[zeta, 0]", b"[1]", b"[garbage((]", b"[1, 2",
+                  b"nan", b"\xff\xfe"]
+_system_edit = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("repeat"), st.integers(0, 99)),
+    st.tuples(st.just("set"), st.sampled_from(_SYSTEM_KEYS), st.sampled_from(_SYSTEM_VALUES)),
+    st.tuples(st.just("line"), st.sampled_from([b"nokey", b"= 3", b"# note", b"\xc3(",
+                                                b"dim == 2", b"\x00"])),
+)
+
+
+@given(st.lists(_system_edit, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_system_files_fail_as_json(edits):
+    lines = list(_SYSTEM_LINES)
+    for edit in edits:
+        if edit[0] in ("drop", "repeat") and lines:
+            i = edit[1] % len(lines)
+            lines[i:i + 1] = [] if edit[0] == "drop" else [lines[i], lines[i]]
+        elif edit[0] == "set":  # a later line for the key, or its first
+            lines.append(edit[1] + b" = " + edit[2])
+        elif edit[0] == "line":
+            lines.append(edit[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.sys")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["check", "--system", path, "--condition", "hc",
+                            "--box", "-3:3,0.5:6", "--grid", "2"])
+    err = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_USAGE, cli.EXIT_NUMERIC), lines
+    assert "Traceback" not in err, lines
+    if code in (cli.EXIT_USAGE, cli.EXIT_NUMERIC):
+        payload = json.loads(err.splitlines()[-1])
+        assert isinstance(payload, dict) and "error" in payload, lines

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ufgsim import catalog, dynamics as dyn, expr as ex, fields as vf
+from ufgsim import catalog, dynamics as dyn, expr as ex, fields as vf, geometry as geo
 from ufgsim.diagnostics import gaussian, ks_distance
 from conftest import assert_same_bits, coordinates, field_component, heun_cases, sample_points
 
@@ -267,21 +267,24 @@ class TestSimulate:
         logr = np.log(np.hypot(X[:, 0], X[:, 1]))
         assert ks_distance(logr, gaussian(0.0, 2 * t)) <= 0.03
 
-    def test_reproducible_and_chunk_invariant(self, circles):
+    def test_reproducible_and_chunk_invariant(self, monkeypatch, circles):
         kw = dict(T=0.3, dt=1e-3, n_paths=64, seed=123, store_stride=100)
         a = dyn.simulate_paths(circles.system, [1.0, 0.0], **kw)
         b = dyn.simulate_paths(circles.system, [1.0, 0.0], **kw)
-        c = dyn.simulate_paths(circles.system, [1.0, 0.0], **kw, chunk_size=7)
+        monkeypatch.setattr(dyn, "CHUNK_PATHS", 7)
+        c = dyn.simulate_paths(circles.system, [1.0, 0.0], **kw)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.states, c.states)
-        assert np.array_equal(a.increments, c.increments)
+        assert np.array_equal(a.blown, c.blown)
 
-    def test_increment_variance(self, circles):
-        ens = dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, 400, seed=2,
-                                 store_stride=250)
-        # aggregated increments over each stored interval have variance dt * steps
-        seg = ens.increments[:, 0, 0]
-        assert abs(seg.var() - 0.25) <= 0.05
+    def test_increment_variance(self):
+        # V0 = 0, V1 = 1: X_t - x0 = sqrt(2) B_t, of variance 2 t
+        V0 = vf.make_field(1, ["0"], ["x"])
+        V1 = vf.make_field(1, ["1"], ["x"])
+        system = dyn.SDESystem(1, V0, (V1,), "pure-noise")
+        ens = dyn.simulate_paths(system, [1.0], 1.0, 1e-3, 400, seed=2, store_stride=250)
+        var = (ens.states[:, 1:, 0] - 1.0).var(axis=0)
+        assert np.all(np.abs(var / (2 * ens.times[1:]) - 1) <= 0.2)
 
     def test_blowup_flagged_not_fatal(self):
         V0 = vf.make_field(1, ["x*x*x"], ["x"])
@@ -307,6 +310,52 @@ class TestSimulate:
         m2 = e2.states[:, -1, 0].mean()
         se = e1.states[:, -1, 0].std(ddof=1) / 100.0
         assert abs(m1 - m2) <= se
+
+
+def _heun_endpoints(system, x0, dB, dt):
+    """States after len(dB[0]) steps of dyn._heun_step with the increments dB (P, n, d)."""
+    X = np.broadcast_to(np.asarray(x0, dtype=float), (len(dB), system.dim)).copy()
+    for s in range(dB.shape[1]):
+        X = dyn._heun_step(system, X, dB[:, s], dt)[0]
+    return X
+
+
+class TestStrongOrder:
+    """Mean |X_T - reference| of the Heun step at dt = T/2^k, k = 4..8, on
+    Brownian paths summed from T/2^11, fitted against dt.  The reference is
+    the closed form where one exists and a 2^11-step run otherwise.  Stochastic
+    Heun has strong order 1 for commuting noise (one noise field here) and
+    1/2 for ufg-heisenberg's two non-commuting fields (Rumelin 1982)."""
+
+    T, P, FINE, COARSE = 0.5, 2000, 11, range(4, 9)
+    CASES = {
+        "gbm": ([1.0], lambda t, B: np.exp(-2 * t + dyn.SQRT2 * B), (0.85, 1.15)),
+        "sine-ou": ([0.2, 1.5], None, (0.85, 1.15)),
+        "grushin": ([0.2, 1.5], None, (0.85, 1.15)),
+        "random-circles": ([1.0, 0.0], lambda t, B: np.exp(dyn.SQRT2 * B)
+                           * np.array([math.cos(t), math.sin(t)]), (0.85, 1.15)),
+        "ufg-heisenberg": ([1.0, 0.0, 0.0], None, (0.4, 0.65)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_slope(self, name):
+        x0, closed_form, (lo, hi) = self.CASES[name]
+        system = catalog.get(name).system
+        n = 2 ** self.FINE
+        rng = np.random.default_rng(31)
+        dW = rng.standard_normal((self.P, n, system.d)) * math.sqrt(self.T / n)
+        if closed_form is None:
+            ref = _heun_endpoints(system, x0, dW, self.T / n)
+        else:
+            ref = closed_form(self.T, dW[:, :, 0].sum(axis=1)[:, None])
+        dts, errs = [], []
+        for k in self.COARSE:
+            dB = dW.reshape(self.P, 2 ** k, n // 2 ** k, system.d).sum(axis=2)
+            X = _heun_endpoints(system, x0, dB, self.T / 2 ** k)
+            dts.append(self.T / 2 ** k)
+            errs.append(np.mean(np.linalg.norm(X - ref, axis=1)))
+        slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+        assert lo <= slope <= hi, (name, slope, errs)
 
 
 class TestAuxiliaryProcess:
@@ -396,8 +445,7 @@ class TestBatchedTransport:
         # the backward transport of x1 = -3 blows up at t = 1/3
         times = np.arange(101) * 0.01
         states = np.broadcast_to([-3.0, 0.0], (2, 101, 2)).copy()
-        ens = dyn.PathEnsemble(0, 0.01, times, states, np.zeros((2, 100, 1)),
-                               np.zeros(2, dtype=bool))
+        ens = dyn.PathEnsemble(0, 0.01, times, states, np.zeros(2, dtype=bool))
         with pytest.raises(dyn.FlowBlowUp):
             per_time_reference(ens, V, dyn.FlowConfig(dt=0.01))
         with pytest.raises(dyn.FlowBlowUp):
@@ -549,22 +597,18 @@ def _reference_paths(system, x0, T, dt, n_paths, seed, stride):
         dB[p] = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
     X = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, system.dim)).copy()
     states = np.empty((n_paths, len(steps), system.dim))
-    increments = np.zeros((n_paths, len(steps) - 1, d))
     alive = np.ones(n_paths, dtype=bool)
     blown = np.zeros(n_paths, dtype=bool)
     states[:, 0] = X
-    seg = 0
     for step in range(1, n_steps + 1):
         Xn, _ = _reference_heun_step(system, X, dB[:, step - 1], dt)
         ok = alive & np.isfinite(Xn).all(axis=1)
         blown |= alive & ~ok
         alive = ok
         X = np.where(alive[:, None], Xn, X)
-        increments[:, seg] += dB[:, step - 1]
         if step in steps:
             states[:, steps.index(step)] = X
-            seg = min(steps.index(step), len(steps) - 2)
-    return states, increments, blown
+    return states, blown
 
 
 class TestStepLoop:
@@ -576,47 +620,45 @@ class TestStepLoop:
 
     @pytest.mark.parametrize("chunk_size", [2048, 7])
     @pytest.mark.parametrize("name", SYSTEMS)
-    def test_late_partial_blowups_match_per_row_loop(self, name, chunk_size):
+    def test_late_partial_blowups_match_per_row_loop(self, monkeypatch, name, chunk_size):
         drift, noise, x0 = self.SYSTEMS[name]
         system = dyn.SDESystem(1, vf.make_field(1, drift, ["x"]),
                                (vf.make_field(1, noise, ["x"]),), name)
         kw = dict(T=1.0, dt=1e-3, n_paths=40, seed=7)
-        states, increments, blown = _reference_paths(system, [x0], **kw, stride=10)
+        states, blown = _reference_paths(system, [x0], **kw, stride=10)
         assert 0 < blown.sum() < kw["n_paths"]
         assert np.all(states[:, 10] != states[:, 9])  # every path still moves at step 100
-        ens = dyn.simulate_paths(system, [x0], **kw, store_stride=10, chunk_size=chunk_size)
+        monkeypatch.setattr(dyn, "CHUNK_PATHS", chunk_size)
+        ens = dyn.simulate_paths(system, [x0], **kw, store_stride=10)
         assert np.array_equal(_bits(ens.states), _bits(states))
-        assert np.array_equal(_bits(ens.increments), _bits(increments))
         assert np.array_equal(ens.blown, blown)
         assert ens.meta["blowups"] == int(blown.sum())
 
-    def test_ensemble_matches_reference_on_catalog_system(self, heisenberg):
+    def test_ensemble_matches_reference_on_catalog_system(self, monkeypatch, heisenberg):
         # d = 2, N = 3, a short last chunk (20 = 7 + 7 + 6) and no blow-up
         kw = dict(T=0.05, dt=1e-3, n_paths=20, seed=3)
-        states, increments, blown = _reference_paths(heisenberg.system, [1.0, 0.0, 0.0],
-                                                     **kw, stride=5)
+        states, blown = _reference_paths(heisenberg.system, [1.0, 0.0, 0.0], **kw, stride=5)
         for chunk_size in (2048, 7):
-            ens = dyn.simulate_paths(heisenberg.system, [1.0, 0.0, 0.0], **kw, store_stride=5,
-                                     chunk_size=chunk_size)
+            monkeypatch.setattr(dyn, "CHUNK_PATHS", chunk_size)
+            ens = dyn.simulate_paths(heisenberg.system, [1.0, 0.0, 0.0], **kw, store_stride=5)
             assert np.array_equal(_bits(ens.states), _bits(states))
-            assert np.array_equal(_bits(ens.increments), _bits(increments))
             assert not ens.blown.any() and not blown.any()
 
     @pytest.mark.parametrize("chunk_size", [2048, 7])
-    def test_coupled_starts_match_separate_runs(self, heisenberg, chunk_size):
+    def test_coupled_starts_match_separate_runs(self, monkeypatch, heisenberg, chunk_size):
         drift, noise, _ = self.SYSTEMS["riccati"]
         riccati = dyn.SDESystem(1, vf.make_field(1, drift, ["x"]),
                                 (vf.make_field(1, noise, ["x"]),), "riccati")
+        monkeypatch.setattr(dyn, "CHUNK_PATHS", chunk_size)
         cases = [(riccati, [[0.9], [-2.0]], 1.0),
                  (heisenberg.system, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 0.05)]
         for system, starts, T in cases:
-            kw = dict(T=T, dt=1e-3, n_paths=20, seed=7, store_stride=10, chunk_size=chunk_size)
+            kw = dict(T=T, dt=1e-3, n_paths=20, seed=7, store_stride=10)
             ens = dyn.simulate_paths(system, starts, **kw)
             assert ens.states.shape[:2] == ens.blown.shape == (2, 20)
             for j, x0 in enumerate(starts):
                 one = dyn.simulate_paths(system, x0, **kw)
                 assert np.array_equal(_bits(ens.states[j]), _bits(one.states))
-                assert np.array_equal(_bits(ens.increments), _bits(one.increments))
                 assert np.array_equal(ens.blown[j], one.blown)
             if system is riccati:  # one start blows up on some paths, the other on none
                 assert ens.blown[0].any() and not ens.blown[1].any()
@@ -633,8 +675,8 @@ class TestStepLoop:
     def test_stored_entries_capped_before_allocation(self, circles):
         with pytest.raises(ValueError, match="stored values"):
             dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, 10**12, seed=0)
-        # the cap counts the records and the increment sums: N + d = 3 per stored step
-        P = dyn.MAX_STORED_ENTRIES // (3 * 1001) + 1
+        # the cap counts the records: N = 2 per stored step
+        P = dyn.MAX_STORED_ENTRIES // (2 * 1001) + 1
         with pytest.raises(ValueError, match="stored values"):
             dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, P, seed=0)
 
@@ -803,6 +845,56 @@ def test_flow_blowup_times_match_the_array_arithmetic():
             _reference_rk4_rows, V, X[rows], h, counts)
         assert _outcome(lambda: dyn.flow_jacobian(V, X[rows], t[rows], cfg)) == _outcome(
             _reference_flow_jacobian, V, X[rows], t[rows], cfg)
+
+
+def _reference_numeric_jacobian(field, X):
+    """NumericField.jacobian_batch as two field calls per column."""
+    X = np.asarray(X, dtype=float)
+    n = field.dim
+    out = np.empty(X.shape[:-1] + (n, n))
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            h = field.fd_step * np.maximum(1.0, np.abs(X[..., i]))
+            xp = X.copy()
+            xm = X.copy()
+            xp[..., i] += h
+            xm[..., i] -= h
+            out[..., :, i] = (field.eval_batch(xp) - field.eval_batch(xm)) / (2 * h[..., None])
+    return out
+
+
+def _check_numeric_jacobians(field, X, h):
+    """The stacked jacobian_batch and RK4 Jacobian kernel against the column loop."""
+    assert_same_bits(field.jacobian_batch(X), _reference_numeric_jacobian(field, X))
+    N = field.dim
+    W = dyn._rk4_workspace(field, X, h)
+    out = np.empty((len(X), 4 * N + 1, N))
+    field._rk4_jacobian_kernel(W, out)
+    with np.errstate(all="ignore"):
+        Xn, points = field._rk4_stages(W)
+    assert_same_bits(out[:, 0], Xn)
+    for s, Y in enumerate(points):
+        assert_same_bits(out[:, 1 + s * N:1 + (s + 1) * N], _reference_numeric_jacobian(field, Y))
+
+
+@given(_flow_cases())
+@settings(max_examples=200, deadline=None)
+def test_numeric_jacobian_is_the_column_loop_to_the_bit(case):
+    V, X, t = case
+    _, h = dyn._step_plan(t, dyn.FlowConfig())
+    _check_numeric_jacobians(dyn.NumericField(V.dim, V.eval_batch), X, h)
+
+
+@pytest.mark.parametrize("name", ["ufg-heisenberg", "sinfields", "random-circles"])
+def test_numeric_drift_orthogonal_jacobian_is_the_column_loop_to_the_bit(rng, name):
+    entry = catalog.get(name)
+    v0perp = geo.drift_orthogonal_field(vf.build_hierarchy(entry.system.all_fields(),
+                                                           entry.level))
+    X = sample_points(entry, 24, rng)
+    _check_numeric_jacobians(v0perp, X, np.full(len(X), 0.05))
+    # stacked points, as the stage points of the RK4 Jacobian kernel
+    Y = X.reshape(4, 6, -1)
+    assert_same_bits(v0perp.jacobian_batch(Y), _reference_numeric_jacobian(v0perp, Y))
 
 
 def test_loading_the_catalog_compiles_no_rk4_kernel():

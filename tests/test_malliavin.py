@@ -56,11 +56,9 @@ class TestVariational:
     def test_chunking_is_bit_identical(self, monkeypatch, sine_ou_k2):
         kw = dict(x0=[0.2, 1.5], T=0.3, dt=1e-3, seed=17, n_paths=20, store_stride=10)
         one = mal.simulate_variational(sine_ou_k2.system, **kw)
-        monkeypatch.setattr(mal, "_run_ensemble",
-                            functools.partial(dyn._run_ensemble, chunk_size=7))
+        monkeypatch.setattr(dyn, "CHUNK_PATHS", 7)
         many = mal.simulate_variational(sine_ou_k2.system, **kw)
-        for name in ("times", "states", "jacobians", "inverses", "increments",
-                     "blown", "aborted"):
+        for name in ("times", "states", "jacobians", "inverses", "blown", "aborted"):
             assert np.array_equal(getattr(one, name), getattr(many, name)), name
 
     def test_compiled_step_and_jacobians_per_step(self, monkeypatch, heisenberg):
@@ -181,8 +179,8 @@ class TestCompiledLinearization:
                                       store_stride=stride, consistency_tol=tol)
         want = reference_variational.simulate_variational(system, x0, T, 1e-3, 3, P,
                                                           stride, tol)
-        for field_name, a in zip(("times", "states", "jacobians", "inverses", "increments",
-                                  "blown", "aborted"), want):
+        for field_name, a in zip(("times", "states", "jacobians", "inverses", "blown",
+                                  "aborted"), want):
             assert np.array_equal(getattr(vp, field_name), a), field_name
         assert (int(vp.aborted.sum()), int(vp.blown.sum())) == (aborted, blown)
 
@@ -250,10 +248,13 @@ class TestMalliavinMatrix:
             M_jform = mal.malliavin_matrix(vp, system)
             T, N = vp.states.shape[1], vp.states.shape[2]
             for p in range(10):
+                # path p's per-step increments, drawn as the ensemble draws them
+                rng = np.random.Generator(np.random.PCG64(dyn.path_seed(12, p)))
+                dB = rng.standard_normal((T - 1, system.d)) * math.sqrt(vp.dt)
                 D = system.noises[0].eval_batch(vp.states[p]).copy()
                 for step in range(T - 1):
                     M1 = mal.step_matrix(system, vp.states[p, step][None, :],
-                                         vp.increments[p, step][None, :], vp.dt)[0]
+                                         dB[step][None, :], vp.dt)[0]
                     D[: step + 1] = D[: step + 1] @ M1.T
                 integ = D[:, :, None] * D[:, None, :]
                 M_direct = np.trapezoid(integ, x=vp.times, axis=0)
