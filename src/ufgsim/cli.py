@@ -5,10 +5,15 @@ parse error, 4 numeric failure (blow-up, Newton divergence, evaluation
 domain error); every failure prints one JSON line on stderr.  JSON reports
 carry schema_version 1 and echo every resolved setting (including defaults)
 under "metadata" for provenance.  All commands are deterministic given their
-flags and seed.  `--threads` is parsed but not yet read: every value runs the
-same single-threaded loop.  Results never depend on it (path substreams are
-fixed by the seed alone), and it is left out of report metadata so reports
-stay byte-comparable across its values.
+flags and seed.  The commands that simulate (simulate, zproc, ranks,
+malliavin, converge, derivative) take `--threads k`: the ensemble's paths
+split into contiguous ranges run at the same time by this process and
+forked worker processes, at most k in all, and no more than the cores this
+process may run on or the paths; an ensemble too small to gain from another
+process runs in this one alone (see dynamics.MIN_PATH_STEPS_PER_WORKER).
+`--threads` below 1 is a usage error.  Results never depend on it (path
+substreams are fixed by the seed alone), and it is left out of report
+metadata so reports stay byte-comparable across its values.
 """
 
 from __future__ import annotations
@@ -431,7 +436,8 @@ def _horizon(args):
 
 def _simulate_from_args(args, system, store_times=None):
     return simulate_paths(system, parse_point(args.x0), _horizon(args), args.dt, args.paths,
-                          args.seed, store_stride=args.stride, store_times=store_times)
+                          args.seed, store_stride=args.stride, store_times=store_times,
+                          workers=args.threads)
 
 
 def cmd_simulate(args):
@@ -443,11 +449,12 @@ def cmd_simulate(args):
 
 
 def _write_ensemble_csv(ens, out):
-    import io
-
-    buf = io.StringIO()
-    ens.write_csv(buf)
-    write_text(buf.getvalue(), out)
+    """The ensemble's CSV, streamed a path at a time: never the whole text in memory."""
+    if out in (None, "-"):
+        ens.write_csv(sys.stdout)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            ens.write_csv(fh)
 
 
 def cmd_zproc(args):
@@ -486,7 +493,8 @@ def cmd_malliavin(args):
         raise UsageError(f"--split must be in 1..{system.dim} for a {system.dim}-dimensional "
                          f"system, got {args.split}")
     vp = simulate_variational(system, parse_point(args.x0), _horizon(args), args.dt,
-                              args.seed, n_paths=args.paths, store_stride=args.stride)
+                              args.seed, n_paths=args.paths, store_stride=args.stride,
+                              workers=args.threads)
     M = malliavin_matrix(vp, system)
     reports, agg = block_check_ensemble(M, args.split, cond_threshold=args.cond_threshold)
     metadata = {"seed": args.seed, "dt": args.dt, "grid": None, "rtol": None,
@@ -515,7 +523,8 @@ def cmd_converge(args):
                          f"{system.dim}-dimensional system")
     rep = diagnostics.convergence_study(system, parse_point(args.x0), times, refs,
                                         args.paths, args.seed, args.escape_radius,
-                                        dt=args.dt, ks_tolerance=args.ks_tolerance)
+                                        dt=args.dt, ks_tolerance=args.ks_tolerance,
+                                        workers=args.threads)
     payload = report_payload("converge", system.name, params,
                              {"seed": args.seed, "dt": args.dt, "grid": None,
                               "rtol": None},
@@ -559,7 +568,7 @@ def cmd_derivative(args):
     h = args.h if args.h is not None else 1e-3 * (1.0 + float(np.linalg.norm(x0)))
     est, err = diagnostics.semigroup_derivative(system, f, direction, x0, _horizon(args),
                                                 args.paths, h=h, seed=args.seed,
-                                                dt=args.dt)
+                                                dt=args.dt, workers=args.threads)
     payload = report_payload("derivative", system.name, params,
                              {"seed": args.seed, "dt": args.dt, "h": h, "grid": None,
                               "rtol": None},
@@ -594,6 +603,17 @@ def finite_float(text):
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def thread_count(text):
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value '{text}' (want an integer)") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class ArgumentParser(argparse.ArgumentParser):
     """argparse whose usage errors raise UsageError (a JSON error, exit 3)
     instead of printing the usage text and exiting."""
@@ -602,12 +622,15 @@ class ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _add_common(p, sim=False, geom=False):
+def _add_common(p, sim=False, geom=False, threads=False):
     p.add_argument("--system", required=True, help="catalog name or system file")
     p.add_argument("--param", action="append", default=[], help="name=value (repeatable)")
     p.add_argument("--out", default="-", help="output file, or - for stdout")
-    p.add_argument("--threads", type=int, default=1,
-                   help="not yet read: every value runs single-threaded")
+    if sim or threads:
+        p.add_argument("--threads", type=thread_count, default=1,
+                       help="run the paths on up to this many processes (forked "
+                            "workers), capped at the usable cores and the paths; a "
+                            "small ensemble runs in one; the output is the same")
     if sim:
         p.add_argument("--x0", required=True)
         p.add_argument("--t", type=finite_float, required=True)
@@ -685,7 +708,7 @@ def build_parser():
     p.set_defaults(fn=cmd_malliavin)
 
     p = sub.add_parser("converge", help="KS / escape-fraction convergence study")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--times", required=True)
     p.add_argument("--reference", required=True)
@@ -704,7 +727,7 @@ def build_parser():
     p.set_defaults(fn=cmd_fpresidual)
 
     p = sub.add_parser("derivative", help="semigroup derivative along a field")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--f", required=True)
     p.add_argument("--direction", required=True)
     p.add_argument("--x0", required=True)

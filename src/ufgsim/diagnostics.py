@@ -140,17 +140,19 @@ def _fit_decay_rate(times, values):
 
 
 def convergence_study(system, x0, times, references, n_paths, seed,
-                      escape_radius, dt=1e-3, ks_tolerance=0.05):
+                      escape_radius, dt=1e-3, ks_tolerance=0.05, workers=1):
     """Simulate once and track per-coordinate KS distances and escape fractions.
 
     `references` maps coordinate index -> reference spec (gaussian / dirac /
     empirical); coordinates without an entry are skipped.  The escape
     fraction is the share of paths outside the given radius at each time.
+    `workers` splits the paths over forked processes (see simulate_paths).
     """
     times = [float(t) for t in times]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
-    ens = simulate_paths(system, x0, max(times), dt, n_paths, seed, store_times=times)
+    ens = simulate_paths(system, x0, max(times), dt, n_paths, seed, store_times=times,
+                         workers=workers)
     ks = {c: [] for c in references}
     w1 = {c: [] for c in references if isinstance(references[c], DiracRef)}
     escape = []
@@ -213,7 +215,8 @@ def _apply_observable(kernel, X):
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
-def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt=1e-3):
+def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt=1e-3,
+                         workers=1):
     """Derivative of the semigroup along a vector field, by coupled differences.
 
     Uses central differences between starts x +- h u with u the unit vector
@@ -222,7 +225,8 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
     itself (a plain unit-direction derivative would miss that factor).  The
     two starts are coupled in one ensemble (see simulate_paths).  Returns
     (estimate, standard error), arrays when `t` is a sequence.  Rejects
-    fewer than two paths and a step h that is zero or not finite.
+    fewer than two paths and a step h that is zero or not finite.  `workers`
+    is passed to simulate_paths.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
@@ -239,7 +243,7 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
     u = vdir / norm
     times = np.atleast_1d(np.asarray(t, dtype=float))
     ens = simulate_paths(system, np.array([x + h * u, x - h * u]), float(np.max(times)), dt,
-                         n_paths, seed, store_times=times.tolist())
+                         n_paths, seed, store_times=times.tolist(), workers=workers)
     kernel = ex.compile_exprs([f], ())
     est = np.empty(times.shape)
     err = np.empty(times.shape)

@@ -18,12 +18,15 @@ step as array arithmetic to the bit; a NumericField takes its RK4 step as
 that array arithmetic.  Ensembles are reproducible: each path consumes its
 own substream derived from the master seed by a SplitMix64 mix, so results
 are bit-identical for a given (system, x0, T, dt, n_paths, seed) regardless
-of chunking or thread count.
+of chunking or of how many forked workers share the paths.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,6 +46,12 @@ MAX_STORED_ENTRIES = 2**27
 # paths per chunk of the ensemble loop: the increment block and the workspaces
 # hold one chunk's paths; the output does not depend on it
 CHUNK_PATHS = 2048
+# weighted path-steps (see _run_ensemble) each worker must get before an
+# ensemble forks it (see _worker_count): with fewer, the fork and each
+# process's fixed cost per step outweigh the rows it takes over; on a 2-core
+# x86-64 VM two workers lost at 400 paths x 1000 steps of simulate_paths and
+# won at 600 x 1000, and won by 30 % at malliavin's 250 x 1000 (weight 5)
+MIN_PATH_STEPS_PER_WORKER = 300_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -521,13 +530,18 @@ class PathEnsemble:
         return self.times[k], self.states[..., k, :]
 
     def write_csv(self, fh):
+        """One line per path and stored time; rejects an ensemble of coupled
+        starts, whose rows the format has no column for."""
+        if self.states.ndim != 3:
+            raise ValueError("write_csv writes one start's paths: select a start of a "
+                             "coupled ensemble first")
         n = self.dim
         fh.write("path_id,time," + ",".join(f"x{j + 1}" for j in range(n)) + "\n")
         times = list(map(repr, self.times.tolist()))
         for p in range(self.n_paths):
             # one path at a time: Python floats take about four times the array's memory
-            for t, x in zip(times, self.states[p].tolist()):
-                fh.write(f"{p},{t},{','.join(map(repr, x))}\n")
+            fh.write("".join(f"{p},{t},{','.join(map(repr, x))}\n"
+                             for t, x in zip(times, self.states[p].tolist())))
 
 
 def _stored_steps(n_steps, stride, store_times=None, dt=None):
@@ -544,8 +558,112 @@ def _record_state(S, alive, last):
     return S, None
 
 
+def _worker_count(workers, n_paths, work, path_draws):
+    """How many processes run an ensemble of `n_paths` paths, `work`
+    weighted path-steps and `path_draws` Brownian increments per path when
+    `workers` are asked for.  One when `workers` is 1, where os has no fork,
+    and while this process runs other threads, since a child forked beside
+    them can inherit a lock one of them holds.  Otherwise at most the cores
+    this process may run on, the paths, one worker per
+    MIN_PATH_STEPS_PER_WORKER of `work`, so that a small ensemble runs here
+    alone, and as many as keep the increment blocks of all workers, which
+    live at once, within MAX_INCREMENT_BLOCK.  Rejects `workers` < 1."""
+    if not workers >= 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    k = max(1, min(workers, cores, n_paths, work // MIN_PATH_STEPS_PER_WORKER))
+    while k > 1 and k * min(-(-n_paths // k), CHUNK_PATHS) * path_draws > MAX_INCREMENT_BLOCK:
+        k -= 1
+    return k
+
+
+def _shared_arrays(specs):
+    """Zeroed arrays of the (shape, dtype) `specs` in one anonymous MAP_SHARED
+    mapping: what a forked child writes into them, its parent reads."""
+    import mmap  # loaded here only: a serial ensemble never maps memory
+
+    offsets, size = [], 0
+    for shape, dtype in specs:
+        offsets.append(size)
+        size += -(-math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8
+    buf = mmap.mmap(-1, max(size, 1), mmap.MAP_SHARED)
+    return [np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
+            for (shape, dtype), offset in zip(specs, offsets)]
+
+
+def _report(run, lo, hi):
+    """run(lo, hi) in a worker, and its outcome as the bytes the parent reads:
+    a pickled None, or the pickled exception it raised (as a RuntimeError
+    naming its type and message when it does not survive pickling)."""
+    try:
+        run(lo, hi)
+        return pickle.dumps(None)
+    except BaseException as err:
+        try:
+            data = pickle.dumps(err)
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps(RuntimeError(f"{type(err).__name__}: {err}"))
+
+
+def _fork_ranges(run, bounds):
+    """run(lo, hi) for every (lo, hi) of `bounds`: the first here, each other
+    one in a child forked for it, at the same time.
+
+    `run` writes its results into shared memory (see _shared_arrays).  A
+    child sends its outcome (see _report) over a pipe and leaves by
+    os._exit, so it never flushes the stdio buffers it inherited nor runs
+    atexit handlers.  An exception of the lowest range that raised is
+    re-raised here; a child that dies without a report is a RuntimeError.
+    On any error or interrupt the children still running are killed; every
+    child is reaped before this returns.
+    """
+    children = []  # [pid, read end of its pipe, lo, hi], in path order
+    try:
+        for lo, hi in bounds[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        fh.write(_report(run, lo, hi))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append([pid, r, lo, hi])
+        run(*bounds[0])
+        while children:
+            pid, r, lo, hi = children[0]
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            os.close(r)
+            if not data:
+                raise RuntimeError(f"the worker for paths {lo} to {hi - 1} ended without a "
+                                   f"report (wait status {status})")
+            err = pickle.loads(data)
+            if err is not None:
+                raise err
+    except BaseException:
+        from signal import SIGKILL  # loaded here only: nothing else signals
+
+        for pid, *_ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, r, *_ in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
 def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
-                  store=_record_state, store_stride=1, store_times=None, record_size=None):
+                  store=_record_state, store_stride=1, store_times=None, record_shapes=None,
+                  workers=1):
     """The seeded ensemble loop behind simulate_paths and simulate_variational.
 
     Each path carries a state tuple (X, *rest), rest starting at `start`.
@@ -555,33 +673,40 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     (P, 2N, N).  A path whose new state or rest has a non-finite entry is
     frozen at its last finite state and flagged blown.
     At t = 0 and at each stored step, `store(S, alive, last)` returns the
-    arrays to record and a mask of paths that failed a check (or None),
-    which are frozen and flagged aborted; `last` is what it returned at the
-    previous stored step, None at t = 0, and X in S is a view that the loop
+    arrays to record, of the `record_shapes` per path ((N,) alone by
+    default), and a mask of paths that failed a check (or None), which are
+    frozen and flagged aborted; `last` is what it returned at the previous
+    stored step, None at t = 0, and X in S is a view that the loop
     overwrites, so `store` copies what it keeps beyond the record.  Path p
-    consumes the substream seeded by path_seed(seed, p), so the chunking
-    (CHUNK_PATHS paths at a time) never changes the output.
+    consumes the substream seeded by path_seed(seed, p), so no split of the
+    paths, into chunks (CHUNK_PATHS paths at a time) or worker ranges,
+    changes the output.
 
     `x0` is one start (N,) or m coupled starts (m, N).  Coupled starts share
     each path's one draw of increments: a chunk of n paths runs as m n rows,
     row j n + i being path i from start j, so every start gets the values a
     run of its own would give, blow-ups frozen and flagged per row.
 
-    Seeding runs once for all paths before anything is allocated per chunk:
-    path seeds and numpy's SeedSequence mixing are array arithmetic
-    (_path_seeds, _pcg64_seed_words), and each path sets one reused PCG64
-    to the state np.random.PCG64(path_seed(seed, p)) would start in.  Its
-    normals fill the path's row of one path-major (chunk, steps, d) block,
-    scaled by sqrt(dt) once per chunk.  A chunk's state lives column-major
-    in the workspace the kernel reads, beside the current step's increments,
-    which are copied in from the block.  While every row of the chunk is
-    alive, a step checks the whole new state at once and takes it; the
-    per-row freeze runs only from the first step that fails that check.
+    Seeding runs once for all paths, and the outputs are allocated, before
+    any path runs: path seeds and numpy's SeedSequence mixing are array
+    arithmetic (_path_seeds, _pcg64_seed_words), and each path sets one
+    reused PCG64 to the state np.random.PCG64(path_seed(seed, p)) would
+    start in.  Its normals fill the path's row of one path-major (chunk,
+    steps, d) block, scaled by sqrt(dt) once per chunk.  A chunk's state
+    lives column-major in the workspace the kernel reads, beside the current
+    step's increments, which are copied in from the block.  While every row
+    of the chunk is alive, a step checks the whole new state at once and
+    takes it; the per-row freeze runs only from the first step that fails
+    that check.
+
+    With `workers` k > 1 (see _worker_count for how many run) the paths
+    split into k contiguous ranges, which run at the same time in this
+    process and k - 1 forked children (_fork_ranges), each writing its
+    slice of the outputs in one shared mapping.
 
     Rejects, before allocating anything, a horizon whose increment block
     exceeds MAX_INCREMENT_BLOCK and an ensemble whose records
-    (`record_size` float64 entries per path, start and stored step, N by
-    default) exceed MAX_STORED_ENTRIES.
+    exceed MAX_STORED_ENTRIES.
 
     Returns the stored step indices, the recorded arrays (each of shape
     (P, n_stored, ...), (m, P, n_stored, ...) for coupled starts) and the
@@ -603,11 +728,16 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
         raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {block:.3g} Brownian "
                          f"increments per chunk, more than the cap of {MAX_INCREMENT_BLOCK}")
     n_steps = int(round(T / dt))
+    record_shapes = ((N,),) if record_shapes is None else record_shapes
     n_stored = len(store_times) + 2 if store_times is not None else -(-n_steps // store_stride) + 1
-    stored = P * n_stored * m * (N if record_size is None else record_size)
+    stored = P * n_stored * m * sum(math.prod(shape) for shape in record_shapes)
     if stored > MAX_STORED_ENTRIES:
         raise ValueError(f"{P} paths stored at {n_stored} times need {stored:.3g} stored "
                          f"values, more than the cap of {MAX_STORED_ENTRIES}")
+    # a path-step weighs the entries it records over the state's N: one
+    # here, 1 + 2N for a variational path, which also carries J and K
+    weight = sum(math.prod(shape) for shape in record_shapes) / N
+    workers = _worker_count(workers, P, int(m * P * n_steps * weight), n_steps * d)
     steps = _stored_steps(n_steps, store_stride, store_times, dt)
     # the kernel compiles at first use: compiling it after the blocks below
     # are allocated raised the ensemble benchmark's peak RSS by 14 MB
@@ -619,66 +749,72 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     for lo in range(0, P, CHUNK_PATHS):
         paths = np.arange(lo, min(P, lo + CHUNK_PATHS))
         words[lo:lo + CHUNK_PATHS] = _pcg64_seed_words(_path_seeds(seed, paths))
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
+    specs = [((m, P, len(steps)) + shape, float) for shape in record_shapes]
+    specs += [((m, P), bool)] * 2
+    if workers > 1:
+        *records, blown, aborted = _shared_arrays(specs)
+    else:
+        *records, blown, aborted = (np.zeros(shape, dtype) for shape, dtype in specs)
 
-    records = None
-    blown = np.zeros((m, P), dtype=bool)
-    aborted = np.zeros((m, P), dtype=bool)
-    G = np.empty((min(P, CHUNK_PATHS), n_steps, d))
-    for lo in range(0, P, CHUNK_PATHS):
-        hi = min(P, lo + CHUNK_PATHS)
-        n = hi - lo
-        for g, w in zip(G, words[lo:hi].tolist()):
-            bits.state = _pcg64_state(w)
-            rng.standard_normal(out=g)
-        G[:n] *= math.sqrt(dt)
-        W = _heun_workspace(m * n, N, d, dt)
-        out = np.empty((m * n, rows, N), order="F")
-        X = W[:, :N]
-        X[...] = np.repeat(starts, n, axis=0)
-        dB = W[:, N:N + d]
-        dB_starts = dB.reshape(m, n, d)  # a view: the column-major rows split by start
-        rest = tuple(np.broadcast_to(a, (m * n,) + np.shape(a)).copy() for a in start)
-        alive = np.ones(m * n, dtype=bool)
-        intact = True  # no row of the chunk blown or aborted yet
-        row = None
-        k = 0  # index of the next stored step
-        for s in range(n_steps + 1):
-            if s:
-                dB_starts[...] = G[:n, s - 1]
-                step(W, out)
-                Xn = out[:, 0]
-                new = advance(out[:, 2:], *rest) if advance else ()
-                if intact and np.isfinite(Xn).all() and all(np.isfinite(a).all() for a in new):
-                    X[...] = Xn
-                    rest = new
-                else:
-                    intact = False
-                    ok = alive.copy()
-                    for a in (Xn, *new):
-                        ok &= np.isfinite(a).reshape(m * n, -1).all(axis=1)
-                    blown[:, lo:hi] |= (alive & ~ok).reshape(m, n)
-                    alive = ok
-                    np.copyto(X, Xn, where=alive[:, None])
-                    rest = tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
-                                 for a, b in zip(new, rest))
-            if s != steps[k]:
-                continue
-            row, bad = store((X, *rest), alive, row)
-            if bad is not None:
-                aborted[:, lo:hi] |= bad.reshape(m, n)
-                alive &= ~bad
-                intact = intact and bool(alive.all())
-            if records is None:
-                records = tuple(np.empty((m, P, len(steps)) + a.shape[1:]) for a in row)
-            for rec, a in zip(records, row):
-                rec[:, lo:hi, k] = a.reshape((m, n) + a.shape[1:])
-            k += 1
+    def run_paths(lo, hi):
+        """Paths lo to hi - 1, a chunk at a time, into their slices of the outputs."""
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        G = np.empty((min(hi - lo, CHUNK_PATHS), n_steps, d))
+        for c0 in range(lo, hi, CHUNK_PATHS):
+            c1 = min(hi, c0 + CHUNK_PATHS)
+            n = c1 - c0
+            for g, w in zip(G, words[c0:c1].tolist()):
+                bits.state = _pcg64_state(w)
+                rng.standard_normal(out=g)
+            G[:n] *= math.sqrt(dt)
+            W = _heun_workspace(m * n, N, d, dt)
+            out = np.empty((m * n, rows, N), order="F")
+            X = W[:, :N]
+            X[...] = np.repeat(starts, n, axis=0)
+            dB = W[:, N:N + d]
+            dB_starts = dB.reshape(m, n, d)  # a view: the column-major rows split by start
+            rest = tuple(np.broadcast_to(a, (m * n,) + np.shape(a)).copy() for a in start)
+            alive = np.ones(m * n, dtype=bool)
+            intact = True  # no row of the chunk blown or aborted yet
+            row = None
+            k = 0  # index of the next stored step
+            for s in range(n_steps + 1):
+                if s:
+                    dB_starts[...] = G[:n, s - 1]
+                    step(W, out)
+                    Xn = out[:, 0]
+                    new = advance(out[:, 2:], *rest) if advance else ()
+                    if intact and np.isfinite(Xn).all() and all(np.isfinite(a).all() for a in new):
+                        X[...] = Xn
+                        rest = new
+                    else:
+                        intact = False
+                        ok = alive.copy()
+                        for a in (Xn, *new):
+                            ok &= np.isfinite(a).reshape(m * n, -1).all(axis=1)
+                        blown[:, c0:c1] |= (alive & ~ok).reshape(m, n)
+                        alive = ok
+                        np.copyto(X, Xn, where=alive[:, None])
+                        rest = tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+                                     for a, b in zip(new, rest))
+                if s != steps[k]:
+                    continue
+                row, bad = store((X, *rest), alive, row)
+                if bad is not None:
+                    aborted[:, c0:c1] |= bad.reshape(m, n)
+                    alive &= ~bad
+                    intact = intact and bool(alive.all())
+                for rec, a in zip(records, row):
+                    rec[:, c0:c1, k] = a.reshape((m, n) + a.shape[1:])
+                k += 1
+
+    cuts = [P * i // workers for i in range(workers + 1)]
+    _fork_ranges(run_paths, list(zip(cuts, cuts[1:])))
     if x0.ndim == 1:
-        records = tuple(rec[0] for rec in records)
+        records = [rec[0] for rec in records]
         blown, aborted = blown[0], aborted[0]
-    return steps, records, blown, aborted
+    return steps, tuple(records), blown, aborted
 
 
 def _ensemble_meta(system, x0, T, dt, steps, store_stride, blown):
@@ -694,7 +830,8 @@ def _ensemble_meta(system, x0, T, dt, steps, store_stride, blown):
     }
 
 
-def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times=None):
+def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times=None,
+                   workers=1):
     """Stochastic Heun ensemble for dX = V0 dt + sqrt(2) sum V_i o dB^i.
 
     Paths whose state turns non-finite are frozen at their last finite value
@@ -712,10 +849,13 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times
     Rejects T <= 0, dt <= 0, n_paths < 1, a horizon shorter than one step,
     one whose increment block exceeds MAX_INCREMENT_BLOCK and an ensemble
     whose stored arrays exceed MAX_STORED_ENTRIES; any other horizon is
-    rounded to whole steps.
+    rounded to whole steps.  With `workers` > 1 contiguous ranges of the
+    paths run at the same time in forked processes, one worker per
+    MIN_PATH_STEPS_PER_WORKER path-steps at most, with the same output.
     """
     steps, (states,), blown, _ = _run_ensemble(
-        system, x0, T, dt, n_paths, seed, store_stride=store_stride, store_times=store_times)
+        system, x0, T, dt, n_paths, seed, store_stride=store_stride, store_times=store_times,
+        workers=workers)
     meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)
     return PathEnsemble(seed, dt, steps * dt, states, blown, meta)
 

@@ -63,7 +63,7 @@ def _heun_matrix(I, E):
 
 
 def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
-                         consistency_tol=DEFAULT_CONSISTENCY_TOL):
+                         consistency_tol=DEFAULT_CONSISTENCY_TOL, workers=1):
     """Joint Heun integration of the state and its variational Jacobian.
 
     Runs the ensemble loop of `simulate_paths` on the same per-path
@@ -72,7 +72,8 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
     step is one kernel call.  At each stored time K = J^{-1} is computed
     directly; a path is flagged `aborted` when |J K - I| is not within
     consistency_tol (singular or near-singular Jacobian).  A frozen path
-    keeps its last stored K.
+    keeps its last stored K.  `workers` splits the paths over forked
+    processes as in `simulate_paths`.
     """
     N = system.dim
     I = np.eye(N)
@@ -93,7 +94,7 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
     with np.errstate(all="ignore"):
         steps, (states, jacs, invs), blown, aborted = _run_ensemble(
             system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
-            store_stride=store_stride, record_size=N * (1 + 2 * N))
+            store_stride=store_stride, record_shapes=((N,), (N, N), (N, N)), workers=workers)
     meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)
     meta["aborted"] = int(aborted.sum())
     return VariationalPath(seed, dt, steps * dt, states, blown, meta,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -33,6 +35,28 @@ def sine_ou_k2():
 @pytest.fixture(scope="session")
 def grushin_minus1():
     return catalog.get("grushin", {"k": -1.0})
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Ensembles fork one worker per path-step, on up to 8 cores, so that even
+    a small one splits over as many workers as it is given.  Yields the pids
+    forked; afterwards no child of this process may remain."""
+    monkeypatch.setattr(dyn, "MIN_PATH_STEPS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def sample_points(entry, n, rng):

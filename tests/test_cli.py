@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -360,6 +362,42 @@ class TestDeterminism:
         _, out2, _ = run_cli(args + ["--threads", "2"], capsys)
         assert out1 == out2
 
+    def test_forked_simulate_prints_its_csv_once(self):
+        # a fresh interpreter whose stdout is a pipe, with a line still in its
+        # buffer when the worker forks: the worker must neither flush it nor
+        # print any CSV, and the report is that of --threads 1
+        script = """
+import os, sys
+from ufgsim import cli, dynamics
+dynamics.MIN_PATH_STEPS_PER_WORKER = 1
+os.sched_getaffinity = lambda pid: set(range(4))
+forked = []
+fork = os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+os.fork = counted_fork
+sys.stdout.write("before\\n")
+code = cli.run(sys.argv[1:])
+sys.stderr.write(f"{code} {len(forked)} {'multiprocessing' in sys.modules}")
+"""
+        args = ["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.05",
+                "--paths", "9", "--seed", "4", "--stride", "10", "--out", "-"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout keeps what it is given until exit
+        outs = {}
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script, *args, "--threads", threads],
+                                  capture_output=True, check=True, env=env)
+            outs[threads] = proc.stdout
+            assert proc.stderr.decode() == f"0 {int(threads) - 1} False"
+        assert outs["2"] == outs["1"]
+        lines = outs["1"].decode().splitlines()
+        assert lines[:2] == ["before", "path_id,time,x1,x2"]
+        assert len(lines) == 2 + 9 * 6
+
 
     def test_malliavin_stride_reaches_simulation(self, capsys):
         from ufgsim import catalog, malliavin as mal
@@ -491,6 +529,30 @@ class TestDeterminism:
         out = tmp_path / "report.json"
         assert cli.run([*args, "--out", str(out)]) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestThreads:
+    SIMULATING = {"simulate", "zproc", "ranks", "malliavin", "converge", "derivative"}
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_rejected(self, capsys, value):
+        code, out, err = run_cli(["simulate", "--system", "random-circles", "--x0", "1,0",
+                                  "--t", "0.01", "--paths", "2", "--threads", value], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "argument --threads: must be at least 1" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("cmd", sorted(SIMULATING | {"check", "decompose", "chart",
+                                                         "fpresidual"}))
+    def test_only_commands_that_simulate_take_it(self, capsys, cmd):
+        code, out, _ = run_cli([cmd, "--help"], capsys)
+        assert code == cli.EXIT_OK
+        assert ("--threads" in out) == (cmd in self.SIMULATING)
+
+    def test_geometry_command_rejects_it(self, capsys):
+        code, out, err = run_cli(["check", "--system", "linear", "--condition", "hc",
+                                  "--threads", "2"], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --threads 2" in json.loads(err)["error"]
 
 
 class TestSubcommands:

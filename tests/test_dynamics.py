@@ -1,7 +1,10 @@
+import io
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -679,6 +682,176 @@ class TestStepLoop:
         P = dyn.MAX_STORED_ENTRIES // (2 * 1001) + 1
         with pytest.raises(ValueError, match="stored values"):
             dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, P, seed=0)
+
+
+def _assert_same_ensemble(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(_bits(got.states), _bits(want.states))
+    assert np.array_equal(got.blown, want.blown)
+    assert got.meta == want.meta
+
+
+def _riccati_like(name):
+    drift, noise, x0 = TestStepLoop.SYSTEMS[name]
+    system = dyn.SDESystem(1, vf.make_field(1, drift, ["x"]),
+                           (vf.make_field(1, noise, ["x"]),), name)
+    return system, x0
+
+
+class TestWorkers:
+    """Paths split over forked workers give the serial arrays to the bit."""
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # the helper only counts: no process is started
+        cores = len(os.sched_getaffinity(0))
+        assert 1 <= dyn._worker_count(10**6, 10**9, 10**18, 1) <= cores
+        assert dyn._worker_count(1, 10**9, 10**18, 1) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        least = dyn.MIN_PATH_STEPS_PER_WORKER
+        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 8
+        assert dyn._worker_count(10**6, 5, 10**18, 1) == 5
+        assert dyn._worker_count(8, 10**9, 3 * least, 1) == 3
+        assert dyn._worker_count(8, 10**9, least - 1, 1) == 1
+        # perfbench's ensembles at --threads 2: zproc stays in one process,
+        # simulate, derivative (two coupled starts), converge and malliavin
+        # (a variational path-step weighs 1 + 2N = 5) fork
+        assert dyn._worker_count(2, 100, 100 * 150, 150) == 1
+        assert dyn._worker_count(2, 1000, 1000 * 800, 800) == 2
+        assert dyn._worker_count(2, 2000, 2 * 2000 * 1000, 1000) == 2
+        assert dyn._worker_count(2, 10000, 10000 * 1000, 1000) == 2
+        assert dyn._worker_count(2, 250, 250 * 1000 * 5, 1000) == 2
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                dyn._worker_count(workers, 10, 10, 1)
+        # the increment blocks of all workers stay within the one-process cap
+        cap, chunk = dyn.MAX_INCREMENT_BLOCK, dyn.CHUNK_PATHS
+        assert dyn._worker_count(8, 10**9, 10**18, cap // (3 * chunk)) == 3
+        assert dyn._worker_count(8, 10**9, 10**18, cap // chunk) == 1
+        assert dyn._worker_count(8, 8, 10**18, cap // 8) == 8  # one path each
+        # no fork beside another thread
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(10,))
+        thread.start()
+        try:
+            assert dyn._worker_count(8, 10**9, 10**18, 1) == 1
+        finally:
+            done.set()
+            thread.join(10)
+        assert not thread.is_alive() and dyn._worker_count(8, 10**9, 10**18, 1) == 8
+
+    def test_worker_count_without_affinity_or_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "fork")
+        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name", TestStepLoop.SYSTEMS)
+    def test_late_partial_blowups(self, forking, name, workers):
+        system, x0 = _riccati_like(name)
+        kw = dict(T=1.0, dt=1e-3, n_paths=40, seed=7, store_stride=10)
+        one = dyn.simulate_paths(system, [x0], **kw)
+        assert not forking
+        many = dyn.simulate_paths(system, [x0], **kw, workers=workers)
+        assert len(forking) == workers - 1
+        assert 0 < one.blown.sum() < kw["n_paths"]
+        _assert_same_ensemble(many, one)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_single_and_coupled_starts(self, monkeypatch, forking, heisenberg, workers):
+        # 20 paths: ranges of 10 or 6, 7 and 7, each of several chunks of 7
+        monkeypatch.setattr(dyn, "CHUNK_PATHS", 7)
+        riccati, _ = _riccati_like("riccati")
+        cases = [(heisenberg.system, [1.0, 0.0, 0.0], 0.05),
+                 (heisenberg.system, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 0.05),
+                 (riccati, [[0.9], [-2.0]], 1.0)]
+        for system, x0, T in cases:
+            kw = dict(T=T, dt=1e-3, n_paths=20, seed=7, store_stride=10)
+            one = dyn.simulate_paths(system, x0, **kw)
+            forking.clear()
+            many = dyn.simulate_paths(system, x0, **kw, workers=workers)
+            assert len(forking) == workers - 1
+            _assert_same_ensemble(many, one)
+        assert one.blown[0].any() and not one.blown[1].any()
+
+    def test_fewer_paths_than_workers(self, forking, circles):
+        kw = dict(T=0.05, dt=1e-3, n_paths=2, seed=11, store_times=[0.01, 0.03])
+        one = dyn.simulate_paths(circles.system, [1.0, 0.0], **kw)
+        many = dyn.simulate_paths(circles.system, [1.0, 0.0], **kw, workers=3)
+        assert len(forking) == 1  # one path here, one in a child
+        _assert_same_ensemble(many, one)
+
+    def test_workers_below_one_rejected(self, circles):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            dyn.simulate_paths(circles.system, [1.0, 0.0], 0.01, 1e-3, 4, seed=0, workers=0)
+
+    @staticmethod
+    def _failing_paths(monkeypatch, seed, paths):
+        """Seeding path p of `paths` raises ValueError('path p failed')."""
+        words = dyn._pcg64_seed_words(dyn._path_seeds(seed, sorted(paths)))
+        failing = {tuple(w): p for w, p in zip(words.tolist(), sorted(paths))}
+        state = dyn._pcg64_state
+
+        def seeding(w):
+            if tuple(w) in failing:
+                raise ValueError(f"path {failing[tuple(w)]} failed")
+            return state(w)
+
+        monkeypatch.setattr(dyn, "_pcg64_state", seeding)
+
+    # 20 paths on 3 workers: paths 0-5 here, 6-12 and 13-19 in two children
+    @pytest.mark.parametrize("paths", [{14}, {9, 16}, {3, 16}])
+    def test_worker_error_is_the_serial_error(self, monkeypatch, forking, circles, paths):
+        self._failing_paths(monkeypatch, 5, paths)
+        kw = dict(T=0.01, dt=1e-3, n_paths=20, seed=5)
+        with pytest.raises(ValueError) as serial:
+            dyn.simulate_paths(circles.system, [1.0, 0.0], **kw)
+        with pytest.raises(ValueError) as forked:
+            dyn.simulate_paths(circles.system, [1.0, 0.0], **kw, workers=3)
+        assert len(forking) == 2
+        assert type(forked.value) is type(serial.value)
+        assert str(forked.value) == str(serial.value) == f"path {min(paths)} failed"
+
+    def test_error_that_does_not_unpickle_keeps_its_name_and_message(self, forking):
+        def run(lo, hi):
+            if lo:
+                raise dyn.FlowBlowUp(1.5)
+
+        with pytest.raises(RuntimeError) as err:
+            dyn._fork_ranges(run, [(0, 1), (1, 2)])
+        assert str(err.value) == "FlowBlowUp: flow state became non-finite near t = 1.5"
+
+    def test_worker_that_dies_without_a_report(self, forking):
+        def run(lo, hi):
+            if lo:
+                os._exit(7)
+
+        with pytest.raises(RuntimeError, match="paths 1 to 2 ended without a report"):
+            dyn._fork_ranges(run, [(0, 1), (1, 3)])
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_error_here_kills_the_workers(self, forking, error):
+        def run(lo, hi):
+            if lo:
+                time.sleep(60)
+            raise error("range 0")
+
+        start = time.monotonic()
+        with pytest.raises(error, match="range 0"):
+            dyn._fork_ranges(run, [(0, 1), (1, 2), (2, 3)])
+        assert len(forking) == 2 and time.monotonic() - start < 30
+
+
+def test_csv_of_coupled_starts_rejected(circles):
+    ens = dyn.simulate_paths(circles.system, [[1.0, 0.0], [0.5, 0.0]], 0.01, 1e-3, 3, seed=0)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="coupled"):
+        ens.write_csv(buf)
+    assert buf.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,29 @@ class TestVariational:
         for name in ("times", "states", "jacobians", "inverses", "blown", "aborted"):
             assert np.array_equal(getattr(one, name), getattr(many, name)), name
 
+    # sine-ou aborts 12 of 30 paths at different stored steps (see
+    # test_simulation_is_the_reference_loop); riccati blows up 33 of 40
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name, x0, T, P, stride, tol", [
+        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 1.3e-16),
+        ("riccati", [0.9], 1.5, 40, 10, 1e-6),
+    ])
+    def test_forked_workers_are_bit_identical(self, forking, name, x0, T, P, stride, tol,
+                                              workers):
+        if name == "riccati":
+            system = dyn.SDESystem(1, vf.make_field(1, ["x*x"], ["x"]),
+                                   (vf.make_field(1, ["0.5"], ["x"]),), name)
+        else:
+            system = _system(name)
+        kw = dict(seed=3, n_paths=P, store_stride=stride, consistency_tol=tol)
+        one = mal.simulate_variational(system, x0, T, 1e-3, **kw)
+        many = mal.simulate_variational(system, x0, T, 1e-3, **kw, workers=workers)
+        assert len(forking) == workers - 1
+        assert one.aborted.sum() + one.blown.sum() > 0
+        for field_name in ("times", "states", "jacobians", "inverses", "blown", "aborted"):
+            assert np.array_equal(getattr(many, field_name), getattr(one, field_name)), field_name
+        assert many.meta == one.meta
+
     def test_compiled_step_and_jacobians_per_step(self, monkeypatch, heisenberg):
         counts = {"eval_batch": 0, "jacobian_batch": 0, "heun": 0, "variational": 0}
         for name in ("eval_batch", "jacobian_batch"):
