@@ -364,26 +364,17 @@ def stationary_density_expr(n=0, normalized=False):
 def stationary_density_normalization():
     """Normalization constant of the invariant density, with an error estimate.
 
-    Quadrature on (delta, 2 pi - delta) for a shrinking sequence of delta;
-    the integrand vanishes to all orders at the endpoints, so the sequence
-    stabilizes quickly and the last change bounds the cutoff error.
+    The trapezoid rule on the uniform grid of n = 4096 intervals of (0, 2 pi),
+    endpoints left out: the integrand vanishes to all orders there, so the
+    rule converges faster than any power of 1/n.  The error estimate is the
+    change from n = 2048, the rule on every other point.
     """
-    from scipy.integrate import quad  # loaded here only: a slow import, one caller
-
+    n = 4096
+    h = 2 * math.pi / n
     density = VectorField(1, (stationary_density_expr(),))  # compiled once, checked
-
-    def f(z):
-        return float(density([z])[0])
-
-    total_err = 0.0
-    prev = None
-    for delta in (1e-1, 1e-2, 1e-3, 1e-4):
-        val, qerr = quad(f, delta, 2 * math.pi - delta, limit=200)
-        total_err = qerr
-        if prev is not None and abs(val - prev) < 1e-12:
-            return val, abs(val - prev) + qerr
-        prev = val
-    return prev, total_err
+    f = density(h * np.arange(1, n)[:, None])[:, 0]
+    fine, coarse = h * np.sum(f), 2 * h * np.sum(f[1::2])
+    return float(fine), float(abs(fine - coarse))
 
 
 _BUILDERS = {

@@ -622,7 +622,7 @@ class ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _add_common(p, sim=False, geom=False, threads=False):
+def _add_common(p, sim=False, geom=False, threads=False, box=False):
     p.add_argument("--system", required=True, help="catalog name or system file")
     p.add_argument("--param", action="append", default=[], help="name=value (repeatable)")
     p.add_argument("--out", default="-", help="output file, or - for stdout")
@@ -641,6 +641,7 @@ def _add_common(p, sim=False, geom=False, threads=False):
     if geom:
         p.add_argument("--level", type=int, default=None)
         p.add_argument("--rtol", type=finite_float, default=1e-8)
+    if box:
         p.add_argument("--box", default=None)
         p.add_argument("--grid", type=int, default=32)
 
@@ -659,7 +660,7 @@ def build_parser():
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("check", help="run a condition checker")
-    _add_common(p, geom=True)
+    _add_common(p, geom=True, box=True)
     p.add_argument("--condition", required=True,
                    choices=["ufg", "hc", "phc", "oac", "oac2", "kalman", "lyapunov"])
     p.add_argument("--lambda0", type=finite_float, default=1e-3)
@@ -674,7 +675,7 @@ def build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("decompose", help="drift decomposition at sample points")
-    _add_common(p, geom=True)
+    _add_common(p, geom=True, box=True)
     p.add_argument("--points", default=None, help="CSV file of sample points")
     p.set_defaults(fn=cmd_decompose)
 

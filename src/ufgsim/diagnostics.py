@@ -19,25 +19,7 @@ import numpy as np
 from . import expr as ex
 from .dynamics import simulate_paths
 
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """A sorted 1-D sample."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float))
-        if v.size < 2:
-            raise ValueError("need at least two samples")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def count(self):
-        return self.values.size
-
-    def cdf(self, x):
-        return np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.count
+_SQRT1_2 = 0.70710678118654752440
 
 
 @dataclass(frozen=True)
@@ -50,9 +32,18 @@ class GaussianRef:
             raise ValueError("variance must be positive")
 
     def cdf(self, x):
-        from scipy.special import ndtr  # loaded here only: a slow import, one caller
-
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance))
+        """Normal CDF by cephes' ndtr branches on libm: with t the standardized x over
+        sqrt(2), 0.5 + 0.5 erf(t) where |t| < 1/sqrt(2), else 0.5 erfc(|t|), or one
+        minus that for t > 0.
+        """
+        t = (np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance) * _SQRT1_2
+        z = np.abs(t)
+        near = z < _SQRT1_2
+        out = np.empty(t.shape)
+        out[near] = 0.5 + 0.5 * np.frompyfunc(math.erf, 1, 1)(t[near]).astype(float)
+        tail = 0.5 * np.frompyfunc(math.erfc, 1, 1)(z[~near]).astype(float)
+        out[~near] = np.where(t[~near] > 0, 1.0 - tail, tail)
+        return out[()]
 
 
 @dataclass(frozen=True)

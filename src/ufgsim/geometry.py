@@ -31,6 +31,7 @@ from .fields import VectorField
 from .linalg import (
     alignment_certificate,
     greedy_independent_columns,
+    pivoted_columns,
     project_onto_columns,
     rank_from_singular_values,
     svd_rank,
@@ -678,8 +679,9 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
                 v0perp=None, flow_cfg=None):
     """Construct straightening coordinates around a regular point.
 
-    The leading basis is chosen from the bracket frame at x0 by column-pivoted
-    QR (ties resolved by canonical table order); the next coordinate uses the
+    The leading basis is the n0 columns of the bracket frame at x0 that
+    column-pivoted Gram-Schmidt picks first (`pivoted_columns`: the pivots
+    of a pivoted QR), kept in canonical table order; the next coordinate uses the
     drift-orthogonal direction when it is non-negligible, and any remaining
     directions are constant fields spanning the orthogonal complement.
     Regularity is probed at x0 and at 2N nearby points before construction.
@@ -706,11 +708,8 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
             "not a regular point"
         )
 
-    import scipy.linalg  # loaded here only: a slow import, one caller
-
     F = frames[0]
-    _, _, piv = scipy.linalg.qr(F, mode="economic", pivoting=True)
-    chosen = sorted(piv[:n0])  # canonical order among the pivoted columns
+    chosen = pivoted_columns(F, n0)  # in canonical order among the pivoted columns
     r_m = table.r_m()
     basis_indices = [r_m[j] for j in chosen]
     coord_fields = [table.field(a) for a in basis_indices]

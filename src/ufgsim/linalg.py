@@ -78,6 +78,23 @@ def greedy_independent_columns(frame, rtol=RANK_RTOL, floor=RANK_FLOOR):
     return selected
 
 
+def pivoted_columns(frame, count):
+    """Sorted first `count` pivots of column-pivoted Gram-Schmidt, as a pivoted QR's.
+
+    Each step takes the column of largest residual norm, the first on ties in
+    LAPACK dgeqp3's order (the pivot swaps places with the step's column), and
+    projects it out of the rest.
+    """
+    R = np.array(frame, dtype=float)
+    order = np.arange(R.shape[1])
+    for i in range(count):
+        p = i + int(np.argmax(vecnorm(R[:, order[i:]].T)))
+        order[[i, p]] = order[[p, i]]
+        q = R[:, order[i]] / np.linalg.norm(R[:, order[i]])
+        R -= np.outer(q, q @ R)
+    return sorted(order[:count].tolist())
+
+
 def sym_outer_max_eig(a, b):
     """Largest non-negative eigenvalue of sym(a b^T) = (a b^T + b a^T)/2.
 

@@ -555,6 +555,41 @@ class TestThreads:
         assert "unrecognized arguments: --threads 2" in json.loads(err)["error"]
 
 
+class TestSamplingFlags:
+    # --box and --grid set the sample points of check and decompose; the
+    # commands that sample nothing reject them instead of ignoring them
+    @pytest.mark.parametrize("cmd", ["zproc", "ranks", "chart"])
+    @pytest.mark.parametrize("flag, value", [("--box", "5:6,7:8"), ("--grid", "999")])
+    def test_commands_that_sample_nothing_reject_them(self, capsys, cmd, flag, value):
+        code, out, err = run_cli(_BASE[cmd] + [flag, value], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"unrecognized arguments: {flag}" in json.loads(err)["error"]
+
+
+def test_commands_import_no_scipy():
+    # numpy is the one runtime dependency: scipy serves the tests as an oracle only
+    script = """
+import json, sys
+from ufgsim import catalog, cli
+for argv in sys.argv[1:]:
+    assert cli.run(json.loads(argv)) in (0, 2), argv
+catalog.stationary_density_normalization()
+sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+    runs = [
+        ["converge", "--system", "grushin", "--param", "k=-1", "--x0", "0,1", "--times",
+         "0.1,0.2", "--reference", "gaussian:0,0.2", "--paths", "200", "--escape-radius",
+         "10"],
+        ["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.2",
+         "--samples", "5"],
+        ["check", "--system", "ufg-heisenberg", "--condition", "ufg", "--grid", "3"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script, *map(json.dumps, runs)],
+                          capture_output=True, check=True, env=env)
+    assert json.loads(proc.stderr) == []
+
+
 class TestSubcommands:
     def test_catalog_list(self, capsys):
         code, out, _ = run_cli(["catalog", "list"], capsys)
@@ -653,9 +688,9 @@ _BASE = {
     "simulate": ["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
                  "--paths", "2"],
     "zproc": ["zproc", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
-              "--paths", "2", "--grid", "2"],
+              "--paths", "2"],
     "ranks": ["ranks", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
-              "--paths", "2", "--grid", "2"],
+              "--paths", "2"],
     "malliavin": ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
                   "--t", "0.01", "--paths", "2", "--split", "1"],
     "converge": ["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",

@@ -27,14 +27,6 @@ class TestKS:
         s = rng.standard_normal(4000)
         assert dg.ks_distance(s, dg.empirical(s)) <= 1.0 / math.sqrt(len(s))
 
-    def test_empirical_distribution_type(self):
-        emp = dg.EmpiricalDistribution([3.0, 1.0, 2.0])
-        assert emp.count == 3
-        assert np.all(np.diff(emp.values) >= 0)
-        assert emp.cdf(2.0) == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            dg.EmpiricalDistribution([1.0])
-
     def test_bad_variance(self):
         with pytest.raises(ValueError):
             dg.gaussian(0, 0.0)
@@ -46,6 +38,24 @@ class TestKS:
                                    {0: dg.gaussian(0.0, (2 * math.pi) ** 2 / 2.0)},
                                    2000, seed=31, escape_radius=100.0)
         assert rep.ks[0][-1] < 0.1
+
+
+class TestGaussianCdf:
+    def test_special_values_equal_ndtr(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        z = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+        got = dg.gaussian(0, 1).cdf(z)
+        assert np.array_equal(got, ndtr(z), equal_nan=True)
+        assert dg.gaussian(0, 1).cdf(0.0) == 0.5
+
+    def test_close_to_ndtr_above_minus_20(self, rng):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        # both branches, the switch at |z| = 1 and the far left tail
+        z = np.concatenate([rng.uniform(-8, 8, 20000), rng.uniform(-20, -8, 5000),
+                            np.linspace(-1.01, 1.01, 2021), [-20.0, 40.0]])
+        x = 2.0 + 3.0 * z
+        want = ndtr((x - 2.0) / 3.0)
+        assert np.all(np.abs(dg.gaussian(2.0, 9.0).cdf(x) - want) <= 2e-14 * want)
 
 
 class TestConvergenceStudy:

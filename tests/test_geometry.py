@@ -723,6 +723,21 @@ class TestChart:
         with pytest.raises(RuntimeError, match="not a regular point"):
             geo.build_chart(tab, [0.0, 0.0], eps=0.1, v0perp=circles.v0perp)
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_basis_columns_are_the_pivoted_qr_choice(self, level):
+        # the columns build_chart takes are those of LAPACK's pivoted QR on every
+        # catalog frame: greedy_independent_columns differs on some of them
+        qr = pytest.importorskip("scipy.linalg").qr
+        rng = np.random.default_rng(level)
+        for name in catalog.list_entries():
+            entry = catalog.get(name)
+            tab = table_for(entry, level)
+            frames = tab.evaluate_frame_batch("brackets", sample_points(entry, 300, rng))
+            for F in frames[np.isfinite(frames).all(axis=(1, 2))]:
+                n0 = svd_rank(F)
+                assert geo.pivoted_columns(F, n0) == sorted(qr(F, pivoting=True)[2][:n0]), \
+                    (name, F.tolist())
+
     @pytest.mark.parametrize("x0", [[1.0, 0.0], [0.0, 0.0]])
     def test_frame_evaluated_once(self, circles, x0):
         # one checked evaluation at x0 and its 2N probes, whether or not x0 is regular

@@ -4,6 +4,7 @@ import pytest
 from ufgsim.linalg import (
     alignment_certificate,
     greedy_independent_columns,
+    pivoted_columns,
     project_onto_columns,
     svd_rank,
     sym_outer_max_eig,
@@ -53,6 +54,20 @@ class TestGreedySelection:
     def test_keeps_tiny_but_nonzero_columns(self):
         F = np.array([[1e-40], [0.0]])
         assert greedy_independent_columns(F, floor=0.0) == [0]
+
+
+class TestPivotedColumns:
+    def test_largest_residual_first(self):
+        F = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert pivoted_columns(F, 1) == [1]
+        assert pivoted_columns(F, 2) == [1, 2]
+
+    def test_ties_go_to_the_first_column_in_swapped_order(self):
+        # the first pivot swaps column 2 to the front and column 0 to the back,
+        # so of the tied columns 0 and 1 the second pivot is column 1
+        F = np.diag([1.0, 1.0, 2.0])
+        assert pivoted_columns(F, 2) == [1, 2]
+        assert pivoted_columns(np.eye(3), 2) == [0, 1]
 
 
 class TestAlignment:
