@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import catalog, diagnostics, expr as ex, geometry, malliavin
+from . import catalog, diagnostics, dynamics, expr as ex, geometry, malliavin
 from .dynamics import (
     FlowConfig,
     SDESystem,
@@ -295,7 +295,22 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
-def _plan_from_args(args, entry):
+def check_size(entries, flag, value):
+    """Reject a request whose arrays would hold more than MAX_STORED_ENTRIES
+    values, before anything is allocated; the usage error names the flag."""
+    if entries > dynamics.MAX_STORED_ENTRIES:
+        raise UsageError(f"{flag} {value} asks for more than {dynamics.MAX_STORED_ENTRIES} "
+                         "array entries, the cap on one request")
+
+
+def _frame_entries(table):
+    """Entries per sample point of the table's frame with the drift: N x (columns + 1)."""
+    return table.dim * (len(table.r_m()) + 1)
+
+
+def _plan_from_args(args, entry, per_point):
+    """The sample plan of --points, --box or the catalog's box; a box grid of
+    grid^dim points holding per_point array entries each is size-checked."""
     if getattr(args, "points", None):
         pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
         if not np.isfinite(pts).all():
@@ -303,10 +318,13 @@ def _plan_from_args(args, entry):
                              "not a finite number")
         return SamplePlan(points=pts)
     if args.box:
-        return SamplePlan(box=parse_box(args.box), grid=args.grid)
-    if entry is not None:
-        return SamplePlan(box=entry.sample_box, grid=args.grid)
-    raise UsageError("need --box (or --points where supported) for a non-catalog system")
+        box = parse_box(args.box)
+    elif entry is not None:
+        box = entry.sample_box
+    else:
+        raise UsageError("need --box (or --points where supported) for a non-catalog system")
+    check_size(args.grid ** len(box) * per_point, "--grid", args.grid)
+    return SamplePlan(box=box, grid=args.grid)
 
 
 def cmd_check(args):
@@ -335,13 +353,13 @@ def cmd_check(args):
     if args.condition == "lyapunov":
         if not args.phi:
             raise UsageError("lyapunov check needs --phi")
-        plan = _plan_from_args(args, entry)
-        phi = ex.parse_expression(args.phi, list(variables))
         times = parse_reals(args.times, "--times value") if args.times else [0.0, 1.0, 10.0]
+        plan = _plan_from_args(args, entry, len(times) * system.dim)
+        phi = ex.parse_expression(args.phi, list(variables))
         rep = geometry.check_lyapunov(system, phi, plan, args.c1, args.c2, times)
     else:
         table = build_hierarchy(system.all_fields(), level)
-        plan = _plan_from_args(args, entry)
+        plan = _plan_from_args(args, entry, _frame_entries(table))
         if args.condition == "ufg":
             rep = geometry.check_ufg(table, plan, residual_tol=args.residual_tol,
                                      coeff_blowup_threshold=args.coeff_threshold,
@@ -366,7 +384,7 @@ def cmd_decompose(args):
     system, entry, _ = load_system(args.system, params)
     level = _level(args, entry)
     table = build_hierarchy(system.all_fields(), level)
-    plan = _plan_from_args(args, entry)
+    plan = _plan_from_args(args, entry, _frame_entries(table))
     pts = plan.sample(system.dim)
     records = []
     for x, (v_par, v_perp, resid) in zip(pts, geometry.decompose_drift_rows(table, pts,
@@ -392,6 +410,7 @@ def cmd_chart(args):
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
+    check_size(args.samples * system.dim, "--samples", args.samples)
     level = _level(args, entry)
     table = build_hierarchy(system.all_fields(), level)
     x0 = parse_point(args.x0)
@@ -548,6 +567,7 @@ def cmd_fpresidual(args):
         raise UsageError("grid spec must be lo:hi:count")
     lo, hi = finite_real(bits[0], "grid bound"), finite_real(bits[1], "grid bound")
     count = int(bits[2])
+    check_size(count, "--grid", args.grid_spec)
     res = diagnostics.fokker_planck_residual(system, rho, np.linspace(lo, hi, count))
     payload = report_payload("fpresidual", system.name, params,
                              {"grid": count, "seed": None, "dt": None, "rtol": None},

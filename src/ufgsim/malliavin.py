@@ -30,6 +30,15 @@ from .dynamics import PathEnsemble, _ensemble_meta, _heun_rows, _run_ensemble
 
 DEFAULT_CONSISTENCY_TOL = 1e-6
 DEFAULT_COND_THRESHOLD = 1e10
+# entries (paths x stored steps x N^2) of one time block: the covariance
+# quadrature and the consistency check walk the stored grid in blocks of at
+# least one step and at most this many entries, not the whole (P, T, N, N) grid
+BLOCK_ENTRIES = 2**16
+
+
+def _block_steps(P, N):
+    """Stored steps per time block of P paths in dimension N."""
+    return max(1, BLOCK_ENTRIES // (P * N * N))
 
 
 @dataclass(kw_only=True)
@@ -41,10 +50,13 @@ class VariationalPath(PathEnsemble):
     aborted: np.ndarray      # (P,) inverse-consistency failures
 
     def consistency_error(self):
-        """max |J K - I| over stored times, per path."""
-        I = np.eye(self.dim)
-        prod = self.jacobians @ self.inverses
-        return np.max(np.abs(prod - I), axis=(1, 2, 3))
+        """max |J K - I| over stored times, per path, a block of times at a
+        time (see BLOCK_ENTRIES); a max of the blocks' maxes is exact."""
+        P, T, N = self.states.shape
+        I, steps = np.eye(N), _block_steps(P, N)
+        return np.max([np.max(np.abs(self.jacobians[:, t:t + steps]
+                                     @ self.inverses[:, t:t + steps] - I), axis=(1, 2, 3))
+                       for t in range(0, T, steps)], axis=0)
 
 
 def step_matrix(system, X, dB, dt):
@@ -127,15 +139,48 @@ def reduced_covariance(vpath, system):
     """Trapezoidal quadrature of sum_k (J^{-1} V_k)(J^{-1} V_k)^T on the grid.
 
     Returns one symmetric PSD-enforced matrix per path, shape (P, N, N).
+
+    The grid is walked in time blocks (see BLOCK_ENTRIES), and the result is
+    np.trapezoid's on the whole integrand to the bit.  Each block evaluates
+    the noise fields and K V_k on its own stored times, carries over the
+    previous block's last integrand row, and forms numpy's terms
+    d * (y[1:] + y[:-1]) / 2.0 in that operation order.  The terms are added
+    onto the running sum in t order, the order of numpy's sum along t while
+    t is not the contiguous axis.  For N = 1 it is, and numpy sums pairwise,
+    so the whole grid is one block, no larger than the stored states.
     """
     P, T, N = vpath.states.shape
-    integrand = np.zeros((P, T, N, N))
-    for V in system.noises:
-        vals = V.eval_batch(vpath.states)                       # (P, T, N)
-        A = (vpath.inverses @ vals[..., None])[..., 0]          # (P, T, N)
-        integrand += A[..., :, None] * A[..., None, :]
-    C = np.trapezoid(integrand, x=vpath.times, axis=1)
+    d = np.diff(vpath.times)[:, None, None]
+    steps = T - 1 if N == 1 else _block_steps(P, N)
+    last = _integrand(vpath, system, 0, np.empty((P, 1, N, N)))
+    C = None
+    for lo in range(0, T - 1, steps):
+        hi = min(lo + steps, T - 1)
+        Y = np.empty((P, hi - lo + 1, N, N))  # integrand rows lo..hi
+        Y[:, :1] = last
+        last = _integrand(vpath, system, lo + 1, Y[:, 1:])[:, -1:]
+        S = np.empty_like(Y)  # the running sum, then the block's terms
+        terms = S[:, 1:]
+        np.add(Y[:, 1:], Y[:, :-1], out=terms)
+        np.multiply(d[lo:hi], terms, out=terms)
+        np.divide(terms, 2.0, out=terms)
+        if C is None:
+            C = terms.sum(axis=1)
+        else:
+            S[:, 0] = C
+            C = S.sum(axis=1)
     return 0.5 * (C + np.swapaxes(C, -1, -2))
+
+
+def _integrand(vpath, system, lo, out):
+    """sum_k (K V_k)(K V_k)^T at the stored times from lo on, into out (P, n, N, N)."""
+    times = slice(lo, lo + out.shape[1])
+    X, K = vpath.states[:, times], vpath.inverses[:, times]
+    out[...] = 0.0
+    for V in system.noises:
+        A = (K @ V.eval_batch(X)[..., None])[..., 0]            # (P, n, N)
+        out += A[..., :, None] * A[..., None, :]
+    return out
 
 
 def malliavin_matrix(vpath, system):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ def assert_same_bits(got, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def traced_peak(fn):
+    """The peak bytes that tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def field_component(dim):

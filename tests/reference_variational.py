@@ -8,7 +8,9 @@ computed it before the kernel: 2(1 + d) `jacobian_batch` calls per step,
 at the state and at the Heun predictor.  `refresh_inverse` is the stored
 inverse with its copy of K and fancy-indexed alive rows on every call.
 `simulate_variational` runs all paths in one batch and checks every row at
-every step.
+every step.  `reduced_covariance` and `consistency_error` are the whole-grid
+formulas that `malliavin` now runs in time blocks: one (P, T, N, N) integrand
+and one np.trapezoid over it, and one (P, T, N, N) product J K.
 """
 
 import math
@@ -89,3 +91,21 @@ def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consist
             alive &= ~bad
             states[:, k], jacobians[:, k], inverses[:, k] = X, J, K
     return (np.asarray(steps) * dt, states, jacobians, inverses, blown, aborted)
+
+
+def reduced_covariance(vpath, system):
+    """The trapezoidal covariance quadrature on the whole (P, T, N, N) integrand."""
+    P, T, N = vpath.states.shape
+    integrand = np.zeros((P, T, N, N))
+    for V in system.noises:
+        vals = V.eval_batch(vpath.states)                       # (P, T, N)
+        A = (vpath.inverses @ vals[..., None])[..., 0]          # (P, T, N)
+        integrand += A[..., :, None] * A[..., None, :]
+    C = np.trapezoid(integrand, x=vpath.times, axis=1)
+    return 0.5 * (C + np.swapaxes(C, -1, -2))
+
+
+def consistency_error(vpath):
+    """max |J K - I| over stored times, per path, on the whole grid."""
+    prod = vpath.jacobians @ vpath.inverses
+    return np.max(np.abs(prod - np.eye(vpath.states.shape[2])), axis=(1, 2, 3))

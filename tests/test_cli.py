@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ufgsim import cli
+from ufgsim import cli, diagnostics, dynamics as dyn, geometry
+from ufgsim.fields import build_hierarchy
 
 
 def run_cli(args, capsys):
@@ -217,6 +218,50 @@ class TestExitCodes:
                                      capsys)
         assert code == cli.EXIT_USAGE and out == ""
         assert json.loads(err)["error"].startswith(flag)
+
+    # before their sizes were checked, each of these ended in numpy's
+    # _ArrayMemoryError traceback (exit 1) under a 3 GB address-space limit
+    @pytest.mark.parametrize("args, flag, work", [
+        (["check", "--system", "sinfields", "--condition", "ufg", "--grid", "1000000"],
+         "--grid", (geometry.SamplePlan, "sample")),
+        (["check", "--system", "sine-ou", "--param", "k=2", "--condition", "lyapunov",
+          "--phi", "z*z", "--grid", "100000"], "--grid", (geometry.SamplePlan, "sample")),
+        (["decompose", "--system", "ufg-heisenberg", "--grid", "100000"], "--grid",
+         (geometry.SamplePlan, "sample")),
+        (["fpresidual", "--system", "circle-line", "--density", "1", "--grid",
+          "0:1:10000000000"], "--grid", (diagnostics, "fokker_planck_residual")),
+        (["chart", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4", "--eps", "0.1",
+          "--samples", "100000000"], "--samples", (cli, "build_hierarchy")),
+    ])
+    def test_oversized_request_rejected_up_front(self, capsys, args, flag, work):
+        with mock.patch.object(*work, side_effect=AssertionError("work begun")):
+            code, out, err = run_cli(args, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert json.loads(err)["error"].startswith(f"{flag} {args[-1]} asks for more than")
+
+    # the array entries each request asks for: fpresidual's grid count,
+    # chart's samples x N, lyapunov's grid^dim points x times x N, and the
+    # other checks' grid^dim points x N x (frame columns + drift)
+    @pytest.mark.parametrize("args, entries", [
+        (["fpresidual", "--system", "circle-line", "--density", "1", "--grid", "0.2:6:5"], 5),
+        (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.2",
+          "--samples", "10"], 10 * 2),
+        (["check", "--system", "sine-ou", "--param", "k=2", "--condition", "lyapunov",
+          "--phi", "z*z", "--c1", "80", "--c2", "4", "--times", "0,1,5", "--box",
+          "-3:3,0.5:6", "--grid", "5"], 5**2 * 3 * 2),
+        (["check", "--system", "gbm", "--condition", "hc", "--box", "0.5:2", "--grid", "5"],
+         None),
+    ])
+    def test_request_at_the_cap_runs(self, capsys, monkeypatch, args, entries):
+        if entries is None:
+            entry = cli.catalog.get("gbm")
+            table = build_hierarchy(entry.system.all_fields(), entry.level)
+            entries = 5 * table.dim * (len(table.r_m()) + 1)
+        monkeypatch.setattr(dyn, "MAX_STORED_ENTRIES", entries)
+        assert run_cli(args, capsys)[0] in (cli.EXIT_OK, cli.EXIT_VIOLATED)
+        monkeypatch.setattr(dyn, "MAX_STORED_ENTRIES", entries - 1)
+        code, out, err = run_cli(args, capsys)
+        assert code == cli.EXIT_USAGE and "asks for more than" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("args", [
         ["--lambda0", "1e308", "--grid", "6"],
@@ -700,7 +745,8 @@ _BASE = {
     "derivative": ["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
                    "--direction", "V1", "--x0", "0,1", "--t", "0.01", "--paths", "20"],
 }
-# Well-formed values are kept small so that every run stays quick.
+# Well-formed values are kept small so that every run stays quick, except for
+# sizes over the cap on one request's arrays, which are rejected before any work.
 _REALS = ["0.5", "1e-6", "0", "-1", "1e300"]
 _VALUES = {
     "--system": ["sine-ou", "grushin", "random-circles", "ufg-heisenberg", "circle-line",
@@ -708,14 +754,15 @@ _VALUES = {
     "--param": ["k=2", "k=-1", "k=0.5", "k=1e300", "k", "zz=1", "k=x"],
     "--name": ["sine-ou", "grushin", "nope"],
     "--x0": ["1,0", "0,4", "0,1", "1,0,0", "1", "1e300,0", "0,,1"],
-    "--t": ["0.01", "0.002", "0.0015", "-1", "1e-9"],
+    "--t": ["0.01", "0.002", "0.0015", "-1", "1e-9", "1e15"],
     "--dt": ["0.001", "0.005", "-0.001", "1e-300"],
-    "--paths": ["1", "3", "0", "-2", "2.5"],
+    "--paths": ["1", "3", "0", "-2", "2.5", "1000000000000"],
     "--stride": ["1", "3", "0", "-1"],
     "--seed": ["0", "5", "-1", "18446744073709551616"],
     "--split": ["1", "0", "3", "-1"],
     "--level": ["1", "2", "0", "-1"],
-    "--grid": ["2", "3", "0", "-1", "0.2:6:5", "0:1:0", "1:0:3", "0:1:-2", "0:1"],
+    "--grid": ["2", "3", "0", "-1", "0.2:6:5", "0:1:0", "1:0:3", "0:1:-2", "0:1", "1000000000",
+               "0:1:10000000000"],
     "--box": ["-1:1,0.5:2", "0.5:2", "1:0,0:1", "-1:1,0.5:2,0:1", "0:1,0:1,0:1", "1:1,0:1"],
     "--condition": ["ufg", "hc", "phc", "oac", "oac2", "kalman", "lyapunov", "bogus"],
     "--phi": ["z*z", "log(z)", "1/(", "q", "exp(z*z*z*z)"],
@@ -726,7 +773,7 @@ _VALUES = {
     "--f": ["sin(z)", "z*x", "log(z)", "x"],
     "--direction": ["V1", "V0", "v0perp", "[1,0]", "[1]", "V9", "[log(x),1]"],
     "--eps": ["0.1", "0", "-0.1", "2"],
-    "--samples": ["2", "0", "-1"],
+    "--samples": ["2", "0", "-1", "1000000000"],
     "--threads": ["1", "2", "0"],
     **{flag: _REALS for flag in ("--rtol", "--tol", "--lambda0", "--c1", "--c2", "--h",
                                  "--cond-threshold", "--escape-radius", "--ks-tolerance",

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_variational
 from ufgsim import catalog, dynamics as dyn, fields as vf, malliavin as mal
-from conftest import assert_same_bits, heun_cases
+from conftest import assert_same_bits, heun_cases, traced_peak
 
 
 def ou_system(k):
@@ -129,6 +130,11 @@ def _system(name):
         V0, V1, V2 = (vf.make_field(2, c, ["x", "y"]) for c in (
             ["sin(x)*y", "cos(y)+x*x"], ["exp(0.3*x)*y", "sin(x+y)"], ["x*y*y", "cos(x)*y"]))
         return dyn.SDESystem(2, V0, (V1, V2), name)
+    if name == "no-noise":
+        zero = vf.make_field(2, ["0", "0"], ["x", "y"])
+        return dyn.SDESystem(2, catalog.get("random-circles").system.drift, (zero,), name)
+    if name == "ou":
+        return ou_system(1.0)
     return catalog.get(name, {"sine-ou": {"k": 2.0}, "grushin": {"k": -1.0}}.get(name)).system
 
 
@@ -206,6 +212,75 @@ class TestCompiledLinearization:
                                   "aborted"), want):
             assert np.array_equal(getattr(vp, field_name), a), field_name
         assert (int(vp.aborted.sum()), int(vp.blown.sum())) == (aborted, blown)
+
+
+def _nonfinite(vp):
+    """vp with a nan inverse, inverses that turn infinite and a nan Jacobian."""
+    inverses, jacobians = vp.inverses.copy(), vp.jacobians.copy()
+    inverses[0, 5, 1, 0] = math.nan
+    inverses[1, 17:] = math.inf
+    jacobians[2, 3, 0, 1] = math.nan
+    return dataclasses.replace(vp, inverses=inverses, jacobians=jacobians)
+
+
+class TestTimeBlocks:
+    """The covariance quadrature and the consistency check, walked in time
+    blocks, against their whole-grid formulas."""
+
+    # T stored times: sine-ou 201, grushin 101 and 101, ufg-heisenberg 30,
+    # sine-ou with 12 aborted paths 201, mixed-d2 with one blown path 151,
+    # no-noise 251 (every term a signed zero), ou 201 (N = 1, where numpy
+    # sums the terms pairwise)
+    CASES = [
+        ("sine-ou", [0.0, 4.0], 0.2, 12, 1, 1e-6),
+        ("grushin", [0.0, 1.0], 0.3, 10, 3, 1e-6),
+        ("grushin", [0.2, 1.5], 1.0, 16, 10, 1e-6),
+        ("ufg-heisenberg", [1.0, 0.0, 0.0], 0.2, 40, 7, 2e-16),
+        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 1.3e-16),
+        ("mixed-d2", [0.3, 0.8], 0.3, 20, 2, 1e-6),
+        ("no-noise", [1.0, 0.0], 0.25, 3, 1, 1e-6),
+        ("ou", [0.1], 0.2, 6, 1, 1e-6),
+    ]
+
+    @staticmethod
+    def _run(name, x0, T, P, stride, tol):
+        return mal.simulate_variational(_system(name), x0, T, 1e-3, seed=3, n_paths=P,
+                                        store_stride=stride, consistency_tol=tol)
+
+    # 1, 7 and 64 stored steps per block divide none of the grids' T or T - 1;
+    # 10**6 puts every grid in one block
+    @pytest.mark.parametrize("steps", [1, 7, 64, 10**6])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-P{c[3]}-s{c[4]}")
+    def test_blocks_are_the_whole_grid_to_the_bit(self, monkeypatch, case, steps):
+        system, vp = _system(case[0]), self._run(*case)
+        P, _, N = vp.states.shape
+        want = reference_variational.reduced_covariance(vp, system)
+        want_err = reference_variational.consistency_error(vp)
+        monkeypatch.setattr(mal, "BLOCK_ENTRIES", steps * P * N * N)
+        assert np.array_equal(mal.reduced_covariance(vp, system).view(np.uint64),
+                              want.view(np.uint64))
+        assert np.array_equal(vp.consistency_error().view(np.uint64), want_err.view(np.uint64))
+
+    @pytest.mark.parametrize("steps", [1, 7, 10**6])
+    def test_non_finite_inverses(self, monkeypatch, steps):
+        case = self.CASES[0]
+        system, vp = _system(case[0]), _nonfinite(self._run(*case))
+        monkeypatch.setattr(mal, "BLOCK_ENTRIES", steps * 12 * 4)
+        with np.errstate(all="ignore"):
+            want = reference_variational.reduced_covariance(vp, system)
+            want_err = reference_variational.consistency_error(vp)
+            got, got_err = mal.reduced_covariance(vp, system), vp.consistency_error()
+        assert np.isnan(want[:2]).any() and np.isnan(want_err[:3]).all()
+        assert_same_bits(got, want)
+        assert_same_bits(got_err, want_err)
+
+    def test_peak_memory_is_a_block(self, sine_ou_k2):
+        vp = mal.simulate_variational(sine_ou_k2.system, [0.0, 4.0], 1.0, 1e-3, seed=1,
+                                      n_paths=250)
+        P, T, N = vp.states.shape
+        whole = P * T * N * N * 8  # bytes of one (P, T, N, N) integrand: 8 MB
+        assert traced_peak(lambda: mal.reduced_covariance(vp, sine_ou_k2.system)) < whole / 2
+        assert traced_peak(vp.consistency_error) < whole / 4
 
 
 class TestReducedCovariance:
