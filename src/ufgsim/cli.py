@@ -309,13 +309,15 @@ def _frame_entries(table):
 
 
 def _plan_from_args(args, entry, per_point):
-    """The sample plan of --points, --box or the catalog's box; a box grid of
-    grid^dim points holding per_point array entries each is size-checked."""
+    """The sample plan of --points, --box or the catalog's box; its points
+    (the file's rows, or grid^dim of a box grid) holding per_point array
+    entries each are size-checked."""
     if getattr(args, "points", None):
         pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
         if not np.isfinite(pts).all():
             raise UsageError(f"--points file '{args.points}' holds a coordinate that is "
                              "not a finite number")
+        check_size(len(pts) * per_point, "--points", args.points)
         return SamplePlan(points=pts)
     if args.box:
         box = parse_box(args.box)
@@ -514,7 +516,7 @@ def cmd_malliavin(args):
     vp = simulate_variational(system, parse_point(args.x0), _horizon(args), args.dt,
                               args.seed, n_paths=args.paths, store_stride=args.stride,
                               workers=args.threads)
-    M = malliavin_matrix(vp, system)
+    M = malliavin_matrix(vp)
     reports, agg = block_check_ensemble(M, args.split, cond_threshold=args.cond_threshold)
     metadata = {"seed": args.seed, "dt": args.dt, "grid": None, "rtol": None,
                 "split": args.split, "cond_threshold": args.cond_threshold}

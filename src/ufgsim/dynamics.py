@@ -40,8 +40,8 @@ SQRT2 = math.sqrt(2.0)
 # float64 entries of one chunk's (paths, steps, noises) Brownian increment block
 # (512 MiB); a longer horizon is rejected before anything is allocated
 MAX_INCREMENT_BLOCK = 2**26
-# float64 entries of the arrays an ensemble records over all its paths
-# (1 GiB); a larger one is rejected the same way
+# float64 entries of the arrays an ensemble returns over all its paths, its
+# states and final outputs (1 GiB); a larger one is rejected the same way
 MAX_STORED_ENTRIES = 2**27
 # paths per chunk of the ensemble loop: the increment block and the workspaces
 # hold one chunk's paths; the output does not depend on it
@@ -554,10 +554,6 @@ def _stored_steps(n_steps, stride, store_times=None, dt=None):
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
-def _record_state(S, alive, last):
-    return S, None
-
-
 def _worker_count(workers, n_paths, work, path_draws):
     """How many processes run an ensemble of `n_paths` paths, `work`
     weighted path-steps and `path_draws` Brownian increments per path when
@@ -661,9 +657,8 @@ def _fork_ranges(run, bounds):
             os.waitpid(pid, 0)
 
 
-def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
-                  store=_record_state, store_stride=1, store_times=None, record_shapes=None,
-                  workers=1):
+def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), store=None,
+                  final_shapes=(), store_stride=1, store_times=None, workers=1):
     """The seeded ensemble loop behind simulate_paths and simulate_variational.
 
     Each path carries a state tuple (X, *rest), rest starting at `start`.
@@ -672,15 +667,17 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     returns the new rest from the step's linearizations E = [G(X); G(Xp)]
     (P, 2N, N).  A path whose new state or rest has a non-finite entry is
     frozen at its last finite state and flagged blown.
-    At t = 0 and at each stored step, `store(S, alive, last)` returns the
-    arrays to record, of the `record_shapes` per path ((N,) alone by
-    default), and a mask of paths that failed a check (or None), which are
-    frozen and flagged aborted; `last` is what it returned at the previous
-    stored step, None at t = 0, and X in S is a view that the loop
-    overwrites, so `store` copies what it keeps beyond the record.  Path p
-    consumes the substream seeded by path_seed(seed, p), so no split of the
-    paths, into chunks (CHUNK_PATHS paths at a time) or worker ranges,
-    changes the output.
+    X is recorded at t = 0 and at each stored step.  There, too,
+    `store(S, alive, carry, times, k)` runs on the k-th of the stored
+    `times` and returns (carry, bad): what it carries to the next stored
+    step (`carry` is None at t = 0) and a mask of paths that failed a
+    check (or None), which are frozen and flagged aborted.  At the last
+    stored step its carry is the chunk's final outputs, one array per
+    path of each of the `final_shapes`.  X in S is a view that the loop
+    overwrites, so `store` copies what it keeps of it.  Path p consumes the
+    substream seeded by path_seed(seed, p), so no split of the paths, into
+    chunks (CHUNK_PATHS paths at a time) or worker ranges, changes the
+    output.
 
     `x0` is one start (N,) or m coupled starts (m, N).  Coupled starts share
     each path's one draw of increments: a chunk of n paths runs as m n rows,
@@ -702,15 +699,16 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     With `workers` k > 1 (see _worker_count for how many run) the paths
     split into k contiguous ranges, which run at the same time in this
     process and k - 1 forked children (_fork_ranges), each writing its
-    slice of the outputs in one shared mapping.
+    slice of the outputs (states, final outputs, flags) in one shared
+    mapping.
 
     Rejects, before allocating anything, a horizon whose increment block
-    exceeds MAX_INCREMENT_BLOCK and an ensemble whose records
-    exceed MAX_STORED_ENTRIES.
+    exceeds MAX_INCREMENT_BLOCK and an ensemble whose states and final
+    outputs exceed MAX_STORED_ENTRIES.
 
-    Returns the stored step indices, the recorded arrays (each of shape
-    (P, n_stored, ...), (m, P, n_stored, ...) for coupled starts) and the
-    blown and aborted flags ((P,) or (m, P)).
+    Returns the stored step indices, the states ((P, n_stored, N), or
+    (m, P, n_stored, N) for coupled starts), the final outputs ((P, ...) or
+    (m, P, ...)) and the blown and aborted flags ((P,) or (m, P)).
     """
     if not (T > 0 and dt > 0 and n_paths >= 1):
         raise ValueError("need T > 0, dt > 0, n_paths >= 1")
@@ -728,17 +726,17 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
         raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {block:.3g} Brownian "
                          f"increments per chunk, more than the cap of {MAX_INCREMENT_BLOCK}")
     n_steps = int(round(T / dt))
-    record_shapes = ((N,),) if record_shapes is None else record_shapes
     n_stored = len(store_times) + 2 if store_times is not None else -(-n_steps // store_stride) + 1
-    stored = P * n_stored * m * sum(math.prod(shape) for shape in record_shapes)
+    stored = P * m * (n_stored * N + sum(math.prod(shape) for shape in final_shapes))
     if stored > MAX_STORED_ENTRIES:
         raise ValueError(f"{P} paths stored at {n_stored} times need {stored:.3g} stored "
                          f"values, more than the cap of {MAX_STORED_ENTRIES}")
-    # a path-step weighs the entries it records over the state's N: one
-    # here, 1 + 2N for a variational path, which also carries J and K
-    weight = sum(math.prod(shape) for shape in record_shapes) / N
-    workers = _worker_count(workers, P, int(m * P * n_steps * weight), n_steps * d)
+    # a path-step weighs one for the Heun step and 1 + 2N for the variational
+    # step, which also advances J and inverts it at the stored steps
+    weight = 1 + 2 * N if advance is not None else 1
+    workers = _worker_count(workers, P, m * P * n_steps * weight, n_steps * d)
     steps = _stored_steps(n_steps, store_stride, store_times, dt)
+    times = steps * dt
     # the kernel compiles at first use: compiling it after the blocks below
     # are allocated raised the ensemble benchmark's peak RSS by 14 MB
     step, rows = _heun_kernel_rows(system, advance is not None)
@@ -749,12 +747,13 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
     for lo in range(0, P, CHUNK_PATHS):
         paths = np.arange(lo, min(P, lo + CHUNK_PATHS))
         words[lo:lo + CHUNK_PATHS] = _pcg64_seed_words(_path_seeds(seed, paths))
-    specs = [((m, P, len(steps)) + shape, float) for shape in record_shapes]
+    specs = [((m, P, len(steps), N), float)]
+    specs += [((m, P) + shape, float) for shape in final_shapes]
     specs += [((m, P), bool)] * 2
     if workers > 1:
-        *records, blown, aborted = _shared_arrays(specs)
+        states, *finals, blown, aborted = _shared_arrays(specs)
     else:
-        *records, blown, aborted = (np.zeros(shape, dtype) for shape, dtype in specs)
+        states, *finals, blown, aborted = (np.zeros(shape, dtype) for shape, dtype in specs)
 
     def run_paths(lo, hi):
         """Paths lo to hi - 1, a chunk at a time, into their slices of the outputs."""
@@ -777,7 +776,7 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
             rest = tuple(np.broadcast_to(a, (m * n,) + np.shape(a)).copy() for a in start)
             alive = np.ones(m * n, dtype=bool)
             intact = True  # no row of the chunk blown or aborted yet
-            row = None
+            carry = None
             k = 0  # index of the next stored step
             for s in range(n_steps + 1):
                 if s:
@@ -800,21 +799,23 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(),
                                      for a, b in zip(new, rest))
                 if s != steps[k]:
                     continue
-                row, bad = store((X, *rest), alive, row)
-                if bad is not None:
-                    aborted[:, c0:c1] |= bad.reshape(m, n)
-                    alive &= ~bad
-                    intact = intact and bool(alive.all())
-                for rec, a in zip(records, row):
-                    rec[:, c0:c1, k] = a.reshape((m, n) + a.shape[1:])
+                states[:, c0:c1, k] = X.reshape(m, n, N)
+                if store is not None:
+                    carry, bad = store((X, *rest), alive, carry, times, k)
+                    if bad is not None:
+                        aborted[:, c0:c1] |= bad.reshape(m, n)
+                        alive &= ~bad
+                        intact = intact and bool(alive.all())
                 k += 1
+            for final, a in zip(finals, carry or ()):
+                final[:, c0:c1] = a.reshape((m, n) + a.shape[1:])
 
     cuts = [P * i // workers for i in range(workers + 1)]
     _fork_ranges(run_paths, list(zip(cuts, cuts[1:])))
     if x0.ndim == 1:
-        records = [rec[0] for rec in records]
-        blown, aborted = blown[0], aborted[0]
-    return steps, tuple(records), blown, aborted
+        states, blown, aborted = states[0], blown[0], aborted[0]
+        finals = [a[0] for a in finals]
+    return steps, states, tuple(finals), blown, aborted
 
 
 def _ensemble_meta(system, x0, T, dt, steps, store_stride, blown):
@@ -853,7 +854,7 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times
     paths run at the same time in forked processes, one worker per
     MIN_PATH_STEPS_PER_WORKER path-steps at most, with the same output.
     """
-    steps, (states,), blown, _ = _run_ensemble(
+    steps, states, _, blown, _ = _run_ensemble(
         system, x0, T, dt, n_paths, seed, store_stride=store_stride, store_times=store_times,
         workers=workers)
     meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)

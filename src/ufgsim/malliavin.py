@@ -15,6 +15,17 @@ The reduced covariance follows the convention without the sqrt(2) factor on
 the noise columns:  C_t = sum_k int_0^t J_s^{-1} V_k V_k^T (J_s^{-1})^T ds,
 and M_t = J_t C_t J_t^T; this fixes the overall constant relative to texts
 that absorb the noise scaling into the covariance.
+
+The quadrature of C_T runs during the simulation, one stored step at a
+time, and no Jacobian or inverse is kept per stored time: a path ends with
+its J_T, its C_T and its worst |J K - I| over the stored times.  C_T is the
+trapezoid rule np.trapezoid applies to the whole stored integrand, to the
+bit: each step's term is numpy's d * (y_k + y_{k-1}) / 2.0, in that
+operation order, and the terms are summed as numpy sums them along t.  For
+N >= 2, where t is not the contiguous axis, that is one after another in t
+order, the first term being the start value.  For N = 1 numpy sums the
+contiguous terms pairwise, so a chunk keeps its per-step terms, as many
+floats as its stored states, and sums them at the last stored step.
 """
 
 from __future__ import annotations
@@ -30,33 +41,21 @@ from .dynamics import PathEnsemble, _ensemble_meta, _heun_rows, _run_ensemble
 
 DEFAULT_CONSISTENCY_TOL = 1e-6
 DEFAULT_COND_THRESHOLD = 1e10
-# entries (paths x stored steps x N^2) of one time block: the covariance
-# quadrature and the consistency check walk the stored grid in blocks of at
-# least one step and at most this many entries, not the whole (P, T, N, N) grid
-BLOCK_ENTRIES = 2**16
-
-
-def _block_steps(P, N):
-    """Stored steps per time block of P paths in dimension N."""
-    return max(1, BLOCK_ENTRIES // (P * N * N))
 
 
 @dataclass(kw_only=True)
 class VariationalPath(PathEnsemble):
-    """A path ensemble with Jacobians and inverse Jacobians on the stored grid."""
+    """A path ensemble with each path's final Jacobian J_T, reduced
+    covariance C_T (symmetrised) and worst |J K - I| over the stored times."""
 
-    jacobians: np.ndarray    # (P, T, N, N)
-    inverses: np.ndarray     # (P, T, N, N)
     aborted: np.ndarray      # (P,) inverse-consistency failures
+    jacobian: np.ndarray     # (P, N, N) J_T
+    covariance: np.ndarray   # (P, N, N) C_T
+    worst_jk_error: np.ndarray  # (P,) max |J K - I| over the stored times
 
     def consistency_error(self):
-        """max |J K - I| over stored times, per path, a block of times at a
-        time (see BLOCK_ENTRIES); a max of the blocks' maxes is exact."""
-        P, T, N = self.states.shape
-        I, steps = np.eye(N), _block_steps(P, N)
-        return np.max([np.max(np.abs(self.jacobians[:, t:t + steps]
-                                     @ self.inverses[:, t:t + steps] - I), axis=(1, 2, 3))
-                       for t in range(0, T, steps)], axis=0)
+        """max |J K - I| over the stored times, per path."""
+        return self.worst_jk_error
 
 
 def step_matrix(system, X, dB, dt):
@@ -84,8 +83,11 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
     step is one kernel call.  At each stored time K = J^{-1} is computed
     directly; a path is flagged `aborted` when |J K - I| is not within
     consistency_tol (singular or near-singular Jacobian).  A frozen path
-    keeps its last stored K.  `workers` splits the paths over forked
-    processes as in `simulate_paths`.
+    keeps its last stored K.  The same stored step adds its trapezoid term
+    of the reduced covariance (see the module docstring for the order of
+    the sum) and takes the running max of |J K - I|; the path keeps J_T,
+    C_T and that max, not the Jacobians along the grid.  `workers` splits
+    the paths over forked processes as in `simulate_paths`.
     """
     N = system.dim
     I = np.eye(N)
@@ -93,24 +95,41 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
     def advance(E, J):
         return (_heun_matrix(I, E) @ J,)
 
-    def store(S, alive, last):
+    def store(S, alive, carry, times, k):
         X, J = S
-        if last is None:  # J_0 = I is its own inverse
-            return (X, J, J), None
-        K = _refresh_inverse(J, last[2], alive)
+        if carry is None:  # J_0 = I is its own inverse
+            terms = np.empty((len(X), len(times) - 1)) if N == 1 else None
+            return (_integrand(system, X, J), terms, J, np.zeros(len(X))), None
+        y_last, C, K, worst = carry
+        K = _refresh_inverse(J, K, alive)
         err = np.max(np.abs(J @ K - I), axis=(1, 2))
-        return (X, J, K), alive & ~(err <= consistency_tol)
+        worst = np.maximum(worst, err)
+        bad = alive & ~(err <= consistency_tol)
+        y = _integrand(system, X, K)
+        term = (times[k] - times[k - 1]) * (y + y_last) / 2.0
+        if N == 1:  # summed pairwise at the last stored step
+            C[:, k - 1] = term[:, 0, 0]
+        elif C is None:  # the start value, as in numpy: 0.0 + -0.0 is 0.0
+            C = term
+        else:
+            C += term
+        if k < len(times) - 1:
+            return (y, C, K, worst), bad
+        if N == 1:
+            C = C.sum(axis=1)[:, None, None]
+        return (C, J, worst), bad
 
     # warnings off: a path whose J overflows is flagged blown, one whose
     # |J K - I| is not finite aborted
     with np.errstate(all="ignore"):
-        steps, (states, jacs, invs), blown, aborted = _run_ensemble(
+        steps, states, (C, JT, worst), blown, aborted = _run_ensemble(
             system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
-            store_stride=store_stride, record_shapes=((N,), (N, N), (N, N)), workers=workers)
+            final_shapes=((N, N), (N, N), ()), store_stride=store_stride, workers=workers)
     meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)
     meta["aborted"] = int(aborted.sum())
-    return VariationalPath(seed, dt, steps * dt, states, blown, meta,
-                           jacobians=jacs, inverses=invs, aborted=aborted)
+    return VariationalPath(seed, dt, steps * dt, states, blown, meta, aborted=aborted,
+                           jacobian=JT, covariance=0.5 * (C + np.swapaxes(C, -1, -2)),
+                           worst_jk_error=worst)
 
 
 def _refresh_inverse(J, K, alive):
@@ -135,59 +154,19 @@ def _refresh_inverse(J, K, alive):
         return out
 
 
-def reduced_covariance(vpath, system):
-    """Trapezoidal quadrature of sum_k (J^{-1} V_k)(J^{-1} V_k)^T on the grid.
-
-    Returns one symmetric PSD-enforced matrix per path, shape (P, N, N).
-
-    The grid is walked in time blocks (see BLOCK_ENTRIES), and the result is
-    np.trapezoid's on the whole integrand to the bit.  Each block evaluates
-    the noise fields and K V_k on its own stored times, carries over the
-    previous block's last integrand row, and forms numpy's terms
-    d * (y[1:] + y[:-1]) / 2.0 in that operation order.  The terms are added
-    onto the running sum in t order, the order of numpy's sum along t while
-    t is not the contiguous axis.  For N = 1 it is, and numpy sums pairwise,
-    so the whole grid is one block, no larger than the stored states.
-    """
-    P, T, N = vpath.states.shape
-    d = np.diff(vpath.times)[:, None, None]
-    steps = T - 1 if N == 1 else _block_steps(P, N)
-    last = _integrand(vpath, system, 0, np.empty((P, 1, N, N)))
-    C = None
-    for lo in range(0, T - 1, steps):
-        hi = min(lo + steps, T - 1)
-        Y = np.empty((P, hi - lo + 1, N, N))  # integrand rows lo..hi
-        Y[:, :1] = last
-        last = _integrand(vpath, system, lo + 1, Y[:, 1:])[:, -1:]
-        S = np.empty_like(Y)  # the running sum, then the block's terms
-        terms = S[:, 1:]
-        np.add(Y[:, 1:], Y[:, :-1], out=terms)
-        np.multiply(d[lo:hi], terms, out=terms)
-        np.divide(terms, 2.0, out=terms)
-        if C is None:
-            C = terms.sum(axis=1)
-        else:
-            S[:, 0] = C
-            C = S.sum(axis=1)
-    return 0.5 * (C + np.swapaxes(C, -1, -2))
-
-
-def _integrand(vpath, system, lo, out):
-    """sum_k (K V_k)(K V_k)^T at the stored times from lo on, into out (P, n, N, N)."""
-    times = slice(lo, lo + out.shape[1])
-    X, K = vpath.states[:, times], vpath.inverses[:, times]
-    out[...] = 0.0
+def _integrand(system, X, K):
+    """sum_k (K V_k)(K V_k)^T per row of the states X (P, N) and inverses K (P, N, N)."""
+    out = np.zeros(K.shape)
     for V in system.noises:
-        A = (K @ V.eval_batch(X)[..., None])[..., 0]            # (P, n, N)
+        A = (K @ V.eval_batch(X)[..., None])[..., 0]            # (P, N)
         out += A[..., :, None] * A[..., None, :]
     return out
 
 
-def malliavin_matrix(vpath, system):
+def malliavin_matrix(vpath):
     """M_T = J_T C_T J_T^T per path, shape (P, N, N)."""
-    C = reduced_covariance(vpath, system)
-    JT = vpath.jacobians[:, -1]
-    M = JT @ C @ np.swapaxes(JT, -1, -2)
+    JT = vpath.jacobian
+    M = JT @ vpath.covariance @ np.swapaxes(JT, -1, -2)
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 

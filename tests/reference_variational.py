@@ -7,13 +7,18 @@ compiled variational kernel (`SDESystem._variational_kernel`) and for
 computed it before the kernel: 2(1 + d) `jacobian_batch` calls per step,
 at the state and at the Heun predictor.  `refresh_inverse` is the stored
 inverse with its copy of K and fancy-indexed alive rows on every call.
-`simulate_variational` runs all paths in one batch and checks every row at
-every step.  `reduced_covariance` and `consistency_error` are the whole-grid
-formulas that `malliavin` now runs in time blocks: one (P, T, N, N) integrand
-and one np.trapezoid over it, and one (P, T, N, N) product J K.
+`simulate_variational` runs all paths in one batch, checks every row at
+every step and records J and K at every stored time.  `reduced_covariance`
+and `consistency_error` are the whole-grid formulas on those records: one
+(P, T, N, N) integrand and one np.trapezoid over it, and one (P, T, N, N)
+product J K.  `malliavin` accumulates both during the run instead, one
+stored step at a time, and keeps only J_T, C_T and the worst |J K - I|; the
+trapezoid terms are summed in numpy's order, one after another in t for
+N >= 2 and pairwise for N = 1.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,8 +56,9 @@ def refresh_inverse(J, K, alive):
 
 
 def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consistency_tol):
-    """(times, states, jacobians, inverses, blown, aborted) as
-    `malliavin.simulate_variational` returns them in a VariationalPath."""
+    """The run's times, states, blown and aborted flags, as
+    `malliavin.simulate_variational` returns them in a VariationalPath, and
+    its Jacobians and inverses (P, T, N, N) on the stored grid."""
     n_steps = round(T / dt)
     steps = list(range(0, n_steps + 1, store_stride))
     if steps[-1] != n_steps:
@@ -90,11 +96,13 @@ def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consist
             aborted |= bad
             alive &= ~bad
             states[:, k], jacobians[:, k], inverses[:, k] = X, J, K
-    return (np.asarray(steps) * dt, states, jacobians, inverses, blown, aborted)
+    return SimpleNamespace(times=np.asarray(steps) * dt, states=states, jacobians=jacobians,
+                           inverses=inverses, blown=blown, aborted=aborted)
 
 
 def reduced_covariance(vpath, system):
-    """The trapezoidal covariance quadrature on the whole (P, T, N, N) integrand."""
+    """The trapezoidal covariance quadrature on the whole (P, T, N, N)
+    integrand of a run of `simulate_variational` here."""
     P, T, N = vpath.states.shape
     integrand = np.zeros((P, T, N, N))
     for V in system.noises:

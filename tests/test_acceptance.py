@@ -284,7 +284,7 @@ def test_criterion_09_malliavin():
                              ("grushin", {"k": -1.0}, [0.0, 1.0])):
         entry = catalog.get(name, params)
         vp = mal.simulate_variational(entry.system, x0, 1.0, 1e-3, seed=55, n_paths=100)
-        M = mal.malliavin_matrix(vp, entry.system)
+        M = mal.malliavin_matrix(vp)
         reports, agg = mal.block_check_ensemble(M, 1)
         ok_blocks &= agg["block_ok_fraction"] == 1.0
         ok_blocks &= agg["invertible_fraction"] == 1.0
@@ -292,7 +292,7 @@ def test_criterion_09_malliavin():
     k = 1.0
     ou = catalog.get("linear", {"A": [[-k]], "C": [[1.0]]})
     vp = mal.simulate_variational(ou.system, [0.2], 1.0, 1e-3, seed=56, n_paths=100)
-    M = mal.malliavin_matrix(vp, ou.system)
+    M = mal.malliavin_matrix(vp)
     want = (1 - math.exp(-2 * k)) / (2 * k)
     ou_err = float(np.max(np.abs(M[:, 0, 0] / want - 1)))
     ok = ok_blocks and ou_err <= 0.02

@@ -263,6 +263,32 @@ class TestExitCodes:
         code, out, err = run_cli(args, capsys)
         assert code == cli.EXIT_USAGE and "asks for more than" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("cmd", [
+        ["check", "--system", "sine-ou", "--param", "k=2", "--condition", "hc"],
+        ["decompose", "--system", "sine-ou", "--param", "k=2"],
+    ])
+    def test_oversized_points_file_rejected(self, capsys, monkeypatch, tmp_path, cmd):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.1,1\n0.5,2\n0.9,3\n")
+        monkeypatch.setattr(dyn, "MAX_STORED_ENTRIES", 5)
+        with mock.patch.object(geometry.SamplePlan, "sample",
+                               side_effect=AssertionError("work begun")):
+            code, out, err = run_cli([*cmd, "--points", str(path)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert json.loads(err)["error"].startswith(f"--points {path} asks for more than 5")
+
+    # malliavin's count: N per stored time and 2 N^2 + 1 per path for J_T,
+    # C_T and the worst |J K - I|, here 2 x (11 x 2 + 9) = 62
+    def test_malliavin_at_the_stored_cap_runs(self, capsys, monkeypatch):
+        args = ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+                "--t", "0.01", "--paths", "2", "--split", "1"]
+        monkeypatch.setattr(dyn, "MAX_STORED_ENTRIES", 62)
+        assert run_cli(args, capsys)[0] in (cli.EXIT_OK, cli.EXIT_VIOLATED)
+        monkeypatch.setattr(dyn, "MAX_STORED_ENTRIES", 61)
+        code, out, err = run_cli(args, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "need 62 stored values" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("args", [
         ["--lambda0", "1e308", "--grid", "6"],
         ["--lambda0", "0.5", "--box", "1e200:1e300,1e200:1e300", "--grid", "4"],
@@ -455,7 +481,7 @@ sys.stderr.write(f"{code} {len(forked)} {'multiprocessing' in sys.modules}")
         system = catalog.get("sine-ou", {"k": 2.0}).system
         vp = mal.simulate_variational(system, [0.0, 4.0], 0.2, 1e-3, 5, n_paths=4,
                                       store_stride=5)
-        want = mal.malliavin_matrix(vp, system)
+        want = mal.malliavin_matrix(vp)
         got = [p["matrix"] for p in json.loads(out)["paths"]]
         assert got == want.reshape(4, -1).tolist()
 

@@ -1,6 +1,6 @@
-import dataclasses
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,13 +25,14 @@ class TestVariational:
         V1 = vf.make_field(2, ["0", "1"], ["x", "y"])
         system = dyn.SDESystem(2, V0, (V1,), "const")
         vp = mal.simulate_variational(system, [0, 0], 0.5, 1e-3, seed=1, n_paths=4)
-        assert np.max(np.abs(vp.jacobians - np.eye(2))) == 0.0
-        assert np.max(np.abs(vp.inverses - np.eye(2))) == 0.0
+        assert np.max(np.abs(vp.jacobian - np.eye(2))) == 0.0
+        # J K = I exactly at every stored time
+        assert np.max(vp.consistency_error()) == 0.0
 
     def test_ou_jacobian_decay(self):
         k = 1.0
         vp = mal.simulate_variational(ou_system(k), [0.3], 1.0, 1e-3, seed=2, n_paths=8)
-        assert np.max(np.abs(vp.jacobians[:, -1, 0, 0] - math.exp(-k))) <= 1e-6
+        assert np.max(np.abs(vp.jacobian[:, 0, 0] - math.exp(-k))) <= 1e-6
 
     def test_states_match_plain_ensemble(self, sine_ou_k2):
         kw = dict(x0=[0.0, 4.0], T=0.4, dt=1e-3, seed=7)
@@ -50,8 +51,10 @@ class TestVariational:
     def test_ode_rows_stay_clean(self, sine_ou_k2):
         vp = mal.simulate_variational(sine_ou_k2.system, [0.0, 4.0], 0.5, 1e-3,
                                       seed=4, n_paths=10)
-        # the deterministic block never picks up dependence on the leading one
-        assert np.max(np.abs(vp.jacobians[:, :, 1, 0])) == 0.0
+        # the deterministic block never picks up dependence on the leading
+        # one, so K V_1 has no second component and C_T no second row
+        assert np.max(np.abs(vp.jacobian[:, 1, 0])) == 0.0
+        assert np.max(np.abs(vp.covariance[:, 1])) == 0.0
 
 
     def test_chunking_is_bit_identical(self, monkeypatch, sine_ou_k2):
@@ -59,8 +62,8 @@ class TestVariational:
         one = mal.simulate_variational(sine_ou_k2.system, **kw)
         monkeypatch.setattr(dyn, "CHUNK_PATHS", 7)
         many = mal.simulate_variational(sine_ou_k2.system, **kw)
-        for name in ("times", "states", "jacobians", "inverses", "blown", "aborted"):
-            assert np.array_equal(getattr(one, name), getattr(many, name)), name
+        for name in FIELDS:
+            assert np.array_equal(_bits(getattr(one, name)), _bits(getattr(many, name))), name
 
     # sine-ou aborts 12 of 30 paths at different stored steps (see
     # test_simulation_is_the_reference_loop); riccati blows up 33 of 40
@@ -81,9 +84,30 @@ class TestVariational:
         many = mal.simulate_variational(system, x0, T, 1e-3, **kw, workers=workers)
         assert len(forking) == workers - 1
         assert one.aborted.sum() + one.blown.sum() > 0
-        for field_name in ("times", "states", "jacobians", "inverses", "blown", "aborted"):
-            assert np.array_equal(getattr(many, field_name), getattr(one, field_name)), field_name
+        for field_name in FIELDS:
+            assert np.array_equal(_bits(getattr(many, field_name)),
+                                  _bits(getattr(one, field_name))), field_name
         assert many.meta == one.meta
+
+    def test_fork_is_sized_by_step_kind(self, monkeypatch, sine_ou_k2, circles):
+        # on 2 cores a variational path-step weighs 1 + 2N = 5, so malliavin's
+        # 250 paths x 1000 steps fork; a plain one weighs 1, so 250 paths stay
+        # in one process and 600 fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ranges = []
+        fork_ranges = dyn._fork_ranges
+
+        def recorded(run, bounds):
+            ranges.append(bounds)
+            return fork_ranges(run, bounds)
+
+        monkeypatch.setattr(dyn, "_fork_ranges", recorded)
+        mal.simulate_variational(sine_ou_k2.system, [0.0, 4.0], 1.0, 1e-3, seed=1,
+                                 n_paths=250, store_stride=100, workers=2)
+        for P in (250, 600):
+            dyn.simulate_paths(circles.system, [1.0, 0.0], 1.0, 1e-3, P, seed=1,
+                               store_stride=100, workers=2)
+        assert ranges == [[(0, 125), (125, 250)], [(0, 250)], [(0, 300), (300, 600)]]
 
     def test_compiled_step_and_jacobians_per_step(self, monkeypatch, heisenberg):
         counts = {"eval_batch": 0, "jacobian_batch": 0, "heun": 0, "variational": 0}
@@ -107,8 +131,9 @@ class TestVariational:
         mal.simulate_variational(system, [1.0, 0.0, 0.0], 0.05, 1e-3, seed=1, n_paths=3,
                                  store_stride=10)
         # one compiled variational Heun step per step gives the state, the
-        # predictor and the step's linearizations at both
-        assert counts == {"eval_batch": 0, "jacobian_batch": 0, "heun": 0, "variational": 50}
+        # predictor and the step's linearizations at both; the covariance
+        # integrand evaluates the 2 noise fields at the 6 stored times
+        assert counts == {"eval_batch": 12, "jacobian_batch": 0, "heun": 0, "variational": 50}
 
     def test_singular_jacobian_is_aborted(self):
         # dt DV0 = [[-1, -1], [1, -1]] makes the Heun step matrix
@@ -117,9 +142,21 @@ class TestVariational:
         zero = vf.make_field(2, ["0", "0"], ["x", "y"])
         system = dyn.SDESystem(2, V0, (zero,), "singular-step")
         vp = mal.simulate_variational(system, [1.0, 0.0], 1.0, 0.5, seed=0, n_paths=2)
-        assert np.array_equal(vp.jacobians[:, 1], np.zeros((2, 2, 2)))
+        assert np.array_equal(vp.jacobian, np.zeros((2, 2, 2)))
         assert vp.aborted.all() and not vp.blown.any()
-        assert np.all(np.isfinite(vp.inverses))
+        # the inverse stays the finite I that J_0 had, so |J K - I| = 1
+        assert np.array_equal(vp.consistency_error(), np.ones(2))
+        assert np.all(np.isfinite(vp.covariance))
+
+
+# what a VariationalPath holds per path, besides its meta
+FIELDS = ("times", "states", "jacobian", "covariance", "worst_jk_error", "blown", "aborted")
+
+
+def _bits(a):
+    """a, floats as their bit patterns."""
+    a = np.asarray(a)
+    return a.view(np.uint64) if a.dtype == float else a
 
 
 @functools.cache
@@ -208,24 +245,31 @@ class TestCompiledLinearization:
                                       store_stride=stride, consistency_tol=tol)
         want = reference_variational.simulate_variational(system, x0, T, 1e-3, 3, P,
                                                           stride, tol)
-        for field_name, a in zip(("times", "states", "jacobians", "inverses", "blown",
-                                  "aborted"), want):
-            assert np.array_equal(getattr(vp, field_name), a), field_name
+        for field_name in ("times", "states", "blown", "aborted"):
+            assert np.array_equal(getattr(vp, field_name), getattr(want, field_name)), field_name
+        assert np.array_equal(vp.jacobian, want.jacobians[:, -1])
         assert (int(vp.aborted.sum()), int(vp.blown.sum())) == (aborted, blown)
 
 
-def _nonfinite(vp):
-    """vp with a nan inverse, inverses that turn infinite and a nan Jacobian."""
-    inverses, jacobians = vp.inverses.copy(), vp.jacobians.copy()
-    inverses[0, 5, 1, 0] = math.nan
-    inverses[1, 17:] = math.inf
-    jacobians[2, 3, 0, 1] = math.nan
-    return dataclasses.replace(vp, inverses=inverses, jacobians=jacobians)
+def _poisoned(refresh):
+    """refresh with a nan in K for rows whose J_01 is below -0.5 and an
+    infinite K for rows whose J_01 is above 0.5: on sine-ou J_01 starts at 0,
+    so a path is poisoned from the stored step where it first leaves
+    [-0.5, 0.5] on, whatever chunk or worker runs it."""
+    def refresh_poisoned(J, K, alive):
+        out = refresh(J, K, alive).copy()
+        out[J[:, 0, 1] < -0.5, 1, 0] = math.nan
+        out[J[:, 0, 1] > 0.5] = math.inf
+        return out
+
+    return refresh_poisoned
 
 
 class TestTimeBlocks:
-    """The covariance quadrature and the consistency check, walked in time
-    blocks, against their whole-grid formulas."""
+    """The covariance quadrature, J_T and the worst |J K - I|, accumulated
+    one stored step at a time during the run, against the whole-grid
+    formulas on the records of the reference loop, at every chunk size and
+    with one and two workers."""
 
     # T stored times: sine-ou 201, grushin 101 and 101, ufg-heisenberg 30,
     # sine-ou with 12 aborted paths 201, mixed-d2 with one blown path 151,
@@ -243,51 +287,71 @@ class TestTimeBlocks:
     ]
 
     @staticmethod
-    def _run(name, x0, T, P, stride, tol):
-        return mal.simulate_variational(_system(name), x0, T, 1e-3, seed=3, n_paths=P,
-                                        store_stride=stride, consistency_tol=tol)
-
-    # 1, 7 and 64 stored steps per block divide none of the grids' T or T - 1;
-    # 10**6 puts every grid in one block
-    @pytest.mark.parametrize("steps", [1, 7, 64, 10**6])
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-P{c[3]}-s{c[4]}")
-    def test_blocks_are_the_whole_grid_to_the_bit(self, monkeypatch, case, steps):
-        system, vp = _system(case[0]), self._run(*case)
-        P, _, N = vp.states.shape
-        want = reference_variational.reduced_covariance(vp, system)
-        want_err = reference_variational.consistency_error(vp)
-        monkeypatch.setattr(mal, "BLOCK_ENTRIES", steps * P * N * N)
-        assert np.array_equal(mal.reduced_covariance(vp, system).view(np.uint64),
-                              want.view(np.uint64))
-        assert np.array_equal(vp.consistency_error().view(np.uint64), want_err.view(np.uint64))
-
-    @pytest.mark.parametrize("steps", [1, 7, 10**6])
-    def test_non_finite_inverses(self, monkeypatch, steps):
-        case = self.CASES[0]
-        system, vp = _system(case[0]), _nonfinite(self._run(*case))
-        monkeypatch.setattr(mal, "BLOCK_ENTRIES", steps * 12 * 4)
+    def _check(case, chunk, monkeypatch, compare):
+        """The run of `case` at one and two workers and CHUNK_PATHS = chunk
+        against the reference loop's records, each output by compare."""
+        name, x0, T, P, stride, tol = case
+        system = _system(name)
         with np.errstate(all="ignore"):
-            want = reference_variational.reduced_covariance(vp, system)
-            want_err = reference_variational.consistency_error(vp)
-            got, got_err = mal.reduced_covariance(vp, system), vp.consistency_error()
-        assert np.isnan(want[:2]).any() and np.isnan(want_err[:3]).all()
-        assert_same_bits(got, want)
-        assert_same_bits(got_err, want_err)
+            ref = reference_variational.simulate_variational(system, x0, T, 1e-3, 3, P,
+                                                             stride, tol)
+            want = {"covariance": reference_variational.reduced_covariance(ref, system),
+                    "jacobian": ref.jacobians[:, -1],
+                    "worst_jk_error": reference_variational.consistency_error(ref),
+                    "states": ref.states, "blown": ref.blown, "aborted": ref.aborted}
+        monkeypatch.setattr(dyn, "CHUNK_PATHS", chunk)
+        for workers in (1, 2):
+            vp = mal.simulate_variational(system, x0, T, 1e-3, seed=3, n_paths=P,
+                                          store_stride=stride, consistency_tol=tol,
+                                          workers=workers)
+            for field_name, a in want.items():
+                compare(getattr(vp, field_name), a)
+        return want
 
-    def test_peak_memory_is_a_block(self, sine_ou_k2):
-        vp = mal.simulate_variational(sine_ou_k2.system, [0.0, 4.0], 1.0, 1e-3, seed=1,
-                                      n_paths=250)
-        P, T, N = vp.states.shape
-        whole = P * T * N * N * 8  # bytes of one (P, T, N, N) integrand: 8 MB
-        assert traced_peak(lambda: mal.reduced_covariance(vp, sine_ou_k2.system)) < whole / 2
-        assert traced_peak(vp.consistency_error) < whole / 4
+    # 1 and 7 paths per chunk split every case's paths, 64 and 10**6 keep
+    # them in one chunk
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 10**6])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-P{c[3]}-s{c[4]}")
+    def test_blocks_are_the_whole_grid_to_the_bit(self, forking, monkeypatch, case, chunk):
+        def compare(got, want):
+            assert np.array_equal(_bits(got), _bits(want))
+
+        self._check(case, chunk, monkeypatch, compare)
+        assert len(forking) == 1
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10**6])
+    def test_non_finite_inverses(self, forking, monkeypatch, chunk):
+        monkeypatch.setattr(mal, "_refresh_inverse", _poisoned(mal._refresh_inverse))
+        monkeypatch.setattr(reference_variational, "refresh_inverse",
+                            _poisoned(reference_variational.refresh_inverse))
+        want = self._check(self.CASES[0], chunk, monkeypatch, assert_same_bits)
+        assert len(forking) == 1
+        nan = np.isnan(want["covariance"]).reshape(12, 4)
+        # an infinite K meets the noise field's zero in K V_1: every entry nan
+        assert nan.all(axis=1).any()
+        # a nan in K's second row leaves C_00 finite
+        assert (nan.any(axis=1) & ~nan.all(axis=1)).any()
+        assert not nan.any(axis=1).all() and np.isnan(want["worst_jk_error"]).any()
+        assert want["aborted"].any() and not want["aborted"].all()
+
+    def test_peak_memory_is_below_one_store(self, grushin_minus1):
+        system = grushin_minus1.system
+        P, T, N = 250, 1001, 2
+        store = P * T * N * N * 8  # bytes of one (P, T, N, N) array: 8 MB
+
+        def run():
+            vp = mal.simulate_variational(system, [0.2, 1.5], 1.0, 1e-3, seed=1, n_paths=P)
+            assert vp.states.shape == (P, T, N)
+            mal.malliavin_matrix(vp)
+
+        assert traced_peak(run) < store
 
 
 class TestReducedCovariance:
     def test_ou_closed_form(self):
         k = 1.0
         vp = mal.simulate_variational(ou_system(k), [0.1], 1.0, 1e-3, seed=5, n_paths=6)
-        C = mal.reduced_covariance(vp, ou_system(k))
+        C = vp.covariance
         want = (math.exp(2 * k) - 1) / (2 * k)
         assert np.max(np.abs(C[:, 0, 0] / want - 1)) <= 0.02
 
@@ -295,13 +359,12 @@ class TestReducedCovariance:
         zero = vf.make_field(2, ["0", "0"], ["x", "y"])
         system = dyn.SDESystem(2, circles.system.drift, (zero,), "no-noise")
         vp = mal.simulate_variational(system, [1.0, 0.0], 0.3, 1e-3, seed=6, n_paths=3)
-        C = mal.reduced_covariance(vp, system)
-        assert np.max(np.abs(C)) == 0.0
+        assert np.max(np.abs(vp.covariance)) == 0.0
 
     def test_grushin_zero_border(self, grushin_minus1):
         vp = mal.simulate_variational(grushin_minus1.system, [0.0, 1.0], 1.0, 1e-3,
                                       seed=7, n_paths=10)
-        C = mal.reduced_covariance(vp, grushin_minus1.system)
+        C = vp.covariance
         assert np.max(np.abs(C[:, 1, :])) == 0.0
         assert np.max(np.abs(C[:, :, 1])) == 0.0
 
@@ -310,7 +373,7 @@ class TestMalliavinMatrix:
     def test_ou_closed_form(self):
         k = 1.0
         vp = mal.simulate_variational(ou_system(k), [0.1], 1.0, 1e-3, seed=8, n_paths=6)
-        M = mal.malliavin_matrix(vp, ou_system(k))
+        M = mal.malliavin_matrix(vp)
         want = (1 - math.exp(-2 * k)) / (2 * k)
         assert np.max(np.abs(M[:, 0, 0] / want - 1)) <= 0.02
 
@@ -318,12 +381,12 @@ class TestMalliavinMatrix:
         zero = vf.make_field(2, ["0", "0"], ["x", "y"])
         system = dyn.SDESystem(2, circles.system.drift, (zero,), "no-noise")
         vp = mal.simulate_variational(system, [1.0, 0.0], 0.3, 1e-3, seed=9, n_paths=3)
-        assert np.max(np.abs(mal.malliavin_matrix(vp, system))) == 0.0
+        assert np.max(np.abs(mal.malliavin_matrix(vp))) == 0.0
 
     def test_sine_ou_border_vanishes_pathwise(self, sine_ou_k2):
         vp = mal.simulate_variational(sine_ou_k2.system, [0.0, 4.0], 1.0, 1e-3,
                                       seed=10, n_paths=25)
-        M = mal.malliavin_matrix(vp, sine_ou_k2.system)
+        M = mal.malliavin_matrix(vp)
         for p in range(25):
             scale = np.max(np.abs(M[p, 0, 0]))
             assert np.max(np.abs(M[p, 1, :])) <= 1e-6 * scale
@@ -332,7 +395,7 @@ class TestMalliavinMatrix:
         for entry in (sine_ou_k2, grushin_minus1):
             vp = mal.simulate_variational(entry.system, [0.1, 1.2], 0.8, 1e-3,
                                           seed=11, n_paths=8)
-            M = mal.malliavin_matrix(vp, entry.system)
+            M = mal.malliavin_matrix(vp)
             eig = np.linalg.eigvalsh(M)
             assert np.all(eig[:, 0] >= -1e-9 * np.maximum(eig[:, -1], 1e-30))
 
@@ -343,7 +406,7 @@ class TestMalliavinMatrix:
             system = entry.system
             vp = mal.simulate_variational(system, [0.2, 1.5], 0.5, 1e-3, seed=12,
                                           n_paths=10)
-            M_jform = mal.malliavin_matrix(vp, system)
+            M_jform = mal.malliavin_matrix(vp)
             T, N = vp.states.shape[1], vp.states.shape[2]
             for p in range(10):
                 # path p's per-step increments, drawn as the ensemble draws them
@@ -368,7 +431,7 @@ class TestBlockCheck:
     def test_grushin_upper_block_positive(self, grushin_minus1):
         vp = mal.simulate_variational(grushin_minus1.system, [0.0, 1.0], 1.0, 1e-3,
                                       seed=13, n_paths=10)
-        M = mal.malliavin_matrix(vp, grushin_minus1.system)
+        M = mal.malliavin_matrix(vp)
         reports, agg = mal.block_check_ensemble(M, 1)
         assert agg["block_ok_fraction"] == 1.0
         assert agg["invertible_fraction"] == 1.0
@@ -378,7 +441,7 @@ class TestBlockCheck:
         # starting on the plane where the noise field vanishes: no covariance
         vp = mal.simulate_variational(sine_ou_k2.system, [0.5, 0.0], 1.0, 1e-3,
                                       seed=14, n_paths=5)
-        M = mal.malliavin_matrix(vp, sine_ou_k2.system)
+        M = mal.malliavin_matrix(vp)
         assert np.max(np.abs(M)) <= 1e-12
         rep = mal.block_and_rank_check(M[0], 1)
         assert not rep.invertible
