@@ -25,6 +25,12 @@ from . import expr as ex
 from .dynamics import SDESystem
 from .fields import VectorField, lie_bracket, make_field
 
+# CatalogEntry.selfcheck: seeded sample points and the tolerance each known
+# bracket identity must meet at them
+SELFCHECK_POINTS = 20
+SELFCHECK_SEED = 12345
+SELFCHECK_TOL = 1e-10
+
 _NAMES = (
     "gbm",
     "sinfields",
@@ -52,12 +58,13 @@ class CatalogEntry:
     facts: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
-    def selfcheck(self, n_points=20, tol=1e-10, seed=12345):
+    def selfcheck(self):
         """Re-derive every known symbolic identity numerically, under the
-        domain check (each field's checked kernel)."""
-        rng = np.random.default_rng(seed)
+        domain check (each field's checked kernel), at SELFCHECK_POINTS seeded
+        points of the sample box."""
+        rng = np.random.default_rng(SELFCHECK_SEED)
         pts = np.column_stack([
-            rng.uniform(lo, hi, size=n_points) for lo, hi in self.sample_box
+            rng.uniform(lo, hi, size=SELFCHECK_POINTS) for lo, hi in self.sample_box
         ])
         base = self.system.all_fields()
         for entries, expected, note in self.known_brackets:
@@ -65,7 +72,7 @@ class CatalogEntry:
             for i in entries[1:]:
                 got = lie_bracket(got, base[i])
             err = np.max(np.abs(got(pts) - expected(pts)))
-            if not err <= tol:
+            if not err <= SELFCHECK_TOL:
                 raise AssertionError(
                     f"{self.name}: bracket identity {entries} ({note}) off by {err:.3e}"
                 )

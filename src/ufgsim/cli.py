@@ -19,6 +19,7 @@ metadata so reports stay byte-comparable across its values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -223,21 +224,23 @@ def load_system(spec, params):
     )
 
 
-def emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+@contextlib.contextmanager
+def _output(out):
+    """The stream an output flag names: stdout for None or "-", else the file."""
     if out in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def emit(payload, out):
+    write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n", out)
 
 
 def write_text(text, out):
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def report_payload(command, system_name, params, metadata, **body):
@@ -471,11 +474,8 @@ def cmd_simulate(args):
 
 def _write_ensemble_csv(ens, out):
     """The ensemble's CSV, streamed a path at a time: never the whole text in memory."""
-    if out in (None, "-"):
-        ens.write_csv(sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            ens.write_csv(fh)
+    with _output(out) as fh:
+        ens.write_csv(fh)
 
 
 def cmd_zproc(args):
@@ -495,12 +495,12 @@ def cmd_ranks(args):
     level = _level(args, entry)
     table = build_hierarchy(system.all_fields(), level)
     ens = _simulate_from_args(args, system)
-    ranks = rank_along_path(ens.times, ens.states, table, rtol=args.rtol)
-    lines = ["path_id,time,rank"]
-    for p in range(ens.n_paths):
-        for k, t in enumerate(ens.times):
-            lines.append(f"{p},{float(t)!r},{int(ranks[p, k])}")
-    write_text("\n".join(lines) + "\n", args.out)
+    ranks = rank_along_path(ens.states, table, rtol=args.rtol)
+    with _output(args.out) as fh:  # streamed a path at a time, as the ensemble CSV
+        fh.write("path_id,time,rank\n")
+        for p in range(ens.n_paths):
+            fh.write("".join(f"{p},{float(t)!r},{int(ranks[p, k])}\n"
+                             for k, t in enumerate(ens.times)))
     return EXIT_OK
 
 

@@ -51,24 +51,12 @@ class DiracRef:
     location: float
 
 
-@dataclass(frozen=True)
-class EmpiricalRef:
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.sort(np.asarray(self.samples, dtype=float)))
-
-
 def gaussian(mean, variance):
     return GaussianRef(float(mean), float(variance))
 
 
 def dirac(location):
     return DiracRef(float(location))
-
-
-def empirical(samples):
-    return EmpiricalRef(samples)
 
 
 def ks_distance(samples, reference):
@@ -82,12 +70,6 @@ def ks_distance(samples, reference):
         below = np.searchsorted(s, a, side="left") / n
         at_or_below = np.searchsorted(s, a, side="right") / n
         return float(max(below, 1.0 - at_or_below))
-    if isinstance(reference, EmpiricalRef):
-        t = reference.samples
-        allv = np.concatenate([s, t])
-        cdf_s = np.searchsorted(s, allv, side="right") / n
-        cdf_t = np.searchsorted(t, allv, side="right") / t.size
-        return float(np.max(np.abs(cdf_s - cdf_t)))
     F = reference.cdf(s)
     i = np.arange(1, n + 1)
     return float(max(np.max(np.abs(i / n - F)), np.max(np.abs((i - 1) / n - F))))
@@ -134,10 +116,10 @@ def convergence_study(system, x0, times, references, n_paths, seed,
                       escape_radius, dt=1e-3, ks_tolerance=0.05, workers=1):
     """Simulate once and track per-coordinate KS distances and escape fractions.
 
-    `references` maps coordinate index -> reference spec (gaussian / dirac /
-    empirical); coordinates without an entry are skipped.  The escape
-    fraction is the share of paths outside the given radius at each time.
-    `workers` splits the paths over forked processes (see simulate_paths).
+    `references` maps coordinate index -> reference spec; coordinates without
+    an entry are skipped.  The escape fraction is the share of paths outside
+    the given radius at each time.  `workers` splits the paths over forked
+    processes (see simulate_paths).
     """
     times = [float(t) for t in times]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -180,19 +162,20 @@ def same_leaf_coupling(system, x, y, f, times, n_paths, seed, dt=1e-3):
     time, |difference|, standard error).  Rejects fewer than two paths.
     """
     _need_two_paths(n_paths)
+    return [(tg, float(abs(np.mean(d))), float(np.std(d, ddof=1) / math.sqrt(len(d))))
+            for tg, d in _coupled_differences(system, [x, y], f, times, n_paths, seed, dt, 1)]
+
+
+def _coupled_differences(system, starts, f, times, n_paths, seed, dt, workers):
+    """Per requested time, (grid time, f(X^a) - f(X^b) per path) for the two starts
+    a, b coupled in one ensemble (see simulate_paths); f is compiled once."""
     times = [float(t) for t in times]
-    ens = simulate_paths(system, np.array([x, y], dtype=float), max(times), dt, n_paths, seed,
-                         store_times=times)
+    ens = simulate_paths(system, np.asarray(starts, dtype=float), max(times), dt, n_paths,
+                         seed, store_times=times, workers=workers)
     kernel = ex.compile_exprs([f], ())
-    out = []
     for t in times:
-        tg, (Xx, Xy) = ens.state_at(t)
-        fx = _apply_observable(kernel, Xx)
-        fy = _apply_observable(kernel, Xy)
-        d = fx - fy
-        out.append((float(tg), float(abs(np.mean(d))),
-                    float(np.std(d, ddof=1) / math.sqrt(len(d)))))
-    return out
+        tg, (Xa, Xb) = ens.state_at(t)
+        yield float(tg), _apply_observable(kernel, Xa) - _apply_observable(kernel, Xb)
 
 
 def _need_two_paths(n_paths):
@@ -233,14 +216,12 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
         h = 1e-3 * (1.0 + float(np.linalg.norm(x)))
     u = vdir / norm
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    ens = simulate_paths(system, np.array([x + h * u, x - h * u]), float(np.max(times)), dt,
-                         n_paths, seed, store_times=times.tolist(), workers=workers)
-    kernel = ex.compile_exprs([f], ())
     est = np.empty(times.shape)
     err = np.empty(times.shape)
-    for i, ti in enumerate(times):
-        _, (Xp, Xm) = ens.state_at(ti)
-        d = (_apply_observable(kernel, Xp) - _apply_observable(kernel, Xm)) * (norm / (2.0 * h))
+    pairs = _coupled_differences(system, [x + h * u, x - h * u], f, times, n_paths, seed, dt,
+                                 workers)
+    for i, (_, d) in enumerate(pairs):
+        d = d * (norm / (2.0 * h))
         est[i] = np.mean(d)
         err[i] = np.std(d, ddof=1) / math.sqrt(len(d))
     if np.ndim(t) == 0:

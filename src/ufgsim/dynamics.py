@@ -52,6 +52,10 @@ CHUNK_PATHS = 2048
 # x86-64 VM two workers lost at 400 paths x 1000 steps of simulate_paths and
 # won at 600 x 1000, and won by 30 % at malliavin's 250 x 1000 (weight 5)
 MIN_PATH_STEPS_PER_WORKER = 300_000
+# adjoint_push: the largest gap between its two routes, relative to 1 + |result|
+ADJOINT_CONSISTENCY_TOL = 1e-7
+# flow_limit: the field norm below which the flow counts as converged
+STALL_TOL = 1e-8
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -198,11 +202,12 @@ class NumericField:
     linearizations matter.
     """
 
-    def __init__(self, dim, fn, name="", fd_step=1e-6):
+    fd_step = 1e-6  # relative central-difference step of jacobian_batch
+
+    def __init__(self, dim, fn, name=""):
         self.dim = dim
         self._fn = fn
         self.name = name
-        self.fd_step = fd_step
 
     def eval_batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -447,12 +452,12 @@ def flow_jacobian(V, x, t, cfg=None, with_endpoint=False):
     return J[0] if single else J
 
 
-def adjoint_push(V, Y, t, x, cfg=None, consistency_tol=1e-7):
+def adjoint_push(V, Y, t, x, cfg=None):
     """(Ad_{tV} Y)(x): push Y through the backward differential of the flow of V.
 
     Computed two ways, as d(e^{-tV}) at e^{tV}x applied to Y(e^{tV}x) and as
     the inverse forward Jacobian applied to the same vector; the two routes
-    must agree to consistency_tol.
+    must agree to ADJOINT_CONSISTENCY_TOL.
     """
     cfg = cfg or FlowConfig()
     V = _as_numeric(V)
@@ -466,32 +471,11 @@ def adjoint_push(V, Y, t, x, cfg=None, consistency_tol=1e-7):
     except np.linalg.LinAlgError:
         raise RuntimeError("forward flow Jacobian is numerically singular") from None
     err = np.max(np.abs(back - alt))
-    if not err <= consistency_tol * (1.0 + np.max(np.abs(back))):
+    if not err <= ADJOINT_CONSISTENCY_TOL * (1.0 + np.max(np.abs(back))):
         raise RuntimeError(
             f"adjoint consistency check failed: routes differ by {err:.3e}"
         )
     return back
-
-
-def stratonovich_to_ito(system):
-    """Ito drift b = V0 + sum_i (DV_i) V_i for the sqrt(2)-noise convention.
-
-    The diffusion part is unchanged (columns sqrt(2) V_i); only the drift
-    needs the correction when converting for generator or Fokker-Planck work.
-    """
-    n = system.dim
-    comps = []
-    for j in range(n):
-        acc = system.drift.components[j]
-        for V in system.noises:
-            for i in range(n):
-                acc = ex.Binary(
-                    "add",
-                    acc,
-                    ex.Binary("mul", V.components[i], ex.differentiate(V.components[j], i)),
-                )
-        comps.append(ex.simplify(acc))
-    return VectorField(n, tuple(comps), name=f"{system.name}-ito-drift")
 
 
 # ---------------------------------------------------------------------------
@@ -994,11 +978,10 @@ class FlowLimitResult:
     time: float
 
 
-def flow_limit(v0perp, x, t_max, stall_tol=1e-8, divergence_radius=1e8,
-               cfg=None, rank_probe=None):
+def flow_limit(v0perp, x, t_max, divergence_radius=1e8, cfg=None, rank_probe=None):
     """Limit of e^{t V0perp}(x) as t grows, when it exists.
 
-    Integrates until the field norm falls below stall_tol (converged), the
+    Integrates until the field norm falls below STALL_TOL (converged), the
     state norm exceeds divergence_radius (diverged) or t_max is exhausted
     (not_converged).  When rank_probe is given (a callable x -> rank of the
     bracket distribution), a rank change along the curve stops integration
@@ -1013,7 +996,7 @@ def flow_limit(v0perp, x, t_max, stall_tol=1e-8, divergence_radius=1e8,
     rank0 = rank_probe(y) if rank_probe is not None else None
     check_every = 20
     res = float(np.linalg.norm(V.eval_batch(y[None, :])[0]))
-    if res < stall_tol:
+    if res < STALL_TOL:
         return FlowLimitResult("converged", y, res, 0.0)
     Y = W[:, :len(y)]
     out = np.empty_like(Y)
@@ -1028,7 +1011,7 @@ def flow_limit(v0perp, x, t_max, stall_tol=1e-8, divergence_radius=1e8,
         Y[...] = out
         if steps % check_every == 0 or t >= t_max:
             res = float(np.linalg.norm(V.eval_batch(Y)[0]))
-            if res < stall_tol:
+            if res < STALL_TOL:
                 return FlowLimitResult("converged", Y[0], res, t)
             if float(np.linalg.norm(Y[0])) > divergence_radius:
                 return FlowLimitResult("diverged", Y[0], res, t)
@@ -1038,15 +1021,9 @@ def flow_limit(v0perp, x, t_max, stall_tol=1e-8, divergence_radius=1e8,
     return FlowLimitResult("not_converged", Y[0], res, t)
 
 
-def rank_along_path(times, states, table, rtol=1e-8):
-    """Tolerance rank of the drift-augmented frame at each stored time.
-
-    `states` is (T, N) for one path or (P, T, N) for an ensemble; returns a
-    list of (t, rank) pairs, or an array (P, T) in the ensemble case.
+def rank_along_path(states, table, rtol=1e-8):
+    """Tolerance rank of the drift-augmented frame at each stored state: an
+    array (P, T) for the states (P, T, N) of an ensemble.
     """
-    states = np.asarray(states, dtype=float)
-    frames = table.evaluate_frame_batch("brackets+drift", states)
-    ranks = svd_rank(frames, rtol=rtol)
-    if states.ndim == 2:
-        return list(zip(np.asarray(times, dtype=float).tolist(), np.atleast_1d(ranks).tolist()))
-    return ranks
+    frames = table.evaluate_frame_batch("brackets+drift", np.asarray(states, dtype=float))
+    return svd_rank(frames, rtol=rtol)

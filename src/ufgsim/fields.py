@@ -284,25 +284,6 @@ class BracketTable:
                 raise ex.EvalDomainError(label + check.error.brief, check.error.subtree)
         return np.stack(mats, axis=-1)
 
-    def spot_check(self, rng, n_points=5, box=1.0, tol=1e-9):
-        """Recompute a few stored extensions as explicit brackets and compare."""
-        for alpha in self._order:
-            if len(alpha.entries) < 2:
-                continue
-            parent = MultiIndex(alpha.entries[:-1]) if alpha.entries[:-1] != (0,) else None
-            i = alpha.entries[-1]
-            base_parent = (
-                self.fields[parent] if parent is not None else self.base_fields[0]
-            )
-            redo = lie_bracket(base_parent, self.base_fields[i])
-            for _ in range(n_points):
-                x = rng.uniform(-box, box, size=self.dim)
-                got = self.fields[alpha](x)
-                want = redo(x)
-                if np.max(np.abs(got - want)) > tol:
-                    return False
-        return True
-
 
 def build_hierarchy(base_fields, m, cap=DEFAULT_TABLE_CAP):
     """Build the bracket hierarchy through weighted length m+2."""

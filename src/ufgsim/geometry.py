@@ -41,6 +41,11 @@ from .linalg import (
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_COEFF_BLOWUP = 1e6
+# check_lyapunov's margin allowance, relative to 1 + |C1| + |C2|
+LYAPUNOV_TOL = 1e-9
+# a chart accepts coordinates up to this multiple of its radius, which leaves
+# room for Newton iterates just outside the cube
+CHART_SLACK = 1.5
 
 
 @dataclass(frozen=True)
@@ -148,20 +153,8 @@ def _finish_report(condition, level, lambda0, records, singular, skipped,
 
 
 # ---------------------------------------------------------------------------
-# Ranks and drift decomposition
+# Drift decomposition
 # ---------------------------------------------------------------------------
-
-def rank_at(table, which, x, rtol=DEFAULT_RTOL):
-    """Tolerance rank of the bracket frame ("brackets") or the drift-augmented
-    frame ("brackets+drift") at x: singular values above rtol times the top one.
-    """
-    return svd_rank(table.evaluate_frame(which, x), rtol=rtol)
-
-
-def decompose_drift(table, x, rtol=DEFAULT_RTOL):
-    """`decompose_drift_rows` at the one point x: (v_par, v_perp, residual)."""
-    return decompose_drift_rows(table, np.asarray(x, dtype=float)[None], rtol)[0]
-
 
 def decompose_drift_rows(table, X, rtol=DEFAULT_RTOL):
     """Split the drift at each row of X (P, N) into bracket-span and orthogonal parts.
@@ -192,7 +185,7 @@ def _drift_split(frames, drifts, rtol):
     return v_par, v_perp, residual
 
 
-def drift_orthogonal_field(table, rtol=DEFAULT_RTOL, name="drift-orthogonal"):
+def drift_orthogonal_field(table, rtol=DEFAULT_RTOL):
     """The pointwise drift-orthogonal component as a numeric field.
 
     Catalog systems carry closed-form versions; this fallback recomputes the
@@ -205,7 +198,7 @@ def drift_orthogonal_field(table, rtol=DEFAULT_RTOL, name="drift-orthogonal"):
         return drifts - project_onto_columns(table.evaluate_frame_batch("brackets", X),
                                              drifts, rtol=rtol)
 
-    return NumericField(table.dim, fn, name=name)
+    return NumericField(table.dim, fn, name="drift-orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +512,7 @@ def generator_apply(system, phi):
     return ex.simplify(out)
 
 
-def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
-                   flow_cfg=None):
+def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times):
     """Drift-condition test L_t phi <= C1 - C2 phi along the deterministic block.
 
     Sample points supply both the z-grid and the deterministic initial values;
@@ -536,13 +528,13 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
         raise ValueError("the test function must depend only on the leading coordinates")
     Lphi = generator_apply(system, phi)
     pts = plan.sample(N)
-    cfg = flow_cfg or FlowConfig()
     ode_field = VectorField(N - n, tuple(ex.substitute(system.drift.components[n:],
                                                        [ex.Var(i - n) for i in range(N)])))
     times = [float(t) for t in ode_solution_times]
     # every (time, point) row with its block moved along the flow; t <= 0 leaves it
     X = np.tile(pts, (len(times), 1))
-    X[:, n:] = _flow_each(ode_field, X[:, n:], np.repeat(np.maximum(times, 0.0), len(pts)), cfg)
+    X[:, n:] = _flow_each(ode_field, X[:, n:], np.repeat(np.maximum(times, 0.0), len(pts)),
+                         FlowConfig())
     X = X.reshape(len(times), len(pts), N)  # (time, point, N)
     check = ex.DomainCheck(X.shape[:-1])
     vals = np.empty(X.shape[:-1] + (2,))
@@ -558,7 +550,7 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times, tol=1e-9,
                            extra={"worst_time": float(worst_t[i])})
                for i in np.flatnonzero(~skip)]
     skipped = int(skip.sum())
-    scale = tol * (1.0 + abs(c1) + abs(c2))
+    scale = LYAPUNOV_TOL * (1.0 + abs(c1) + abs(c2))
     return _finish_report("lyapunov", None, None, records, [], skipped,
                           residual_tol=scale,
                           notes={"c1": float(c1), "c2": float(c2), "times": times})
@@ -597,9 +589,8 @@ class Chart:
     def dim(self):
         return len(self.center)
 
-    def _check_domain(self, T, slack=1.5):
-        # the slack leaves room for Newton iterates just outside the cube
-        if np.max(np.abs(T)) > self.radius * slack + 1e-12:
+    def _check_domain(self, T):
+        if np.max(np.abs(T)) > self.radius * CHART_SLACK + 1e-12:
             raise ValueError("coordinates outside the chart domain")
 
     def forward(self, t):
@@ -675,8 +666,7 @@ class Chart:
         return T[0] if np.ndim(x) == 1 else T
 
 
-def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
-                v0perp=None, flow_cfg=None):
+def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None, v0perp=None):
     """Construct straightening coordinates around a regular point.
 
     The leading basis is the n0 columns of the bracket frame at x0 that
@@ -690,7 +680,6 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
     N = table.dim
     if x0.shape != (N,):
         raise ValueError(f"x0 must have shape ({N},)")
-    flow_cfg = flow_cfg or FlowConfig()
     newton_cfg = newton_cfg or NewtonConfig()
 
     # the frame at x0 (row 0) and at x0 -+ delta e_i, in one checked evaluation
@@ -734,7 +723,7 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None,
         raise RuntimeError("chart construction produced a degenerate basis")
 
     return Chart(x0, n0, basis_indices, coord_fields, uses_perp,
-                 float(eps), newton_cfg, flow_cfg)
+                 float(eps), newton_cfg, FlowConfig())
 
 
 def verify_chart_structure(chart, table, samples_in_domain, fd_step=1e-5, tol=1e-5):

@@ -8,26 +8,26 @@ RANK_RTOL = 1e-8
 RANK_FLOOR = 1e-12
 
 
-def svd_rank(frame, rtol=RANK_RTOL, floor=RANK_FLOOR):
+def svd_rank(frame, rtol=RANK_RTOL):
     """Tolerance rank of one frame or a batch of frames (..., N, k).
 
     Counts singular values above rtol times the largest one; a frame whose
-    largest singular value is below the absolute floor has rank 0.
+    largest singular value is below the absolute floor RANK_FLOOR has rank 0.
     """
     frame = np.asarray(frame, dtype=float)
     if frame.ndim < 2:
         raise ValueError("frame must have at least two dimensions")
     if frame.shape[-1] == 0:
         return np.zeros(frame.shape[:-2], dtype=int) if frame.ndim > 2 else 0
-    counts = rank_from_singular_values(np.linalg.svd(frame, compute_uv=False), rtol, floor)
+    counts = rank_from_singular_values(np.linalg.svd(frame, compute_uv=False), rtol)
     return counts if frame.ndim > 2 else int(counts)
 
 
-def rank_from_singular_values(s, rtol=RANK_RTOL, floor=RANK_FLOOR):
+def rank_from_singular_values(s, rtol=RANK_RTOL):
     """`svd_rank`'s count from singular values s (..., k), k >= 1, sorted descending."""
     top = s[..., 0]
     counts = np.sum(s > rtol * np.maximum(top, RANK_FLOOR)[..., None], axis=-1)
-    return np.where(top < floor, 0, counts)
+    return np.where(top < RANK_FLOOR, 0, counts)
 
 
 def project_onto_columns(frame, v, rtol=RANK_RTOL):

@@ -41,6 +41,9 @@ from .dynamics import PathEnsemble, _ensemble_meta, _heun_rows, _run_ensemble
 
 DEFAULT_CONSISTENCY_TOL = 1e-6
 DEFAULT_COND_THRESHOLD = 1e10
+# block_and_rank_check: the largest off-block entry relative to the largest
+# upper-block entry that still counts as the block form
+BLOCK_TOL = 1e-6
 
 
 @dataclass(kw_only=True)
@@ -195,13 +198,12 @@ class MalliavinReport:
         }
 
 
-def block_and_rank_check(matrix, n, cond_threshold=DEFAULT_COND_THRESHOLD,
-                         block_tol=1e-6):
+def block_and_rank_check(matrix, n, cond_threshold=DEFAULT_COND_THRESHOLD):
     """Check the (n, N-n) block form and the conditioning of the upper block.
 
     Off-block magnitudes are reported relative to the largest upper-block
-    entry; `invertible` means the upper block's condition number stays below
-    cond_threshold.
+    entry, and `block_ok` means they stay within BLOCK_TOL; `invertible`
+    means the upper block's condition number stays below cond_threshold.
     """
     M = np.asarray(matrix, dtype=float)
     N = M.shape[0]
@@ -222,15 +224,14 @@ def block_and_rank_check(matrix, n, cond_threshold=DEFAULT_COND_THRESHOLD,
         off_block_max=off,
         off_block_rel=float(off_rel),
         upper_cond=cond,
-        block_ok=bool(off_rel <= block_tol),
+        block_ok=bool(off_rel <= BLOCK_TOL),
         invertible=bool(np.isfinite(cond) and cond <= cond_threshold),
     )
 
 
-def block_check_ensemble(matrices, n, cond_threshold=DEFAULT_COND_THRESHOLD,
-                         block_tol=1e-6):
+def block_check_ensemble(matrices, n, cond_threshold=DEFAULT_COND_THRESHOLD):
     """Per-path block checks plus pass frequencies (the a.s. surrogate)."""
-    reports = [block_and_rank_check(M, n, cond_threshold, block_tol) for M in matrices]
+    reports = [block_and_rank_check(M, n, cond_threshold) for M in matrices]
     P = len(reports)
     return reports, {
         "paths": P,

@@ -224,27 +224,6 @@ class TestAdjoint:
             assert np.max(np.abs(lhs - rhs)) <= 1e-4
 
 
-class TestItoConversion:
-    def test_gbm(self, rng):
-        entry = catalog.get("gbm")
-        drift = dyn.stratonovich_to_ito(entry.system)
-        pts = rng.uniform(-2, 2, size=(20, 1))
-        assert np.max(np.abs(drift.eval_batch(pts)[:, 0] + pts[:, 0])) <= 1e-12
-
-    def test_additive_noise_no_correction(self):
-        entry = catalog.get("linear", {"A": [[0.0, 1.0], [0.0, 0.0]], "C": [[0.0, 1.0]]})
-        drift = dyn.stratonovich_to_ito(entry.system)
-        x = np.array([0.7, -0.2])
-        assert np.allclose(drift(x), entry.system.drift(x))
-
-    def test_circle_line(self, rng, circle_line):
-        drift = dyn.stratonovich_to_ito(circle_line.system)
-        pts = rng.uniform(0.2, 6.0, size=(30, 1))
-        z = pts[:, 0]
-        want = np.sin(z) + np.sin(z) * (1 - np.cos(z))
-        assert np.max(np.abs(drift.eval_batch(pts)[:, 0] - want)) <= 1e-12
-
-
 class TestSimulate:
     def test_zero_noise_reduces_to_heun_ode(self, circles):
         zero = vf.make_field(2, ["0", "0"], ["x", "y"])
@@ -492,31 +471,32 @@ class TestRankAlongPath:
         tab = vf.build_hierarchy(heisenberg.system.all_fields(), 2)
         ens = dyn.simulate_paths(heisenberg.system, [1.0, 0.0, 0.0], 0.5, 1e-3, 50,
                                  seed=8, store_stride=100)
-        ranks = dyn.rank_along_path(ens.times, ens.states, tab)
+        ranks = dyn.rank_along_path(ens.states, tab)
         assert np.all(ranks == 3)
         ens2 = dyn.simulate_paths(heisenberg.system, [0.0, 1.0, 1.0], 0.5, 1e-3, 50,
                                   seed=8, store_stride=100)
-        ranks2 = dyn.rank_along_path(ens2.times, ens2.states, tab)
+        ranks2 = dyn.rank_along_path(ens2.states, tab)
         assert np.all(ranks2 == 2)
 
     def test_single_path_pairs(self, heisenberg):
         tab = vf.build_hierarchy(heisenberg.system.all_fields(), 2)
         ens = dyn.simulate_paths(heisenberg.system, [1.0, 0.0, 0.0], 0.2, 1e-3, 1,
                                  seed=1, store_stride=100)
-        pairs = dyn.rank_along_path(ens.times, ens.states[0], tab)
-        assert pairs[0] == (0.0, 3)
+        ranks = dyn.rank_along_path(ens.states, tab)
+        assert ranks.shape == (1, len(ens.times))
+        assert (ens.times[0], ranks[0, 0]) == (0.0, 3)
 
     def test_zero_fields_rank_zero(self):
         Z = vf.make_field(2, ["0", "0"], ["x", "y"])
         tab = vf.build_hierarchy([Z, Z], 1)
-        ranks = dyn.rank_along_path([0.0], np.zeros((1, 1, 2)), tab)
+        ranks = dyn.rank_along_path(np.zeros((1, 1, 2)), tab)
         assert np.all(ranks == 0)
 
     def test_monotone_along_circle_paths(self, circles):
         tab = vf.build_hierarchy(circles.system.all_fields(), 1)
         ens = dyn.simulate_paths(circles.system, [1.0, 0.0], 0.5, 1e-3, 100, seed=10,
                                  store_stride=50)
-        ranks = dyn.rank_along_path(ens.times, ens.states, tab)
+        ranks = dyn.rank_along_path(ens.states, tab)
         assert np.all(np.diff(ranks, axis=1) <= 0)
 
 

@@ -184,8 +184,16 @@ class TestHierarchy:
             assert np.max(np.abs(tab.field(a).eval_batch(pts))) <= 1e-12
 
     def test_spot_check(self, rng, heisenberg):
+        # every stored extension equals its explicit bracket with the last base field
         tab = vf.build_hierarchy(heisenberg.system.all_fields(), 2)
-        assert tab.spot_check(np.random.default_rng(5))
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, tab.dim))
+        for alpha in tab.indices():
+            if len(alpha.entries) < 2:
+                continue
+            head = alpha.entries[:-1]
+            parent = tab.drift if head == (0,) else tab.field(vf.MultiIndex(head))
+            want = vf.lie_bracket(parent, tab.base_fields[alpha.entries[-1]]).eval_batch(pts)
+            assert np.max(np.abs(tab.field(alpha).eval_batch(pts) - want)) <= 1e-9
 
     def test_cap(self):
         V0 = vf.make_field(2, ["sin(x)", "0"], ["x", "y"])

@@ -31,26 +31,27 @@ class TestSamplePlan:
             geo.SamplePlan(box=((1, 1),)).sample(1)
 
 
+def ranks(tab, which, pts):
+    """Tolerance ranks of the frames at the rows of pts (P, N)."""
+    return svd_rank(tab.evaluate_frame(which, np.asarray(pts, dtype=float))).tolist()
+
+
 class TestRank:
     def test_heisenberg_profile(self, heisenberg):
         tab = table_for(heisenberg)
-        assert geo.rank_at(tab, "brackets+drift", [1, 0, 0]) == 3
-        assert geo.rank_at(tab, "brackets+drift", [0, 1, 1]) == 2
-        assert geo.rank_at(tab, "brackets", [1, 0, 0]) == 2
+        assert ranks(tab, "brackets+drift", [[1, 0, 0], [0, 1, 1]]) == [3, 2]
+        assert ranks(tab, "brackets", [[1, 0, 0]]) == [2]
 
     def test_circles_profile(self, circles):
         tab = table_for(circles)
-        assert geo.rank_at(tab, "brackets", [1, 0]) == 1
-        assert geo.rank_at(tab, "brackets+drift", [1, 0]) == 2
-        assert geo.rank_at(tab, "brackets", [0, 0]) == 0
-        assert geo.rank_at(tab, "brackets+drift", [0, 0]) == 0
+        assert ranks(tab, "brackets", [[1, 0], [0, 0]]) == [1, 0]
+        assert ranks(tab, "brackets+drift", [[1, 0], [0, 0]]) == [2, 0]
 
     def test_rank_inequality(self, rng, heisenberg, circles, sine_ou_k2):
         for entry in (heisenberg, circles, sine_ou_k2):
             tab = table_for(entry)
-            for x in sample_points(entry, 15, rng):
-                r = geo.rank_at(tab, "brackets", x)
-                r0 = geo.rank_at(tab, "brackets+drift", x)
+            pts = sample_points(entry, 15, rng)
+            for r, r0 in zip(ranks(tab, "brackets", pts), ranks(tab, "brackets+drift", pts)):
                 assert r <= r0 <= r + 1
 
 
@@ -76,32 +77,30 @@ def frame_stacks(draw):
 class TestDecompose:
     def test_circles_orthogonal_drift(self, rng, circles):
         tab = table_for(circles)
-        for x in sample_points(circles, 10, rng):
-            v_par, v_perp, resid = geo.decompose_drift(tab, x)
+        pts = sample_points(circles, 10, rng)
+        for x, (v_par, v_perp, resid) in zip(pts, geo.decompose_drift_rows(tab, pts)):
             assert np.allclose(v_perp, [-x[1], x[0]], atol=1e-10)
             assert np.linalg.norm(v_par) <= 1e-10
             assert resid <= 1e-9
 
     def test_heisenberg_known_component(self, rng, heisenberg):
         tab = table_for(heisenberg)
-        for x in sample_points(heisenberg, 10, rng):
-            _, v_perp, _ = geo.decompose_drift(tab, x)
+        pts = sample_points(heisenberg, 10, rng)
+        for x, (_, v_perp, _) in zip(pts, geo.decompose_drift_rows(tab, pts)):
             assert np.allclose(v_perp, [-x[0], 0.0, 0.0], atol=1e-9)
 
     def test_drift_inside_span(self, rng):
         # drift equal to the noise field: nothing orthogonal remains
         V1 = vf.make_field(2, ["x", "y"], ["x", "y"])
         tab = vf.build_hierarchy([V1, V1], 1)
-        for _ in range(5):
-            x = rng.uniform(0.3, 2.0, size=2)
-            v_par, v_perp, _ = geo.decompose_drift(tab, x)
+        for _, v_perp, _ in geo.decompose_drift_rows(tab, rng.uniform(0.3, 2.0, size=(5, 2))):
             assert np.linalg.norm(v_perp) <= 1e-10
 
     def test_orthogonality_property(self, rng, heisenberg, circles, sine_ou_k2):
         for entry in (heisenberg, circles, sine_ou_k2):
             tab = table_for(entry)
-            for x in sample_points(entry, 10, rng):
-                _, v_perp, _ = geo.decompose_drift(tab, x)
+            pts = sample_points(entry, 10, rng)
+            for x, (_, v_perp, _) in zip(pts, geo.decompose_drift_rows(tab, pts)):
                 for a in tab.r_m():
                     col = tab.field(a)(x)
                     bound = 1e-9 * (1 + np.linalg.norm(v_perp) * np.linalg.norm(col))
@@ -113,8 +112,7 @@ class TestDecompose:
         v0perp = heisenberg.v0perp
         fields2 = (v0perp,) + tuple(heisenberg.system.noises)
         tab2 = vf.build_hierarchy(fields2, heisenberg.level)
-        for x in sample_points(heisenberg, 10, rng):
-            v_par, _, resid = geo.decompose_drift(tab2, x)
+        for v_par, _, resid in geo.decompose_drift_rows(tab2, sample_points(heisenberg, 10, rng)):
             assert np.linalg.norm(v_par) <= 1e-9
             assert resid <= 1e-9
 
