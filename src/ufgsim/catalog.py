@@ -353,8 +353,8 @@ def _build_circle_line(params):
     )
 
 
-def stationary_density_expr(n=0, normalized=False):
-    """Unnormalized invariant density on (2 pi n, 2 pi (n+1)).
+def stationary_density_expr(normalized=False):
+    """Unnormalized invariant density on each interval (2 pi n, 2 pi (n+1)).
 
     exp(-1/(1-cos z)) / (1 - cos z); the interval indicator is a domain
     restriction, not part of the expression.  With normalized=True the

@@ -14,6 +14,11 @@ process runs in this one alone (see dynamics.MIN_PATH_STEPS_PER_WORKER).
 `--threads` below 1 is a usage error.  Results never depend on it (path
 substreams are fixed by the seed alone), and it is left out of report
 metadata so reports stay byte-comparable across its values.
+
+A command accepts only the flags it reads; any other is a usage error naming
+it, raised before any work.  So `check` accepts the flags in CHECK_READS of
+its condition, and `zproc` takes no --level or --rtol on the catalog systems
+in CLOSED_FORM_V0PERP, whose drift-orthogonal field it never computes.
 """
 
 from __future__ import annotations
@@ -260,24 +265,30 @@ def _level(args, entry):
     return args.level if args.level is not None else (entry.level if entry else 1)
 
 
-def _v0perp_for(entry, system, level, rtol):
+RTOL = 1e-8  # the --rtol default: the relative rank tolerance of the frames
+# the catalog systems whose entry carries a closed-form drift-orthogonal field
+CLOSED_FORM_V0PERP = frozenset({"gbm", "ufg-heisenberg", "random-circles", "grushin",
+                                "sine-ou", "circle-line"})
+
+
+def _v0perp_for(entry, system, args):
     if entry is not None and entry.v0perp is not None:
         return entry.v0perp
-    table = build_hierarchy(system.all_fields(), level)
-    return geometry.drift_orthogonal_field(table, rtol=rtol)
+    table = build_hierarchy(system.all_fields(), _level(args, entry))
+    return geometry.drift_orthogonal_field(table, rtol=RTOL if args.rtol is None else args.rtol)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_catalog(args):
-    if args.action == "list":
-        for name in catalog.list_entries():
-            print(name)
-        return EXIT_OK
-    if not args.name:
-        raise UsageError("catalog show needs --name")
+def cmd_catalog_list(args):
+    for name in catalog.list_entries():
+        print(name)
+    return EXIT_OK
+
+
+def cmd_catalog_show(args):
     entry = catalog.get(args.name, parse_param_list(args.param))
     if args.export:
         write_text(entry.export_system_file(), args.export)
@@ -332,16 +343,45 @@ def _plan_from_args(args, entry, per_point):
     return SamplePlan(box=box, grid=args.grid)
 
 
+# check: the default of every condition flag, the parser types of those that
+# are not finite reals, and the flags each condition reads
+CHECK_DEFAULTS = {
+    "level": None, "rtol": RTOL, "box": None, "grid": 32, "points": None,
+    "lambda0": 1e-3, "tol": 1e-9, "residual_tol": 1e-8, "coeff_threshold": 1e6,
+    "phi": None, "c1": 1.0, "c2": 1.0, "times": None,
+}
+_CHECK_TYPES = {"level": int, "grid": int, "box": str, "points": str, "phi": str, "times": str}
+_FRAME = ("level", "box", "grid", "points")
+CHECK_READS = {
+    "ufg": (*_FRAME, "rtol", "residual_tol", "coeff_threshold"),
+    "hc": (*_FRAME, "rtol"),
+    "phc": (*_FRAME, "rtol"),
+    "oac": (*_FRAME, "lambda0", "tol"),
+    "oac2": (*_FRAME, "lambda0", "tol"),
+    "kalman": ("rtol",),
+    "lyapunov": ("box", "grid", "points", "phi", "c1", "c2", "times"),
+}
+# the settings every check report echoes under "metadata", read or not
+_CHECK_METADATA = ("grid", "rtol", "tol", "lambda0", "residual_tol", "coeff_threshold")
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def cmd_check(args):
+    reads = CHECK_READS[args.condition]
+    for dest, default in CHECK_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise UsageError(f"{_flag(dest)} is not read by the {args.condition} check, "
+                             f"which reads {', '.join(map(_flag, reads))}")
     params = parse_param_list(args.param)
     system, entry, variables = load_system(args.system, params)
     level = _level(args, entry)
-    metadata = {
-        "seed": None, "dt": None, "grid": args.grid, "rtol": args.rtol,
-        "tol": args.tol, "level": level, "lambda0": args.lambda0,
-        "residual_tol": args.residual_tol, "coeff_threshold": args.coeff_threshold,
-        "lambda0_sweep": "off",
-    }
+    metadata = {dest: getattr(args, dest) for dest in _CHECK_METADATA}
+    metadata.update(seed=None, dt=None, level=level, lambda0_sweep="off")
 
     if args.condition == "kalman":
         if entry is None or entry.name != "linear":
@@ -373,10 +413,8 @@ def cmd_check(args):
             rep = geometry.check_hormander(table, plan, args.condition.upper(), rtol=args.rtol)
         elif args.condition == "oac":
             rep = geometry.check_oac(table, plan, args.lambda0, tol=args.tol)
-        elif args.condition == "oac2":
-            rep = geometry.check_oac2(table, plan, args.lambda0, tol=args.tol)
         else:
-            raise UsageError(f"unknown condition '{args.condition}'")
+            rep = geometry.check_oac2(table, plan, args.lambda0, tol=args.tol)
 
     body = rep.to_dict()
     payload = report_payload(f"check {args.condition}", system.name, params, metadata, **body)
@@ -458,10 +496,9 @@ def _horizon(args):
     return args.t
 
 
-def _simulate_from_args(args, system, store_times=None):
+def _simulate_from_args(args, system):
     return simulate_paths(system, parse_point(args.x0), _horizon(args), args.dt, args.paths,
-                          args.seed, store_stride=args.stride, store_times=store_times,
-                          workers=args.threads)
+                          args.seed, store_stride=args.stride, workers=args.threads)
 
 
 def cmd_simulate(args):
@@ -479,11 +516,14 @@ def _write_ensemble_csv(ens, out):
 
 
 def cmd_zproc(args):
+    if args.system in CLOSED_FORM_V0PERP and (args.level, args.rtol) != (None, None):
+        flag = "--level" if args.level is not None else "--rtol"
+        raise UsageError(f"{flag} is not read by zproc on {args.system}, whose "
+                         "drift-orthogonal field is closed-form")
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
     ens = _simulate_from_args(args, system)
-    level = _level(args, entry)
-    v0perp = _v0perp_for(entry, system, level, args.rtol)
+    v0perp = _v0perp_for(entry, system, args)
     z = auxiliary_process(ens, v0perp, FlowConfig(dt=args.dt))
     _write_ensemble_csv(z, args.out)
     return EXIT_OK
@@ -644,7 +684,7 @@ class ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _add_common(p, sim=False, geom=False, threads=False, box=False):
+def _add_common(p, sim=False, geom=False, threads=False):
     p.add_argument("--system", required=True, help="catalog name or system file")
     p.add_argument("--param", action="append", default=[], help="name=value (repeatable)")
     p.add_argument("--out", default="-", help="output file, or - for stdout")
@@ -662,10 +702,7 @@ def _add_common(p, sim=False, geom=False, threads=False, box=False):
         p.add_argument("--stride", type=int, default=1)
     if geom:
         p.add_argument("--level", type=int, default=None)
-        p.add_argument("--rtol", type=finite_float, default=1e-8)
-    if box:
-        p.add_argument("--box", default=None)
-        p.add_argument("--grid", type=int, default=32)
+        p.add_argument("--rtol", type=finite_float, default=RTOL)
 
 
 def build_parser():
@@ -674,31 +711,30 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("catalog", help="list or show built-in systems")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("--name")
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="the catalog names").set_defaults(fn=cmd_catalog_list)
+    p = actions.add_parser("show", help="a catalog system's fields, brackets and box")
+    p.add_argument("--name", required=True)
     p.add_argument("--param", action="append", default=[])
-    p.add_argument("--export", default=None, help="write the system file format")
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_catalog)
+    to = p.add_mutually_exclusive_group()
+    to.add_argument("--export", default=None, help="write the system file format instead")
+    to.add_argument("--out", default="-")
+    p.set_defaults(fn=cmd_catalog_show)
 
     p = sub.add_parser("check", help="run a condition checker")
-    _add_common(p, geom=True, box=True)
-    p.add_argument("--condition", required=True,
-                   choices=["ufg", "hc", "phc", "oac", "oac2", "kalman", "lyapunov"])
-    p.add_argument("--lambda0", type=finite_float, default=1e-3)
-    p.add_argument("--tol", type=finite_float, default=1e-9)
-    p.add_argument("--residual-tol", dest="residual_tol", type=finite_float, default=1e-8)
-    p.add_argument("--coeff-threshold", dest="coeff_threshold", type=finite_float, default=1e6)
-    p.add_argument("--points", default=None, help="CSV file of sample points")
-    p.add_argument("--phi", default=None, help="lyapunov test function")
-    p.add_argument("--c1", type=finite_float, default=1.0)
-    p.add_argument("--c2", type=finite_float, default=1.0)
-    p.add_argument("--times", default=None, help="lyapunov evaluation times")
+    _add_common(p)
+    p.add_argument("--condition", required=True, choices=list(CHECK_READS))
+    for dest in CHECK_DEFAULTS:  # no parser default: cmd_check sees which were given
+        readers = [c for c, reads in CHECK_READS.items() if dest in reads]
+        p.add_argument(_flag(dest), dest=dest, type=_CHECK_TYPES.get(dest, finite_float),
+                       help="read by " + ", ".join(readers))
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("decompose", help="drift decomposition at sample points")
-    _add_common(p, geom=True, box=True)
-    p.add_argument("--points", default=None, help="CSV file of sample points")
+    _add_common(p, geom=True)
+    p.add_argument("--box")
+    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--points", help="CSV file of sample points")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("chart", help="build and verify a local chart")
@@ -718,7 +754,7 @@ def build_parser():
 
     p = sub.add_parser("zproc", help="auxiliary process (transport-corrected paths)")
     _add_common(p, sim=True, geom=True)
-    p.set_defaults(fn=cmd_zproc)
+    p.set_defaults(fn=cmd_zproc, rtol=None)  # None: not given (see cmd_zproc)
 
     p = sub.add_parser("ranks", help="distribution rank along simulated paths")
     _add_common(p, sim=True, geom=True)

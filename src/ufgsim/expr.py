@@ -9,9 +9,9 @@ Expressions are immutable trees over a fixed, small grammar:
     atom   := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")" ;
 
 Recognized one-argument functions: sin, cos, exp, log, sqrt, tanh.
-NUMBER is a decimal literal with an optional exponent part; whitespace is
-insignificant.  Variables are resolved positionally against the ordered
-identifier list supplied to :func:`parse_expression`.
+NUMBER is a decimal literal of ASCII digits with an optional exponent part;
+whitespace is insignificant.  Variables are resolved positionally against
+the ordered identifier list supplied to :func:`parse_expression`.
 
 Design notes:
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,23 +155,26 @@ def pow_expr(base, exponent):
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUMBER_START = set("0123456789")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_BODY = _IDENT_START | _NUMBER_START
+# ASCII only: a number is digits, an optional "." and digits, then an exponent
+# only where a digit follows its "e" and sign
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SPACE = re.compile(r"\s*")  # str.isspace characters
+# binary operator -> (node op, binding level); all are left-associative
+_INFIX = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+class _Parser:
+    """Recursive descent over `text`; `pos` indexes the next unread character."""
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def __init__(self, text, variable_names):
+        self.text, self.pos = text, 0
+        self.vars = {name: i for i, name in enumerate(variable_names)}
 
     def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after whitespace, which is consumed; "" at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
     def take(self, ch):
         if self.peek() == ch:
@@ -182,73 +186,30 @@ class _Scanner:
         if not self.take(ch):
             raise ParseError("unexpected input", self.pos, expected)
 
-    def number(self):
-        start = self.pos
-        t = self.text
-        n = len(t)
-        while self.pos < n and t[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < n and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and t[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < n and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and t[self.pos].isdigit():
-                while self.pos < n and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        value = float(t[start:self.pos])
-        if math.isinf(value):
-            raise ParseError(f"number {t[start:self.pos]} overflows a double", start)
-        return value
-
-    def ident(self):
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and t[self.pos] in _IDENT_BODY:
-            self.pos += 1
-        return t[start:self.pos]
-
-
-class _Parser:
-    def __init__(self, text, variable_names):
-        self.sc = _Scanner(text)
-        self.vars = {name: i for i, name in enumerate(variable_names)}
+    def match(self, pattern):
+        """The text of `pattern` at `pos`, consumed, or None."""
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        return m.group()
 
     def parse(self):
         e = self.expr()
-        self.sc.skip_ws()
-        if self.sc.pos != len(self.sc.text):
-            raise ParseError("trailing input", self.sc.pos, ["end of input", "operator"])
+        if self.peek():
+            raise ParseError("trailing input", self.pos, ["end of input", "operator"])
         return e
 
-    def expr(self):
-        e = self.term()
-        while True:
-            if self.sc.take("+"):
-                e = Binary("add", e, self.term())
-            elif self.sc.take("-"):
-                e = Binary("sub", e, self.term())
-            else:
-                return e
-
-    def term(self):
+    def expr(self, level=1):
+        """Factors joined by the binary operators that bind at `level` or tighter."""
         e = self.factor()
-        while True:
-            if self.sc.take("*"):
-                e = Binary("mul", e, self.factor())
-            elif self.sc.take("/"):
-                e = Binary("div", e, self.factor())
-            else:
-                return e
+        while (op := _INFIX.get(self.peek())) is not None and op[1] >= level:
+            self.pos += 1
+            e = Binary(op[0], e, self.expr(op[1] + 1))
+        return e
 
     def factor(self):
-        if self.sc.take("-"):
+        if self.take("-"):
             inner = self.power()
             if isinstance(inner, Const):
                 return Const(-inner.value)
@@ -257,8 +218,8 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        if self.sc.take("^"):
-            pos = self.sc.pos
+        if self.take("^"):
+            pos = self.pos
             exponent = self.atom()
             if not isinstance(exponent, Const):
                 raise ParseError("exponent must be a numeric constant", pos, ["NUMBER"])
@@ -269,22 +230,23 @@ class _Parser:
         return base
 
     def atom(self):
-        ch = self.sc.peek()
-        pos = self.sc.pos
-        if ch == "(":
-            self.sc.take("(")
+        self.peek()
+        pos = self.pos
+        if self.take("("):
             e = self.expr()
-            self.sc.expect(")", [")"])
+            self.expect(")", [")"])
             return e
-        if ch in _NUMBER_START:
-            return Const(self.sc.number())
-        if ch in _IDENT_START:
-            name = self.sc.ident()
-            if self.sc.take("("):
+        if (number := self.match(_NUMBER)) is not None:
+            value = float(number)
+            if math.isinf(value):
+                raise ParseError(f"number {number} overflows a double", pos)
+            return Const(value)
+        if (name := self.match(_IDENT)) is not None:
+            if self.take("("):
                 if name not in FUNCTIONS:
                     raise ParseError(f"unknown function '{name}'", pos, FUNCTIONS)
                 arg = self.expr()
-                self.sc.expect(")", [")"])
+                self.expect(")", [")"])
                 return Unary(name, arg)
             if name in self.vars:
                 return Var(self.vars[name])

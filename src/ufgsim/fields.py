@@ -113,14 +113,15 @@ def lie_bracket(V, W):
     if V.dim != W.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {W.dim}")
     n = V.dim
+    dV, dW = V.jacobian_exprs, W.jacobian_exprs  # each field differentiated once
     comps = []
     for j in range(n):
         acc = ex.ZERO
         for i in range(n):
             term = ex.Binary(
                 "sub",
-                ex.Binary("mul", V.components[i], ex.differentiate(W.components[j], i)),
-                ex.Binary("mul", W.components[i], ex.differentiate(V.components[j], i)),
+                ex.Binary("mul", V.components[i], dW[j][i]),
+                ex.Binary("mul", W.components[i], dV[j][i]),
             )
             acc = ex.Binary("add", acc, term)
         comps.append(ex.simplify(acc))

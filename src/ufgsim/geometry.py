@@ -245,7 +245,7 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
     with np.errstate(all="ignore"):
         for i in regular:
             F, Vi = frames[i], V[i]
-            sel = greedy_independent_columns(F, rtol=rtol, floor=0.0)
+            sel = greedy_independent_columns(F, rtol=rtol)
             R, max_coeff = Vi, 0.0
             if sel:
                 B = F[:, sel]
@@ -373,7 +373,7 @@ def _second_order_coefficients(a_field, b_field):
     w_j = sum_i a_i d_i b_j.
     """
     n = a_field.dim
-    a, b = a_field.components, b_field.components
+    a, b, db = a_field.components, b_field.components, b_field.jacobian_exprs
     half = ex.Const(0.5)
     S = [[ex.simplify(ex.Binary("mul", half, ex.Binary(
         "add", ex.Binary("mul", a[i], b[j]), ex.Binary("mul", a[j], b[i]))))
@@ -382,7 +382,7 @@ def _second_order_coefficients(a_field, b_field):
     for j in range(n):
         acc = ex.ZERO
         for i in range(n):
-            acc = ex.Binary("add", acc, ex.Binary("mul", a[i], ex.differentiate(b[j], i)))
+            acc = ex.Binary("add", acc, ex.Binary("mul", a[i], db[j][i]))
         w.append(ex.simplify(acc))
     return S, w
 
@@ -395,7 +395,7 @@ def _commutator_with_field(S, w, v_field):
       w2_k = <S, Hess v_k> + (w . grad) v_k - (v . grad) w_k.
     """
     n = v_field.dim
-    v = v_field.components
+    v, dv = v_field.components, v_field.jacobian_exprs
 
     def d(e, i):
         return ex.differentiate(e, i)
@@ -411,7 +411,7 @@ def _commutator_with_field(S, w, v_field):
         for k in range(n):
             acc = ex.ZERO
             for i in range(n):
-                acc = add(acc, mul(S[j][i], d(v[k], i)))
+                acc = add(acc, mul(S[j][i], dv[k][i]))
             SG[j][k] = acc
     S2 = [[None] * n for _ in range(n)]
     for j in range(n):
@@ -426,9 +426,9 @@ def _commutator_with_field(S, w, v_field):
         acc = ex.ZERO
         for i in range(n):
             for j in range(n):
-                acc = add(acc, mul(S[i][j], d(d(v[k], i), j)))
+                acc = add(acc, mul(S[i][j], d(dv[k][i], j)))
         for j in range(n):
-            acc = add(acc, mul(w[j], d(v[k], j)))
+            acc = add(acc, mul(w[j], dv[k][j]))
             acc = ex.Binary("sub", acc, mul(v[j], d(w[k], j)))
         w2.append(ex.simplify(acc))
     return S2, w2

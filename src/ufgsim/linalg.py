@@ -55,11 +55,11 @@ def project_onto_columns(frame, v, rtol=RANK_RTOL):
     return out
 
 
-def greedy_independent_columns(frame, rtol=RANK_RTOL, floor=RANK_FLOOR):
+def greedy_independent_columns(frame, rtol=RANK_RTOL):
     """Indices of a maximal independent column subset, scanned in given order.
 
-    A column joins the subset when its residual against the span of the
-    already selected columns exceeds rtol times its own norm.  Scanning in
+    A nonzero column joins the subset when its residual against the span of
+    the already selected columns exceeds rtol times its own norm.  Scanning in
     canonical table order keeps the selection deterministic.
     """
     n, k = frame.shape
@@ -68,7 +68,7 @@ def greedy_independent_columns(frame, rtol=RANK_RTOL, floor=RANK_FLOOR):
     for j in range(k):
         col = frame[:, j]
         norm = np.linalg.norm(col)
-        if norm <= floor:
+        if norm == 0.0:  # most columns of a deep table vanish at a given point
             continue
         resid = col - basis @ (basis.T @ col)
         if np.linalg.norm(resid) > rtol * norm:

@@ -637,6 +637,108 @@ class TestSamplingFlags:
         assert f"unrecognized arguments: {flag}" in json.loads(err)["error"]
 
 
+# The condition flags of `check`, each with a cheap valid value for sine-ou
+# (POINTS is replaced by a file of points), and the flags each condition reads.
+_CHECK_FLAGS = {
+    "--level": "1", "--rtol": "1e-6", "--box": "-2:2,1:3", "--grid": "3",
+    "--points": "POINTS", "--lambda0": "0.5", "--tol": "1e-6", "--residual-tol": "1e-6",
+    "--coeff-threshold": "1e5", "--phi": "z*z", "--c1": "80", "--c2": "4",
+    "--times": "0,0.5",
+}
+_FRAME_FLAGS = ("--level", "--box", "--grid", "--points")
+_CHECK_READS = {
+    "ufg": (*_FRAME_FLAGS, "--rtol", "--residual-tol", "--coeff-threshold"),
+    "hc": (*_FRAME_FLAGS, "--rtol"),
+    "phc": (*_FRAME_FLAGS, "--rtol"),
+    "oac": (*_FRAME_FLAGS, "--lambda0", "--tol"),
+    "oac2": (*_FRAME_FLAGS, "--lambda0", "--tol"),
+    "kalman": ("--rtol",),
+    "lyapunov": ("--box", "--grid", "--points", "--phi", "--c1", "--c2", "--times"),
+}
+_CHECK_PAIRS = [(c, f) for c in _CHECK_READS for f in _CHECK_FLAGS]
+assert len(_CHECK_PAIRS) == 91 and sum(f in _CHECK_READS[c] for c, f in _CHECK_PAIRS) == 37
+
+
+def _check_argv(condition, cheap):
+    """A valid check run of `condition` with only flags it reads; `cheap` sets
+    a small --grid, and --times for lyapunov."""
+    if condition == "kalman":
+        return ["check", "--system", "linear", "--condition", "kalman"]
+    argv = ["check", "--system", "sine-ou", "--param", "k=2", "--condition", condition]
+    if condition == "lyapunov":
+        argv += ["--phi", "z*z"] + (["--times", "0,0.5"] if cheap else [])
+    return argv + (["--grid", "2"] if cheap else [])
+
+
+class TestFlagsReadOnly:
+    """Every flag a command accepts is one it reads (see the cli docstring)."""
+
+    @pytest.mark.parametrize("condition, flag", _CHECK_PAIRS)
+    def test_check_accepts_only_the_flags_its_condition_reads(self, capsys, tmp_path,
+                                                              condition, flag):
+        value = _CHECK_FLAGS[flag]
+        if value == "POINTS":
+            value = str(tmp_path / "pts.csv")
+            (tmp_path / "pts.csv").write_text("0.1,1\n0.5,2\n")
+        argv = _check_argv(condition, cheap=True) + [flag, value]
+        if flag in _CHECK_READS[condition]:
+            assert run_cli(argv, capsys)[0] in (cli.EXIT_OK, cli.EXIT_VIOLATED)
+            return
+        with mock.patch.object(cli, "load_system", side_effect=AssertionError("loaded")):
+            code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        message = json.loads(err)["error"]
+        assert message.startswith(f"{flag} is not read by the {condition} check")
+
+    @pytest.mark.parametrize("condition", sorted(_CHECK_READS))
+    def test_read_flags_at_their_defaults_change_no_byte(self, tmp_path, condition):
+        # the defaults of --level and --box are sine-ou's catalog level and box
+        defaults = {"--level": "1", "--rtol": "1e-08", "--box": "-3:3,0.5:6", "--grid": "32",
+                    "--lambda0": "0.001", "--tol": "1e-09", "--residual-tol": "1e-08",
+                    "--coeff-threshold": "1000000", "--c1": "1", "--c2": "1",
+                    "--times": "0,1,10"}
+        argv = _check_argv(condition, cheap=False)
+        given = [v for flag in _CHECK_READS[condition] if flag in defaults
+                 for v in (flag, defaults[flag])]
+        reports = []
+        for extra in ([], given):
+            out = tmp_path / f"report{len(extra)}.json"
+            assert cli.run([*argv, *extra, "--out", str(out)]) in (cli.EXIT_OK,
+                                                                 cli.EXIT_VIOLATED)
+            reports.append(out.read_bytes())
+        assert given and reports[0] == reports[1]
+
+    @pytest.mark.parametrize("flag, value", [("--name", "gbm"), ("--param", "k=2"),
+                                             ("--export", "x.sys"), ("--out", "x.json")])
+    def test_catalog_list_takes_no_flags(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(["catalog", "list", flag, str(tmp_path / value)], capsys)
+        assert code == cli.EXIT_USAGE and out == "" and list(tmp_path.iterdir()) == []
+        assert f"unrecognized arguments: {flag}" in json.loads(err)["error"]
+
+    def test_catalog_show_writes_one_output(self, capsys, tmp_path):
+        code, out, err = run_cli(["catalog", "show", "--name", "gbm", "--export",
+                                  str(tmp_path / "gbm.sys"), "--out", str(tmp_path / "r")],
+                                 capsys)
+        assert code == cli.EXIT_USAGE and out == "" and list(tmp_path.iterdir()) == []
+        assert "not allowed with argument --export" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("flag, value", [("--level", "2"), ("--rtol", "1e-6")])
+    def test_zproc_reads_level_and_rtol_only_without_a_closed_form(self, capsys, flag,
+                                                                   value):
+        args = ["--x0", "1,0", "--t", "0.01", "--paths", "2", flag, value]
+        with mock.patch.object(cli, "load_system", side_effect=AssertionError("loaded")):
+            code, out, err = run_cli(["zproc", "--system", "random-circles", *args], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert json.loads(err)["error"].startswith(f"{flag} is not read by zproc")
+        code, out, _ = run_cli(["zproc", "--system", "sinfields", *args], capsys)
+        assert code == cli.EXIT_OK and out.startswith("path_id,time,")
+
+    def test_closed_form_systems_are_the_catalogs(self):
+        assert cli.CLOSED_FORM_V0PERP == {
+            name for name in cli.catalog.list_entries()
+            if cli.catalog.get(name).v0perp is not None}
+
+
 def test_commands_import_no_scipy():
     # numpy is the one runtime dependency: scipy serves the tests as an oracle only
     script = """

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufgsim import expr as ex
+import reference_parse as ref_parse
 import reference_walk as ref
 
 
@@ -83,6 +84,55 @@ class TestParse:
             ex.parse_expression("x + 1e400", ["x"])
         assert err.value.position == 4
         assert ex.parse_expression("1e-400", ["x"]) == ex.Const(0.0)
+
+    def test_non_ascii_digit_after_a_number_is_a_parse_error(self):
+        # str.isdigit holds for "²", which float() rejects: the reference
+        # parser took it into the number and raised float's ValueError
+        with pytest.raises(ValueError, match="could not convert"):
+            ref_parse.parse_expression("1²", ["x"])
+        for text, position in (("1²", 1), ("1.²", 2), ("x + 2e²", 5)):
+            with pytest.raises(ex.ParseError, match="trailing input") as err:
+                ex.parse_expression(text, ["x"])
+            assert err.value.position == position
+
+    def test_nests_deeper_than_the_reference_parser(self):
+        # a parenthesis costs four Python frames (atom, expr, factor, power)
+        # against the reference's five, so it nests about 5/4 as deep
+        def deepest(parse):
+            lo, hi = 1, 2000  # parses at lo, RecursionError at hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    parse("(" * mid + "x" + ")" * mid, ["x"])
+                    lo = mid
+                except RecursionError:
+                    hi = mid
+            return lo
+
+        assert deepest(ex.parse_expression) > 1.2 * deepest(ref_parse.parse_expression)
+
+
+# tokens whose joins cover numbers with and without fraction or exponent
+# ("1e", "1.", "1e+"), doubled and dangling operators ("**", "^-"),
+# unbalanced parentheses, unknown names and functions, and extra whitespace
+_PARSE_TOKENS = ["1", "2.5", "07", "1e", "1.", "1e-3", "3E+2", "1.e5", "1e+", "1e400",
+                 "1e-400", "65", "x", "y", "z", "q", "_a1", "x1", "e", "sin", "cos(", "exp(",
+                 "foo(", "sqrt", "+", "-", "*", "/", "^", "**", "^-", "^2", "^0.5", "^x",
+                 "^100", "(", ")", ",", ".", " ", "  ", "\t", "\n", "\u00a0"]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, ["x", "y", "z"])
+    except ex.ParseError as err:
+        return (str(err), err.position, err.expected)
+
+
+@given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=12).map("".join))
+@settings(max_examples=2000, deadline=None)
+def test_parser_matches_the_reference_parser(text):
+    assert _parse_outcome(ex.parse_expression, text) == \
+        _parse_outcome(ref_parse.parse_expression, text)
 
 
 class TestEvaluate:

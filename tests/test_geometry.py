@@ -208,7 +208,7 @@ def reference_check_ufg(table, plan, m, rtol=geo.DEFAULT_RTOL):
         if np.max(np.abs(F)) == 0.0:
             singular.append([float(v) for v in x])
             continue
-        sel = geo.greedy_independent_columns(F, rtol=rtol, floor=0.0)
+        sel = geo.greedy_independent_columns(F, rtol=rtol)
         B = F[:, sel]
         worst_res, worst_coeff = 0.0, 0.0
         for a in targets:

@@ -53,7 +53,7 @@ class TestGreedySelection:
 
     def test_keeps_tiny_but_nonzero_columns(self):
         F = np.array([[1e-40], [0.0]])
-        assert greedy_independent_columns(F, floor=0.0) == [0]
+        assert greedy_independent_columns(F) == [0]
 
 
 class TestPivotedColumns:
