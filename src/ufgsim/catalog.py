@@ -31,18 +31,6 @@ SELFCHECK_POINTS = 20
 SELFCHECK_SEED = 12345
 SELFCHECK_TOL = 1e-10
 
-_NAMES = (
-    "gbm",
-    "sinfields",
-    "linear",
-    "non-ufg-psi",
-    "ufg-heisenberg",
-    "random-circles",
-    "grushin",
-    "sine-ou",
-    "circle-line",
-)
-
 
 @dataclass
 class CatalogEntry:
@@ -93,7 +81,7 @@ class CatalogEntry:
 
 
 def list_entries():
-    return list(_NAMES)
+    return list(_BUILDERS)
 
 
 def get(name, params=None):
@@ -101,7 +89,7 @@ def get(name, params=None):
     params = dict(params or {})
     builder = _BUILDERS.get(name)
     if builder is None:
-        raise KeyError(f"unknown catalog system '{name}'; known: {', '.join(_NAMES)}")
+        raise KeyError(f"unknown catalog system '{name}'; known: {', '.join(_BUILDERS)}")
     entry = builder(params)
     entry.selfcheck()
     return entry
@@ -353,19 +341,14 @@ def _build_circle_line(params):
     )
 
 
-def stationary_density_expr(normalized=False):
+def stationary_density_expr():
     """Unnormalized invariant density on each interval (2 pi n, 2 pi (n+1)).
 
     exp(-1/(1-cos z)) / (1 - cos z); the interval indicator is a domain
-    restriction, not part of the expression.  With normalized=True the
-    quadrature constant is divided in.
+    restriction, not part of the expression.  The normalization constant is
+    stationary_density_normalization's.
     """
-    text = "exp(-1/(1-cos(z)))/(1-cos(z))"
-    e = ex.parse_expression(text, ["z"])
-    if normalized:
-        c, _ = stationary_density_normalization()
-        e = ex.simplify(ex.Binary("div", e, ex.Const(c)))
-    return e
+    return ex.parse_expression("exp(-1/(1-cos(z)))/(1-cos(z))", ["z"])
 
 
 def stationary_density_normalization():
@@ -395,3 +378,6 @@ _BUILDERS = {
     "sine-ou": _build_sine_ou,
     "circle-line": _build_circle_line,
 }
+# the systems whose entry carries a closed-form drift-orthogonal field
+CLOSED_FORM_V0PERP = frozenset({"gbm", "ufg-heisenberg", "random-circles", "grushin",
+                                "sine-ou", "circle-line"})

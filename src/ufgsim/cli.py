@@ -18,7 +18,8 @@ metadata so reports stay byte-comparable across its values.
 A command accepts only the flags it reads; any other is a usage error naming
 it, raised before any work.  So `check` accepts the flags in CHECK_READS of
 its condition, and `zproc` takes no --level or --rtol on the catalog systems
-in CLOSED_FORM_V0PERP, whose drift-orthogonal field it never computes.
+in catalog.CLOSED_FORM_V0PERP, whose drift-orthogonal field it never
+computes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .dynamics import (
     simulate_paths,
 )
 from .fields import VectorField, build_hierarchy
-from .geometry import NewtonConfig, SamplePlan
+from .geometry import SamplePlan
+from .linalg import RANK_RTOL
 from .malliavin import block_check_ensemble, malliavin_matrix, simulate_variational
 
 SCHEMA_VERSION = 1
@@ -265,17 +267,12 @@ def _level(args, entry):
     return args.level if args.level is not None else (entry.level if entry else 1)
 
 
-RTOL = 1e-8  # the --rtol default: the relative rank tolerance of the frames
-# the catalog systems whose entry carries a closed-form drift-orthogonal field
-CLOSED_FORM_V0PERP = frozenset({"gbm", "ufg-heisenberg", "random-circles", "grushin",
-                                "sine-ou", "circle-line"})
-
-
 def _v0perp_for(entry, system, args):
     if entry is not None and entry.v0perp is not None:
         return entry.v0perp
     table = build_hierarchy(system.all_fields(), _level(args, entry))
-    return geometry.drift_orthogonal_field(table, rtol=RTOL if args.rtol is None else args.rtol)
+    rtol = RANK_RTOL if args.rtol is None else args.rtol
+    return geometry.drift_orthogonal_field(table, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +343,7 @@ def _plan_from_args(args, entry, per_point):
 # check: the default of every condition flag, the parser types of those that
 # are not finite reals, and the flags each condition reads
 CHECK_DEFAULTS = {
-    "level": None, "rtol": RTOL, "box": None, "grid": 32, "points": None,
+    "level": None, "rtol": RANK_RTOL, "box": None, "grid": 32, "points": None,
     "lambda0": 1e-3, "tol": 1e-9, "residual_tol": 1e-8, "coeff_threshold": 1e6,
     "phi": None, "c1": 1.0, "c2": 1.0, "times": None,
 }
@@ -369,7 +366,17 @@ def _flag(dest):
     return "--" + dest.replace("_", "-")
 
 
+def _points_alone(args):
+    """Reject --box or --grid beside --points, whose rows are the whole sample plan."""
+    if args.points is not None:
+        for dest in ("box", "grid"):
+            if getattr(args, dest) is not None:
+                raise UsageError(f"--points excludes {_flag(dest)}: the points file is "
+                                 "the whole sample plan")
+
+
 def cmd_check(args):
+    _points_alone(args)
     reads = CHECK_READS[args.condition]
     for dest, default in CHECK_DEFAULTS.items():
         if getattr(args, dest) is None:
@@ -423,6 +430,9 @@ def cmd_check(args):
 
 
 def cmd_decompose(args):
+    _points_alone(args)
+    if args.grid is None:  # unset in the parser, so that _points_alone sees a given one
+        args.grid = 32
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
     level = _level(args, entry)
@@ -459,7 +469,7 @@ def cmd_chart(args):
     x0 = parse_point(args.x0)
     v0perp = entry.v0perp if entry is not None else None
     chart = geometry.build_chart(table, x0, args.eps, rtol=args.rtol,
-                                 newton_cfg=NewtonConfig(tol=args.newton_tol),
+                                 newton_tol=args.newton_tol,
                                  v0perp=v0perp)
     rng = np.random.default_rng(args.seed)
     samples = rng.uniform(-args.eps, args.eps, size=(args.samples, system.dim))
@@ -516,14 +526,14 @@ def _write_ensemble_csv(ens, out):
 
 
 def cmd_zproc(args):
-    if args.system in CLOSED_FORM_V0PERP and (args.level, args.rtol) != (None, None):
+    if args.system in catalog.CLOSED_FORM_V0PERP and (args.level, args.rtol) != (None, None):
         flag = "--level" if args.level is not None else "--rtol"
         raise UsageError(f"{flag} is not read by zproc on {args.system}, whose "
                          "drift-orthogonal field is closed-form")
     params = parse_param_list(args.param)
     system, entry, _ = load_system(args.system, params)
+    v0perp = _v0perp_for(entry, system, args)  # an oversized table fails before simulating
     ens = _simulate_from_args(args, system)
-    v0perp = _v0perp_for(entry, system, args)
     z = auxiliary_process(ens, v0perp, FlowConfig(dt=args.dt))
     _write_ensemble_csv(z, args.out)
     return EXIT_OK
@@ -702,7 +712,7 @@ def _add_common(p, sim=False, geom=False, threads=False):
         p.add_argument("--stride", type=int, default=1)
     if geom:
         p.add_argument("--level", type=int, default=None)
-        p.add_argument("--rtol", type=finite_float, default=RTOL)
+        p.add_argument("--rtol", type=finite_float, default=RANK_RTOL)
 
 
 def build_parser():
@@ -733,8 +743,8 @@ def build_parser():
     p = sub.add_parser("decompose", help="drift decomposition at sample points")
     _add_common(p, geom=True)
     p.add_argument("--box")
-    p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--points", help="CSV file of sample points")
+    p.add_argument("--grid", type=int, help="points per axis of the box grid (default 32)")
+    p.add_argument("--points", help="CSV file of sample points; excludes --box and --grid")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("chart", help="build and verify a local chart")

@@ -27,14 +27,14 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import expr as ex
 from .fields import VectorField
-from .linalg import svd_rank
+from .linalg import RANK_RTOL, svd_rank
 
 SQRT2 = math.sqrt(2.0)
 # float64 entries of one chunk's (paths, steps, noises) Brownian increment block
@@ -54,8 +54,12 @@ CHUNK_PATHS = 2048
 MIN_PATH_STEPS_PER_WORKER = 300_000
 # adjoint_push: the largest gap between its two routes, relative to 1 + |result|
 ADJOINT_CONSISTENCY_TOL = 1e-7
-# flow_limit: the field norm below which the flow counts as converged
+# flow_limit: the field norm below which the flow counts as converged, and
+# the state norm beyond which it counts as diverged
 STALL_TOL = 1e-8
+DIVERGENCE_RADIUS = 1e8
+# the longest horizon a flow accepts (see _step_plan)
+MAX_FLOW_TIME = 1e6
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -154,7 +158,6 @@ class FlowConfig:
     """Fixed-step RK4 settings for deterministic flows."""
 
     dt: float = 1e-3
-    max_time: float = 1e6
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -296,14 +299,14 @@ def _step_plan(t, cfg, shared=False):
 
     A row takes ceil(|t|/dt) steps (at least one, none for t = 0) of size
     t/count, where |t| is the row's own or, when `shared`, the largest over
-    all rows.  Rejects a non-finite time and a horizon beyond cfg.max_time.
+    all rows.  Rejects a non-finite time and a horizon beyond MAX_FLOW_TIME.
     """
     a = np.abs(t)
     tmax = float(np.max(a))
     if not math.isfinite(tmax):
         raise ValueError(f"flow horizon {tmax} is not finite")
-    if not tmax <= cfg.max_time:
-        raise ValueError(f"flow horizon {tmax:.3g} exceeds the configured maximum")
+    if not tmax <= MAX_FLOW_TIME:
+        raise ValueError(f"flow horizon {tmax:.3g} exceeds the maximum {MAX_FLOW_TIME:.3g}")
     if shared:
         a = np.full_like(a, tmax)
     counts = np.where(a > 0, np.maximum(1, np.ceil(a / cfg.dt)), 0).astype(np.int64)
@@ -498,7 +501,6 @@ class PathEnsemble:
     times: np.ndarray
     states: np.ndarray
     blown: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_paths(self):
@@ -802,27 +804,14 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), stor
     return steps, states, tuple(finals), blown, aborted
 
 
-def _ensemble_meta(system, x0, T, dt, steps, store_stride, blown):
-    """The meta entries every ensemble carries."""
-    return {
-        "system": system.name,
-        "x0": np.asarray(x0, dtype=float).tolist(),
-        "T": float(T),
-        "dt": float(dt),
-        "n_steps": int(steps[-1]),
-        "store_stride": int(store_stride),
-        "blowups": int(blown.sum()),
-    }
-
-
 def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times=None,
                    workers=1):
     """Stochastic Heun ensemble for dX = V0 dt + sqrt(2) sum V_i o dB^i.
 
     Paths whose state turns non-finite are frozen at their last finite value
-    and flagged; the blow-up count lands in `meta`.  Path p consumes the
-    substream seeded by path_seed(seed, p), so any chunking or scheduling
-    produces identical output.  Seeding is one vectorised pass over all
+    and flagged in `blown`.  Path p consumes the substream seeded by
+    path_seed(seed, p), so any chunking or scheduling produces identical
+    output.  Seeding is one vectorised pass over all
     paths that gives each path the generator state np.random.PCG64(seed_p)
     starts in, and the draws go into a path-major block (see _run_ensemble);
     the states are stored at every `store_stride`-th step and at the last
@@ -841,8 +830,7 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times
     steps, states, _, blown, _ = _run_ensemble(
         system, x0, T, dt, n_paths, seed, store_stride=store_stride, store_times=store_times,
         workers=workers)
-    meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)
-    return PathEnsemble(seed, dt, steps * dt, states, blown, meta)
+    return PathEnsemble(seed, dt, steps * dt, states, blown)
 
 
 def _compile_heun_step(system, linearizations):
@@ -964,10 +952,8 @@ def auxiliary_process(ensemble, v0perp, cfg=None):
     rows = ensemble.states.transpose(1, 0, 2).reshape(K * P, N)
     Z = _flow_each(v0perp, rows, np.repeat(-ensemble.times, P), cfg)
     Z = Z.reshape(K, P, N).transpose(1, 0, 2)
-    meta = dict(ensemble.meta)
-    meta["transform"] = "auxiliary-process"
     return PathEnsemble(ensemble.seed, ensemble.dt, ensemble.times.copy(),
-                        np.ascontiguousarray(Z), ensemble.blown.copy(), meta)
+                        np.ascontiguousarray(Z), ensemble.blown.copy())
 
 
 @dataclass(frozen=True)
@@ -978,11 +964,11 @@ class FlowLimitResult:
     time: float
 
 
-def flow_limit(v0perp, x, t_max, divergence_radius=1e8, cfg=None, rank_probe=None):
+def flow_limit(v0perp, x, t_max, cfg=None, rank_probe=None):
     """Limit of e^{t V0perp}(x) as t grows, when it exists.
 
     Integrates until the field norm falls below STALL_TOL (converged), the
-    state norm exceeds divergence_radius (diverged) or t_max is exhausted
+    state norm exceeds DIVERGENCE_RADIUS (diverged) or t_max is exhausted
     (not_converged).  When rank_probe is given (a callable x -> rank of the
     bracket distribution), a rank change along the curve stops integration
     with status 'rank_unstable': the flow of the orthogonal drift component
@@ -1013,7 +999,7 @@ def flow_limit(v0perp, x, t_max, divergence_radius=1e8, cfg=None, rank_probe=Non
             res = float(np.linalg.norm(V.eval_batch(Y)[0]))
             if res < STALL_TOL:
                 return FlowLimitResult("converged", Y[0], res, t)
-            if float(np.linalg.norm(Y[0])) > divergence_radius:
+            if float(np.linalg.norm(Y[0])) > DIVERGENCE_RADIUS:
                 return FlowLimitResult("diverged", Y[0], res, t)
             if rank_probe is not None and rank_probe(Y[0]) != rank0:
                 return FlowLimitResult("rank_unstable", Y[0], res, t)
@@ -1021,7 +1007,7 @@ def flow_limit(v0perp, x, t_max, divergence_radius=1e8, cfg=None, rank_probe=Non
     return FlowLimitResult("not_converged", Y[0], res, t)
 
 
-def rank_along_path(states, table, rtol=1e-8):
+def rank_along_path(states, table, rtol=RANK_RTOL):
     """Tolerance rank of the drift-augmented frame at each stored state: an
     array (P, T) for the states (P, T, N) of an ensemble.
     """

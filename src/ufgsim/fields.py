@@ -128,6 +128,11 @@ def lie_bracket(V, W):
     return VectorField(n, tuple(comps))
 
 
+def weighted_length(entries):
+    """Weighted length of a multi-index: tuple size plus the number of zero entries."""
+    return len(entries) + sum(1 for e in entries if e == 0)
+
+
 @dataclass(frozen=True, order=True)
 class MultiIndex:
     """Non-empty tuple over {0..d}; the trivial index (0,) is excluded."""
@@ -144,8 +149,7 @@ class MultiIndex:
 
     @property
     def length(self):
-        """Weighted length: tuple size plus the number of zero entries."""
-        return len(self.entries) + sum(1 for e in self.entries if e == 0)
+        return weighted_length(self.entries)
 
     def extend(self, i):
         return MultiIndex(self.entries + (i,))
@@ -178,7 +182,7 @@ class BracketTable:
     Instances are immutable after construction.
     """
 
-    def __init__(self, base_fields, m, cap=DEFAULT_TABLE_CAP):
+    def __init__(self, base_fields, m):
         if m < 1:
             raise ValueError("level m must be >= 1")
         dims = {f.dim for f in base_fields}
@@ -190,10 +194,10 @@ class BracketTable:
             raise ValueError("need a drift and at least one noise field")
         self.m = m
         size = table_size(self.d, m)
-        if size > cap:
-            raise RuntimeError(
-                f"bracket table of {size} entries exceeds its entry cap ({cap}); "
-                "lower m or raise the cap explicitly"
+        if size > DEFAULT_TABLE_CAP:
+            raise ValueError(
+                f"bracket table of {size} entries exceeds its entry cap "
+                f"({DEFAULT_TABLE_CAP}) at level {m}; lower the level"
             )
         self.base_fields = tuple(base_fields)
         self.fields: dict[MultiIndex, VectorField] = {}
@@ -215,16 +219,13 @@ class BracketTable:
                 return vf
             return kept
 
-        def weighted(entries):
-            return len(entries) + sum(1 for e in entries if e == 0)
-
         # Breadth-first by tuple size.  The trivial prefix (0,) is not a table
         # entry but still acts as a bracket parent, producing (0,i) children.
         frontier = []
         for i in range(self.d + 1):
             entries = (i,)
             fld = intern(self.base_fields[i])
-            if entries != (0,) and weighted(entries) <= self.m + 2:
+            if entries != (0,) and weighted_length(entries) <= self.m + 2:
                 self.fields[MultiIndex(entries)] = fld
             frontier.append((entries, fld))
         while frontier:
@@ -232,7 +233,7 @@ class BracketTable:
             for entries, fld in frontier:
                 for i in range(self.d + 1):
                     child = entries + (i,)
-                    if weighted(child) > self.m + 2:
+                    if weighted_length(child) > self.m + 2:
                         continue
                     bracket = intern(lie_bracket(fld, self.base_fields[i]))
                     self.fields[MultiIndex(child)] = bracket
@@ -286,6 +287,6 @@ class BracketTable:
         return np.stack(mats, axis=-1)
 
 
-def build_hierarchy(base_fields, m, cap=DEFAULT_TABLE_CAP):
+def build_hierarchy(base_fields, m):
     """Build the bracket hierarchy through weighted length m+2."""
-    return BracketTable(base_fields, m, cap=cap)
+    return BracketTable(base_fields, m)

@@ -29,6 +29,7 @@ from . import expr as ex
 from .dynamics import FlowBlowUp, FlowConfig, NumericField, _flow_each, flow, flow_jacobian
 from .fields import VectorField
 from .linalg import (
+    RANK_RTOL,
     alignment_certificate,
     greedy_independent_columns,
     pivoted_columns,
@@ -39,13 +40,14 @@ from .linalg import (
     vecnorm,
 )
 
-DEFAULT_RTOL = 1e-8
 DEFAULT_COEFF_BLOWUP = 1e6
 # check_lyapunov's margin allowance, relative to 1 + |C1| + |C2|
 LYAPUNOV_TOL = 1e-9
 # a chart accepts coordinates up to this multiple of its radius, which leaves
 # room for Newton iterates just outside the cube
 CHART_SLACK = 1.5
+# Chart.inverse: the Newton iterations before it gives up
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def _finish_report(condition, level, lambda0, records, singular, skipped,
 # Drift decomposition
 # ---------------------------------------------------------------------------
 
-def decompose_drift_rows(table, X, rtol=DEFAULT_RTOL):
+def decompose_drift_rows(table, X, rtol=RANK_RTOL):
     """Split the drift at each row of X (P, N) into bracket-span and orthogonal parts.
 
     The frames and the drift are evaluated once over all rows under the
@@ -185,7 +187,7 @@ def _drift_split(frames, drifts, rtol):
     return v_par, v_perp, residual
 
 
-def drift_orthogonal_field(table, rtol=DEFAULT_RTOL):
+def drift_orthogonal_field(table, rtol=RANK_RTOL):
     """The pointwise drift-orthogonal component as a numeric field.
 
     Catalog systems carry closed-form versions; this fallback recomputes the
@@ -212,7 +214,7 @@ def _positive_max(a):
 
 
 def check_ufg(table, plan, m=None, residual_tol=1e-8,
-              coeff_blowup_threshold=DEFAULT_COEFF_BLOWUP, rtol=DEFAULT_RTOL):
+              coeff_blowup_threshold=DEFAULT_COEFF_BLOWUP, rtol=RANK_RTOL):
     """Pointwise finite-generation test at level m.
 
     At each sample point every bracket field with m < length <= m+2 is
@@ -261,7 +263,7 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
                           int(np.sum(~finite)), residual_tol, coeff_blowup_threshold)
 
 
-def check_hormander(table, plan, variant="HC", rtol=DEFAULT_RTOL):
+def check_hormander(table, plan, variant="HC", rtol=RANK_RTOL):
     """Full-rank test of the bracket frame (PHC) or drift-augmented frame (HC)."""
     variant = variant.upper()
     if variant not in ("HC", "PHC"):
@@ -282,7 +284,7 @@ def check_hormander(table, plan, variant="HC", rtol=DEFAULT_RTOL):
                           len(pts) - len(finite), residual_tol=0.0)
 
 
-def check_kalman(A, Q, rtol=DEFAULT_RTOL):
+def check_kalman(A, Q, rtol=RANK_RTOL):
     """Controllability-matrix rank test: rank [Q, AQ, ..., A^{N-1}Q] == N."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.asarray(Q, dtype=float)
@@ -560,12 +562,6 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times):
 # Local charts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-12
-    max_iter: int = 50
-
-
 @dataclass
 class Chart:
     """Local straightening coordinates built from flow compositions.
@@ -582,7 +578,7 @@ class Chart:
     coord_fields: list
     uses_drift_orthogonal: bool
     radius: float
-    newton: NewtonConfig
+    newton_tol: float
     flow_cfg: FlowConfig
 
     @property
@@ -630,11 +626,11 @@ class Chart:
         T = np.zeros((B, self.dim))
         lim = 1.4 * self.radius
         known = None  # forward_jacobian(T), when the accepted trial gave it
-        for _ in range(self.newton.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             Y, J = known or self.forward_jacobian(T)
             R = Y - X
             rn = np.linalg.norm(R, axis=1)
-            if np.all(rn <= self.newton.tol):
+            if np.all(rn <= self.newton_tol):
                 break
             try:
                 step = np.linalg.solve(J, R[:, :, None])[:, :, 0]
@@ -649,7 +645,7 @@ class Chart:
                     Yc, Jc = self.forward_jacobian(cand)
                 except FlowBlowUp:  # forward raises its own report when the state blew up
                     Yc, Jc = self.forward(cand), None
-                better = np.linalg.norm(Yc - X, axis=1) <= rn * (1 - 0.25 * lam) + self.newton.tol
+                better = np.linalg.norm(Yc - X, axis=1) <= rn * (1 - 0.25 * lam) + self.newton_tol
                 if np.all(better):
                     T, known = cand, None if Jc is None else (Yc, Jc)
                     break
@@ -659,14 +655,14 @@ class Chart:
         else:
             Y, _ = known or self.forward_jacobian(T)
             rn = np.linalg.norm(Y - X, axis=1)
-            if np.any(rn > self.newton.tol * 100):
+            if np.any(rn > self.newton_tol * 100):
                 raise RuntimeError(
                     f"Newton inversion did not converge; last residual {float(np.max(rn)):.3e}"
                 )
         return T[0] if np.ndim(x) == 1 else T
 
 
-def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None, v0perp=None):
+def build_chart(table, x0, eps, rtol=RANK_RTOL, newton_tol=1e-12, v0perp=None):
     """Construct straightening coordinates around a regular point.
 
     The leading basis is the n0 columns of the bracket frame at x0 that
@@ -680,7 +676,6 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None, v0perp=None)
     N = table.dim
     if x0.shape != (N,):
         raise ValueError(f"x0 must have shape ({N},)")
-    newton_cfg = newton_cfg or NewtonConfig()
 
     # the frame at x0 (row 0) and at x0 -+ delta e_i, in one checked evaluation
     delta = max(eps, 1e-4) / 2.0
@@ -723,7 +718,7 @@ def build_chart(table, x0, eps, rtol=DEFAULT_RTOL, newton_cfg=None, v0perp=None)
         raise RuntimeError("chart construction produced a degenerate basis")
 
     return Chart(x0, n0, basis_indices, coord_fields, uses_perp,
-                 float(eps), newton_cfg, FlowConfig())
+                 float(eps), newton_tol, FlowConfig())
 
 
 def verify_chart_structure(chart, table, samples_in_domain, fd_step=1e-5, tol=1e-5):

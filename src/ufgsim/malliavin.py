@@ -37,7 +37,7 @@ import numpy as np
 # _heun_step is not called here: the name stays bound for perfbench's tracer,
 # which wraps it at this binding site
 from .dynamics import _heun_step  # noqa: F401
-from .dynamics import PathEnsemble, _ensemble_meta, _heun_rows, _run_ensemble
+from .dynamics import PathEnsemble, _heun_rows, _run_ensemble
 
 DEFAULT_CONSISTENCY_TOL = 1e-6
 DEFAULT_COND_THRESHOLD = 1e10
@@ -76,8 +76,7 @@ def _heun_matrix(I, E):
     return I + 0.5 * (G + Gp + Gp @ G)
 
 
-def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
-                         consistency_tol=DEFAULT_CONSISTENCY_TOL, workers=1):
+def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1, workers=1):
     """Joint Heun integration of the state and its variational Jacobian.
 
     Runs the ensemble loop of `simulate_paths` on the same per-path
@@ -85,7 +84,7 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
     run; its kernel is the system's variational twin of the Heun step, so a
     step is one kernel call.  At each stored time K = J^{-1} is computed
     directly; a path is flagged `aborted` when |J K - I| is not within
-    consistency_tol (singular or near-singular Jacobian).  A frozen path
+    DEFAULT_CONSISTENCY_TOL (singular or near-singular Jacobian).  A frozen path
     keeps its last stored K.  The same stored step adds its trapezoid term
     of the reduced covariance (see the module docstring for the order of
     the sum) and takes the running max of |J K - I|; the path keeps J_T,
@@ -107,7 +106,7 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
         K = _refresh_inverse(J, K, alive)
         err = np.max(np.abs(J @ K - I), axis=(1, 2))
         worst = np.maximum(worst, err)
-        bad = alive & ~(err <= consistency_tol)
+        bad = alive & ~(err <= DEFAULT_CONSISTENCY_TOL)
         y = _integrand(system, X, K)
         term = (times[k] - times[k - 1]) * (y + y_last) / 2.0
         if N == 1:  # summed pairwise at the last stored step
@@ -128,9 +127,7 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1,
         steps, states, (C, JT, worst), blown, aborted = _run_ensemble(
             system, x0, T, dt, n_paths, seed, advance, start=(I,), store=store,
             final_shapes=((N, N), (N, N), ()), store_stride=store_stride, workers=workers)
-    meta = _ensemble_meta(system, x0, T, dt, steps, store_stride, blown)
-    meta["aborted"] = int(aborted.sum())
-    return VariationalPath(seed, dt, steps * dt, states, blown, meta, aborted=aborted,
+    return VariationalPath(seed, dt, steps * dt, states, blown, aborted=aborted,
                            jacobian=JT, covariance=0.5 * (C + np.swapaxes(C, -1, -2)),
                            worst_jk_error=worst)
 

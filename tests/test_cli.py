@@ -277,6 +277,19 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE and out == ""
         assert json.loads(err)["error"].startswith(f"--points {path} asks for more than 5")
 
+    @pytest.mark.parametrize("cmd", [
+        ["check", "--system", "sinfields", "--condition", "ufg", "--grid", "2"],
+        ["zproc", "--system", "sinfields", "--x0", "1,1", "--t", "0.01", "--paths", "2"],
+    ])
+    def test_oversized_bracket_table_is_a_usage_error(self, capsys, cmd):
+        # nothing numerical has run, and no flag raises the cap
+        with mock.patch.object(cli, "simulate_paths", side_effect=AssertionError("simulated")):
+            code, out, err = run_cli([*cmd, "--level", "40"], capsys)
+        assert code == cli.EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        message = json.loads(err)["error"]
+        assert "1134903167 entries exceeds its entry cap (5000) at level 40" in message
+        assert "raise the cap" not in message
+
     # malliavin's count: N per stored time and 2 N^2 + 1 per path for J_T,
     # C_T and the worst |J K - I|, here 2 x (11 x 2 + 9) = 62
     def test_malliavin_at_the_stored_cap_runs(self, capsys, monkeypatch):
@@ -368,9 +381,9 @@ class TestExitCodes:
 
     def test_missing_files_are_usage_errors(self, capsys, tmp_path):
         for args in (["--points", str(tmp_path / "absent.csv")],
-                     ["--out", str(tmp_path / "absent" / "report.json")]):
+                     ["--grid", "2", "--out", str(tmp_path / "absent" / "report.json")]):
             code, out, err = run_cli(["check", "--system", "sine-ou", "--param", "k=2",
-                                      "--condition", "hc", "--grid", "2", *args], capsys)
+                                      "--condition", "hc", *args], capsys)
             assert code == cli.EXIT_USAGE and out == ""
             assert set(json.loads(err)) == {"error", "schema_version"}
 
@@ -636,6 +649,33 @@ class TestSamplingFlags:
         assert code == cli.EXIT_USAGE and out == ""
         assert f"unrecognized arguments: {flag}" in json.loads(err)["error"]
 
+    # a --points file is the whole sample plan of check and decompose, so
+    # --box or --grid beside it is a usage error, raised before any loading
+    @pytest.mark.parametrize("cmd", [
+        ["check", "--system", "sine-ou", "--param", "k=2", "--condition", "hc"],
+        ["decompose", "--system", "sine-ou", "--param", "k=2"],
+    ])
+    @pytest.mark.parametrize("flag, value", [("--box", "5:6,7:8"), ("--grid", "999"),
+                                             ("--grid", "32")])
+    def test_points_exclude_box_and_grid(self, capsys, tmp_path, cmd, flag, value):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.1,1\n0.5,2\n")
+        argv = [*cmd, "--points", str(path), flag, value]
+        with mock.patch.object(cli, "load_system", side_effect=AssertionError("loaded")):
+            code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith(f"--points excludes {flag}")
+
+    def test_decompose_grid_defaults_to_32(self, capsys, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.1,1\n0.5,2\n")
+        argv = ["decompose", "--system", "sine-ou", "--param", "k=2"]
+        for extra in (["--points", str(path)], ["--grid", "2"]):
+            code, out, _ = run_cli([*argv, *extra], capsys)
+            assert code == cli.EXIT_OK
+            grid = json.loads(out)["metadata"]["grid"]
+            assert grid == (32 if "--points" in extra else 2)
+
 
 # The condition flags of `check`, each with a cheap valid value for sine-ou
 # (POINTS is replaced by a file of points), and the flags each condition reads.
@@ -680,7 +720,10 @@ class TestFlagsReadOnly:
         if value == "POINTS":
             value = str(tmp_path / "pts.csv")
             (tmp_path / "pts.csv").write_text("0.1,1\n0.5,2\n")
-        argv = _check_argv(condition, cheap=True) + [flag, value]
+        argv = _check_argv(condition, cheap=True)
+        if flag == "--points" and "--grid" in argv:  # the points exclude --grid
+            argv = argv[:-2]
+        argv += [flag, value]
         if flag in _CHECK_READS[condition]:
             assert run_cli(argv, capsys)[0] in (cli.EXIT_OK, cli.EXIT_VIOLATED)
             return
@@ -734,7 +777,7 @@ class TestFlagsReadOnly:
         assert code == cli.EXIT_OK and out.startswith("path_id,time,")
 
     def test_closed_form_systems_are_the_catalogs(self):
-        assert cli.CLOSED_FORM_V0PERP == {
+        assert cli.catalog.CLOSED_FORM_V0PERP == {
             name for name in cli.catalog.list_entries()
             if cli.catalog.get(name).v0perp is not None}
 

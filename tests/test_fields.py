@@ -195,16 +195,17 @@ class TestHierarchy:
             want = vf.lie_bracket(parent, tab.base_fields[alpha.entries[-1]]).eval_batch(pts)
             assert np.max(np.abs(tab.field(alpha).eval_batch(pts) - want)) <= 1e-9
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         V0 = vf.make_field(2, ["sin(x)", "0"], ["x", "y"])
         V1 = vf.make_field(2, ["0", "sin(x)"], ["x", "y"])
-        with pytest.raises(RuntimeError, match="entry cap"):
-            vf.build_hierarchy([V0, V1], 3, cap=4)
+        monkeypatch.setattr(vf, "DEFAULT_TABLE_CAP", 4)
+        with pytest.raises(ValueError, match="entry cap"):
+            vf.build_hierarchy([V0, V1], 3)
 
     def test_oversized_table_rejected_before_building(self):
         fields = catalog.get("sinfields").system.all_fields()
         start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="6762 entries exceeds its entry cap"):
+        with pytest.raises(ValueError, match="6762 entries exceeds its entry cap"):
             vf.build_hierarchy(fields, 15)
         assert time.perf_counter() - start < 1.0
 

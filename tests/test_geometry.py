@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import reference_alignment
 from ufgsim import catalog, expr as ex, fields as vf, geometry as geo
 from ufgsim.dynamics import FlowBlowUp, SDESystem, flow
-from ufgsim.linalg import svd_rank, sym_outer_max_eig
+from ufgsim.linalg import RANK_RTOL, svd_rank, sym_outer_max_eig
 from conftest import compiled_evaluate, sample_points
 
 
@@ -124,7 +124,7 @@ class TestDecompose:
             for x, got in zip(pts, geo.decompose_drift_rows(tab, pts)):
                 F = tab.evaluate_frame("brackets", x)
                 v0 = tab.drift(x)
-                v_par = geo.project_onto_columns(F, v0, rtol=geo.DEFAULT_RTOL)
+                v_par = geo.project_onto_columns(F, v0, rtol=RANK_RTOL)
                 v_perp = v0 - v_par
                 resid = float(np.max(np.abs(F.T @ v_perp)) / (1.0 + np.linalg.norm(v_perp)))
                 assert np.array_equal(got[0], v_par) and np.array_equal(got[1], v_perp)
@@ -146,10 +146,10 @@ class TestDecompose:
     @given(frame_stacks())
     def test_stacked_projection_equals_single_frames(self, case):
         F, V = case
-        got = geo.project_onto_columns(F, V, rtol=geo.DEFAULT_RTOL)
+        got = geo.project_onto_columns(F, V, rtol=RANK_RTOL)
         assert got.shape == V.shape
         for p in range(len(F)):
-            alone = geo.project_onto_columns(F[p].copy(), V[p].copy(), rtol=geo.DEFAULT_RTOL)
+            alone = geo.project_onto_columns(F[p].copy(), V[p].copy(), rtol=RANK_RTOL)
             assert got[p].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("name", ["ufg-heisenberg", "sinfields"])
@@ -191,7 +191,7 @@ class TestUFG:
             geo.check_ufg(tab, geo.SamplePlan(points=[[1.0, 0.0]]), m=5)
 
 
-def reference_check_ufg(table, plan, m, rtol=geo.DEFAULT_RTOL):
+def reference_check_ufg(table, plan, m, rtol=RANK_RTOL):
     """One least-squares solve per (point, target), folded with Python max."""
     frame_idx = table.indices(m)
     targets = [a for a in table.indices() if m < a.length <= m + 2]
@@ -653,12 +653,12 @@ def reference_inverse(chart, x, counts):
     X = np.atleast_2d(np.asarray(x, dtype=float))
     B = X.shape[0]
     T = np.zeros((B, chart.dim))
-    for _ in range(chart.newton.max_iter):
+    for _ in range(geo.NEWTON_MAX_ITER):
         counts["forward_jacobian"] += 1
         Y, J = chart.forward_jacobian(T)
         R = Y - X
         rn = np.linalg.norm(R, axis=1)
-        if np.all(rn <= chart.newton.tol):
+        if np.all(rn <= chart.newton_tol):
             break
         step = np.linalg.solve(J, R[:, :, None])[:, :, 0]
         counts["steps"] += 1
@@ -667,7 +667,7 @@ def reference_inverse(chart, x, counts):
             cand = np.clip(T - lam[:, None] * step, -1.4 * chart.radius, 1.4 * chart.radius)
             counts["trials"] += 1
             Yc = chart.forward(cand)
-            better = np.linalg.norm(Yc - X, axis=1) <= rn * (1 - 0.25 * lam) + chart.newton.tol
+            better = np.linalg.norm(Yc - X, axis=1) <= rn * (1 - 0.25 * lam) + chart.newton_tol
             if np.all(better):
                 break
             lam = np.where(better, lam, lam * 0.5)
@@ -676,7 +676,7 @@ def reference_inverse(chart, x, counts):
         counts["forward_jacobian"] += 1
         Y, _ = chart.forward_jacobian(T)
         rn = np.linalg.norm(Y - X, axis=1)
-        if np.any(rn > chart.newton.tol * 100):
+        if np.any(rn > chart.newton_tol * 100):
             raise RuntimeError("did not converge")
     return T
 
@@ -695,12 +695,12 @@ class TestChart:
         rep = geo.verify_chart_structure(chart, tab, T, tol=1e-5)
         assert rep["passed"]
 
-    def test_translation_chart_single_newton_step(self, rng):
+    def test_translation_chart_single_newton_step(self, monkeypatch, rng):
         C1 = vf.make_field(2, ["1", "0"], ["x", "y"])
         C2 = vf.make_field(2, ["0", "1"], ["x", "y"])
         tab = vf.build_hierarchy([C2, C1], 1)
-        chart = geo.build_chart(tab, [0.5, -0.5], eps=0.4,
-                                newton_cfg=geo.NewtonConfig(tol=1e-12, max_iter=1))
+        monkeypatch.setattr(geo, "NEWTON_MAX_ITER", 1)
+        chart = geo.build_chart(tab, [0.5, -0.5], eps=0.4, newton_tol=1e-12)
         T = rng.uniform(-0.4, 0.4, size=(10, 2))
         X = chart.forward(T)
         assert np.max(np.abs(chart.inverse(X) - T)) <= 1e-12
@@ -763,10 +763,11 @@ class TestChart:
     @pytest.mark.parametrize("eps, max_iter, outcome", [
         (0.2, 50, "converges"), (0.9, 50, "rejects trials"),
         (0.9, 6, "converges in the fallback"), (0.9, 3, "does not converge")])
-    def test_inverse_equals_reference_to_the_bit(self, circles, eps, max_iter, outcome):
+    def test_inverse_equals_reference_to_the_bit(self, monkeypatch, circles, eps, max_iter,
+                                                 outcome):
+        monkeypatch.setattr(geo, "NEWTON_MAX_ITER", max_iter)
         tab = table_for(circles)
-        chart = geo.build_chart(tab, [1.0, 0.0], eps=eps, v0perp=circles.v0perp,
-                                newton_cfg=geo.NewtonConfig(max_iter=max_iter))
+        chart = geo.build_chart(tab, [1.0, 0.0], eps=eps, v0perp=circles.v0perp)
         X = chart.forward(np.random.default_rng(2).uniform(-eps, eps, size=(10, 2)))
         counts = dict.fromkeys(["forward_jacobian", "steps", "trials"], 0)
         if outcome == "does not converge":

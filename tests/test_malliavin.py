@@ -72,14 +72,15 @@ class TestVariational:
         ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 1.3e-16),
         ("riccati", [0.9], 1.5, 40, 10, 1e-6),
     ])
-    def test_forked_workers_are_bit_identical(self, forking, name, x0, T, P, stride, tol,
-                                              workers):
+    def test_forked_workers_are_bit_identical(self, forking, monkeypatch, name, x0, T, P,
+                                              stride, tol, workers):
         if name == "riccati":
             system = dyn.SDESystem(1, vf.make_field(1, ["x*x"], ["x"]),
                                    (vf.make_field(1, ["0.5"], ["x"]),), name)
         else:
             system = _system(name)
-        kw = dict(seed=3, n_paths=P, store_stride=stride, consistency_tol=tol)
+        monkeypatch.setattr(mal, "DEFAULT_CONSISTENCY_TOL", tol)
+        kw = dict(seed=3, n_paths=P, store_stride=stride)
         one = mal.simulate_variational(system, x0, T, 1e-3, **kw)
         many = mal.simulate_variational(system, x0, T, 1e-3, **kw, workers=workers)
         assert len(forking) == workers - 1
@@ -87,7 +88,6 @@ class TestVariational:
         for field_name in FIELDS:
             assert np.array_equal(_bits(getattr(many, field_name)),
                                   _bits(getattr(one, field_name))), field_name
-        assert many.meta == one.meta
 
     def test_fork_is_sized_by_step_kind(self, monkeypatch, sine_ou_k2, circles):
         # on 2 cores a variational path-step weighs 1 + 2N = 5, so malliavin's
@@ -234,15 +234,16 @@ class TestCompiledLinearization:
         ("mixed-d2", [0.3, 0.8], 0.3, 20, 2, 1e-6, 0, 1),
         ("riccati", [0.9], 1.5, 40, 10, 1e-6, 0, 33),
     ])
-    def test_simulation_is_the_reference_loop(self, name, x0, T, P, stride, tol, aborted,
-                                              blown):
+    def test_simulation_is_the_reference_loop(self, monkeypatch, name, x0, T, P, stride, tol,
+                                              aborted, blown):
         if name == "riccati":
             system = dyn.SDESystem(1, vf.make_field(1, ["x*x"], ["x"]),
                                    (vf.make_field(1, ["0.5"], ["x"]),), name)
         else:
             system = _system(name)
+        monkeypatch.setattr(mal, "DEFAULT_CONSISTENCY_TOL", tol)
         vp = mal.simulate_variational(system, x0, T, 1e-3, seed=3, n_paths=P,
-                                      store_stride=stride, consistency_tol=tol)
+                                      store_stride=stride)
         want = reference_variational.simulate_variational(system, x0, T, 1e-3, 3, P,
                                                           stride, tol)
         for field_name in ("times", "states", "blown", "aborted"):
@@ -300,10 +301,10 @@ class TestTimeBlocks:
                     "worst_jk_error": reference_variational.consistency_error(ref),
                     "states": ref.states, "blown": ref.blown, "aborted": ref.aborted}
         monkeypatch.setattr(dyn, "CHUNK_PATHS", chunk)
+        monkeypatch.setattr(mal, "DEFAULT_CONSISTENCY_TOL", tol)
         for workers in (1, 2):
             vp = mal.simulate_variational(system, x0, T, 1e-3, seed=3, n_paths=P,
-                                          store_stride=stride, consistency_tol=tol,
-                                          workers=workers)
+                                          store_stride=stride, workers=workers)
             for field_name, a in want.items():
                 compare(getattr(vp, field_name), a)
         return want
