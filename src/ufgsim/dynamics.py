@@ -37,8 +37,9 @@ from .fields import VectorField
 from .linalg import RANK_RTOL, svd_rank
 
 SQRT2 = math.sqrt(2.0)
-# float64 entries of one chunk's (paths, steps, noises) Brownian increment block
-# (512 MiB); a longer horizon is rejected before anything is allocated
+# Brownian increments one chunk's paths draw over their run (paths x steps x
+# noises), which bounds the run's length; a longer horizon is rejected before
+# anything is allocated
 MAX_INCREMENT_BLOCK = 2**26
 # float64 entries of the arrays an ensemble returns over all its paths, its
 # states and final outputs (1 GiB); a larger one is rejected the same way
@@ -46,6 +47,9 @@ MAX_STORED_ENTRIES = 2**27
 # paths per chunk of the ensemble loop: the increment block and the workspaces
 # hold one chunk's paths; the output does not depend on it
 CHUNK_PATHS = 2048
+# steps per increment block: a chunk draws its paths' normals this many steps
+# at a time; the output does not depend on it
+STEP_BLOCK = 250
 # weighted path-steps (see _run_ensemble) each worker must get before an
 # ensemble forks it (see _worker_count): with fewer, the fork and each
 # process's fixed cost per step outweigh the rows it takes over; on a 2-core
@@ -540,26 +544,21 @@ def _stored_steps(n_steps, stride, store_times=None, dt=None):
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
-def _worker_count(workers, n_paths, work, path_draws):
-    """How many processes run an ensemble of `n_paths` paths, `work`
-    weighted path-steps and `path_draws` Brownian increments per path when
-    `workers` are asked for.  One when `workers` is 1, where os has no fork,
-    and while this process runs other threads, since a child forked beside
-    them can inherit a lock one of them holds.  Otherwise at most the cores
-    this process may run on, the paths, one worker per
-    MIN_PATH_STEPS_PER_WORKER of `work`, so that a small ensemble runs here
-    alone, and as many as keep the increment blocks of all workers, which
-    live at once, within MAX_INCREMENT_BLOCK.  Rejects `workers` < 1."""
+def _worker_count(workers, n_paths, work):
+    """How many processes run an ensemble of `n_paths` paths and `work`
+    weighted path-steps when `workers` are asked for.  One when `workers`
+    is 1, where os has no fork, and while this process runs other threads,
+    since a child forked beside them can inherit a lock one of them holds.
+    Otherwise at most the cores this process may run on, the paths and one
+    worker per MIN_PATH_STEPS_PER_WORKER of `work`, so that a small ensemble
+    runs here alone.  Rejects `workers` < 1."""
     if not workers >= 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    k = max(1, min(workers, cores, n_paths, work // MIN_PATH_STEPS_PER_WORKER))
-    while k > 1 and k * min(-(-n_paths // k), CHUNK_PATHS) * path_draws > MAX_INCREMENT_BLOCK:
-        k -= 1
-    return k
+    return max(1, min(workers, cores, n_paths, work // MIN_PATH_STEPS_PER_WORKER))
 
 
 def _shared_arrays(specs):
@@ -672,11 +671,14 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), stor
 
     Seeding runs once for all paths, and the outputs are allocated, before
     any path runs: path seeds and numpy's SeedSequence mixing are array
-    arithmetic (_path_seeds, _pcg64_seed_words), and each path sets one
-    reused PCG64 to the state np.random.PCG64(path_seed(seed, p)) would
-    start in.  Its normals fill the path's row of one path-major (chunk,
-    steps, d) block, scaled by sqrt(dt) once per chunk.  A chunk's state
-    lives column-major in the workspace the kernel reads, beside the current
+    arithmetic (_path_seeds, _pcg64_seed_words).  Each worker keeps one
+    generator per path of a chunk and sets it, per chunk, to the state
+    np.random.PCG64(path_seed(seed, p)) would start in.  A chunk draws its
+    normals STEP_BLOCK steps at a time into the paths' rows of one
+    path-major (chunk, STEP_BLOCK, d) block, scaled by sqrt(dt) as drawn; a
+    path's generator runs on from one block to the next, so its draws are
+    those of one call over the whole horizon.  A chunk's state lives
+    column-major in the workspace the kernel reads, beside the current
     step's increments, which are copied in from the block.  While every row
     of the chunk is alive, a step checks the whole new state at once and
     takes it; the per-row freeze runs only from the first step that fails
@@ -688,9 +690,9 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), stor
     slice of the outputs (states, final outputs, flags) in one shared
     mapping.
 
-    Rejects, before allocating anything, a horizon whose increment block
-    exceeds MAX_INCREMENT_BLOCK and an ensemble whose states and final
-    outputs exceed MAX_STORED_ENTRIES.
+    Rejects, before allocating anything, a horizon over which a chunk would
+    draw more than MAX_INCREMENT_BLOCK increments and an ensemble whose
+    states and final outputs exceed MAX_STORED_ENTRIES.
 
     Returns the stored step indices, the states ((P, n_stored, N), or
     (m, P, n_stored, N) for coupled starts), the final outputs ((P, ...) or
@@ -707,9 +709,9 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), stor
     if x0.ndim > 2 or not starts.size or starts.shape[1] != system.dim:
         raise ValueError(f"x0 must have shape ({system.dim},) or (m, {system.dim})")
     P, N, d, m = n_paths, system.dim, system.d, len(starts)
-    block = min(P, CHUNK_PATHS) * d * (T / dt)
-    if not block <= MAX_INCREMENT_BLOCK:
-        raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {block:.3g} Brownian "
+    draws = min(P, CHUNK_PATHS) * d * (T / dt)
+    if not draws <= MAX_INCREMENT_BLOCK:
+        raise ValueError(f"horizon T = {T!r} at dt = {dt!r} needs {draws:.3g} Brownian "
                          f"increments per chunk, more than the cap of {MAX_INCREMENT_BLOCK}")
     n_steps = int(round(T / dt))
     n_stored = len(store_times) + 2 if store_times is not None else -(-n_steps // store_stride) + 1
@@ -720,15 +722,12 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), stor
     # a path-step weighs one for the Heun step and 1 + 2N for the variational
     # step, which also advances J and inverts it at the stored steps
     weight = 1 + 2 * N if advance is not None else 1
-    workers = _worker_count(workers, P, m * P * n_steps * weight, n_steps * d)
+    workers = _worker_count(workers, P, m * P * n_steps * weight)
     steps = _stored_steps(n_steps, store_stride, store_times, dt)
     times = steps * dt
-    # the kernel compiles at first use: compiling it after the blocks below
-    # are allocated raised the ensemble benchmark's peak RSS by 14 MB
     step, rows = _heun_kernel_rows(system, advance is not None)
-    # every path's seed words before the increment block: seeding each chunk
-    # just before its draws leaves temporaries between the large blocks and
-    # fragments the heap; slices of one chunk bound the temporaries
+    # every path's seed words, computed here once for all workers; slices of
+    # one chunk bound the temporaries
     words = np.empty((P, 4), dtype=np.uint64)
     for lo in range(0, P, CHUNK_PATHS):
         paths = np.arange(lo, min(P, lo + CHUNK_PATHS))
@@ -743,16 +742,19 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), stor
 
     def run_paths(lo, hi):
         """Paths lo to hi - 1, a chunk at a time, into their slices of the outputs."""
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        G = np.empty((min(hi - lo, CHUNK_PATHS), n_steps, d))
+        # one generator per path of a chunk, each set to its path's start
+        # state per chunk below; built from one shared SeedSequence, which is
+        # cheaper than building one from an int for each
+        entropy = np.random.SeedSequence(0)
+        rngs = [np.random.Generator(np.random.PCG64(entropy))
+                for _ in range(min(hi - lo, CHUNK_PATHS))]
+        block = min(n_steps, STEP_BLOCK)
+        G = np.empty((len(rngs), block, d))
         for c0 in range(lo, hi, CHUNK_PATHS):
             c1 = min(hi, c0 + CHUNK_PATHS)
             n = c1 - c0
-            for g, w in zip(G, words[c0:c1].tolist()):
-                bits.state = _pcg64_state(w)
-                rng.standard_normal(out=g)
-            G[:n] *= math.sqrt(dt)
+            for rng, w in zip(rngs, words[c0:c1].tolist()):
+                rng.bit_generator.state = _pcg64_state(w)
             W = _heun_workspace(m * n, N, d, dt)
             out = np.empty((m * n, rows, N), order="F")
             X = W[:, :N]
@@ -766,7 +768,13 @@ def _run_ensemble(system, x0, T, dt, n_paths, seed, advance=None, start=(), stor
             k = 0  # index of the next stored step
             for s in range(n_steps + 1):
                 if s:
-                    dB_starts[...] = G[:n, s - 1]
+                    b = (s - 1) % block
+                    if not b:  # the next block of steps, short at the end
+                        drawn = G[:n, :n_steps - s + 1]
+                        for g, rng in zip(drawn, rngs):
+                            rng.standard_normal(out=g)
+                        drawn *= math.sqrt(dt)
+                    dB_starts[...] = G[:n, b]
                     step(W, out)
                     Xn = out[:, 0]
                     new = advance(out[:, 2:], *rest) if advance else ()
@@ -811,21 +819,22 @@ def simulate_paths(system, x0, T, dt, n_paths, seed, store_stride=1, store_times
     Paths whose state turns non-finite are frozen at their last finite value
     and flagged in `blown`.  Path p consumes the substream seeded by
     path_seed(seed, p), so any chunking or scheduling produces identical
-    output.  Seeding is one vectorised pass over all
-    paths that gives each path the generator state np.random.PCG64(seed_p)
-    starts in, and the draws go into a path-major block (see _run_ensemble);
-    the states are stored at every `store_stride`-th step and at the last
-    one, or at the steps nearest `store_times`, 0 and T.
+    output.  Seeding is one vectorised pass over all paths that gives each
+    path the generator state np.random.PCG64(seed_p) starts in, and the
+    draws go into a path-major block STEP_BLOCK steps at a time (see
+    _run_ensemble); the states are stored at every `store_stride`-th step
+    and at the last one, or at the steps nearest `store_times`, 0 and T.
 
     With m starts x0 (m, N) the starts are coupled: they share each path's
     one draw of increments, and the ensemble holds states (m, P, K, N) and
     blown flags (m, P), start j's equal to those of a run from x0[j] alone.
     Rejects T <= 0, dt <= 0, n_paths < 1, a horizon shorter than one step,
-    one whose increment block exceeds MAX_INCREMENT_BLOCK and an ensemble
-    whose stored arrays exceed MAX_STORED_ENTRIES; any other horizon is
-    rounded to whole steps.  With `workers` > 1 contiguous ranges of the
-    paths run at the same time in forked processes, one worker per
-    MIN_PATH_STEPS_PER_WORKER path-steps at most, with the same output.
+    one over which a chunk would draw more than MAX_INCREMENT_BLOCK
+    increments and an ensemble whose stored arrays exceed
+    MAX_STORED_ENTRIES; any other horizon is rounded to whole steps.  With
+    `workers` > 1 contiguous ranges of the paths run at the same time in
+    forked processes, one worker per MIN_PATH_STEPS_PER_WORKER path-steps
+    at most, with the same output.
     """
     steps, states, _, blown, _ = _run_ensemble(
         system, x0, T, dt, n_paths, seed, store_stride=store_stride, store_times=store_times,

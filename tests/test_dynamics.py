@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from ufgsim import catalog, dynamics as dyn, expr as ex, fields as vf, geometry as geo
 from ufgsim.diagnostics import gaussian, ks_distance
-from conftest import assert_same_bits, coordinates, field_component, heun_cases, sample_points
+from conftest import (assert_same_bits, coordinates, field_component, heun_cases, sample_points,
+                      traced_peak)
 
 
 def expm_oracle(A):
@@ -647,6 +648,38 @@ class TestStepLoop:
             if system is riccati:  # one start blows up on some paths, the other on none
                 assert ens.blown[0].any() and not ens.blown[1].any()
 
+    # 1000 steps drawn in blocks of one step, of 7 and 300 steps with a short
+    # last block (6 and 100 steps), of the whole horizon and of more than it
+    @pytest.mark.parametrize("block", [1, 7, 300, 1000, 1001])
+    @pytest.mark.parametrize("name, other", [("riccati", -2.0), ("sqrt", 2.0)])
+    def test_step_blocks_match_per_row_loop(self, monkeypatch, forking, name, other, block):
+        """Coupled starts, one with late partial blow-ups, in chunks of 7
+        paths, at one and two workers."""
+        system, x0 = _riccati_like(name)
+        kw = dict(T=1.0, dt=1e-3, n_paths=40, seed=7)
+        want = [_reference_paths(system, [x], **kw, stride=10) for x in (x0, other)]
+        assert 0 < want[0][1].sum() < kw["n_paths"] and not want[1][1].any()
+        monkeypatch.setattr(dyn, "CHUNK_PATHS", 7)
+        monkeypatch.setattr(dyn, "STEP_BLOCK", block)
+        for workers in (1, 2):
+            ens = dyn.simulate_paths(system, [[x0], [other]], **kw, store_stride=10,
+                                     workers=workers)
+            for j, (states, blown) in enumerate(want):
+                assert np.array_equal(_bits(ens.states[j]), _bits(states))
+                assert np.array_equal(ens.blown[j], blown)
+        assert len(forking) == 1
+
+    def test_increment_memory_does_not_grow_with_the_horizon(self):
+        # 2048 paths x 4000 steps, whose whole-horizon increment block would
+        # take 65.5 MB, against blocks of STEP_BLOCK steps (4.1 MB)
+        V0 = vf.make_field(1, ["-x"], ["x"])
+        V1 = vf.make_field(1, ["1"], ["x"])
+        system = dyn.SDESystem(1, V0, (V1,), "ou")
+        dyn.simulate_paths(system, [0.0], 0.01, 1e-3, 2, seed=0)  # compiles the step
+        peak = traced_peak(lambda: dyn.simulate_paths(system, [0.0], 4.0, 1e-3, 2048, seed=0,
+                                                      store_times=[4.0]))
+        assert peak < 16 * 2**20
+
     def test_blowups_raise_no_warnings(self):
         # drift and noise overflow together, so a step meets inf - inf
         V = vf.make_field(1, ["x*x"], ["x"])
@@ -684,50 +717,58 @@ class TestWorkers:
     def test_worker_count_is_capped(self, monkeypatch):
         # the helper only counts: no process is started
         cores = len(os.sched_getaffinity(0))
-        assert 1 <= dyn._worker_count(10**6, 10**9, 10**18, 1) <= cores
-        assert dyn._worker_count(1, 10**9, 10**18, 1) == 1
+        assert 1 <= dyn._worker_count(10**6, 10**9, 10**18) <= cores
+        assert dyn._worker_count(1, 10**9, 10**18) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         least = dyn.MIN_PATH_STEPS_PER_WORKER
-        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 8
-        assert dyn._worker_count(10**6, 5, 10**18, 1) == 5
-        assert dyn._worker_count(8, 10**9, 3 * least, 1) == 3
-        assert dyn._worker_count(8, 10**9, least - 1, 1) == 1
+        assert dyn._worker_count(10**6, 10**9, 10**18) == 8
+        assert dyn._worker_count(10**6, 5, 10**18) == 5
+        assert dyn._worker_count(8, 10**9, 3 * least) == 3
+        assert dyn._worker_count(8, 10**9, least - 1) == 1
         # perfbench's ensembles at --threads 2: zproc stays in one process,
         # simulate, derivative (two coupled starts), converge and malliavin
         # (a variational path-step weighs 1 + 2N = 5) fork
-        assert dyn._worker_count(2, 100, 100 * 150, 150) == 1
-        assert dyn._worker_count(2, 1000, 1000 * 800, 800) == 2
-        assert dyn._worker_count(2, 2000, 2 * 2000 * 1000, 1000) == 2
-        assert dyn._worker_count(2, 10000, 10000 * 1000, 1000) == 2
-        assert dyn._worker_count(2, 250, 250 * 1000 * 5, 1000) == 2
+        assert dyn._worker_count(2, 100, 100 * 150) == 1
+        assert dyn._worker_count(2, 1000, 1000 * 800) == 2
+        assert dyn._worker_count(2, 2000, 2 * 2000 * 1000) == 2
+        assert dyn._worker_count(2, 10000, 10000 * 1000) == 2
+        assert dyn._worker_count(2, 250, 250 * 1000 * 5) == 2
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers must be at least 1"):
-                dyn._worker_count(workers, 10, 10, 1)
-        # the increment blocks of all workers stay within the one-process cap
+                dyn._worker_count(workers, 10, 10)
+        # the horizon counts only as work, since a worker's increment block
+        # spans at most STEP_BLOCK steps: three chunks of paths fork eight
+        # workers over 1000 steps and over the longest horizon the draw cap
+        # lets a chunk run, where a whole-horizon block allowed 3 and 1
         cap, chunk = dyn.MAX_INCREMENT_BLOCK, dyn.CHUNK_PATHS
-        assert dyn._worker_count(8, 10**9, 10**18, cap // (3 * chunk)) == 3
-        assert dyn._worker_count(8, 10**9, 10**18, cap // chunk) == 1
-        assert dyn._worker_count(8, 8, 10**18, cap // 8) == 8  # one path each
+        ranges = []
+        monkeypatch.setattr(dyn, "_fork_ranges", lambda run, bounds: ranges.append(bounds))
+        V = vf.make_field(1, ["0"], ["x"])
+        system = dyn.SDESystem(1, V, (V,), "still")
+        for n_steps in (1000, cap // (3 * chunk), cap // chunk):
+            dyn.simulate_paths(system, [0.0], n_steps * 1e-3, 1e-3, 3 * chunk, seed=0,
+                               store_times=[], workers=8)
+        assert [len(bounds) for bounds in ranges] == [8, 8, 8]
         # no fork beside another thread
         done = threading.Event()
         thread = threading.Thread(target=done.wait, args=(10,))
         thread.start()
         try:
-            assert dyn._worker_count(8, 10**9, 10**18, 1) == 1
+            assert dyn._worker_count(8, 10**9, 10**18) == 1
         finally:
             done.set()
             thread.join(10)
-        assert not thread.is_alive() and dyn._worker_count(8, 10**9, 10**18, 1) == 8
+        assert not thread.is_alive() and dyn._worker_count(8, 10**9, 10**18) == 8
 
     def test_worker_count_without_affinity_or_fork(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 3
+        assert dyn._worker_count(10**6, 10**9, 10**18) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 1
+        assert dyn._worker_count(10**6, 10**9, 10**18) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.delattr(os, "fork")
-        assert dyn._worker_count(10**6, 10**9, 10**18, 1) == 1
+        assert dyn._worker_count(10**6, 10**9, 10**18) == 1
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("name", TestStepLoop.SYSTEMS)

@@ -320,6 +320,21 @@ class TestTimeBlocks:
         self._check(case, chunk, monkeypatch, compare)
         assert len(forking) == 1
 
+    # the 200 and 300 steps of the aborting and the blowing-up case drawn in
+    # blocks of one step, of 7 and 64 steps with a short last block, of the
+    # whole horizon and of more than it, in chunks of 7 paths
+    @pytest.mark.parametrize("block", [1, 7, 64, "n_steps", "n_steps + 1"])
+    @pytest.mark.parametrize("case", [CASES[4], CASES[5]], ids=lambda c: c[0])
+    def test_step_blocks_are_the_whole_grid_to_the_bit(self, forking, monkeypatch, case, block):
+        def compare(got, want):
+            assert np.array_equal(_bits(got), _bits(want))
+
+        n_steps = round(case[2] / 1e-3)
+        block = {"n_steps": n_steps, "n_steps + 1": n_steps + 1}.get(block, block)
+        monkeypatch.setattr(dyn, "STEP_BLOCK", block)
+        self._check(case, 7, monkeypatch, compare)
+        assert len(forking) == 1
+
     @pytest.mark.parametrize("chunk", [1, 7, 10**6])
     def test_non_finite_inverses(self, forking, monkeypatch, chunk):
         monkeypatch.setattr(mal, "_refresh_inverse", _poisoned(mal._refresh_inverse))
