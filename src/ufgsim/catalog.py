@@ -154,11 +154,8 @@ def _build_linear(params):
     v = tuple(f"x{i + 1}" for i in range(N))
 
     def lin_expr(row, offset):
-        acc = ex.Const(float(offset))
-        for j in range(N):
-            if row[j] != 0.0:
-                acc = ex.Binary("add", acc, ex.Binary("mul", ex.Const(float(row[j])), ex.Var(j)))
-        return ex.simplify(acc)
+        terms = (ex.Const(float(a)) * ex.Var(j) for j, a in enumerate(row) if a != 0.0)
+        return ex.simplify(sum(terms, ex.Const(float(offset))))
 
     V0 = VectorField(N, tuple(lin_expr(A[i], D[i]) for i in range(N)), "V0")
     noises = tuple(

@@ -254,15 +254,9 @@ def stationary_fp_operator(system, rho):
     v0 = system.drift.components[0]
     v1 = system.noises[0].components[0]
 
-    def d(e):
-        return ex.differentiate(e, 0)
-
-    def mul(a, b):
-        return ex.Binary("mul", a, b)
-
-    inner = d(mul(v1, rho))
-    flux = d(mul(v1, inner))
-    return ex.simplify(ex.Binary("sub", flux, d(mul(v0, rho))))
+    inner = ex.differentiate(v1 * rho, 0)
+    flux = ex.differentiate(v1 * inner, 0)
+    return ex.simplify(flux - ex.differentiate(v0 * rho, 0))
 
 
 def fokker_planck_residual(system, rho, grid):

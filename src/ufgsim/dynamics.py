@@ -394,23 +394,12 @@ def _compile_rk4_step(V, jacobians):
     X = [ex.Var(j) for j in range(N)]
     half_h, h, sixth_h = (ex.Var(N + i) for i in range(3))
     two = ex.Const(2.0)
-
-    def add(a, b):
-        return ex.Binary("add", a, b)
-
-    def mul(a, b):
-        return ex.Binary("mul", a, b)
-
-    def advance(step, k):
-        return [add(x, mul(step, c)) for x, c in zip(X, k)]
-
     points = [X]
     k = [V.components]
     for step in (half_h, half_h, h):
-        points.append(advance(step, k[-1]))
+        points.append([x + step * c for x, c in zip(X, k[-1])])
         k.append(ex.substitute(V.components, points[-1]))
-    Xn = [add(x, mul(sixth_h, add(add(add(a, mul(two, b)), mul(two, c)), d)))
-          for x, a, b, c, d in zip(X, *k)]
+    Xn = [x + sixth_h * (a + two * b + two * c + d) for x, a, b, c, d in zip(X, *k)]
     if not jacobians:
         return ex.compile_exprs(Xn, (N,))
     entries = [e for row in V.jacobian_exprs for e in row]
@@ -870,38 +859,28 @@ def _compile_heun_step(system, linearizations):
     X = [ex.Var(j) for j in range(N)]
     dB = [ex.Var(N + i) for i in range(d)]
     dt, half_dt = ex.Var(N + d), ex.Var(N + d + 1)
-
-    def add(a, b):
-        return ex.Binary("add", a, b)
-
-    def mul(a, b):
-        return ex.Binary("mul", a, b)
+    sqrt2 = ex.Const(SQRT2)
 
     def fields_at(Y):
         V0, *noises = (ex.substitute(V.components, Y) for V in system.all_fields())
-        g = []
-        for j in range(N):
-            acc = ex.Const(0.0)
-            for V, b in zip(noises, dB):
-                acc = add(acc, mul(V[j], b))
-            g.append(acc)
+        g = [sum((V[j] * b for V, b in zip(noises, dB)), ex.ZERO) for j in range(N)]
         return V0, g
 
     a0, g0 = fields_at(X)
-    Xp = [add(add(x, mul(a, dt)), mul(ex.Const(SQRT2), g)) for x, a, g in zip(X, a0, g0)]
+    Xp = [x + a * dt + sqrt2 * g for x, a, g in zip(X, a0, g0)]
     a1, g1 = fields_at(Xp)
-    Xn = [add(add(x, mul(half_dt, add(a, b))), mul(ex.Const(0.5 * SQRT2), add(g, h)))
+    Xn = [x + half_dt * (a + b) + ex.Const(0.5 * SQRT2) * (g + h)
           for x, a, b, g, h in zip(X, a0, a1, g0, g1)]
     if not linearizations:
         return ex.compile_exprs(Xn + Xp, (2, N))
     entries = [[e for row in V.jacobian_exprs for e in row] for V in system.all_fields()]
-    scales = [mul(ex.Const(SQRT2), b) for b in dB]
+    scales = [sqrt2 * b for b in dB]
 
     def linearization(Y):
         D0, *noises = (ex.substitute(E, Y) for E in entries)
-        G = [mul(dt, e) for e in D0]
+        G = [dt * e for e in D0]
         for c, D in zip(scales, noises):
-            G = [add(acc, mul(c, e)) for acc, e in zip(G, D)]
+            G = [acc + c * e for acc, e in zip(G, D)]
         return G
 
     return ex.compile_exprs(Xn + Xp + linearization(X) + linearization(Xp), (2 + 2 * N, N))
@@ -967,28 +946,24 @@ def auxiliary_process(ensemble, v0perp, cfg=None):
 
 @dataclass(frozen=True)
 class FlowLimitResult:
-    status: str  # converged | diverged | not_converged | rank_unstable
+    status: str  # converged | diverged | not_converged
     point: np.ndarray
     residual: float
     time: float
 
 
-def flow_limit(v0perp, x, t_max, cfg=None, rank_probe=None):
+def flow_limit(v0perp, x, t_max, cfg=None):
     """Limit of e^{t V0perp}(x) as t grows, when it exists.
 
     Integrates until the field norm falls below STALL_TOL (converged), the
     state norm exceeds DIVERGENCE_RADIUS (diverged) or t_max is exhausted
-    (not_converged).  When rank_probe is given (a callable x -> rank of the
-    bracket distribution), a rank change along the curve stops integration
-    with status 'rank_unstable': the flow of the orthogonal drift component
-    is not trusted across rank-unstable sets.
+    (not_converged).
     """
     cfg = cfg or FlowConfig()
     V = _as_numeric(v0perp)
     y = np.asarray(x, dtype=float).copy()
     W = _rk4_workspace(V, y[None, :], np.array([cfg.dt]))
     t = 0.0
-    rank0 = rank_probe(y) if rank_probe is not None else None
     check_every = 20
     res = float(np.linalg.norm(V.eval_batch(y[None, :])[0]))
     if res < STALL_TOL:
@@ -1010,8 +985,6 @@ def flow_limit(v0perp, x, t_max, cfg=None, rank_probe=None):
                 return FlowLimitResult("converged", Y[0], res, t)
             if float(np.linalg.norm(Y[0])) > DIVERGENCE_RADIUS:
                 return FlowLimitResult("diverged", Y[0], res, t)
-            if rank_probe is not None and rank_probe(Y[0]) != rank0:
-                return FlowLimitResult("rank_unstable", Y[0], res, t)
     res = float(np.linalg.norm(V.eval_batch(Y)[0]))
     return FlowLimitResult("not_converged", Y[0], res, t)
 

@@ -15,6 +15,11 @@ the ordered identifier list supplied to :func:`parse_expression`.
 
 Design notes:
 
+* Trees compose with ``+ - * /`` and unary ``-``, each building the one
+  Binary/Unary node it names.  An operand that is not an Expr is a
+  TypeError, so no float enters a tree; a sum therefore needs an Expr start,
+  ``sum(terms, ZERO)``, and folds left from it, ``((ZERO + t0) + t1) + ...``.
+  The fold matters: a compiled kernel computes in its tree's order.
 * ``a ^ n`` with an integer exponent ``n`` is expanded to repeated
   multiplication at construction time (``x^3 -> x*x*x``, ``x^-2 ->
   1/(x*x)``), so pow nodes only ever carry non-integer constant exponents
@@ -92,6 +97,22 @@ class Expr:
     def __str__(self):
         return to_string(self)
 
+    # see the module notes: an operand that is not an Expr is NotImplemented
+    def __add__(self, other):
+        return Binary("add", self, other) if isinstance(other, Expr) else NotImplemented
+
+    def __sub__(self, other):
+        return Binary("sub", self, other) if isinstance(other, Expr) else NotImplemented
+
+    def __mul__(self, other):
+        return Binary("mul", self, other) if isinstance(other, Expr) else NotImplemented
+
+    def __truediv__(self, other):
+        return Binary("div", self, other) if isinstance(other, Expr) else NotImplemented
+
+    def __neg__(self):
+        return Unary("neg", self)
+
 
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
@@ -125,11 +146,8 @@ def _expand_int_pow(base, n):
     if n == 0:
         return ONE
     if n < 0:
-        return Binary("div", ONE, _expand_int_pow(base, -n))
-    out = base
-    for _ in range(n - 1):
-        out = Binary("mul", out, base)
-    return out
+        return ONE / _expand_int_pow(base, -n)
+    return math.prod([base] * (n - 1), start=base)
 
 
 def pow_expr(base, exponent):
@@ -213,7 +231,7 @@ class _Parser:
             inner = self.power()
             if isinstance(inner, Const):
                 return Const(-inner.value)
-            return Unary("neg", inner)
+            return -inner
         return self.power()
 
     def power(self):
@@ -514,38 +532,35 @@ def differentiate(e, var_index):
             case Unary(op=op, child=c):
                 dc = d(c)
                 if op == "neg":
-                    return Unary("neg", dc)
+                    return -dc
                 if op == "sin":
                     outer = Unary("cos", c)
                 elif op == "cos":
-                    outer = Unary("neg", Unary("sin", c))
+                    outer = -Unary("sin", c)
                 elif op == "exp":
                     outer = Unary("exp", c)
                 elif op == "log":
-                    return simplify(Binary("div", dc, c))
+                    return simplify(dc / c)
                 elif op == "sqrt":
-                    return simplify(Binary("div", dc, Binary("mul", Const(2.0), Unary("sqrt", c))))
+                    return simplify(dc / (Const(2.0) * Unary("sqrt", c)))
                 else:  # tanh' = 1 - tanh^2
                     t = Unary("tanh", c)
-                    outer = Binary("sub", ONE, Binary("mul", t, t))
-                return simplify(Binary("mul", outer, dc))
+                    outer = ONE - t * t
+                return simplify(outer * dc)
             case Binary(op=op, left=l, right=r):
                 dl = d(l)
                 dr = d(r)
                 if op == "add":
-                    return simplify(Binary("add", dl, dr))
+                    return simplify(dl + dr)
                 if op == "sub":
-                    return simplify(Binary("sub", dl, dr))
+                    return simplify(dl - dr)
                 if op == "mul":
-                    return simplify(Binary("add", Binary("mul", dl, r), Binary("mul", l, dr)))
+                    return simplify(dl * r + l * dr)
                 if op == "div":
-                    num = Binary("sub", Binary("mul", dl, r), Binary("mul", l, dr))
-                    return simplify(Binary("div", num, Binary("mul", r, r)))
+                    return simplify((dl * r - l * dr) / (r * r))
                 # pow nodes carry non-integer constant exponents: c * u^(c-1) * u'
                 c = r.value
-                return simplify(
-                    Binary("mul", Binary("mul", Const(c), Binary("pow", l, Const(c - 1.0))), dl)
-                )
+                return simplify(Const(c) * Binary("pow", l, Const(c - 1.0)) * dl)
         raise TypeError(f"not an Expr node: {node!r}")
 
     return d(e)
@@ -603,7 +618,7 @@ def simplify(e):
                 if l == r:
                     return ZERO
                 if _is_const(l, 0.0):
-                    return simplify(Unary("neg", r))
+                    return simplify(-r)
             elif op == "mul":
                 if _is_const(l, 0.0) or _is_const(r, 0.0):
                     return ZERO

@@ -114,17 +114,9 @@ def lie_bracket(V, W):
         raise ValueError(f"dimension mismatch: {V.dim} vs {W.dim}")
     n = V.dim
     dV, dW = V.jacobian_exprs, W.jacobian_exprs  # each field differentiated once
-    comps = []
-    for j in range(n):
-        acc = ex.ZERO
-        for i in range(n):
-            term = ex.Binary(
-                "sub",
-                ex.Binary("mul", V.components[i], dW[j][i]),
-                ex.Binary("mul", W.components[i], dV[j][i]),
-            )
-            acc = ex.Binary("add", acc, term)
-        comps.append(ex.simplify(acc))
+    v, w = V.components, W.components
+    comps = (ex.simplify(sum((v[i] * dW[j][i] - w[i] * dV[j][i] for i in range(n)), ex.ZERO))
+             for j in range(n))
     return VectorField(n, tuple(comps))
 
 
@@ -219,6 +211,10 @@ class BracketTable:
                 return vf
             return kept
 
+        # [fld, V_i] by (id(fld), i): every fld is interned, so it stays alive
+        # and equal trees share one id; hashing a field would walk its trees
+        brackets: dict[tuple, VectorField] = {}
+
         # Breadth-first by tuple size.  The trivial prefix (0,) is not a table
         # entry but still acts as a bracket parent, producing (0,i) children.
         frontier = []
@@ -235,7 +231,10 @@ class BracketTable:
                     child = entries + (i,)
                     if weighted_length(child) > self.m + 2:
                         continue
-                    bracket = intern(lie_bracket(fld, self.base_fields[i]))
+                    key = (id(fld), i)
+                    if key not in brackets:
+                        brackets[key] = intern(lie_bracket(fld, self.base_fields[i]))
+                    bracket = brackets[key]
                     self.fields[MultiIndex(child)] = bracket
                     nxt.append((child, bracket))
             frontier = nxt

@@ -377,15 +377,8 @@ def _second_order_coefficients(a_field, b_field):
     n = a_field.dim
     a, b, db = a_field.components, b_field.components, b_field.jacobian_exprs
     half = ex.Const(0.5)
-    S = [[ex.simplify(ex.Binary("mul", half, ex.Binary(
-        "add", ex.Binary("mul", a[i], b[j]), ex.Binary("mul", a[j], b[i]))))
-        for j in range(n)] for i in range(n)]
-    w = []
-    for j in range(n):
-        acc = ex.ZERO
-        for i in range(n):
-            acc = ex.Binary("add", acc, ex.Binary("mul", a[i], db[j][i]))
-        w.append(ex.simplify(acc))
+    S = [[ex.simplify(half * (a[i] * b[j] + a[j] * b[i])) for j in range(n)] for i in range(n)]
+    w = [ex.simplify(sum((a[i] * db[j][i] for i in range(n)), ex.ZERO)) for j in range(n)]
     return S, w
 
 
@@ -399,39 +392,19 @@ def _commutator_with_field(S, w, v_field):
     n = v_field.dim
     v, dv = v_field.components, v_field.jacobian_exprs
 
-    def d(e, i):
-        return ex.differentiate(e, i)
+    def transport(e):  # (v . grad) e
+        return sum((v[i] * ex.differentiate(e, i) for i in range(n)), ex.ZERO)
 
-    def mul(p, q):
-        return ex.Binary("mul", p, q)
-
-    def add(p, q):
-        return ex.Binary("add", p, q)
-
-    SG = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            acc = ex.ZERO
-            for i in range(n):
-                acc = add(acc, mul(S[j][i], dv[k][i]))
-            SG[j][k] = acc
-    S2 = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            sym_part = add(SG[j][k], SG[k][j])
-            transport = ex.ZERO
-            for i in range(n):
-                transport = add(transport, mul(v[i], d(S[j][k], i)))
-            S2[j][k] = ex.simplify(ex.Binary("sub", sym_part, transport))
+    SG = [[sum((S[j][i] * dv[k][i] for i in range(n)), ex.ZERO) for k in range(n)]
+          for j in range(n)]
+    S2 = [[ex.simplify(SG[j][k] + SG[k][j] - transport(S[j][k])) for k in range(n)]
+          for j in range(n)]
     w2 = []
     for k in range(n):
-        acc = ex.ZERO
-        for i in range(n):
-            for j in range(n):
-                acc = add(acc, mul(S[i][j], d(dv[k][i], j)))
+        acc = sum((S[i][j] * ex.differentiate(dv[k][i], j)
+                   for i in range(n) for j in range(n)), ex.ZERO)
         for j in range(n):
-            acc = add(acc, mul(w[j], dv[k][j]))
-            acc = ex.Binary("sub", acc, mul(v[j], d(w[k], j)))
+            acc = acc + w[j] * dv[k][j] - v[j] * ex.differentiate(w[k], j)
         w2.append(ex.simplify(acc))
     return S2, w2
 
@@ -502,15 +475,11 @@ def generator_apply(system, phi):
     N = system.dim
 
     def first_order(V, f):
-        acc = ex.ZERO
-        for i in range(N):
-            acc = ex.Binary("add", acc, ex.Binary("mul", V.components[i],
-                                                  ex.differentiate(f, i)))
-        return ex.simplify(acc)
+        return ex.simplify(sum((V.components[i] * ex.differentiate(f, i) for i in range(N)),
+                               ex.ZERO))
 
-    out = first_order(system.drift, phi)
-    for V in system.noises:
-        out = ex.Binary("add", out, first_order(V, first_order(V, phi)))
+    out = sum((first_order(V, first_order(V, phi)) for V in system.noises),
+              first_order(system.drift, phi))
     return ex.simplify(out)
 
 

@@ -462,12 +462,6 @@ class TestFlowLimit:
         res = dyn.flow_limit(circles.v0perp, [1.0, 0.0], 2.0)
         assert res.status == "not_converged"
 
-    def test_rank_instability_detected(self, circles):
-        left = vf.make_field(2, ["-1", "0"], ["x", "y"])
-        probe = lambda y: 1 if y[0] > 0.2 else 0
-        res = dyn.flow_limit(left, [0.5, 0.0], 5.0, rank_probe=probe)
-        assert res.status == "rank_unstable"
-
 
 class TestRankAlongPath:
     def test_heisenberg_rank_profiles(self, heisenberg):

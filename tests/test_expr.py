@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import operator
 import weakref
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ufgsim import expr as ex
+from ufgsim import catalog, diagnostics as dg, dynamics as dyn, expr as ex
+from ufgsim import fields as vf, geometry as geo
 import reference_parse as ref_parse
 import reference_walk as ref
 
@@ -301,6 +303,73 @@ class TestSimplify:
     def test_no_folding_outside_the_domain(self):
         for text in ("log(0 - 1)", "sqrt(0 - 4)", "1/0", "(0 - 2)^0.5", "exp(1000)"):
             assert not isinstance(ex.simplify(ex.parse_expression(text, ["x"])), ex.Const)
+
+
+class TestOperators:
+    def test_each_operator_builds_its_node(self):
+        a, b = ex.Var(0), ex.Const(-0.0)
+        cases = [(a + b, ex.Binary("add", a, b)), (a - b, ex.Binary("sub", a, b)),
+                 (a * b, ex.Binary("mul", a, b)), (a / b, ex.Binary("div", a, b)),
+                 (-a, ex.Unary("neg", a))]
+        for got, want in cases:
+            assert got == want and ex.to_string(got) == ex.to_string(want)
+
+    def test_sum_folds_left_from_its_start(self):
+        t0, t1 = ex.Var(0), ex.Var(1)
+        assert sum([t0, t1], ex.ZERO) == ex.Binary("add", ex.Binary("add", ex.ZERO, t0), t1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ex.Var(0) + 1.0,
+        lambda: 2.0 * ex.Var(0),
+        lambda: ex.Var(0) * np.float64(2),
+        lambda: np.float64(2) * ex.Var(0),
+        lambda: sum([ex.Var(0)]),  # the start is the int 0
+    ])
+    def test_an_operand_that_is_not_an_expr_is_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+
+def _built_trees():
+    """The printed bracket tables (levels 1-4), OAC2 coefficients (level 3),
+    generator and Fokker-Planck operators of every catalog system, and the
+    source of each of its RK4 and Heun kernels."""
+    out = []
+    for name in catalog.list_entries():
+        entry = catalog.get(name)
+        system = entry.system
+        out += [ex.to_string(c) for V in system.all_fields() for c in V.components]
+        for m in range(1, 5):
+            tab = vf.build_hierarchy(system.all_fields(), m)
+            for a in tab.indices():
+                out += [repr(a)] + [ex.to_string(c) for c in tab.field(a).components]
+        alphas = [a for a in tab.indices(3) if len(a.entries) >= 2]  # check_oac2 at level 3
+        for a in alphas:
+            for b in alphas:
+                if a != b:
+                    S, w = geo._second_order_coefficients(tab.field(a), tab.field(b))
+                    S2, w2 = geo._commutator_with_field(S, w, tab.drift)
+                    out += [ex.to_string(c) for c in [*sum(S, []), *w, *sum(S2, []), *w2]]
+        names = [f"x{i + 1}" for i in range(system.dim)]
+        phi = ex.parse_expression(" + ".join(f"{v}^2" for v in names), names)
+        out.append(ex.to_string(geo.generator_apply(system, phi)))
+        if system.dim == 1 and system.d == 1:
+            for rho in (catalog.stationary_density_expr(),
+                        ex.parse_expression("exp(-z^2)", ["z"])):
+                out.append(ex.to_string(dg.stationary_fp_operator(system, rho)))
+        fields = list(system.all_fields())
+        if isinstance(entry.v0perp, vf.VectorField):
+            fields.append(entry.v0perp)
+        for V in fields:
+            out += [dyn._compile_rk4_step(V, jac).source for jac in (False, True)]
+        out += [dyn._compile_heun_step(system, lin).source for lin in (False, True)]
+    return out
+
+
+def test_built_trees_are_pinned():
+    # printed text and kernel source, not ==, which takes Const(-0.0) for Const(0.0)
+    digest = hashlib.sha256("\n".join(_built_trees()).encode()).hexdigest()
+    assert digest == "846daffca02b16652ddaa953336323b548aa03d51bd7b01f48495333c66a292c"
 
 
 class TestPrinter:

@@ -217,6 +217,22 @@ class TestHierarchy:
             tab = vf.build_hierarchy(system.all_fields(), m)
             assert len(tab.fields) == vf.table_size(system.d, m)
 
+    @pytest.mark.parametrize("name,params,m,pairs", [("sinfields", {}, 8, 20),
+                                                     ("ufg-heisenberg", {}, 2, 26),
+                                                     ("grushin", {"k": -1.0}, 3, 10)])
+    def test_each_distinct_bracket_built_once(self, monkeypatch, name, params, m, pairs):
+        fields = catalog.get(name, params).system.all_fields()
+        calls = []
+
+        def counted(V, W):
+            calls.append((V.components, next(i for i, B in enumerate(fields) if B is W)))
+            return bracket(V, W)
+
+        bracket = vf.lie_bracket
+        monkeypatch.setattr(vf, "lie_bracket", counted)
+        vf.build_hierarchy(fields, m)
+        assert len(calls) == len(set(calls)) == pairs
+
     def test_requires_noise(self):
         V0 = vf.make_field(1, ["x"], ["x"])
         with pytest.raises(ValueError):
