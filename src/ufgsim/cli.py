@@ -846,14 +846,13 @@ def run(argv=None):
     except SystemExit as err:  # --help; usage errors raise UsageError instead
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     except (UsageError, KeyError, ValueError, ex.ParseError, OSError) as err:
-        print(json.dumps({"error": str(err), "schema_version": SCHEMA_VERSION}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    except (ex.EvalDomainError, RuntimeError, np.linalg.LinAlgError,
-            ArithmeticError) as err:
-        print(json.dumps({"error": str(err), "schema_version": SCHEMA_VERSION}),
-              file=sys.stderr)
-        return EXIT_NUMERIC
+        message, code = str(err), EXIT_USAGE
+    except RecursionError as err:  # before RuntimeError, its base; from hashing a deep tree, say
+        message, code = f"expression too deep to process ({err})", EXIT_USAGE
+    except (ex.EvalDomainError, RuntimeError, np.linalg.LinAlgError, ArithmeticError) as err:
+        message, code = str(err), EXIT_NUMERIC
+    print(json.dumps({"error": message, "schema_version": SCHEMA_VERSION}), file=sys.stderr)
+    return code
 
 
 def main():

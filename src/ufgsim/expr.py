@@ -34,6 +34,11 @@ Design notes:
   coordinate the expression uses; the error names the first failing node in
   post-order.  The tests hold both kinds of kernel to a reference tree walk
   to the bit.
+* One walk: each pass over trees is a function of a node and its children's
+  results, run by one post-order walk on an explicit stack that visits each
+  distinct node (by identity) once; depth is bounded by memory, not Python's
+  stack.  The parser rejects nesting of parentheses and function calls
+  deeper than ``MAX_NESTING``.
 * Simplification is structural only: constant folding, 0/1 absorption,
   double-negation removal and cancellation of structurally identical
   subtrahends.  No distribution, no term reordering.  A node over constants
@@ -58,6 +63,7 @@ import numpy as np
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 _MAX_INT_EXPONENT = 64
+MAX_NESTING = 100  # parentheses and function calls; each level is four parser frames
 
 
 class ExprError(Exception):
@@ -141,15 +147,6 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
-def _expand_int_pow(base, n):
-    """Expand base**n, n integer, into multiplication (and one division if n<0)."""
-    if n == 0:
-        return ONE
-    if n < 0:
-        return ONE / _expand_int_pow(base, -n)
-    return math.prod([base] * (n - 1), start=base)
-
-
 def pow_expr(base, exponent):
     """Power node constructor.
 
@@ -165,7 +162,10 @@ def pow_expr(base, exponent):
         n = int(e)
         if abs(n) > _MAX_INT_EXPONENT:
             raise ValueError(f"integer exponent {n} exceeds the expansion cap {_MAX_INT_EXPONENT}")
-        return _expand_int_pow(base, n)
+        if n == 0:
+            return ONE
+        power = math.prod([base] * (abs(n) - 1), start=base)  # and one division if n < 0
+        return ONE / power if n < 0 else power
     return Binary("pow", base, exponent)
 
 
@@ -186,7 +186,7 @@ class _Parser:
     """Recursive descent over `text`; `pos` indexes the next unread character."""
 
     def __init__(self, text, variable_names):
-        self.text, self.pos = text, 0
+        self.text, self.pos, self.depth = text, 0, 0
         self.vars = {name: i for i, name in enumerate(variable_names)}
 
     def peek(self):
@@ -199,10 +199,6 @@ class _Parser:
             self.pos += 1
             return True
         return False
-
-    def expect(self, ch, expected):
-        if not self.take(ch):
-            raise ParseError("unexpected input", self.pos, expected)
 
     def match(self, pattern):
         """The text of `pattern` at `pos`, consumed, or None."""
@@ -250,26 +246,30 @@ class _Parser:
     def atom(self):
         self.peek()
         pos = self.pos
-        if self.take("("):
-            e = self.expr()
-            self.expect(")", [")"])
-            return e
-        if (number := self.match(_NUMBER)) is not None:
-            value = float(number)
-            if math.isinf(value):
-                raise ParseError(f"number {number} overflows a double", pos)
-            return Const(value)
-        if (name := self.match(_IDENT)) is not None:
-            if self.take("("):
-                if name not in FUNCTIONS:
-                    raise ParseError(f"unknown function '{name}'", pos, FUNCTIONS)
-                arg = self.expr()
-                self.expect(")", [")"])
-                return Unary(name, arg)
-            if name in self.vars:
-                return Var(self.vars[name])
-            raise ParseError(f"unknown identifier '{name}'", pos, sorted(self.vars))
-        raise ParseError("unexpected input", pos, ["NUMBER", "IDENT", "("])
+        name = None
+        if not self.take("("):
+            if (number := self.match(_NUMBER)) is not None:
+                value = float(number)
+                if math.isinf(value):
+                    raise ParseError(f"number {number} overflows a double", pos)
+                return Const(value)
+            if (name := self.match(_IDENT)) is None:
+                raise ParseError("unexpected input", pos, ["NUMBER", "IDENT", "("])
+            if not self.take("("):
+                if name in self.vars:
+                    return Var(self.vars[name])
+                raise ParseError(f"unknown identifier '{name}'", pos, sorted(self.vars))
+            if name not in FUNCTIONS:
+                raise ParseError(f"unknown function '{name}'", pos, FUNCTIONS)
+        # a "(" was taken: the nested expression up to its ")"
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos - 1)
+        self.depth += 1
+        e = self.expr()
+        if not self.take(")"):
+            raise ParseError("unexpected input", self.pos, [")"])
+        self.depth -= 1
+        return e if name is None else Unary(name, e)
 
 
 def parse_expression(text, variable_names):
@@ -286,35 +286,24 @@ def parse_expression(text, variable_names):
 # Printing
 # ---------------------------------------------------------------------------
 
-_BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
 def to_string(e, variable_names=None):
     """Canonical fully parenthesized text form; round-trips through the parser."""
 
-    def name(i):
-        if variable_names is not None:
-            return variable_names[i]
-        return f"x{i + 1}"
+    def text(node, *args):
+        if type(node) is Const:
+            v = node.value
+            negative = math.copysign(1.0, v) < 0 and math.isfinite(v)  # -0.0 too
+            return f"(-{repr(-v)})" if negative else repr(v)
+        if type(node) is Var:
+            return f"x{node.index + 1}" if variable_names is None else variable_names[node.index]
+        if type(node) is Unary:
+            return f"(-{args[0]})" if node.op == "neg" else f"{node.op}({args[0]})"
+        return f"({args[0]} {_BINARY_SYMBOL[node.op]} {args[1]})"
 
-    def go(node):
-        match node:
-            case Const(value=v):
-                negative = math.copysign(1.0, v) < 0 and math.isfinite(v)  # -0.0 too
-                return f"(-{repr(-v)})" if negative else repr(v)
-            case Var(index=i):
-                return name(i)
-            case Unary(op="neg", child=c):
-                return f"(-{go(c)})"
-            case Unary(op=op, child=c):
-                return f"{op}({go(c)})"
-            case Binary(op="pow", left=l, right=r):
-                return f"({go(l)} ^ {go(r)})"
-            case Binary(op=op, left=l, right=r):
-                return f"({go(l)} {_BINARY_SYMBOL[op]} {go(r)})"
-        raise TypeError(f"not an Expr node: {node!r}")
-
-    return go(e)
+    return _walk(e, text, {})
 
 
 # ---------------------------------------------------------------------------
@@ -436,32 +425,28 @@ def compile_exprs(exprs, target, check=False):
     stmts = []  # (line, names it reads), each temp after the temps it reads
     nodes = {}  # name -> node, for the checked kernel's calls
 
-    def number(node):
-        ref = seen.get(id(node))
+    def number(node, *args):  # node's temp or literal, given its children's
+        if type(node) is Const:
+            ref = _literal(node.value)
+            if check and not math.isfinite(node.value):
+                visit(node, ref, args)
+            return ref
+        code = None
+        if type(node) is Var:
+            i = operator.index(node.index)
+            rhs = f"X[..., {i}]"
+            if check:
+                code = f"{rhs} if X.shape[-1] > {i} else check._absent(X, {i})"
+        elif node.op in (_UNARY if type(node) is Unary else _BINARY):
+            rhs = f"{node.op}({', '.join(args)})"
+        else:
+            raise ValueError(f"unknown operator {node.op!r}")
+        ref = temps.get(rhs)
         if ref is None:
-            args = [number(c) for c in _children(node)]
-            if type(node) is Const:
-                ref = _literal(node.value)
-                if check and not math.isfinite(node.value):
-                    visit(node, ref, args)
-            else:
-                code = None
-                if type(node) is Var:
-                    i = operator.index(node.index)
-                    rhs = f"X[..., {i}]"
-                    if check:
-                        code = f"{rhs} if X.shape[-1] > {i} else check._absent(X, {i})"
-                elif node.op in (_UNARY if type(node) is Unary else _BINARY):
-                    rhs = f"{node.op}({', '.join(args)})"
-                else:
-                    raise ValueError(f"unknown operator {node.op!r}")
-                ref = temps.get(rhs)
-                if ref is None:
-                    ref = temps[rhs] = f"t{len(temps)}"
-                    stmts.append((f"{ref} = {code or rhs}", args))
-                    if check:
-                        visit(node, ref, args)
-            seen[id(node)] = ref
+            ref = temps[rhs] = f"t{len(temps)}"
+            stmts.append((f"{ref} = {code or rhs}", args))
+            if check:
+                visit(node, ref, args)
         return ref
 
     def visit(node, ref, args):
@@ -470,7 +455,7 @@ def compile_exprs(exprs, target, check=False):
         stmts.append((f"check._visit({', '.join([name, ref, *args])})", [ref, *args]))
 
     for e, k in zip(exprs, slots):
-        ref = number(e)
+        ref = _walk(e, number, seen)
         stmts.append((f"out[..., {', '.join(map(str, k))}] = {ref}", [ref]))
     names = set(temps.values())
     last = {r: i for i, (_, reads) in enumerate(stmts) for r in reads if r in names}
@@ -499,6 +484,22 @@ def _children(node):
     raise TypeError(f"not an Expr node: {node!r}")
 
 
+def _walk(root, visit, memo):
+    """Root's result, after ``memo[id(node)] = visit(node, *its children's results)``
+    for each node of `root` not yet in `memo`, in first-occurrence post-order.
+    The caller keeps the nodes in `memo` alive, so that no id is reused."""
+    stack = [(root, None)]  # (node, None) to expand; (node, children) to visit
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            memo[id(node)] = visit(node, *[memo[id(c)] for c in kids])
+        elif id(node) not in memo:
+            kids = _children(node)
+            stack.append((node, kids))
+            stack += [(c, None) for c in reversed(kids)]
+    return memo[id(root)]
+
+
 def evaluate(e, point):
     """Evaluate at one point, a 1-D sequence of reals: the checked kernel on one row.
 
@@ -521,49 +522,55 @@ def evaluate(e, point):
 # ---------------------------------------------------------------------------
 
 def differentiate(e, var_index):
-    """Exact symbolic partial derivative with respect to coordinate var_index."""
+    """Exact symbolic partial derivative with respect to coordinate var_index;
+    each node's derivative is simplified as built, under one memo for the call."""
+    simplified, inputs = {}, []  # inputs: the trees simplified, kept alive for their ids
 
-    def d(node):
-        match node:
-            case Const():
-                return ZERO
-            case Var(index=i):
-                return ONE if i == var_index else ZERO
-            case Unary(op=op, child=c):
-                dc = d(c)
-                if op == "neg":
-                    return -dc
-                if op == "sin":
-                    outer = Unary("cos", c)
-                elif op == "cos":
-                    outer = -Unary("sin", c)
-                elif op == "exp":
-                    outer = Unary("exp", c)
-                elif op == "log":
-                    return simplify(dc / c)
-                elif op == "sqrt":
-                    return simplify(dc / (Const(2.0) * Unary("sqrt", c)))
-                else:  # tanh' = 1 - tanh^2
-                    t = Unary("tanh", c)
-                    outer = ONE - t * t
-                return simplify(outer * dc)
-            case Binary(op=op, left=l, right=r):
-                dl = d(l)
-                dr = d(r)
-                if op == "add":
-                    return simplify(dl + dr)
-                if op == "sub":
-                    return simplify(dl - dr)
-                if op == "mul":
-                    return simplify(dl * r + l * dr)
-                if op == "div":
-                    return simplify((dl * r - l * dr) / (r * r))
-                # pow nodes carry non-integer constant exponents: c * u^(c-1) * u'
-                c = r.value
-                return simplify(Const(c) * Binary("pow", l, Const(c - 1.0)) * dl)
-        raise TypeError(f"not an Expr node: {node!r}")
+    def simp(tree):
+        inputs.append(tree)
+        out = _walk(tree, _simplify_step, simplified)
+        simplified[id(out)] = out  # a simplified tree is its own simplification
+        return out
 
-    return d(e)
+    def d(node, *dkids):
+        if type(node) is Const:
+            return ZERO
+        if type(node) is Var:
+            return ONE if node.index == var_index else ZERO
+        op = node.op
+        if type(node) is Unary:
+            c, (dc,) = node.child, dkids
+            if op == "neg":
+                return -dc
+            if op == "log":
+                return simp(dc / c)
+            if op == "sqrt":
+                return simp(dc / (Const(2.0) * Unary("sqrt", c)))
+            if op == "sin":
+                outer = Unary("cos", c)
+            elif op == "cos":
+                outer = -Unary("sin", c)
+            elif op == "exp":
+                outer = Unary("exp", c)
+            else:  # tanh' = 1 - tanh^2
+                t = Unary("tanh", c)
+                outer = ONE - t * t
+            return simp(outer * dc)
+        l, r = node.left, node.right
+        dl, dr = dkids
+        if op == "add":
+            return simp(dl + dr)
+        if op == "sub":
+            return simp(dl - dr)
+        if op == "mul":
+            return simp(dl * r + l * dr)
+        if op == "div":
+            return simp((dl * r - l * dr) / (r * r))
+        # pow nodes carry non-integer constant exponents: c * u^(c-1) * u'
+        c = r.value
+        return simp(Const(c) * Binary("pow", l, Const(c - 1.0)) * dl)
+
+    return _walk(e, d, {})
 
 
 # ---------------------------------------------------------------------------
@@ -590,63 +597,65 @@ def simplify(e):
     and cancellation of structurally identical operands of sub.  Bottom-up single
     pass; idempotent; semantics preserved on the original expression's domain.
     """
-    match e:
-        case Const() | Var():
-            return e
-        case Unary(op=op, child=c):
-            c = simplify(c)
-            if isinstance(c, Const):
-                return _fold(Unary(op, c))
-            if op == "neg" and isinstance(c, Unary) and c.op == "neg":
-                return c.child
-            return Unary(op, c)
-        case Binary(op=op, left=l, right=r):
-            l = simplify(l)
-            r = simplify(r)
-            if isinstance(l, Const) and isinstance(r, Const):
-                folded = _fold(Binary(op, l, r))
-                if isinstance(folded, Const):
-                    return folded
-            if op == "add":
-                if _is_const(l, 0.0):
-                    return r
-                if _is_const(r, 0.0):
-                    return l
-            elif op == "sub":
-                if _is_const(r, 0.0):
-                    return l
-                if l == r:
-                    return ZERO
-                if _is_const(l, 0.0):
-                    return simplify(-r)
-            elif op == "mul":
-                if _is_const(l, 0.0) or _is_const(r, 0.0):
-                    return ZERO
-                if _is_const(l, 1.0):
-                    return r
-                if _is_const(r, 1.0):
-                    return l
-            elif op == "div":
-                if _is_const(l, 0.0):
-                    return ZERO
-                if _is_const(r, 1.0):
-                    return l
-            return Binary(op, l, r)
-    raise TypeError(f"not an Expr node: {e!r}")
+    return _walk(e, _simplify_step, {})
+
+
+def _simplify_step(node, *kids):
+    """`node` simplified, given its children simplified to `kids`."""
+    if type(node) is Unary:
+        return _simplify_unary(node.op, *kids)
+    if type(node) is not Binary:
+        return node
+    op, (l, r) = node.op, kids
+    if isinstance(l, Const) and isinstance(r, Const):
+        folded = _fold(Binary(op, l, r))
+        if isinstance(folded, Const):
+            return folded
+    if op == "add":
+        if _is_const(l, 0.0):
+            return r
+        if _is_const(r, 0.0):
+            return l
+    elif op == "sub":
+        if _is_const(r, 0.0):
+            return l
+        if l == r:
+            return ZERO
+        if _is_const(l, 0.0):
+            return _simplify_unary("neg", r)
+    elif op == "mul":
+        if _is_const(l, 0.0) or _is_const(r, 0.0):
+            return ZERO
+        if _is_const(l, 1.0):
+            return r
+        if _is_const(r, 1.0):
+            return l
+    elif op == "div":
+        if _is_const(l, 0.0):
+            return ZERO
+        if _is_const(r, 1.0):
+            return l
+    return Binary(op, l, r)
+
+
+def _simplify_unary(op, c):
+    if isinstance(c, Const):
+        return _fold(Unary(op, c))
+    if op == "neg" and isinstance(c, Unary) and c.op == "neg":
+        return c.child
+    return Unary(op, c)
 
 
 def max_variable_index(e):
     """Largest variable index used, or -1 for a closed expression."""
-    if type(e) is Var:
-        return e.index
-    return max(map(max_variable_index, _children(e)), default=-1)
+    return _walk(e, lambda node, *kids: node.index if type(node) is Var
+                 else max(kids, default=-1), {})
 
 
 def min_variable_index(e):
     """Smallest variable index used, or inf for a closed expression."""
-    if type(e) is Var:
-        return e.index
-    return min(map(min_variable_index, _children(e)), default=math.inf)
+    return _walk(e, lambda node, *kids: node.index if type(node) is Var
+                 else min(kids, default=math.inf), {})
 
 
 def substitute(exprs, values):
@@ -654,23 +663,14 @@ def substitute(exprs, values):
 
     A subtree shared between the inputs is rebuilt once and stays shared.
     """
-    memo = {}  # id(node) -> rebuilt node; the input trees keep every id alive
 
-    def go(node):
-        out = memo.get(id(node))
-        if out is None:
-            match node:
-                case Const():
-                    out = node
-                case Var(index=i):
-                    out = values[i]
-                case Unary(op=op, child=c):
-                    out = Unary(op, go(c))
-                case Binary(op=op, left=l, right=r):
-                    out = Binary(op, go(l), go(r))
-                case _:
-                    raise TypeError(f"not an Expr node: {node!r}")
-            memo[id(node)] = out
-        return out
+    def swap(node, *kids):
+        if type(node) is Var:
+            return values[node.index]
+        if type(node) is Const:
+            return node
+        return type(node)(node.op, *kids)
 
-    return [go(e) for e in exprs]
+    exprs = list(exprs)  # held, so that no id in the memo is reused
+    memo = {}
+    return [_walk(e, swap, memo) for e in exprs]

@@ -419,6 +419,55 @@ class TestExitCodes:
         assert json.loads(err)["error"].startswith("bracket (1): log of non-positive value")
 
 
+# expressions past Python's recursion limit are honoured, or rejected with exit 3
+_LONG_DRIFT = "+".join(["0.001*x"] * 1000)
+
+
+@pytest.fixture
+def long_drift_file(tmp_path):
+    path = tmp_path / "long.sys"
+    path.write_text(f"dim = 2\nnoise = 1\nvars = x, y\nV0 = [-y, {_LONG_DRIFT}]\nV1 = [x, y]\n")
+    return str(path)
+
+
+class TestDeepExpressions:
+    DERIVATIVE = ["derivative", "--system", "grushin", "--param", "k=0.5", "--direction",
+                  "V1", "--x0", "0,1", "--t", "0.25", "--paths", "40", "--seed", "3"]
+
+    def test_long_observable_runs(self, capsys):
+        code, out, err = run_cli(self.DERIVATIVE + ["--f", "+".join(["z"] * 2000)], capsys)
+        assert code == cli.EXIT_OK, err
+        _, one, _ = run_cli(self.DERIVATIVE + ["--f", "z"], capsys)
+        estimate = json.loads(out)["estimate"]
+        assert estimate == pytest.approx(2000 * json.loads(one)["estimate"], rel=1e-9)
+
+    def test_simulate_with_a_long_drift_is_the_same_across_threads(self, capsys, forking,
+                                                                   long_drift_file):
+        args = ["simulate", "--system", long_drift_file, "--x0", "1,0", "--t", "0.02",
+                "--dt", "0.001", "--paths", "4", "--seed", "1", "--stride", "10"]
+        code1, out1, err = run_cli(args + ["--threads", "1"], capsys)
+        assert code1 == cli.EXIT_OK, err
+        code2, out2, _ = run_cli(args + ["--threads", "2"], capsys)
+        assert forking  # the second worker ran in a child
+        assert code2 == cli.EXIT_OK and out1 == out2
+        assert len(out1.splitlines()) == 1 + 4 * 3
+
+    def test_nesting_past_the_cap_is_a_usage_error(self, capsys):
+        f = "(" * 300 + "z" + ")" * 300
+        code, out, err = run_cli(self.DERIVATIVE + ["--f", f], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1
+        assert "nesting deeper than 100 levels" in json.loads(err)["error"]
+
+    def test_check_on_a_long_drift_is_not_a_numerical_error(self, capsys, long_drift_file):
+        code, out, err = run_cli(["check", "--system", long_drift_file, "--condition", "ufg"],
+                                 capsys)
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_USAGE), err
+        if code == cli.EXIT_USAGE:
+            assert out == "" and len(err.splitlines()) == 1
+            assert json.loads(err)["error"].startswith("expression too deep")
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, capsys):
         args = ["simulate", "--system", "random-circles", "--x0", "1,0", "--t",

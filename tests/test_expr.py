@@ -97,21 +97,22 @@ class TestParse:
                 ex.parse_expression(text, ["x"])
             assert err.value.position == position
 
-    def test_nests_deeper_than_the_reference_parser(self):
-        # a parenthesis costs four Python frames (atom, expr, factor, power)
-        # against the reference's five, so it nests about 5/4 as deep
-        def deepest(parse):
-            lo, hi = 1, 2000  # parses at lo, RecursionError at hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    parse("(" * mid + "x" + ")" * mid, ["x"])
-                    lo = mid
-                except RecursionError:
-                    hi = mid
-            return lo
+    @pytest.mark.parametrize("opening", ["(", "sin(", " sqrt ( "],
+                             ids=["paren", "call", "spaced-call"])
+    def test_nests_to_the_cap_and_no_deeper(self, opening):
+        def nest(depth):
+            return opening * depth + "x" + ")" * depth
 
-        assert deepest(ex.parse_expression) > 1.2 * deepest(ref_parse.parse_expression)
+        def parse_under(frames, text):  # the parse from `frames` calls deep
+            return ex.parse_expression(text, ["x"]) if frames == 0 else \
+                parse_under(frames - 1, text)
+
+        # four parser frames a level leave room for a caller's stack
+        e = parse_under(400, nest(ex.MAX_NESTING))
+        assert ex.max_variable_index(e) == 0
+        with pytest.raises(ex.ParseError, match="nesting deeper") as err:
+            ex.parse_expression(nest(ex.MAX_NESTING + 1), ["x"])
+        assert err.value.position == len(opening) * ex.MAX_NESTING + opening.index("(")
 
 
 # tokens whose joins cover numbers with and without fraction or exponent
@@ -538,6 +539,120 @@ class TestCompile:
     def test_expression_count_must_fill_the_target(self):
         with pytest.raises(ValueError, match="2 expressions"):
             ex.compile_exprs([ex.ONE, ex.ZERO], (3,))
+
+
+# five times Python's default recursion limit: every pass must walk without recursion
+DEEP = 5000
+
+
+def _compiled_values(e, P):
+    """e's unchecked and checked kernels at the rows P, each checked clean."""
+    plain, checked = np.empty(len(P)), np.empty(len(P))
+    ex.compile_exprs([e], ())(P, plain)
+    check = ex.DomainCheck((len(P),))
+    ex.compile_exprs([e], (), check=True)(P, checked, check)
+    assert check.error is None
+    return plain, checked
+
+
+class TestDeepTrees:
+    P = np.array([[0.5, 7.0], [2.0, -1.0]])
+
+    def test_long_sum(self):
+        x = ex.Var(0)
+        e = sum([x] * DEEP, ex.ZERO)  # ((0 + x) + x) + ...: DEEP levels
+        for values in _compiled_values(e, self.P):
+            assert np.array_equal(values, DEEP * self.P[:, 0])
+        assert ex.evaluate(e, [0.5]) == DEEP / 2
+        assert ex.differentiate(e, 0) == ex.Const(float(DEEP))
+        assert ex.differentiate(e, 1) == ex.ZERO
+        assert ex.to_string(e) == "(" * DEEP + "0.0" + " + x1)" * DEEP
+        # 0 + x -> x; the other additions stay
+        s = ex.simplify(e)
+        assert ex.to_string(s) == "(" * (DEEP - 1) + "x1" + " + x1)" * (DEEP - 1)
+        assert ex.evaluate(s, [0.5]) == DEEP / 2
+        (t,) = ex.substitute([e], [ex.Const(2.0)])
+        assert ex.max_variable_index(t) == -1 and ex.min_variable_index(t) == math.inf
+        assert ex.simplify(t) == ex.Const(2.0 * DEEP)
+        assert ex.max_variable_index(e) == ex.min_variable_index(e) == 0
+
+    def test_negation_chain(self):
+        x = ex.Var(1)
+        e = x
+        for _ in range(DEEP):
+            e = -e
+        sign = (-1) ** DEEP
+        for values in _compiled_values(e, self.P):
+            assert np.array_equal(values, sign * self.P[:, 1])
+        assert ex.evaluate(e, [0.5, 7.0]) == sign * 7.0
+        assert ex.to_string(e, ["x", "y"]) == "(-" * DEEP + "y" + ")" * DEEP
+        assert ex.simplify(e) == (x if sign > 0 else -x)
+        d = ex.differentiate(e, 1)  # -(-(...1)): a negation is not simplified
+        assert ex.to_string(d) == "(-" * DEEP + "1.0" + ")" * DEEP
+        assert ex.simplify(d) == ex.Const(float(sign))
+        assert ex.simplify(ex.differentiate(e, 0)) == ex.ZERO
+        (t,) = ex.substitute([e], [ex.ZERO, ex.Const(3.0)])
+        assert ex.evaluate(t, []) == sign * 3.0
+        assert ex.max_variable_index(e) == ex.min_variable_index(e) == 1
+
+    def test_sine_chain(self):
+        e = ex.Var(0)
+        for _ in range(DEEP):
+            e = ex.Unary("sin", e)
+        # s_0 = x, s_k = sin(s_(k-1)); e = s_DEEP and de/dx = prod cos(s_k), k < DEEP
+        want_value, want_slope = [], []
+        for x in self.P[:, 0]:
+            s, slope = float(x), 1.0
+            for _ in range(DEEP):
+                s, slope = math.sin(s), slope * math.cos(s)
+            want_value.append(s)
+            want_slope.append(slope)
+        for values in _compiled_values(e, self.P):
+            np.testing.assert_allclose(values, want_value, rtol=1e-12)
+        d = ex.differentiate(e, 0)
+        for values in _compiled_values(d, self.P):
+            np.testing.assert_allclose(values, want_slope, rtol=1e-9)
+        assert ex.evaluate(d, [0.5]) == pytest.approx(want_slope[0], rel=1e-9)
+        text = "sin(" * DEEP + "x1" + ")" * DEEP
+        assert ex.to_string(e) == ex.to_string(ex.simplify(e)) == text
+        (t,) = ex.substitute([e], [ex.Var(1)])
+        assert ex.to_string(t, ["x", "y"]) == text.replace("x1", "y")
+        assert ex.max_variable_index(t) == ex.min_variable_index(t) == 1
+
+
+def test_each_distinct_node_is_visited_once(monkeypatch):
+    # e = x^(2^16) as e = e * e: 17 distinct nodes, 2^17 - 1 nodes as a tree
+    x = ex.Var(0)
+    e = x
+    for _ in range(16):
+        e = e * e
+    budget = 20 * 17
+    work = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            work[0] += 1
+            if work[0] > budget:
+                raise AssertionError(f"more than {budget} node visits or builds")
+            return fn(*args)
+        return wrapper
+
+    # per-node work: a node's children looked up, or a node built
+    monkeypatch.setattr(ex, "_children", counted(ex._children))
+    for cls in (ex.Unary, ex.Binary):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    passes = [
+        lambda: ex.max_variable_index(e),
+        lambda: ex.min_variable_index(e),
+        lambda: ex.substitute([e, e], [ex.Const(1.0)]),
+        lambda: ex.simplify(e),
+        lambda: ex.differentiate(e, 0),
+        lambda: ex.compile_exprs([e, e], (2,)),
+        lambda: ex.compile_exprs([e], (), check=True),
+    ]
+    for run in passes:
+        work[0] = 0
+        run()
 
 
 _wide_leaf = st.one_of(
