@@ -97,6 +97,15 @@ def parse_box(text):
     return tuple(axes)
 
 
+def parse_flag_expression(text, variables, flag):
+    """An expression given on the command line; a parse error names `flag`,
+    as a system file's names its file and line."""
+    try:
+        return ex.parse_expression(text, list(variables))
+    except ex.ParseError as err:
+        raise UsageError(f"{flag}: {err}") from None
+
+
 def parse_param_list(pairs):
     out = {}
     for pair in pairs or []:
@@ -407,7 +416,7 @@ def cmd_check(args):
             raise UsageError("lyapunov check needs --phi")
         times = parse_reals(args.times, "--times value") if args.times else [0.0, 1.0, 10.0]
         plan = _plan_from_args(args, entry, len(times) * system.dim)
-        phi = ex.parse_expression(args.phi, list(variables))
+        phi = parse_flag_expression(args.phi, variables, "--phi")
         rep = geometry.check_lyapunov(system, phi, plan, args.c1, args.c2, times)
     else:
         table = build_hierarchy(system.all_fields(), level)
@@ -613,7 +622,7 @@ def cmd_converge(args):
 def cmd_fpresidual(args):
     params = parse_param_list(args.param)
     system, entry, variables = load_system(args.system, params)
-    rho = ex.parse_expression(args.density, list(variables))
+    rho = parse_flag_expression(args.density, variables, "--density")
     bits = args.grid_spec.split(":")
     if len(bits) != 3:
         raise UsageError("grid spec must be lo:hi:count")
@@ -634,7 +643,7 @@ def cmd_derivative(args):
         raise UsageError("--h must be nonzero: it is the central-difference step")
     params = parse_param_list(args.param)
     system, entry, variables = load_system(args.system, params)
-    f = ex.parse_expression(args.f, list(variables))
+    f = parse_flag_expression(args.f, variables, "--f")
     direction = _resolve_direction(args.direction, system, entry, variables)
     x0 = parse_point(args.x0)
     h = args.h if args.h is not None else 1e-3 * (1.0 + float(np.linalg.norm(x0)))
@@ -658,7 +667,8 @@ def _resolve_direction(spec, system, entry, variables):
             return entry.v0perp
         raise UsageError("no closed-form drift-orthogonal field for this system")
     if spec.startswith("[") and spec.endswith("]"):
-        comps = tuple(ex.parse_expression(s, list(variables)) for s in spec[1:-1].split(","))
+        comps = tuple(parse_flag_expression(s, variables, f"--direction component {i + 1}")
+                      for i, s in enumerate(spec[1:-1].split(",")))
         return VectorField(system.dim, comps, "direction")
     raise UsageError(f"bad --direction '{spec}' (want V0..Vd, v0perp or [expr,...])")
 

@@ -429,19 +429,22 @@ def flow_jacobian(V, x, t, cfg=None, with_endpoint=False):
     hj = h[:, None, None]
     hmax = float(np.max(np.abs(h)))
     step = V._rk4_jacobian_kernel
-    for k in range(int(counts[0])):
-        step(W, out)
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for k in range(int(counts[0])):
+            step(W, out)
             K1 = DV[0] @ J
             K2 = DV[1] @ (J + 0.5 * hj * K1)
             K3 = DV[2] @ (J + 0.5 * hj * K2)
             K4 = DV[3] @ (J + hj * K3)
             J = J + (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        if not np.isfinite(out[:, 0]).all():
-            raise FlowBlowUp((k + 1) * hmax)
-        if not np.isfinite(J).all():
-            raise FlowBlowUp((k + 1) * hmax, "flow Jacobian")
-        W[:, :n] = out[:, 0]
+            # a non-finite entry makes its sum non-finite; an overflowing sum
+            # of finite entries only takes the slower look that tells which
+            if not math.isfinite(out[:, 0].sum() + J.sum()):
+                if not np.isfinite(out[:, 0]).all():
+                    raise FlowBlowUp((k + 1) * hmax)
+                if not np.isfinite(J).all():
+                    raise FlowBlowUp((k + 1) * hmax, "flow Jacobian")
+            W[:, :n] = out[:, 0]
     X = np.ascontiguousarray(W[:, :n])
     if with_endpoint:
         return (J[0], X[0]) if single else (J, X)

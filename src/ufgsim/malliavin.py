@@ -8,8 +8,9 @@ state and at the Heun predictor.  One compiled kernel call per step
 (`SDESystem._variational_kernel`) gives the new state together with the
 step's linearizations at the state and at the predictor; M_n and M_n J_n are
 stacked matrix products on them.  The inverse K = J^{-1} is needed only on
-the stored grid, so it is computed there by a direct batched inverse, and
-every path is checked for |J K - I| within the 1e-6 consistency budget.
+the stored grid, so it is computed there, as adj(J) / det(J) for N <= 2 and
+by LAPACK otherwise, and every path is checked for |J K - I| within the
+1e-6 consistency budget.
 
 The reduced covariance follows the convention without the sqrt(2) factor on
 the noise columns:  C_t = sum_k int_0^t J_s^{-1} V_k V_k^T (J_s^{-1})^T ds,
@@ -104,7 +105,7 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1, wor
             return (_integrand(system, X, J), terms, J, np.zeros(len(X))), None
         y_last, C, K, worst = carry
         K = _refresh_inverse(J, K, alive)
-        err = np.max(np.abs(J @ K - I), axis=(1, 2))
+        err = np.abs(J @ K - I).max(axis=(1, 2))
         worst = np.maximum(worst, err)
         bad = alive & ~(err <= DEFAULT_CONSISTENCY_TOL)
         y = _integrand(system, X, K)
@@ -135,23 +136,58 @@ def simulate_variational(system, x0, T, dt, seed, n_paths=1, store_stride=1, wor
 def _refresh_inverse(J, K, alive):
     """inv(J) on the alive rows; other rows, and singular ones, keep K.
 
-    While every row is alive this is inv(J), with no copy of K; LAPACK
-    inverts each matrix on its own, so the rows are the same either way.
+    For N <= 2 this is the closed form adj(J) / det(J), column arithmetic
+    over all rows at once.  It runs under the caller's errstate, as a
+    singular row divides by zero.  Alive rows whose det is not a normal
+    float (0, subnormal, or not finite) go to LAPACK as larger N does: LU
+    is scale-invariant, while a subnormal det has lost precision.
     """
+    P, N = J.shape[:2]
+    if N > 2:
+        return _lapack_inverse(J, K, alive)
+    Jf = J.reshape(P, N * N)
+    if N == 1:
+        adj, det = np.ones_like(Jf), Jf[:, 0]
+    else:
+        adj = Jf[:, _ADJ2]
+        np.negative(adj[:, 1:3], out=adj[:, 1:3])
+        det = Jf[:, 0] * Jf[:, 3] - Jf[:, 1] * Jf[:, 2]
+    # C order, as LAPACK's: `@` on K takes the BLAS route of its layout
+    out = np.empty(J.shape)
+    np.divide(adj, det[:, None], out=out.reshape(P, N * N))
+    size = np.abs(det)
+    ok = alive & (size >= _TINY) & (size <= _HUGE)
+    if ok.all():
+        return out
+    np.copyto(out, K, where=~ok[:, None, None])
+    redo = alive & ~ok
+    return _lapack_inverse(J, out, redo) if redo.any() else out
+
+
+def _lapack_inverse(J, K, rows):
+    """inv(J) by LAPACK on the given rows; other rows, and singular ones,
+    keep K.  LAPACK inverts each matrix on its own, so while every row is
+    taken the result is inv(J), with no copy of K."""
     try:
-        if alive.all():
+        if rows.all():
             return np.linalg.inv(J)
         out = K.copy()
-        out[alive] = np.linalg.inv(J[alive])
+        out[rows] = np.linalg.inv(J[rows])
         return out
     except np.linalg.LinAlgError:
         out = K.copy()
-        for idx in np.flatnonzero(alive):
+        for idx in np.flatnonzero(rows):
             try:
                 out[idx] = np.linalg.inv(J[idx])
             except np.linalg.LinAlgError:
                 pass
         return out
+
+
+# adj(J) of a 2 x 2 J is [[d, -b], [-c, a]]: flat indices of d, b, c, a
+_ADJ2 = np.array([3, 1, 2, 0])
+# the normal floats, the dets the closed form takes
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _integrand(system, X, K):
@@ -201,37 +237,38 @@ def block_and_rank_check(matrix, n, cond_threshold=DEFAULT_COND_THRESHOLD):
     Off-block magnitudes are reported relative to the largest upper-block
     entry, and `block_ok` means they stay within BLOCK_TOL; `invertible`
     means the upper block's condition number stays below cond_threshold.
+    The one-matrix view of `block_check_ensemble`.
     """
-    M = np.asarray(matrix, dtype=float)
-    N = M.shape[0]
-    if not (0 < n <= N) or M.shape != (N, N):
-        raise ValueError("need a square matrix and a split 0 < n <= N")
-    upper = M[:n, :n]
-    scale = float(np.max(np.abs(upper))) if upper.size else 0.0
-    if n < N:
-        off = max(float(np.max(np.abs(M[n:, :]))), float(np.max(np.abs(M[:, n:]))))
-    else:
-        off = 0.0
-    off_rel = off / scale if scale > 0 else (0.0 if off == 0.0 else np.inf)
-    s = np.linalg.svd(upper, compute_uv=False) if upper.size else np.array([0.0])
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    return MalliavinReport(
-        matrix=M,
-        split=int(n),
-        off_block_max=off,
-        off_block_rel=float(off_rel),
-        upper_cond=cond,
-        block_ok=bool(off_rel <= BLOCK_TOL),
-        invertible=bool(np.isfinite(cond) and cond <= cond_threshold),
-    )
+    reports, _ = block_check_ensemble(np.asarray(matrix, dtype=float)[None], n, cond_threshold)
+    return reports[0]
 
 
 def block_check_ensemble(matrices, n, cond_threshold=DEFAULT_COND_THRESHOLD):
-    """Per-path block checks plus pass frequencies (the a.s. surrogate)."""
-    reports = [block_and_rank_check(M, n, cond_threshold) for M in matrices]
-    P = len(reports)
+    """`block_and_rank_check` on each of the matrices (P, N, N), computed for
+    all of them at once, plus the pass frequencies (the a.s. surrogate)."""
+    M = np.asarray(matrices, dtype=float)
+    if M.ndim != 3 or M.shape[1] != M.shape[2] or not 0 < n <= M.shape[1]:
+        raise ValueError("need a square matrix and a split 0 < n <= N")
+    P, N = M.shape[:2]
+    A = np.abs(M)
+    scale = np.max(A[:, :n, :n], axis=(1, 2))
+    if n < N:
+        lower, right = np.max(A[:, n:, :], axis=(1, 2)), np.max(A[:, :, n:], axis=(1, 2))
+        off = np.where(right > lower, right, lower)  # Python's max(lower, right), nan included
+    else:
+        off = np.zeros(P)
+    s = np.linalg.svd(M[:, :n, :n], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off_rel = np.where(scale > 0, off / scale, np.where(off == 0.0, 0.0, np.inf))
+        cond = np.where(s[:, -1] > 0, s[:, 0] / s[:, -1], np.inf)
+    block_ok = off_rel <= BLOCK_TOL
+    invertible = np.isfinite(cond) & (cond <= cond_threshold)
+    reports = [MalliavinReport(matrix=M[p], split=int(n), off_block_max=float(off[p]),
+                               off_block_rel=float(off_rel[p]), upper_cond=float(cond[p]),
+                               block_ok=bool(block_ok[p]), invertible=bool(invertible[p]))
+               for p in range(P)]
     return reports, {
         "paths": P,
-        "block_ok_fraction": sum(r.block_ok for r in reports) / P,
-        "invertible_fraction": sum(r.invertible for r in reports) / P,
+        "block_ok_fraction": int(block_ok.sum()) / P,
+        "invertible_fraction": int(invertible.sum()) / P,
     }

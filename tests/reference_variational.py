@@ -6,7 +6,8 @@ compiled variational kernel (`SDESystem._variational_kernel`) and for
 `step_linearization` and `step_matrix` are the step as `ufgsim.malliavin`
 computed it before the kernel: 2(1 + d) `jacobian_batch` calls per step,
 at the state and at the Heun predictor.  `refresh_inverse` is the stored
-inverse with its copy of K and fancy-indexed alive rows on every call.
+inverse one row at a time in Python floats, with its copy of K on every
+call, and `block_and_rank_check` the block check one matrix at a time.
 `simulate_variational` runs all paths in one batch, checks every row at
 every step and records J and K at every stored time.  `reduced_covariance`
 and `consistency_error` are the whole-grid formulas on those records: one
@@ -18,6 +19,7 @@ N >= 2 and pairwise for N = 1.
 """
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,18 +43,53 @@ def step_matrix(system, X, dB, dt, Xp):
 
 
 def refresh_inverse(J, K, alive):
-    """inv(J) on the alive rows; other rows, and singular ones, keep K."""
+    """inv(J) on the alive rows; other rows, and singular ones, keep K.
+
+    For N <= 2 each alive row is adj(J) / det(J) in Python floats, written
+    out entry by entry.  A row whose det is not a normal float (0,
+    subnormal or not finite), and every row for N > 2, goes to LAPACK on
+    its own.
+    """
+    N = J.shape[-1]
     out = K.copy()
-    if np.any(alive):
+    for p in np.flatnonzero(alive):
+        if N <= 2:
+            adj, det = _adjugate(J[p].tolist())
+            if sys.float_info.min <= abs(det) <= sys.float_info.max:
+                out[p] = [[a / det for a in row] for row in adj]
+                continue
         try:
-            out[alive] = np.linalg.inv(J[alive])
+            out[p] = np.linalg.inv(J[p])
         except np.linalg.LinAlgError:
-            for idx in np.where(alive)[0]:
-                try:
-                    out[idx] = np.linalg.inv(J[idx])
-                except np.linalg.LinAlgError:
-                    pass
+            pass
     return out
+
+
+def _adjugate(m):
+    """The adjugate and determinant of the matrix with rows m, N <= 2."""
+    if len(m) == 1:
+        return [[1.0]], m[0][0]
+    (a, b), (c, d) = m
+    return [[d, -b], [-c, a]], a * d - b * c
+
+
+def block_and_rank_check(matrix, n, cond_threshold):
+    """(off_block_max, off_block_rel, upper_cond, block_ok, invertible) of one
+    matrix, computed on its own as `malliavin.block_and_rank_check` did
+    before the batched `block_check_ensemble`."""
+    M = np.asarray(matrix, dtype=float)
+    N = M.shape[0]
+    upper = M[:n, :n]
+    scale = float(np.max(np.abs(upper)))
+    if n < N:
+        off = max(float(np.max(np.abs(M[n:, :]))), float(np.max(np.abs(M[:, n:]))))
+    else:
+        off = 0.0
+    off_rel = off / scale if scale > 0 else (0.0 if off == 0.0 else np.inf)
+    s = np.linalg.svd(upper, compute_uv=False)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+    return (off, float(off_rel), cond, bool(off_rel <= 1e-6),
+            bool(np.isfinite(cond) and cond <= cond_threshold))
 
 
 def simulate_variational(system, x0, T, dt, seed, n_paths, store_stride, consistency_tol):

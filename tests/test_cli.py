@@ -468,6 +468,27 @@ class TestDeepExpressions:
             assert json.loads(err)["error"].startswith("expression too deep")
 
 
+class TestExpressionFlagErrors:
+    """A parse error in an expression flag names the flag, as one in a
+    system file names its file and line."""
+
+    @pytest.mark.parametrize("args, flag", [
+        (TestDeepExpressions.DERIVATIVE + ["--f", "sin("], "--f"),
+        (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "z", "--direction",
+          "[z,sin(]", "--x0", "0,1", "--t", "0.25", "--paths", "4"], "--direction component 2"),
+        (["check", "--system", "sine-ou", "--param", "k=2", "--condition", "lyapunov",
+          "--phi", "sin(", "--grid", "3"], "--phi"),
+        (["fpresidual", "--system", "circle-line", "--density", "sin(", "--grid", "0:1:5"],
+         "--density"),
+    ], ids=["f", "direction", "phi", "density"])
+    def test_parse_error_names_the_flag(self, capsys, args, flag):
+        code, out, err = run_cli(args, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (f"{flag}: unexpected input (at position 4, "
+                                            "expected NUMBER or IDENT or ()")
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, capsys):
         args = ["simulate", "--system", "random-circles", "--x0", "1,0", "--t",

@@ -1135,6 +1135,15 @@ class TestNonFiniteJacobians:
             with pytest.raises(dyn.FlowBlowUp, match="flow state"):
                 dyn.flow_jacobian(V, [1e200, 1.0], 0.5)
 
+    def test_finite_entries_whose_sum_overflows_do_not_raise(self):
+        # each step checks the sum of the state and the Jacobian at once; a sum
+        # that overflows on finite entries is not a blow-up
+        V = vf.make_field(2, ["0", "0"], ["x", "y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J, X = dyn.flow_jacobian(V, [1.5e308, 1.5e308], 0.01, with_endpoint=True)
+        assert np.array_equal(J, np.eye(2)) and np.array_equal(X, [1.5e308, 1.5e308])
+
     def test_points_of_another_dimension_rejected(self):
         V = vf.make_field(2, ["y", "-x"], ["x", "y"])
         for call in (lambda x: dyn.flow(V, x, 0.1), lambda x: dyn.flow_jacobian(V, x, 0.1),

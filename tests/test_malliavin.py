@@ -65,11 +65,11 @@ class TestVariational:
         for name in FIELDS:
             assert np.array_equal(_bits(getattr(one, name)), _bits(getattr(many, name))), name
 
-    # sine-ou aborts 12 of 30 paths at different stored steps (see
+    # sine-ou aborts 1 of 30 paths, at stored step 160 (see
     # test_simulation_is_the_reference_loop); riccati blows up 33 of 40
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("name, x0, T, P, stride, tol", [
-        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 1.3e-16),
+        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 2.3e-16),
         ("riccati", [0.9], 1.5, 40, 10, 1e-6),
     ])
     def test_forked_workers_are_bit_identical(self, forking, monkeypatch, name, x0, T, P,
@@ -222,12 +222,14 @@ class TestCompiledLinearization:
     def test_random_kernel_is_the_array_arithmetic_to_the_bit(self, case):
         _check_linearization(*case)
 
-    # consistency tolerances of 1.3e-16 and 2e-16 sit among the paths' |JK - I|
-    # errors (multiples of 2^-53 and up to 3e-16), so some paths abort at
-    # different stored steps and others run to the end; the riccati drift
-    # blows up 33 of its 40 paths, and mixed-d2 one of 20
+    # consistency tolerances of 2.3e-16 and 2e-16 sit among the paths' |JK - I|
+    # errors (2^-52 on every sine-ou path under the 2 x 2 closed form, and
+    # multiples of 2^-53 up to 3e-16 under LAPACK's 3 x 3 inverse), so some
+    # paths abort, ufg-heisenberg's at different stored steps, and others run
+    # to the end; the riccati drift blows up 33 of its 40 paths, and mixed-d2
+    # one of 20
     @pytest.mark.parametrize("name, x0, T, P, stride, tol, aborted, blown", [
-        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 1.3e-16, 12, 0),
+        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 2.3e-16, 1, 0),
         ("ufg-heisenberg", [1.0, 0.0, 0.0], 0.2, 40, 7, 2e-16, 10, 0),
         ("ufg-heisenberg", [1.0, 0.0, 0.0], 0.2, 40, 1, 2e-16, 12, 0),
         ("grushin", [0.2, 1.5], 0.3, 20, 3, 1e-6, 0, 0),
@@ -273,7 +275,7 @@ class TestTimeBlocks:
     with one and two workers."""
 
     # T stored times: sine-ou 201, grushin 101 and 101, ufg-heisenberg 30,
-    # sine-ou with 12 aborted paths 201, mixed-d2 with one blown path 151,
+    # sine-ou with one aborted path 201, mixed-d2 with one blown path 151,
     # no-noise 251 (every term a signed zero), ou 201 (N = 1, where numpy
     # sums the terms pairwise)
     CASES = [
@@ -281,7 +283,7 @@ class TestTimeBlocks:
         ("grushin", [0.0, 1.0], 0.3, 10, 3, 1e-6),
         ("grushin", [0.2, 1.5], 1.0, 16, 10, 1e-6),
         ("ufg-heisenberg", [1.0, 0.0, 0.0], 0.2, 40, 7, 2e-16),
-        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 1.3e-16),
+        ("sine-ou", [0.2, 1.5], 0.2, 30, 1, 2.3e-16),
         ("mixed-d2", [0.3, 0.8], 0.3, 20, 2, 1e-6),
         ("no-noise", [1.0, 0.0], 0.25, 3, 1, 1e-6),
         ("ou", [0.1], 0.2, 6, 1, 1e-6),
@@ -361,6 +363,133 @@ class TestTimeBlocks:
             mal.malliavin_matrix(vp)
 
         assert traced_peak(run) < store
+
+
+def _random_matrices(rng, P, singular_values):
+    """P random matrices Q1 diag(s) Q2 with orthogonal Q1, Q2."""
+    N = len(singular_values)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((P, N, N)))[0] for _ in range(2))
+    return (Q1 * singular_values) @ Q2
+
+
+def _singular_linear(N):
+    """A linear system whose Heun step matrix at dt = 0.5 is singular: its
+    drift Jacobian A gives G = dt A with the eigenvalues -1 +- i, on which
+    I + G + G^2 / 2 vanishes (for N = 3, a 2 x 2 block; the third row is
+    regular).  Every entry is exact in binary, so J_1 is exactly singular."""
+    A = [[-2.0, 2.0], [-2.0, -2.0]] if N == 2 else [[-2.0, 2.0, 0.0], [-2.0, -2.0, 0.0],
+                                                     [0.0, 0.0, -1.0]]
+    return catalog.get("linear", {"A": A}).system
+
+
+class TestClosedFormInverse:
+    """The stored inverse K = adj(J) / det(J) for N <= 2, and LAPACK's for
+    larger N and for a det that is not a normal float."""
+
+    U = 2.0 ** -53
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_inverse_is_within_cond_u(self, N, cond):
+        P = 200
+        J = _random_matrices(np.random.default_rng(29), P, np.geomspace(1.0, 1 / cond, N))
+        K = mal._refresh_inverse(J, np.zeros_like(J), np.ones(P, dtype=bool))
+        Jl = J.astype(np.longdouble)
+        want = np.empty_like(Jl)
+        for p in range(P):
+            adj, det = reference_variational._adjugate([list(row) for row in Jl[p]])
+            want[p] = [[a / det for a in row] for row in adj]
+        err = np.max(np.abs(K - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+        assert np.all(err <= 4 * N * cond * self.U)
+
+        def residual(X):
+            return np.max(np.abs(Jl @ X.astype(np.longdouble) - np.eye(N)))
+
+        assert residual(K) <= 2 * max(residual(np.linalg.inv(J)), self.U)
+
+    def test_three_dimensions_are_lapacks_to_the_bit(self):
+        J = _random_matrices(np.random.default_rng(3), 50, np.array([1.0, 1e-2, 1e-4]))
+        K = mal._refresh_inverse(J, np.zeros_like(J), np.ones(50, dtype=bool))
+        assert np.array_equal(K, np.linalg.inv(J))
+
+    # a well-conditioned J of entries near 1e-160 has a det near 1e-320,
+    # subnormal and good to about 1e-3; LU inverts it as well as any other
+    @pytest.mark.parametrize("N, scale", [(2, 1e-160), (2, 1e-155), (3, 1e-105)])
+    def test_subnormal_det_goes_to_lapack(self, N, scale):
+        J = scale * _random_matrices(np.random.default_rng(5), 8, np.ones(N))
+        J[0, :2, :2] = scale * np.array([[0.6, -0.8], [0.8, 0.6]])
+        J[0, 2:, :] = J[0, :, 2:] = 0.0
+        if N == 3:
+            J[0, 2, 2] = scale
+        K = mal._refresh_inverse(J, np.zeros_like(J), np.ones(8, dtype=bool))
+        want = np.linalg.inv(J)
+        assert np.all(np.abs(K - want) <= 4 * self.U * np.abs(want).max(axis=(1, 2))[:, None, None])
+        err = np.abs(J @ K - np.eye(N)).max(axis=(1, 2))
+        assert np.all(err <= 4 * N * self.U)
+        with np.errstate(all="ignore"):
+            want = reference_variational.refresh_inverse(J, np.zeros_like(J), np.ones(8, dtype=bool))
+        assert np.array_equal(_bits(K), _bits(want))
+
+    def test_contracting_flow_keeps_its_inverse_accurate(self):
+        # the Heun step matrix shrinks J by about 0.819 a step, so after 1,820
+        # steps J is near 1e-158 and its det near 1e-316, subnormal; the tiny
+        # noise keeps K V V^T K^T finite
+        system = catalog.get("linear", {"A": [[-2.0, 1.0], [-1.0, -2.0]],
+                                        "C": [[1e-20, 0.0]]}).system
+        vp = mal.simulate_variational(system, [0.0, 0.0], 182.0, 0.1, seed=3, n_paths=2,
+                                      store_stride=10)
+        assert 1e-162 < np.abs(vp.jacobian).max() < 1e-154
+        assert not vp.aborted.any() and not vp.blown.any()
+        assert np.all(vp.worst_jk_error <= 8 * self.U)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_singular_and_dead_rows_keep_their_inverse(self, N):
+        rng = np.random.default_rng(N)
+        J = _random_matrices(rng, 4, np.ones(N))
+        J[1] = 0.0                                              # alive, det 0
+        J[2] = np.outer(np.arange(1, N + 1), np.arange(2, N + 2))  # rank 1: det 0 for N > 1
+        J[3] = np.eye(N)                                        # regular, but not alive
+        K = rng.standard_normal((4, N, N))
+        alive = np.array([True, True, True, False])
+        with np.errstate(all="ignore"):
+            out = mal._refresh_inverse(J, K, alive)
+            want = reference_variational.refresh_inverse(J, K, alive)
+        assert np.allclose(out[0] @ J[0], np.eye(N), rtol=0, atol=1e-14)
+        if N == 1:
+            assert out[2, 0, 0] == 1 / J[2, 0, 0]
+        kept = [1, 3] if N == 1 else [1, 2, 3]
+        assert np.array_equal(out[kept], K[kept])
+        assert np.array_equal(_bits(out), _bits(want))
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_exactly_singular_jacobian_aborts(self, N):
+        vp = mal.simulate_variational(_singular_linear(N), np.zeros(N), 1.0, 0.5, seed=1,
+                                      n_paths=3)
+        # J_1 is singular, so K keeps J_0^{-1} = I and |J_1 K - I| is 1
+        assert vp.aborted.all() and not vp.blown.any()
+        assert np.array_equal(vp.worst_jk_error, np.ones(3))
+
+    @pytest.mark.parametrize("system, x0, lapack", [
+        ("ou", [0.1], False),
+        ("sine-ou", [0.0, 4.0], False),
+        ("ufg-heisenberg", [1.0, 0.0, 0.0], True),
+        ("linear4", [0.0] * 4, True),
+    ])
+    def test_lapack_is_called_only_past_two_dimensions(self, monkeypatch, system, x0, lapack):
+        if system == "linear4":
+            system = catalog.get("linear", {"A": -np.eye(4), "C": np.eye(4)[:1]}).system
+        else:
+            system = _system(system)
+        inv, count = np.linalg.inv, []
+
+        def counted(a):
+            count.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        vp = mal.simulate_variational(system, x0, 0.2, 1e-3, seed=2, n_paths=6, store_stride=10)
+        assert not vp.aborted.any()
+        assert bool(count) == lapack
 
 
 class TestReducedCovariance:
@@ -465,3 +594,57 @@ class TestBlockCheck:
     def test_bad_split(self):
         with pytest.raises(ValueError):
             mal.block_and_rank_check(np.eye(2), 0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("cond_threshold", [10.0, mal.DEFAULT_COND_THRESHOLD])
+    def test_batched_check_is_the_per_matrix_check_to_the_bit(self, N, cond_threshold):
+        rng = np.random.default_rng(N)
+        A = rng.standard_normal((30, N, N))
+        M = A @ np.swapaxes(A, -1, -2)
+        M[:10, 1:, :1] *= 1e-9           # within the split-1 block form
+        M[:10, :1, 1:] *= 1e-9
+        M[10] = 0.0                      # zero upper block, zero off-block
+        M[11, :1, :1] = 0.0              # zero upper block, off-block entries
+        M[12] = np.diag(np.r_[1.0, np.zeros(N - 1)])  # infinite condition past n = 1
+        M[13, 0] *= 1e8                  # ill-conditioned
+        seen = []
+        for n in range(1, N + 1):
+            reports, agg = mal.block_check_ensemble(M, n, cond_threshold)
+            want = [reference_variational.block_and_rank_check(m, n, cond_threshold)
+                    for m in M]
+            seen += want
+            got = [(r.off_block_max, r.off_block_rel, r.upper_cond, r.block_ok, r.invertible)
+                   for r in reports]
+            assert _bits(np.array(got, dtype=float)).tolist() == \
+                _bits(np.array(want, dtype=float)).tolist()
+            assert all(type(v) is t for g in got for v, t in zip(g, (float,) * 3 + (bool,) * 2))
+            assert agg == {"paths": 30,
+                           "block_ok_fraction": sum(w[3] for w in want) / 30,
+                           "invertible_fraction": sum(w[4] for w in want) / 30}
+            for p in (0, 10, 11, 12, 13):
+                one = mal.block_and_rank_check(M[p], n, cond_threshold)
+                assert one.to_dict() == reports[p].to_dict()
+        # the cases the oracle is there for occur: an infinite condition, both
+        # invertible verdicts and, past N = 1, an infinite off-block ratio and
+        # both block verdicts
+        seen = np.array(seen, dtype=float)
+        assert np.isinf(seen[:, 2]).any() and set(seen[:, 4]) == {0.0, 1.0}
+        assert N == 1 or (np.isinf(seen[:, 1]).any() and set(seen[:, 3]) == {0.0, 1.0})
+
+    def test_nan_right_of_the_block_is_read_as_before(self):
+        # the off-block maximum is Python's max(below, right), which keeps a
+        # finite maximum below the block over a nan right of it
+        M = np.array([[[1.0, math.nan], [0.5, 1.0]], [[1.0, 0.5], [math.nan, 1.0]]])
+        reports, _ = mal.block_check_ensemble(M, 1)
+        for r, m in zip(reports, M):
+            want = reference_variational.block_and_rank_check(m, 1, mal.DEFAULT_COND_THRESHOLD)
+            got = (r.off_block_max, r.off_block_rel, r.upper_cond, r.block_ok, r.invertible)
+            assert_same_bits(np.array(got, dtype=float), np.array(want, dtype=float))
+        assert reports[0].off_block_max == 1.0 and math.isnan(reports[1].off_block_max)
+
+    @pytest.mark.parametrize("matrices, n", [
+        (np.eye(2)[None], 3), (np.ones((1, 2, 3)), 1), (np.eye(2), 1), (np.ones(3), 1),
+    ])
+    def test_bad_shapes_rejected(self, matrices, n):
+        with pytest.raises(ValueError, match="need a square matrix"):
+            mal.block_check_ensemble(matrices, n)
