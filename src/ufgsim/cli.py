@@ -3,17 +3,18 @@
 Exit codes: 0 all verdicts pass, 2 a check reported violated, 3 usage or
 parse error, 4 numeric failure (blow-up, Newton divergence, evaluation
 domain error); every failure prints one JSON line on stderr.  JSON reports
-carry schema_version 1 and echo every resolved setting (including defaults)
-under "metadata" for provenance.  All commands are deterministic given their
-flags and seed.  The commands that simulate (simulate, zproc, ranks,
-malliavin, converge, derivative) take `--threads k`: the ensemble's paths
-split into contiguous ranges run at the same time by this process and
-forked worker processes, at most k in all, and no more than the cores this
-process may run on or the paths; an ensemble too small to gain from another
-process runs in this one alone (see dynamics.MIN_PATH_STEPS_PER_WORKER).
+carry schema_version 1 and, under "metadata", the value of every flag the
+command read, with the defaults it filled in (see write_report).  All
+commands are deterministic given their flags and seed.  The commands that
+simulate (simulate, zproc, ranks, malliavin, converge, derivative) take
+`--threads k`: the ensemble's paths split into contiguous ranges run at the
+same time by this process and forked worker processes, at most k in all, and
+no more than the cores this process may run on or the paths; an ensemble too
+small to gain from another process runs in this one alone (see
+dynamics.MIN_PATH_STEPS_PER_WORKER).
 `--threads` below 1 is a usage error.  Results never depend on it (path
 substreams are fixed by the seed alone), and it is left out of report
-metadata so reports stay byte-comparable across its values.
+metadata, as are the outputs, so reports stay byte-comparable across them.
 
 A command accepts only the flags it reads; any other is a usage error naming
 it, raised before any work.  So `check` accepts the flags in CHECK_READS of
@@ -84,7 +85,7 @@ def parse_reals(text, what):
 
 
 def parse_point(text):
-    return np.array(parse_reals(text, "point coordinate"), dtype=float)
+    return parse_reals(text, "point coordinate")
 
 
 def parse_box(text):
@@ -259,27 +260,46 @@ def write_text(text, out):
         fh.write(text)
 
 
-def report_payload(command, system_name, params, metadata, **body):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "system": system_name,
-        "params": params,
-        "metadata": metadata,
-    }
-    payload.update(body)
-    return payload
+def _load(args):
+    """(system, catalog entry or None, variable names, params) of --system and
+    --param.  A --level or --box that the command takes but was not given is
+    filled in here: the entry's level (1 for a system file) and sample box."""
+    params = parse_param_list(args.param)
+    system, entry, variables = load_system(args.system, params)
+    if getattr(args, "level", 0) is None:
+        args.level = entry.level if entry else 1
+    if getattr(args, "box", 0) is None and entry is not None:
+        args.box = entry.sample_box
+    return system, entry, variables, params
 
 
-def _level(args, entry):
-    """--level, else the catalog entry's level, else 1."""
-    return args.level if args.level is not None else (entry.level if entry else 1)
+# parser dests that are no setting of a run: the command and its condition,
+# the system and its parameters (top-level in every report), the outputs and
+# --threads, which changes no result
+_NOT_SETTINGS = {"fn", "cmd", "action", "condition", "name", "system", "param", "out",
+                 "csv", "export", "threads"}
+
+
+def write_report(args, system_name, params, **body):
+    """Write a command's JSON report to --out and return its exit code:
+    EXIT_VIOLATED for a "violated" verdict, else EXIT_OK.
+
+    "metadata" holds the value of every flag on `args` but _NOT_SETTINGS:
+    each flag the command accepts (check drops those its condition does not
+    read), with the defaults the command filled in and the parsed lists of
+    --x0, --box and --times."""
+    command = " ".join(getattr(args, dest) for dest in ("cmd", "action", "condition")
+                       if hasattr(args, dest))
+    metadata = {dest: v for dest, v in vars(args).items() if dest not in _NOT_SETTINGS}
+    emit({"schema_version": SCHEMA_VERSION, "command": command, "system": system_name,
+          "params": params, "metadata": metadata, **body}, args.out)
+    return EXIT_VIOLATED if body.get("verdict") == "violated" else EXIT_OK
 
 
 def _v0perp_for(entry, system, args):
     if entry is not None and entry.v0perp is not None:
         return entry.v0perp
-    table = build_hierarchy(system.all_fields(), _level(args, entry))
+    table = build_hierarchy(system.all_fields(), args.level)
     rtol = RANK_RTOL if args.rtol is None else args.rtol
     return geometry.drift_orthogonal_field(table, rtol=rtol)
 
@@ -299,9 +319,10 @@ def cmd_catalog_show(args):
     if args.export:
         write_text(entry.export_system_file(), args.export)
         return EXIT_OK
-    payload = report_payload(
-        "catalog show", entry.name, entry.params,
-        {"level": entry.level, "variables": list(entry.variables)},
+    return write_report(
+        args, entry.name, entry.params,
+        level=entry.level,
+        variables=list(entry.variables),
         fields={
             f"V{j}": [ex.to_string(c, list(entry.variables)) for c in f.components]
             for j, f in enumerate(entry.system.all_fields())
@@ -311,8 +332,6 @@ def cmd_catalog_show(args):
         ],
         sample_box=[list(b) for b in entry.sample_box],
     )
-    emit(payload, args.out)
-    return EXIT_OK
 
 
 def check_size(entries, flag, value):
@@ -328,10 +347,10 @@ def _frame_entries(table):
     return table.dim * (len(table.r_m()) + 1)
 
 
-def _plan_from_args(args, entry, per_point):
-    """The sample plan of --points, --box or the catalog's box; its points
-    (the file's rows, or grid^dim of a box grid) holding per_point array
-    entries each are size-checked."""
+def _plan_from_args(args, per_point):
+    """The sample plan of --points or --box (the catalog's box by default);
+    its points (the file's rows, or grid^dim of a box grid) holding
+    per_point array entries each are size-checked."""
     if getattr(args, "points", None):
         pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
         if not np.isfinite(pts).all():
@@ -339,24 +358,18 @@ def _plan_from_args(args, entry, per_point):
                              "not a finite number")
         check_size(len(pts) * per_point, "--points", args.points)
         return SamplePlan(points=pts)
-    if args.box:
-        box = parse_box(args.box)
-    elif entry is not None:
-        box = entry.sample_box
-    else:
+    if args.box is None:
         raise UsageError("need --box (or --points where supported) for a non-catalog system")
-    check_size(args.grid ** len(box) * per_point, "--grid", args.grid)
-    return SamplePlan(box=box, grid=args.grid)
+    check_size(args.grid ** len(args.box) * per_point, "--grid", args.grid)
+    return SamplePlan(box=args.box, grid=args.grid)
 
 
-# check: the default of every condition flag, the parser types of those that
-# are not finite reals, and the flags each condition reads
+# check: the default of every condition flag and the flags each condition reads
 CHECK_DEFAULTS = {
     "level": None, "rtol": RANK_RTOL, "box": None, "grid": 32, "points": None,
     "lambda0": 1e-3, "tol": 1e-9, "residual_tol": 1e-8, "coeff_threshold": 1e6,
-    "phi": None, "c1": 1.0, "c2": 1.0, "times": None,
+    "phi": None, "c1": 1.0, "c2": 1.0, "times": (0.0, 1.0, 10.0),
 }
-_CHECK_TYPES = {"level": int, "grid": int, "box": str, "points": str, "phi": str, "times": str}
 _FRAME = ("level", "box", "grid", "points")
 CHECK_READS = {
     "ufg": (*_FRAME, "rtol", "residual_tol", "coeff_threshold"),
@@ -367,8 +380,6 @@ CHECK_READS = {
     "kalman": ("rtol",),
     "lyapunov": ("box", "grid", "points", "phi", "c1", "c2", "times"),
 }
-# the settings every check report echoes under "metadata", read or not
-_CHECK_METADATA = ("grid", "rtol", "tol", "lambda0", "residual_tol", "coeff_threshold")
 
 
 def _flag(dest):
@@ -388,16 +399,15 @@ def cmd_check(args):
     _points_alone(args)
     reads = CHECK_READS[args.condition]
     for dest, default in CHECK_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in reads:
+        if dest in reads:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest) is None:
+            delattr(args, dest)  # so the report's metadata holds only the flags read
+        else:
             raise UsageError(f"{_flag(dest)} is not read by the {args.condition} check, "
                              f"which reads {', '.join(map(_flag, reads))}")
-    params = parse_param_list(args.param)
-    system, entry, variables = load_system(args.system, params)
-    level = _level(args, entry)
-    metadata = {dest: getattr(args, dest) for dest in _CHECK_METADATA}
-    metadata.update(seed=None, dt=None, level=level, lambda0_sweep="off")
+    system, entry, variables, params = _load(args)
 
     if args.condition == "kalman":
         if entry is None or entry.name != "linear":
@@ -405,22 +415,19 @@ def cmd_check(args):
         A = entry.facts["A"]
         Q = np.asarray(entry.facts["C"], dtype=float).T
         ok, rank = geometry.check_kalman(A, Q, rtol=args.rtol)
-        payload = report_payload("check kalman", system.name, params, metadata,
-                                 verdict="satisfied" if ok else "violated",
-                                 rank=int(rank), records=[], worst_point=None)
-        emit(payload, args.out)
-        return EXIT_OK if ok else EXIT_VIOLATED
+        return write_report(args, system.name, params,
+                            verdict="satisfied" if ok else "violated",
+                            rank=int(rank), records=[], worst_point=None)
 
     if args.condition == "lyapunov":
         if not args.phi:
             raise UsageError("lyapunov check needs --phi")
-        times = parse_reals(args.times, "--times value") if args.times else [0.0, 1.0, 10.0]
-        plan = _plan_from_args(args, entry, len(times) * system.dim)
+        plan = _plan_from_args(args, len(args.times) * system.dim)
         phi = parse_flag_expression(args.phi, variables, "--phi")
-        rep = geometry.check_lyapunov(system, phi, plan, args.c1, args.c2, times)
+        rep = geometry.check_lyapunov(system, phi, plan, args.c1, args.c2, args.times)
     else:
-        table = build_hierarchy(system.all_fields(), level)
-        plan = _plan_from_args(args, entry, _frame_entries(table))
+        table = build_hierarchy(system.all_fields(), args.level)
+        plan = _plan_from_args(args, _frame_entries(table))
         if args.condition == "ufg":
             rep = geometry.check_ufg(table, plan, residual_tol=args.residual_tol,
                                      coeff_blowup_threshold=args.coeff_threshold,
@@ -431,23 +438,16 @@ def cmd_check(args):
             rep = geometry.check_oac(table, plan, args.lambda0, tol=args.tol)
         else:
             rep = geometry.check_oac2(table, plan, args.lambda0, tol=args.tol)
-
-    body = rep.to_dict()
-    payload = report_payload(f"check {args.condition}", system.name, params, metadata, **body)
-    emit(payload, args.out)
-    return EXIT_VIOLATED if rep.verdict == "violated" else EXIT_OK
+    return write_report(args, system.name, params, **rep.to_dict())
 
 
 def cmd_decompose(args):
     _points_alone(args)
     if args.grid is None:  # unset in the parser, so that _points_alone sees a given one
         args.grid = 32
-    params = parse_param_list(args.param)
-    system, entry, _ = load_system(args.system, params)
-    level = _level(args, entry)
-    table = build_hierarchy(system.all_fields(), level)
-    plan = _plan_from_args(args, entry, _frame_entries(table))
-    pts = plan.sample(system.dim)
+    system, _, _, params = _load(args)
+    table = build_hierarchy(system.all_fields(), args.level)
+    pts = _plan_from_args(args, _frame_entries(table)).sample(system.dim)
     records = []
     for x, (v_par, v_perp, resid) in zip(pts, geometry.decompose_drift_rows(table, pts,
                                                                               args.rtol)):
@@ -457,12 +457,7 @@ def cmd_decompose(args):
             "orthogonal": [float(v) for v in v_perp],
             "residual": float(resid),
         })
-    metadata = {"rtol": args.rtol, "level": level, "grid": args.grid,
-                "seed": None, "dt": None}
-    payload = report_payload("decompose", system.name, params, metadata,
-                             verdict="ok", records=records, worst_point=None)
-    emit(payload, args.out)
-    return EXIT_OK
+    return write_report(args, system.name, params, verdict="ok", records=records, worst_point=None)
 
 
 def cmd_chart(args):
@@ -470,14 +465,11 @@ def cmd_chart(args):
         raise UsageError(f"--eps must be positive: it is the chart radius, got {args.eps!r}")
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    params = parse_param_list(args.param)
-    system, entry, _ = load_system(args.system, params)
+    system, entry, _, params = _load(args)
     check_size(args.samples * system.dim, "--samples", args.samples)
-    level = _level(args, entry)
-    table = build_hierarchy(system.all_fields(), level)
-    x0 = parse_point(args.x0)
+    table = build_hierarchy(system.all_fields(), args.level)
     v0perp = entry.v0perp if entry is not None else None
-    chart = geometry.build_chart(table, x0, args.eps, rtol=args.rtol,
+    chart = geometry.build_chart(table, args.x0, args.eps, rtol=args.rtol,
                                  newton_tol=args.newton_tol,
                                  v0perp=v0perp)
     rng = np.random.default_rng(args.seed)
@@ -486,11 +478,8 @@ def cmd_chart(args):
                                              fd_step=args.fd_step, tol=args.tol)
     T = rng.uniform(-args.eps, args.eps, size=(min(args.samples, 50), system.dim))
     roundtrip = float(np.max(np.abs(chart.inverse(chart.forward(T)) - T)))
-    metadata = {"rtol": args.rtol, "level": level, "seed": args.seed,
-                "dt": chart.flow_cfg.dt, "grid": None, "eps": args.eps,
-                "newton_tol": args.newton_tol}
-    payload = report_payload(
-        "chart", system.name, params, metadata,
+    return write_report(
+        args, system.name, params,
         verdict="ok" if verify["passed"] else "violated",
         chart={
             "center": [float(v) for v in chart.center],
@@ -502,8 +491,6 @@ def cmd_chart(args):
         verify=verify,
         newton_roundtrip_error=roundtrip,
     )
-    emit(payload, args.out)
-    return EXIT_OK if verify["passed"] else EXIT_VIOLATED
 
 
 def _horizon(args):
@@ -516,15 +503,13 @@ def _horizon(args):
 
 
 def _simulate_from_args(args, system):
-    return simulate_paths(system, parse_point(args.x0), _horizon(args), args.dt, args.paths,
+    return simulate_paths(system, args.x0, _horizon(args), args.dt, args.paths,
                           args.seed, store_stride=args.stride, workers=args.threads)
 
 
 def cmd_simulate(args):
-    params = parse_param_list(args.param)
-    system, _, _ = load_system(args.system, params)
-    ens = _simulate_from_args(args, system)
-    _write_ensemble_csv(ens, args.out)
+    system = _load(args)[0]
+    _write_ensemble_csv(_simulate_from_args(args, system), args.out)
     return EXIT_OK
 
 
@@ -539,8 +524,7 @@ def cmd_zproc(args):
         flag = "--level" if args.level is not None else "--rtol"
         raise UsageError(f"{flag} is not read by zproc on {args.system}, whose "
                          "drift-orthogonal field is closed-form")
-    params = parse_param_list(args.param)
-    system, entry, _ = load_system(args.system, params)
+    system, entry, _, _ = _load(args)
     v0perp = _v0perp_for(entry, system, args)  # an oversized table fails before simulating
     ens = _simulate_from_args(args, system)
     z = auxiliary_process(ens, v0perp, FlowConfig(dt=args.dt))
@@ -549,10 +533,8 @@ def cmd_zproc(args):
 
 
 def cmd_ranks(args):
-    params = parse_param_list(args.param)
-    system, entry, _ = load_system(args.system, params)
-    level = _level(args, entry)
-    table = build_hierarchy(system.all_fields(), level)
+    system = _load(args)[0]
+    table = build_hierarchy(system.all_fields(), args.level)
     ens = _simulate_from_args(args, system)
     ranks = rank_along_path(ens.states, table, rtol=args.rtol)
     with _output(args.out) as fh:  # streamed a path at a time, as the ensemble CSV
@@ -567,21 +549,18 @@ def cmd_malliavin(args):
     if not args.cond_threshold >= 1:
         raise UsageError(f"--cond-threshold must be at least 1: it bounds a condition "
                          f"number, got {args.cond_threshold!r}")
-    params = parse_param_list(args.param)
-    system, _, _ = load_system(args.system, params)
+    system, _, _, params = _load(args)
     if not 1 <= args.split <= system.dim:
         raise UsageError(f"--split must be in 1..{system.dim} for a {system.dim}-dimensional "
                          f"system, got {args.split}")
-    vp = simulate_variational(system, parse_point(args.x0), _horizon(args), args.dt,
-                              args.seed, n_paths=args.paths, store_stride=args.stride,
+    vp = simulate_variational(system, args.x0, _horizon(args), args.dt, args.seed,
+                              n_paths=args.paths, store_stride=args.stride,
                               workers=args.threads)
     M = malliavin_matrix(vp)
     reports, agg = block_check_ensemble(M, args.split, cond_threshold=args.cond_threshold)
-    metadata = {"seed": args.seed, "dt": args.dt, "grid": None, "rtol": None,
-                "split": args.split, "cond_threshold": args.cond_threshold}
     ok = agg["block_ok_fraction"] == 1.0 and agg["invertible_fraction"] == 1.0
-    payload = report_payload(
-        "malliavin", system.name, params, metadata,
+    return write_report(
+        args, system.name, params,
         verdict="ok" if ok else "violated",
         aggregate=agg,
         paths=[r.to_dict() for r in reports],
@@ -589,73 +568,63 @@ def cmd_malliavin(args):
         blowups=int(vp.blown.sum()),
         aborted=int(vp.aborted.sum()),
     )
-    emit(payload, args.out)
-    return EXIT_OK if ok else EXIT_VIOLATED
 
 
 def cmd_converge(args):
-    params = parse_param_list(args.param)
-    system, _, _ = load_system(args.system, params)
-    times = parse_reals(args.times, "--times value")
+    system, _, _, params = _load(args)
     refs = parse_reference_spec(args.reference)
     if max(refs) >= system.dim:
         raise UsageError(f"--reference names coordinate {max(refs) + 1} of a "
                          f"{system.dim}-dimensional system")
-    rep = diagnostics.convergence_study(system, parse_point(args.x0), times, refs,
+    rep = diagnostics.convergence_study(system, args.x0, args.times, refs,
                                         args.paths, args.seed, args.escape_radius,
                                         dt=args.dt, ks_tolerance=args.ks_tolerance,
                                         workers=args.threads)
-    payload = report_payload("converge", system.name, params,
-                             {"seed": args.seed, "dt": args.dt, "grid": None,
-                              "rtol": None},
-                             **rep.to_dict())
-    emit(payload, args.out)
+    code = write_report(args, system.name, params, **rep.to_dict())
     if args.csv:
         lines = ["time,coordinate,ks,escape_fraction"]
         for i, t in enumerate(rep.times):
             for c in sorted(rep.ks):
                 lines.append(f"{t!r},{c},{rep.ks[c][i]!r},{rep.escape_fraction[i]!r}")
         write_text("\n".join(lines) + "\n", args.csv)
-    return EXIT_OK
+    return code
+
+
+def _grid_points(spec):
+    """fpresidual's --grid lo:hi:count as its points; an error names the flag."""
+    try:
+        bits = spec.split(":")
+        if len(bits) != 3:
+            raise UsageError(f"want lo:hi:count, got '{spec}'")
+        lo, hi = finite_real(bits[0], "grid bound"), finite_real(bits[1], "grid bound")
+        count = int(bits[2])
+        if count < 1:
+            raise UsageError(f"count must be at least 1, got {count}")
+    except (UsageError, ValueError) as err:
+        raise UsageError(f"--grid: {err}") from None
+    check_size(count, "--grid", spec)
+    return np.linspace(lo, hi, count)
 
 
 def cmd_fpresidual(args):
-    params = parse_param_list(args.param)
-    system, entry, variables = load_system(args.system, params)
+    system, _, variables, params = _load(args)
     rho = parse_flag_expression(args.density, variables, "--density")
-    bits = args.grid_spec.split(":")
-    if len(bits) != 3:
-        raise UsageError("grid spec must be lo:hi:count")
-    lo, hi = finite_real(bits[0], "grid bound"), finite_real(bits[1], "grid bound")
-    count = int(bits[2])
-    check_size(count, "--grid", args.grid_spec)
-    res = diagnostics.fokker_planck_residual(system, rho, np.linspace(lo, hi, count))
-    payload = report_payload("fpresidual", system.name, params,
-                             {"grid": count, "seed": None, "dt": None, "rtol": None},
-                             verdict="ok",
-                             **res.to_dict())
-    emit(payload, args.out)
-    return EXIT_OK
+    res = diagnostics.fokker_planck_residual(system, rho, _grid_points(args.grid))
+    return write_report(args, system.name, params, verdict="ok", **res.to_dict())
 
 
 def cmd_derivative(args):
     if args.h == 0:
         raise UsageError("--h must be nonzero: it is the central-difference step")
-    params = parse_param_list(args.param)
-    system, entry, variables = load_system(args.system, params)
+    system, entry, variables, params = _load(args)
     f = parse_flag_expression(args.f, variables, "--f")
     direction = _resolve_direction(args.direction, system, entry, variables)
-    x0 = parse_point(args.x0)
-    h = args.h if args.h is not None else 1e-3 * (1.0 + float(np.linalg.norm(x0)))
-    est, err = diagnostics.semigroup_derivative(system, f, direction, x0, _horizon(args),
-                                                args.paths, h=h, seed=args.seed,
+    if args.h is None:
+        args.h = 1e-3 * (1.0 + float(np.linalg.norm(args.x0)))
+    est, err = diagnostics.semigroup_derivative(system, f, direction, args.x0, _horizon(args),
+                                                args.paths, h=args.h, seed=args.seed,
                                                 dt=args.dt, workers=args.threads)
-    payload = report_payload("derivative", system.name, params,
-                             {"seed": args.seed, "dt": args.dt, "h": h, "grid": None,
-                              "rtol": None},
-                             verdict="ok", estimate=est, stderr=err)
-    emit(payload, args.out)
-    return EXIT_OK
+    return write_report(args, system.name, params, verdict="ok", estimate=est, stderr=err)
 
 
 def _resolve_direction(spec, system, entry, variables):
@@ -667,8 +636,12 @@ def _resolve_direction(spec, system, entry, variables):
             return entry.v0perp
         raise UsageError("no closed-form drift-orthogonal field for this system")
     if spec.startswith("[") and spec.endswith("]"):
+        texts = spec[1:-1].split(",")
+        if len(texts) != system.dim:
+            raise UsageError(f"--direction: expected {system.dim} components, "
+                             f"got {len(texts)}")
         comps = tuple(parse_flag_expression(s, variables, f"--direction component {i + 1}")
-                      for i, s in enumerate(spec[1:-1].split(",")))
+                      for i, s in enumerate(texts))
         return VectorField(system.dim, comps, "direction")
     raise UsageError(f"bad --direction '{spec}' (want V0..Vd, v0perp or [expr,...])")
 
@@ -677,12 +650,24 @@ def _resolve_direction(spec, system, entry, variables):
 # Argument wiring
 # ---------------------------------------------------------------------------
 
-def finite_float(text):
-    """argparse type of every real-valued flag: `finite_real` as a flag error."""
-    try:
-        return finite_real(text, "value")
-    except UsageError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def flag_type(parse):
+    """argparse type of a flag whose text `parse` reads: a UsageError of
+    `parse` becomes an error of the flag, which argparse names."""
+    def convert(text):
+        try:
+            return parse(text)
+        except UsageError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
+
+
+finite_float = flag_type(lambda text: finite_real(text, "value"))
+point_flag = flag_type(parse_point)
+box_flag = flag_type(parse_box)
+times_flag = flag_type(lambda text: parse_reals(text, "time"))
+# the parser types of the check flags that are not finite reals
+_CHECK_TYPES = {"level": int, "grid": int, "box": box_flag, "points": str, "phi": str,
+                "times": times_flag}
 
 
 def thread_count(text):
@@ -714,7 +699,7 @@ def _add_common(p, sim=False, geom=False, threads=False):
                             "workers), capped at the usable cores and the paths; a "
                             "small ensemble runs in one; the output is the same")
     if sim:
-        p.add_argument("--x0", required=True)
+        p.add_argument("--x0", type=point_flag, required=True)
         p.add_argument("--t", type=finite_float, required=True)
         p.add_argument("--dt", type=finite_float, default=1e-3)
         p.add_argument("--paths", type=int, default=100)
@@ -752,14 +737,14 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="drift decomposition at sample points")
     _add_common(p, geom=True)
-    p.add_argument("--box")
+    p.add_argument("--box", type=box_flag)
     p.add_argument("--grid", type=int, help="points per axis of the box grid (default 32)")
     p.add_argument("--points", help="CSV file of sample points; excludes --box and --grid")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("chart", help="build and verify a local chart")
     _add_common(p, geom=True)
-    p.add_argument("--x0", required=True)
+    p.add_argument("--x0", type=point_flag, required=True)
     p.add_argument("--eps", type=finite_float, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -788,8 +773,8 @@ def build_parser():
 
     p = sub.add_parser("converge", help="KS / escape-fraction convergence study")
     _add_common(p, threads=True)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--times", required=True)
+    p.add_argument("--x0", type=point_flag, required=True)
+    p.add_argument("--times", type=times_flag, required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
@@ -802,14 +787,14 @@ def build_parser():
     p = sub.add_parser("fpresidual", help="stationary Fokker-Planck residual of a density")
     _add_common(p)
     p.add_argument("--density", required=True)
-    p.add_argument("--grid", dest="grid_spec", required=True, help="lo:hi:count")
+    p.add_argument("--grid", required=True, help="lo:hi:count")
     p.set_defaults(fn=cmd_fpresidual)
 
     p = sub.add_parser("derivative", help="semigroup derivative along a field")
     _add_common(p, threads=True)
     p.add_argument("--f", required=True)
     p.add_argument("--direction", required=True)
-    p.add_argument("--x0", required=True)
+    p.add_argument("--x0", type=point_flag, required=True)
     p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--h", type=finite_float, default=None)
     p.add_argument("--paths", type=int, default=10000)

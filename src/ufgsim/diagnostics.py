@@ -12,7 +12,7 @@ the transport distance is the informative number for Dirac references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class ConvergenceReport:
     escape_fraction: list
     decay_rates: dict  # coordinate -> fitted exponential rate of the KS series
     passed: dict       # coordinate -> final KS below tolerance
-    meta: dict = field(default_factory=dict)
+    blowups: int       # paths that turned non-finite
 
     def to_dict(self):
         return {
@@ -98,7 +98,7 @@ class ConvergenceReport:
             "escape_fraction": self.escape_fraction,
             "decay_rates": {str(k): v for k, v in self.decay_rates.items()},
             "passed": {str(k): v for k, v in self.passed.items()},
-            "meta": self.meta,
+            "blowups": self.blowups,
         }
 
 
@@ -140,17 +140,7 @@ def convergence_study(system, x0, times, references, n_paths, seed,
                 w1[c].append(wasserstein1_to_point(X[:, c], ref.location))
     rates = {c: _fit_decay_rate(grid_times, v) for c, v in ks.items()}
     passed = {c: bool(v[-1] <= ks_tolerance) for c, v in ks.items()}
-    meta = {
-        "system": system.name,
-        "x0": list(map(float, np.asarray(x0, dtype=float))),
-        "n_paths": int(n_paths),
-        "seed": int(seed),
-        "dt": float(dt),
-        "escape_radius": float(escape_radius),
-        "ks_tolerance": float(ks_tolerance),
-        "blowups": int(ens.blown.sum()),
-    }
-    return ConvergenceReport(grid_times, ks, w1, escape, rates, passed, meta)
+    return ConvergenceReport(grid_times, ks, w1, escape, rates, passed, int(ens.blown.sum()))
 
 
 def same_leaf_coupling(system, x, y, f, times, n_paths, seed, dt=1e-3):

@@ -235,9 +235,9 @@ def block_and_rank_check(matrix, n, cond_threshold=DEFAULT_COND_THRESHOLD):
     """Check the (n, N-n) block form and the conditioning of the upper block.
 
     Off-block magnitudes are reported relative to the largest upper-block
-    entry, and `block_ok` means they stay within BLOCK_TOL; `invertible`
-    means the upper block's condition number stays below cond_threshold.
-    The one-matrix view of `block_check_ensemble`.
+    entry, and `block_ok` means they stay within BLOCK_TOL (a nan off the
+    block fails it); `invertible` means the upper block's condition number
+    stays below cond_threshold.  The one-matrix view of `block_check_ensemble`.
     """
     reports, _ = block_check_ensemble(np.asarray(matrix, dtype=float)[None], n, cond_threshold)
     return reports[0]
@@ -254,7 +254,7 @@ def block_check_ensemble(matrices, n, cond_threshold=DEFAULT_COND_THRESHOLD):
     scale = np.max(A[:, :n, :n], axis=(1, 2))
     if n < N:
         lower, right = np.max(A[:, n:, :], axis=(1, 2)), np.max(A[:, :, n:], axis=(1, 2))
-        off = np.where(right > lower, right, lower)  # Python's max(lower, right), nan included
+        off = np.maximum(lower, right)  # a nan on either side is kept
     else:
         off = np.zeros(P)
     s = np.linalg.svd(M[:, :n, :n], compute_uv=False)

@@ -76,13 +76,14 @@ def _adjugate(m):
 def block_and_rank_check(matrix, n, cond_threshold):
     """(off_block_max, off_block_rel, upper_cond, block_ok, invertible) of one
     matrix, computed on its own as `malliavin.block_and_rank_check` did
-    before the batched `block_check_ensemble`."""
+    before the batched `block_check_ensemble`; the off-block maximum is one
+    max over every entry off the upper block, so a nan anywhere there is kept."""
     M = np.asarray(matrix, dtype=float)
     N = M.shape[0]
     upper = M[:n, :n]
     scale = float(np.max(np.abs(upper)))
     if n < N:
-        off = max(float(np.max(np.abs(M[n:, :]))), float(np.max(np.abs(M[:, n:]))))
+        off = float(np.max(np.abs(np.r_[M[n:, :].ravel(), M[:, n:].ravel()])))
     else:
         off = 0.0
     off_rel = off / scale if scale > 0 else (0.0 if off == 0.0 else np.inf)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -489,6 +490,52 @@ class TestExpressionFlagErrors:
                                             "expected NUMBER or IDENT or ()")
 
 
+class TestValueFlagErrors:
+    """A malformed flag value names its flag, as a malformed expression does."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["fpresidual", "--system", "circle-line", "--density", "1", "--grid", "0:1:abc"],
+         "--grid: invalid literal for int() with base 10: 'abc'"),
+        (["fpresidual", "--system", "circle-line", "--density", "1", "--grid", "0:1"],
+         "--grid: want lo:hi:count, got '0:1'"),
+        (["fpresidual", "--system", "circle-line", "--density", "1", "--grid", "0:1:-2"],
+         "--grid: count must be at least 1, got -2"),
+        (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "z", "--direction",
+          "[1]", "--x0", "0,1", "--t", "0.25", "--paths", "4"],
+         "--direction: expected 2 components, got 1"),
+    ], ids=["grid-count", "grid-shape", "grid-negative", "direction"])
+    def test_malformed_value_names_the_flag(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == message
+
+
+# The pinned report digests below were re-recorded when "metadata" became the
+# flags each run read, with every other key of each report unchanged.  A case
+# keeps the pytest id of its first recording, which names the exit code and the
+# digest then pinned, so re-pinning renames no test.
+_FIRST_CHECK_IDS = [f"args{i}-{code}-{digest}" for i, (code, digest) in enumerate([
+    (0, "16f218a275f2446494357af99e541b2105f455589f9f5e3f35675f7495b30cc3"),
+    (0, "c216827d8306abe548bbaef32b5447b192c01c696ce0cc667c72d292f2ca7a51"),
+    (0, "f305a0b3ddefdfb72c72ca4a75f146680c4328c1e1baadc7f636148501555ba6"),
+    (2, "046266149f072f244cf229e224aaaaebafe1d22953dc8c42bfa5c50de89743db"),
+    (2, "d4e42af10579631fb095ea542f33d611c6cff75eda9d22538bfd79f10d972729"),
+    (0, "701352ecfeece753a2ae127e971fe8dfcaf804c1ef7db622a64a8362f6cf43ae"),
+    (2, "a1fbd1091d2e79a3a31b4d25cbd9f6f76b57c12993b2a94c5d69da075c6d2fc5"),
+    (2, "ca448bae675ff48c54995790cd7abf26f994f761895e9c308498c4e2ddc0814d"),
+    (0, "cf9d612e5a1adced2b5702a730e4e9c0a525fea5516ded1a98574b480136d99c"),
+    (2, "9abc06149869926b86db07d461d8a17ceefdf61b96c17cb4a782f67fc6d150f3"),
+    (0, "f0617f6d2d880ef8cfa9798cced5fe2f9ff08e1cb39f4f66629ddce779d2b7fd"),
+    (2, "857f71f4ee781a4afe8a7c6c5551abcd1a7c9f97db9ad86ee6ac031b5eab2376"),
+    (0, "80abba351090dc4b445ed2be3957bab3629304cd04d360263f6b96b07cc5ddd3"),
+])]
+_FIRST_FLOW_IDS = [f"args{i}-{digest}" for i, digest in enumerate([
+    "b759c943a15fa3d89860a1bda40ae7cc8dd4118a3688aa4ce24894c5ba83c090",
+    "5abd2ec0783fbf2c485fe541cf5c2fbb2d183e2c98aceb2ed93e76deb8919f60",
+    "87efc82278f84402757d3e068d8e8716104d228d56423895e347e4c09ed7ea0e",
+])]
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, capsys):
         args = ["simulate", "--system", "random-circles", "--x0", "1,0", "--t",
@@ -572,37 +619,37 @@ sys.stderr.write(f"{code} {len(forked)} {'multiprocessing' in sys.modules}")
     # checkers were batched: a rewrite must reproduce every byte.
     @pytest.mark.parametrize("args, code, digest", [
         (["sinfields", "--condition", "ufg", "--level", "3", "--grid", "6"], 0,
-         "16f218a275f2446494357af99e541b2105f455589f9f5e3f35675f7495b30cc3"),
+         "bf2d54542c99a02a38cd0151066509c4111d861edefc0e4d420154d73273798b"),
         (["ufg-heisenberg", "--condition", "ufg", "--grid", "4"], 0,
-         "c216827d8306abe548bbaef32b5447b192c01c696ce0cc667c72d292f2ca7a51"),
+         "e32a7421dc63fd271d5693b13f21885e243eb948e65d776b78ea78cbbaa108c1"),
         (["non-ufg-psi", "--condition", "ufg", "--box", "0.01:1,-1:1", "--grid", "6"], 0,
-         "f305a0b3ddefdfb72c72ca4a75f146680c4328c1e1baadc7f636148501555ba6"),
+         "40f672eca94648e2e442105133e6fff43c473c8894b4472da28f4e4a64fd0b77"),
         (["linear", "--condition", "hc", "--grid", "6"], 2,
-         "046266149f072f244cf229e224aaaaebafe1d22953dc8c42bfa5c50de89743db"),
+         "f60e19aaf46fd1700bb42ca4be7a2785ba8ff1b2de4510ab07f2f5eb47a4a07a"),
         (["gbm", "--condition", "hc", "--box", "-1:1", "--grid", "5"], 2,
-         "d4e42af10579631fb095ea542f33d611c6cff75eda9d22538bfd79f10d972729"),
+         "8b2bae42020e3391358dfb01a64a769c32db35e65df7971cbe8e75fbb8987db6"),
         (["sine-ou", "--param", "k=2", "--condition", "hc", "--grid", "5"], 0,
-         "701352ecfeece753a2ae127e971fe8dfcaf804c1ef7db622a64a8362f6cf43ae"),
+         "270b2b1bb008b1d79a01894ab4143ad5d6fbc367a223cd5fe632920fa4ba736c"),
         (["random-circles", "--condition", "phc", "--grid", "6"], 2,
-         "a1fbd1091d2e79a3a31b4d25cbd9f6f76b57c12993b2a94c5d69da075c6d2fc5"),
+         "fa389bb6e06a2aceb353f3eb2b2d34429a73d0602cf4764b76d196abc6ebc6a6"),
         (["grushin", "--param", "k=-1", "--condition", "oac", "--lambda0", "0.5", "--grid", "6"],
-         2, "ca448bae675ff48c54995790cd7abf26f994f761895e9c308498c4e2ddc0814d"),
+         2, "448ce0dabd7f563189135a114ca72724fd1d9c26c47dec936d5d1b5a16bca0d4"),
         (["circle-line", "--condition", "oac", "--grid", "6"], 0,
-         "cf9d612e5a1adced2b5702a730e4e9c0a525fea5516ded1a98574b480136d99c"),
+         "16e1678f940fb3b8b879446974b2df83b0ba8f302e62ad6555ce73b0671bd6f7"),
         # recorded before the alignment checks became one stacked pass; the last
         # two overflow in norms and products on every row
         (["grushin", "--param", "k=-1", "--condition", "oac2", "--lambda0", "0.5",
           "--level", "3", "--grid", "6"], 2,
-         "9abc06149869926b86db07d461d8a17ceefdf61b96c17cb4a782f67fc6d150f3"),
+         "5b5cff206633cb244cdeda7fdbefef1be4a1a6c13132d141d49b9624baa6442d"),
         (["circle-line", "--condition", "oac2", "--level", "3", "--grid", "6"], 0,
-         "f0617f6d2d880ef8cfa9798cced5fe2f9ff08e1cb39f4f66629ddce779d2b7fd"),
+         "73bd35d6c2cf610c459818956f86a931c932ecf412d53cea77bda058a357522d"),
         (["grushin", "--param", "k=-1", "--condition", "oac", "--lambda0", "1e308",
           "--grid", "6"], 2,
-         "857f71f4ee781a4afe8a7c6c5551abcd1a7c9f97db9ad86ee6ac031b5eab2376"),
+         "ee0fe4a2d1ae79b9c6f10e4f21beaa26586d6d94bad3b598b53455a1fd2c454f"),
         (["grushin", "--param", "k=-1", "--condition", "oac", "--lambda0", "0.5",
           "--box", "1e200:1e300,1e200:1e300", "--grid", "4"], 0,
-         "80abba351090dc4b445ed2be3957bab3629304cd04d360263f6b96b07cc5ddd3"),
-    ])
+         "06c0bd259611e2ad2a1fb4a5cd2213e7cfa1bbd7004eb27f9b17178cb7e7791f"),
+    ], ids=_FIRST_CHECK_IDS)
     def test_check_reports_match_recorded_hashes(self, tmp_path, args, code, digest):
         out = tmp_path / "report.json"
         assert cli.run(["check", "--system", *args, "--out", str(out)]) == code
@@ -627,29 +674,29 @@ sys.stderr.write(f"{code} {len(forked)} {'multiprocessing' in sys.modules}")
         (["converge", "--system", "grushin", "--param", "k=-1", "--x0", "0,1",
           "--times", "0.25,0.5", "--reference", "gaussian:0,0.4", "--paths", "128",
           "--seed", "3", "--escape-radius", "10"],
-         {"--out": "900d0b5ff732f58650d76fee183219ad56c85587d86b738995b6e64181948f04",
+         {"--out": "43954da9573b115a0bc87b68b47b17e4f232836f86c8fae9afadb1b7350f88cf",
           "--csv": "ae493723290915deadb3f270c19fc007eaf4f94ac1c099129b09f84a8d6d2dbf"}),
         (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
           "--direction", "V1", "--x0", "0,1", "--t", "0.25", "--paths", "400", "--seed", "3"],
-         {"--out": "ae2fcbe987f83e5729206a2098c412e421a5e7434699cc9eba68fe732760671d"}),
+         {"--out": "bd77cbe93cb1b7b214a1ae0f51cda99ca78c3fb31751ae854aa51147aa70e7f2"}),
         (["zproc", "--system", "random-circles", "--x0", "1,0", "--t", "0.2", "--paths", "4",
           "--seed", "1", "--stride", "200"],
          {"--out": "46a77e5321eb8226edb41c051da36b2cde66b7a4ec763f34ba20bb000e36e7fa"}),
         (["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4", "--t", "0.5",
           "--paths", "16", "--seed", "5", "--split", "1"],
-         {"--out": "85f6199235f974ae4d51632354e4e2da0b3b7f37cf35af54dbd69f9bb7051016"}),
+         {"--out": "82e27e120144dde9d1b4c252c3949f0fe2f4a63db793bc53b852dabf76cf4d75"}),
         (["malliavin", "--system", "grushin", "--param", "k=-1", "--x0", "0,1", "--t", "0.3",
           "--paths", "8", "--seed", "2", "--split", "1", "--stride", "10"],
-         {"--out": "1a1dbf302912459a01f9ad46483ec7fc996c5e95fa7c5d120a8afede2f762328"}),
+         {"--out": "bbea4993fe3e287175267deab67e358391656784019fa6bc7ad32c8800d99a60"}),
         (["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
           "--paths", "2100", "--seed", "4", "--stride", "5"],
          {"--out": "1b2dbb134cf6b6829a03de55b6a3342805de39c1698bff8447055b9cb026210e"}),
         (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
           "--direction", "V1", "--x0", "0,1", "--t", "0.01", "--paths", "2100", "--seed", "4"],
-         {"--out": "9e2a73bc002850d0246d8d8fe17bb5332a270c7981eeb2cd36eb5284bd0c9937"}),
+         {"--out": "9a9951fdd8dcdae14242594f6e2643a4f3fea3b76b59520e673a7ba478dd4645"}),
         (["malliavin", "--system", "ufg-heisenberg", "--x0", "1,0,0", "--t", "0.01",
           "--paths", "2100", "--seed", "4", "--split", "2", "--stride", "3"],
-         {"--out": "4813dbe0046e48f4cc6b70e148de7610defdf824f169b7e8e385277ef2d41389"}),
+         {"--out": "31f1ac50a83a7179d4d324c8ceaa6dfedf2030625bc74801571a6e727649343e"}),
     ])
     def test_simulator_outputs_match_recorded_hashes(self, tmp_path, args, digests):
         riccati = tmp_path / "riccati.sys"
@@ -670,15 +717,15 @@ sys.stderr.write(f"{code} {len(forked)} {'multiprocessing' in sys.modules}")
     @pytest.mark.parametrize("args, digest", [
         (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.2",
           "--samples", "10", "--seed", "0"],
-         "b759c943a15fa3d89860a1bda40ae7cc8dd4118a3688aa4ce24894c5ba83c090"),
+         "eece9f2ccd13e9228ab5bca01204981982f8d2f43af79d14d21196bfc7684e74"),
         (["check", "--system", "sine-ou", "--param", "k=2", "--condition", "lyapunov",
           "--phi", "z*z", "--c1", "80", "--c2", "4", "--grid", "3", "--times", "0,0.5,1",
           "--box", "-3:3,0.5:6"],
-         "5abd2ec0783fbf2c485fe541cf5c2fbb2d183e2c98aceb2ed93e76deb8919f60"),
+         "97ce881f8db08ea3b5b73495a46e7e8c6b0f139114d265ccde7be33e8fa9c49a"),
         (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.9",
           "--samples", "10", "--seed", "0"],
-         "87efc82278f84402757d3e068d8e8716104d228d56423895e347e4c09ed7ea0e"),
-    ])
+         "3a4a4e3ceeba959bc594cc50a1ecc79c7b193be0fdfaa0d5fe3670d3ff69012c"),
+    ], ids=_FIRST_FLOW_IDS)
     def test_flow_outputs_match_recorded_hashes(self, tmp_path, args, digest):
         out = tmp_path / "report.json"
         assert cli.run([*args, "--out", str(out)]) == cli.EXIT_OK
@@ -876,6 +923,31 @@ sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy
     assert json.loads(proc.stderr) == []
 
 
+# Cheap valid invocations of every subcommand, which the fuzz test edits.
+_BASE = {
+    "catalog": ["catalog", "show", "--name", "sine-ou"],
+    "check": ["check", "--system", "sine-ou", "--param", "k=2", "--condition", "hc",
+              "--grid", "2"],
+    "decompose": ["decompose", "--system", "ufg-heisenberg", "--grid", "2"],
+    "chart": ["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.1",
+              "--samples", "2"],
+    "simulate": ["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+                 "--paths", "2"],
+    "zproc": ["zproc", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+              "--paths", "2"],
+    "ranks": ["ranks", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
+              "--paths", "2"],
+    "malliavin": ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+                  "--t", "0.01", "--paths", "2", "--split", "1"],
+    "converge": ["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
+                 "--times", "0.01", "--reference", "gaussian:0,1", "--paths", "20"],
+    "fpresidual": ["fpresidual", "--system", "circle-line", "--density",
+                   "exp(-1/(1-cos(z)))/(1-cos(z))", "--grid", "0.2:6:5"],
+    "derivative": ["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
+                   "--direction", "V1", "--x0", "0,1", "--t", "0.01", "--paths", "20"],
+}
+
+
 class TestSubcommands:
     def test_catalog_list(self, capsys):
         code, out, _ = run_cli(["catalog", "list"], capsys)
@@ -955,37 +1027,15 @@ class TestSubcommands:
         assert json.loads(out)["verdict"] == "satisfied_on_samples"
 
     def test_output_to_file_matches_stdout(self, capsys, tmp_path):
-        args = ["check", "--system", "gbm", "--condition", "hc", "--box", "0.5:2",
-                "--grid", "5"]
-        _, out, _ = run_cli(args, capsys)
-        path = tmp_path / "report.json"
-        run_cli(args + ["--out", str(path)], capsys)
-        assert path.read_text() == out
+        # so --out is no setting that a report echoes
+        for cmd, args in [("check-gbm", ["check", "--system", "gbm", "--condition", "hc",
+                                         "--box", "0.5:2", "--grid", "5"]), *_BASE.items()]:
+            code, out, _ = run_cli(args, capsys)
+            path = tmp_path / f"{cmd}.out"
+            assert run_cli(args + ["--out", str(path)], capsys)[:2] == (code, "")
+            assert path.read_text() == out and code in (cli.EXIT_OK, cli.EXIT_VIOLATED), cmd
 
 
-# Cheap valid invocations of every subcommand, which the fuzz test edits.
-_BASE = {
-    "catalog": ["catalog", "show", "--name", "sine-ou"],
-    "check": ["check", "--system", "sine-ou", "--param", "k=2", "--condition", "hc",
-              "--grid", "2"],
-    "decompose": ["decompose", "--system", "ufg-heisenberg", "--grid", "2"],
-    "chart": ["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.1",
-              "--samples", "2"],
-    "simulate": ["simulate", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
-                 "--paths", "2"],
-    "zproc": ["zproc", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
-              "--paths", "2"],
-    "ranks": ["ranks", "--system", "random-circles", "--x0", "1,0", "--t", "0.01",
-              "--paths", "2"],
-    "malliavin": ["malliavin", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
-                  "--t", "0.01", "--paths", "2", "--split", "1"],
-    "converge": ["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4",
-                 "--times", "0.01", "--reference", "gaussian:0,1", "--paths", "20"],
-    "fpresidual": ["fpresidual", "--system", "circle-line", "--density",
-                   "exp(-1/(1-cos(z)))/(1-cos(z))", "--grid", "0.2:6:5"],
-    "derivative": ["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "sin(z)",
-                   "--direction", "V1", "--x0", "0,1", "--t", "0.01", "--paths", "20"],
-}
 # Well-formed values are kept small so that every run stays quick, except for
 # sizes over the cap on one request's arrays, which are rejected before any work.
 _REALS = ["0.5", "1e-6", "0", "-1", "1e300"]
@@ -1106,3 +1156,80 @@ def test_fuzzed_system_files_fail_as_json(edits):
     if code in (cli.EXIT_USAGE, cli.EXIT_NUMERIC):
         payload = json.loads(err.splitlines()[-1])
         assert isinstance(payload, dict) and "error" in payload, lines
+
+
+# Every flag a command accepts is echoed under "metadata", except these: the
+# system and its parameters (top-level in the report), the outputs, --threads
+# (which changes no result) and check's --condition (part of "command").
+_NOT_METADATA = {"system", "name", "param", "out", "csv", "export", "threads", "condition"}
+_JSON_COMMANDS = sorted(set(_BASE) - {"simulate", "zproc", "ranks"})
+
+
+def _accepted_dests(argv):
+    """The dests of the flags that the (sub)command named in argv accepts."""
+    parser = cli.build_parser()
+    for word in argv:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            break
+        parser = subs[0].choices[word]
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _metadata(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED), err
+    return json.loads(out)["metadata"]
+
+
+class TestReportMetadata:
+    """A report's "metadata" is the value of every flag its command read."""
+
+    @pytest.mark.parametrize("cmd", _JSON_COMMANDS)
+    def test_keys_are_the_accepted_flags(self, capsys, cmd):
+        want = _accepted_dests(_BASE[cmd]) - _NOT_METADATA
+        if cmd == "check":
+            want -= {_dest(f) for f in _CHECK_FLAGS} - {_dest(f) for f in _CHECK_READS["hc"]}
+        assert set(_metadata(_BASE[cmd], capsys)) == want
+
+    @pytest.mark.parametrize("condition", sorted(_CHECK_READS))
+    def test_check_keys_are_the_flags_its_condition_reads(self, capsys, condition):
+        metadata = _metadata(_check_argv(condition, cheap=True), capsys)
+        assert set(metadata) == {_dest(f) for f in _CHECK_READS[condition]}
+
+    def test_lyapunov_echoes_its_settings_and_no_other(self, capsys):
+        metadata = _metadata(["check", "--system", "sine-ou", "--param", "k=2", "--condition",
+                              "lyapunov", "--phi", "z*z", "--c1", "80", "--c2", "4", "--grid",
+                              "3", "--times", "0,0.5,1", "--box", "-3:3,0.5:6"], capsys)
+        assert metadata == {"phi": "z*z", "c1": 80.0, "c2": 4.0, "times": [0.0, 0.5, 1.0],
+                            "box": [[-3.0, 3.0], [0.5, 6.0]], "grid": 3, "points": None}
+        assert not {"rtol", "tol", "lambda0", "residual_tol", "coeff_threshold", "level",
+                    "seed", "dt", "lambda0_sweep"} & set(metadata)
+
+    def test_defaults_filled_in_are_echoed(self, capsys):
+        # lyapunov's --times and --box, and the step --h that derivative derives from --x0
+        metadata = _metadata(_check_argv("lyapunov", cheap=False) + ["--grid", "2"],
+                             capsys)
+        assert metadata["times"] == [0.0, 1.0, 10.0]
+        assert metadata["box"] == [[-3.0, 3.0], [0.5, 6.0]]
+        assert _metadata(_BASE["derivative"], capsys)["h"] == 1e-3 * (1.0 + 1.0)
+
+    def test_malliavin_echoes_its_settings(self, capsys):
+        assert _metadata(_BASE["malliavin"], capsys) == {
+            "x0": [0.0, 4.0], "t": 0.01, "dt": 1e-3, "paths": 2, "seed": 0, "stride": 1,
+            "split": 1, "cond_threshold": 1e10}
+
+    def test_catalog_entry_facts_are_in_the_body(self, capsys):
+        code, out, _ = run_cli(_BASE["catalog"], capsys)
+        payload = json.loads(out)
+        assert payload["metadata"] == {}
+        assert payload["level"] == 1 and payload["variables"] == ["z", "zeta"]
+
+    @pytest.mark.parametrize("cmd", ["malliavin", "converge", "derivative"])
+    def test_threads_change_no_byte(self, capsys, cmd):
+        outs = [run_cli(_BASE[cmd] + ["--threads", k], capsys)[1] for k in ("1", "2")]
+        assert outs[0] == outs[1] and json.loads(outs[0])["schema_version"] == 1

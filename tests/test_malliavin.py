@@ -631,16 +631,19 @@ class TestBlockCheck:
         assert np.isinf(seen[:, 2]).any() and set(seen[:, 4]) == {0.0, 1.0}
         assert N == 1 or (np.isinf(seen[:, 1]).any() and set(seen[:, 3]) == {0.0, 1.0})
 
-    def test_nan_right_of_the_block_is_read_as_before(self):
-        # the off-block maximum is Python's max(below, right), which keeps a
-        # finite maximum below the block over a nan right of it
-        M = np.array([[[1.0, math.nan], [0.5, 1.0]], [[1.0, 0.5], [math.nan, 1.0]]])
-        reports, _ = mal.block_check_ensemble(M, 1)
+    def test_nan_off_the_block_fails_the_block_check(self):
+        # a nan right of the upper block, below it or both is the off-block
+        # maximum, whatever the finite entries on the other side
+        M = np.array([[[1.0, math.nan], [0.5, 1.0]], [[1.0, 0.5], [math.nan, 1.0]],
+                      [[1.0, math.nan], [0.0, 0.0]], [[1.0, math.nan], [math.nan, 1.0]]])
+        reports, agg = mal.block_check_ensemble(M, 1)
         for r, m in zip(reports, M):
             want = reference_variational.block_and_rank_check(m, 1, mal.DEFAULT_COND_THRESHOLD)
             got = (r.off_block_max, r.off_block_rel, r.upper_cond, r.block_ok, r.invertible)
             assert_same_bits(np.array(got, dtype=float), np.array(want, dtype=float))
-        assert reports[0].off_block_max == 1.0 and math.isnan(reports[1].off_block_max)
+            assert math.isnan(r.off_block_max) and not r.block_ok
+        assert agg["block_ok_fraction"] == 0.0
+        assert not mal.block_and_rank_check([[1.0, math.nan], [0.0, 0.0]], 1).block_ok
 
     @pytest.mark.parametrize("matrices, n", [
         (np.eye(2)[None], 3), (np.ones((1, 2, 3)), 1), (np.eye(2), 1), (np.ones(3), 1),
