@@ -131,22 +131,22 @@ def parse_reference_spec(text):
             continue
         if ":" in part:
             kind, argtext = part.split(":", 1)
-            args = [finite_real(v, "reference argument") for v in argtext.split(",") if v]
+            args = [finite_real(v, "--reference argument") for v in argtext.split(",") if v]
         else:
             kind, args = part, []
         kind = kind.strip()
         if kind == "gaussian":
             if len(args) != 2:
-                raise UsageError("gaussian reference wants mu,var")
+                raise UsageError("--reference: gaussian reference wants mu,var")
             refs[i] = diagnostics.gaussian(args[0], args[1])
         elif kind == "dirac":
             if len(args) != 1:
-                raise UsageError("dirac reference wants a location")
+                raise UsageError("--reference: dirac reference wants a location")
             refs[i] = diagnostics.dirac(args[0])
         else:
-            raise UsageError(f"unknown reference kind '{kind}'")
+            raise UsageError(f"--reference: unknown reference kind '{kind}'")
     if not refs:
-        raise UsageError("reference spec selected no coordinate")
+        raise UsageError("--reference: reference spec selected no coordinate")
     return refs
 
 
@@ -357,6 +357,7 @@ def _plan_from_args(args, per_point):
             raise UsageError(f"--points file '{args.points}' holds a coordinate that is "
                              "not a finite number")
         check_size(len(pts) * per_point, "--points", args.points)
+        del args.box, args.grid  # unread beside the points, so not in the report
         return SamplePlan(points=pts)
     if args.box is None:
         raise UsageError("need --box (or --points where supported) for a non-catalog system")
@@ -842,8 +843,6 @@ def run(argv=None):
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     except (UsageError, KeyError, ValueError, ex.ParseError, OSError) as err:
         message, code = str(err), EXIT_USAGE
-    except RecursionError as err:  # before RuntimeError, its base; from hashing a deep tree, say
-        message, code = f"expression too deep to process ({err})", EXIT_USAGE
     except (ex.EvalDomainError, RuntimeError, np.linalg.LinAlgError, ArithmeticError) as err:
         message, code = str(err), EXIT_NUMERIC
     print(json.dumps({"error": message, "schema_version": SCHEMA_VERSION}), file=sys.stderr)

@@ -15,6 +15,9 @@ the ordered identifier list supplied to :func:`parse_expression`.
 
 Design notes:
 
+* Nodes are interned: building a node equal to a live one returns that node,
+  so ``==`` and ``hash`` are identity's and walk no tree.  A Const is keyed on
+  its bytes (0.0 and -0.0, and nan payloads, differ); the table holds nodes weakly.
 * Trees compose with ``+ - * /`` and unary ``-``, each building the one
   Binary/Unary node it names.  An operand that is not an Expr is a
   TypeError, so no float enters a tree; a sum therefore needs an Expr start,
@@ -36,12 +39,12 @@ Design notes:
   to the bit.
 * One walk: each pass over trees is a function of a node and its children's
   results, run by one post-order walk on an explicit stack that visits each
-  distinct node (by identity) once; depth is bounded by memory, not Python's
-  stack.  The parser rejects nesting of parentheses and function calls
-  deeper than ``MAX_NESTING``.
+  distinct node once; depth is bounded by memory, not Python's stack.  The
+  parser rejects nesting of parentheses and function calls deeper than
+  ``MAX_NESTING``.
 * Simplification is structural only: constant folding, 0/1 absorption,
-  double-negation removal and cancellation of structurally identical
-  subtrahends.  No distribution, no term reordering.  A node over constants
+  double-negation removal and cancellation of a subtrahend equal to its
+  minuend.  No distribution, no term reordering.  A node over constants
   is folded by the kernels' own operator callables and left unfolded when it
   fails the domain rule, so simplification keeps every value on the
   expression's domain to the bit.
@@ -56,7 +59,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+import struct
+import weakref
 
 import numpy as np
 
@@ -64,6 +68,7 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 _MAX_INT_EXPONENT = 64
 MAX_NESTING = 100  # parentheses and function calls; each level is four parser frames
+_NODES = weakref.WeakValueDictionary()  # live nodes by class and fields; build in one thread
 
 
 class ExprError(Exception):
@@ -93,9 +98,27 @@ class EvalDomainError(ExprError):
 
 
 class Expr:
-    """Base node; concrete nodes are Const, Var, Unary and Binary."""
+    """Base node: a Const, Var, Unary or Binary, built from its fields in order."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, got {len(fields)}")
+        if cls is Const:
+            fields = (float(fields[0]),)
+        key = (cls, struct.pack("<d", *fields)) if cls is Const else (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
 
     def __call__(self, point):
         return evaluate(self, point)
@@ -120,27 +143,20 @@ class Expr:
         return Unary("neg", self)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: float
+    __slots__ = __match_args__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
 
-@dataclass(frozen=True, slots=True)
 class Unary(Expr):
-    op: str
-    child: Expr
+    __slots__ = __match_args__ = ("op", "child")
 
 
-@dataclass(frozen=True, slots=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("op", "left", "right")
 
 
 ZERO = Const(0.0)
@@ -405,11 +421,10 @@ def compile_exprs(exprs, target, check=False):
     ``kernel`` writes the value of ``exprs[n]`` at points X of shape (..., N)
     to ``out[..., k]``, k the n-th index of the trailing shape ``target`` of
     ``out`` in row-major order, calling the ``_UNARY``/``_BINARY`` callables
-    under ``errstate(all="ignore")``.  Subtrees are numbered by their
-    right-hand side text (so -0.0 and 0.0 stay apart); each distinct one is
-    computed once, in the post-order of its first occurrence, and its
-    temporary deleted after its last use.  The source is generated from the
-    nodes alone: table op names, variable indices and float literals.
+    under ``errstate(all="ignore")``.  Temporaries are numbered once per
+    distinct node; each is computed once, in the post-order of its first
+    occurrence, and deleted after its last use.  The source is generated from
+    the nodes alone: table op names, variable indices and float literals.
 
     With ``check`` it is ``kernel(X, out, check)``, calling the DomainCheck's
     ``_visit(node, value, *operands)`` after each temporary and non-finite
@@ -420,8 +435,8 @@ def compile_exprs(exprs, target, check=False):
     slots = list(np.ndindex(*target))
     if len(slots) != len(exprs):
         raise ValueError(f"{len(exprs)} expressions for an output of shape {tuple(target)}")
-    temps = {}  # right-hand side -> temp name
-    seen = {}  # id(node) -> its temp or literal; the trees keep every id alive
+    temps = set()  # one per distinct node but a Const
+    seen = {}  # node -> its temp or literal
     stmts = []  # (line, names it reads), each temp after the temps it reads
     nodes = {}  # name -> node, for the checked kernel's calls
 
@@ -441,12 +456,11 @@ def compile_exprs(exprs, target, check=False):
             rhs = f"{node.op}({', '.join(args)})"
         else:
             raise ValueError(f"unknown operator {node.op!r}")
-        ref = temps.get(rhs)
-        if ref is None:
-            ref = temps[rhs] = f"t{len(temps)}"
-            stmts.append((f"{ref} = {code or rhs}", args))
-            if check:
-                visit(node, ref, args)
+        ref = f"t{len(temps)}"
+        temps.add(ref)
+        stmts.append((f"{ref} = {code or rhs}", args))
+        if check:
+            visit(node, ref, args)
         return ref
 
     def visit(node, ref, args):
@@ -457,8 +471,7 @@ def compile_exprs(exprs, target, check=False):
     for e, k in zip(exprs, slots):
         ref = _walk(e, number, seen)
         stmts.append((f"out[..., {', '.join(map(str, k))}] = {ref}", [ref]))
-    names = set(temps.values())
-    last = {r: i for i, (_, reads) in enumerate(stmts) for r in reads if r in names}
+    last = {r: i for i, (_, reads) in enumerate(stmts) for r in reads if r in temps}
     lines = []
     for i, (line, reads) in enumerate(stmts):
         lines.append(line)
@@ -485,19 +498,18 @@ def _children(node):
 
 
 def _walk(root, visit, memo):
-    """Root's result, after ``memo[id(node)] = visit(node, *its children's results)``
-    for each node of `root` not yet in `memo`, in first-occurrence post-order.
-    The caller keeps the nodes in `memo` alive, so that no id is reused."""
+    """Root's result, after ``memo[node] = visit(node, *its children's results)``
+    for each node of `root` not yet in `memo`, in first-occurrence post-order."""
     stack = [(root, None)]  # (node, None) to expand; (node, children) to visit
     while stack:
         node, kids = stack.pop()
         if kids is not None:
-            memo[id(node)] = visit(node, *[memo[id(c)] for c in kids])
-        elif id(node) not in memo:
+            memo[node] = visit(node, *[memo[c] for c in kids])
+        elif node not in memo:
             kids = _children(node)
             stack.append((node, kids))
             stack += [(c, None) for c in reversed(kids)]
-    return memo[id(root)]
+    return memo[root]
 
 
 def evaluate(e, point):
@@ -524,12 +536,11 @@ def evaluate(e, point):
 def differentiate(e, var_index):
     """Exact symbolic partial derivative with respect to coordinate var_index;
     each node's derivative is simplified as built, under one memo for the call."""
-    simplified, inputs = {}, []  # inputs: the trees simplified, kept alive for their ids
+    simplified = {}
 
     def simp(tree):
-        inputs.append(tree)
         out = _walk(tree, _simplify_step, simplified)
-        simplified[id(out)] = out  # a simplified tree is its own simplification
+        simplified[out] = out  # a simplified tree is its own simplification
         return out
 
     def d(node, *dkids):
@@ -594,7 +605,7 @@ def _is_const(e, v):
 
 def simplify(e):
     """Structural simplification: constant folding, 0/1 absorption, neg(neg(x)) -> x,
-    and cancellation of structurally identical operands of sub.  Bottom-up single
+    and cancellation of equal operands of sub.  Bottom-up single
     pass; idempotent; semantics preserved on the original expression's domain.
     """
     return _walk(e, _simplify_step, {})
@@ -671,6 +682,5 @@ def substitute(exprs, values):
             return node
         return type(node)(node.op, *kids)
 
-    exprs = list(exprs)  # held, so that no id in the memo is reused
     memo = {}
     return [_walk(e, swap, memo) for e in exprs]

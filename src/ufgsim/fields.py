@@ -169,8 +169,8 @@ class BracketTable:
     """The bracket hierarchy {V_[a] : ||a|| <= m+2} over base fields V_0..V_d.
 
     Multi-indices are kept in canonical order (weighted length, then entries).
-    Antisymmetric twins such as (0,1) and (1,0) are both retained; only
-    structurally identical component tuples are shared via interning.
+    Antisymmetric twins such as (0,1) and (1,0) are both retained; entries
+    with the same components (the same interned trees) share one field.
     Instances are immutable after construction.
     """
 
@@ -201,26 +201,15 @@ class BracketTable:
         return self.base_fields[0]
 
     def _build(self):
-        interned: dict[tuple, VectorField] = {}
-
-        def intern(vf):
-            key = tuple(vf.components)
-            kept = interned.get(key)
-            if kept is None:
-                interned[key] = vf
-                return vf
-            return kept
-
-        # [fld, V_i] by (id(fld), i): every fld is interned, so it stays alive
-        # and equal trees share one id; hashing a field would walk its trees
-        brackets: dict[tuple, VectorField] = {}
+        interned: dict[tuple, VectorField] = {}  # a field by its components
+        brackets: dict[tuple, VectorField] = {}  # [fld, V_i] by (fld.components, i)
 
         # Breadth-first by tuple size.  The trivial prefix (0,) is not a table
         # entry but still acts as a bracket parent, producing (0,i) children.
         frontier = []
         for i in range(self.d + 1):
             entries = (i,)
-            fld = intern(self.base_fields[i])
+            fld = interned.setdefault(self.base_fields[i].components, self.base_fields[i])
             if entries != (0,) and weighted_length(entries) <= self.m + 2:
                 self.fields[MultiIndex(entries)] = fld
             frontier.append((entries, fld))
@@ -231,9 +220,10 @@ class BracketTable:
                     child = entries + (i,)
                     if weighted_length(child) > self.m + 2:
                         continue
-                    key = (id(fld), i)
+                    key = (fld.components, i)
                     if key not in brackets:
-                        brackets[key] = intern(lie_bracket(fld, self.base_fields[i]))
+                        vf = lie_bracket(fld, self.base_fields[i])
+                        brackets[key] = interned.setdefault(vf.components, vf)
                     bracket = brackets[key]
                     self.fields[MultiIndex(child)] = bracket
                     nxt.append((child, bracket))

@@ -460,13 +460,23 @@ class TestDeepExpressions:
         assert len(err.splitlines()) == 1
         assert "nesting deeper than 100 levels" in json.loads(err)["error"]
 
-    def test_check_on_a_long_drift_is_not_a_numerical_error(self, capsys, long_drift_file):
-        code, out, err = run_cli(["check", "--system", long_drift_file, "--condition", "ufg"],
-                                 capsys)
-        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_USAGE), err
-        if code == cli.EXIT_USAGE:
-            assert out == "" and len(err.splitlines()) == 1
-            assert json.loads(err)["error"].startswith("expression too deep")
+    # the commands that bracket, split or straighten a drift too deep for
+    # Python's stack; none may recurse over its trees
+    @pytest.mark.parametrize("cmd", [
+        *(["check", "--condition", c] for c in ("ufg", "hc", "phc", "oac", "oac2")),
+        ["decompose"],
+        *([c, "--x0", "0.5,0.5", "--t", "0.01", "--paths", "2"] for c in ("zproc", "ranks")),
+        ["chart", "--x0", "0.5,0.5", "--eps", "0.1", "--samples", "2"],
+    ], ids=["check-ufg", "check-hc", "check-phc", "check-oac", "check-oac2", "decompose",
+            "zproc", "ranks", "chart"])
+    def test_command_on_a_long_drift_runs(self, capsys, long_drift_file, cmd):
+        box = ["--box", "-1:1,-1:1", "--grid", "4"] if cmd[0] in ("check", "decompose") else []
+        code, out, err = run_cli([*cmd, "--system", long_drift_file, *box], capsys)
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED) and err == "", err
+        if cmd[0] in ("zproc", "ranks"):  # a CSV of the paths
+            assert out.startswith("path_id,time,")
+        else:
+            assert json.loads(out)["system"] == "long"
 
 
 class TestExpressionFlagErrors:
@@ -503,7 +513,16 @@ class TestValueFlagErrors:
         (["derivative", "--system", "grushin", "--param", "k=0.5", "--f", "z", "--direction",
           "[1]", "--x0", "0,1", "--t", "0.25", "--paths", "4"],
          "--direction: expected 2 components, got 1"),
-    ], ids=["grid-count", "grid-shape", "grid-negative", "direction"])
+        *((["converge", "--system", "sine-ou", "--param", "k=2", "--x0", "0,4", "--times",
+           "0.01", "--paths", "20", "--reference", spec], message)
+          for spec, message in [
+              ("cauchy:0,1", "--reference: unknown reference kind 'cauchy'"),
+              ("gaussian:0", "--reference: gaussian reference wants mu,var"),
+              ("dirac", "--reference: dirac reference wants a location"),
+              ("none;none", "--reference: reference spec selected no coordinate"),
+              ("dirac:zero", "bad --reference argument 'zero' (want a real number)")]),
+    ], ids=["grid-count", "grid-shape", "grid-negative", "direction", "reference-kind",
+            "reference-gaussian", "reference-dirac", "reference-none", "reference-argument"])
     def test_malformed_value_names_the_flag(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)
         assert code == cli.EXIT_USAGE and out == ""
@@ -784,14 +803,26 @@ class TestSamplingFlags:
         assert json.loads(err)["error"].startswith(f"--points excludes {flag}")
 
     def test_decompose_grid_defaults_to_32(self, capsys, tmp_path):
+        # a --points run reads no box or grid, so its report holds neither
         path = tmp_path / "pts.csv"
         path.write_text("0.1,1\n0.5,2\n")
         argv = ["decompose", "--system", "sine-ou", "--param", "k=2"]
-        for extra in (["--points", str(path)], ["--grid", "2"]):
+        for extra, grid in ((["--points", str(path)], None), ([], 32), (["--grid", "2"], 2)):
             code, out, _ = run_cli([*argv, *extra], capsys)
             assert code == cli.EXIT_OK
-            grid = json.loads(out)["metadata"]["grid"]
-            assert grid == (32 if "--points" in extra else 2)
+            metadata = json.loads(out)["metadata"]
+            assert metadata.get("grid") == grid
+            assert ("box" in metadata) == (grid is not None)
+
+    @pytest.mark.parametrize("condition", ["ufg", "lyapunov"])
+    def test_check_with_points_reports_no_box_or_grid(self, capsys, tmp_path, condition):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.1,1\n0.5,2\n")
+        argv = [*_check_argv(condition, cheap=False), "--points", str(path)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED)
+        metadata = json.loads(out)["metadata"]
+        assert metadata["points"] == str(path) and not {"box", "grid"} & set(metadata)
 
 
 # The condition flags of `check`, each with a cheap valid value for sine-ou

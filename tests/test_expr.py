@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import operator
+import struct
 import weakref
 
 import numpy as np
@@ -637,10 +638,10 @@ def test_each_distinct_node_is_visited_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    # per-node work: a node's children looked up, or a node built
+    # per-node work: a node's children looked up, or a node built (or found interned)
     monkeypatch.setattr(ex, "_children", counted(ex._children))
     for cls in (ex.Unary, ex.Binary):
-        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        monkeypatch.setattr(cls, "__new__", counted(cls.__new__))
     passes = [
         lambda: ex.max_variable_index(e),
         lambda: ex.min_variable_index(e),
@@ -653,6 +654,46 @@ def test_each_distinct_node_is_visited_once(monkeypatch):
     for run in passes:
         work[0] = 0
         run()
+
+
+class TestInterning:
+    """Building a node equal to a live one returns that node (the module notes)."""
+
+    def test_equal_trees_are_one_object(self):
+        names = ["x", "y", "w"]
+        x, y = ex.Var(0), ex.Var(1)
+        built = ex.Unary("sin", x) * y + ex.Const(2.0)
+        assert ex.parse_expression("sin(x)*y + 2", names) is built
+        assert ex.Binary("add", ex.Binary("mul", ex.Unary("sin", x), y), ex.Const(2)) is built
+        (swapped,) = ex.substitute([ex.parse_expression("sin(y)*x + 2", names)], [y, x])
+        assert swapped is built
+        assert ex.differentiate(ex.parse_expression("(sin(x)*y + 2)*w", names), 2) is built
+
+    def test_a_constant_is_keyed_on_its_bytes(self):
+        assert ex.Const(0.0) is ex.ZERO and ex.Const(-0.0) is not ex.ZERO
+        assert ex.Const(-0.0) != ex.ZERO and ex.Const(-0.0) is ex.Const(-0.0)
+        nan1, nan2 = (struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | p))[0]
+                      for p in (1, 2))
+        assert ex.Const(nan1) is ex.Const(nan1) and ex.Const(nan1) is not ex.Const(nan2)
+        assert type(ex.Const(2).value) is float
+
+    def test_setting_a_field_raises(self):
+        e = ex.parse_expression("x + 1", ["x"])
+        for node, field in ((e, "op"), (e.left, "index"), (e.right, "value")):
+            with pytest.raises(AttributeError):
+                setattr(node, field, getattr(node, field))
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+        assert ex.to_string(e) == "(x1 + 1.0)"
+
+    def test_the_node_table_holds_only_live_trees(self):
+        gc.collect()
+        start = len(ex._NODES)
+        table = vf.build_hierarchy(catalog.get("sinfields").system.all_fields(), 8)
+        assert len(ex._NODES) > start + 100
+        del table
+        gc.collect()
+        assert len(ex._NODES) == start
 
 
 _wide_leaf = st.one_of(
