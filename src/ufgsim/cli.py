@@ -113,12 +113,7 @@ def parse_param_list(pairs):
         if "=" not in pair:
             raise UsageError(f"bad --param '{pair}' (want name=value)")
         key, val = (s.strip() for s in pair.split("=", 1))
-        try:
-            float(val)
-        except ValueError:  # a string-valued parameter
-            out[key] = val
-        else:
-            out[key] = finite_real(val, f"--param {key}")
+        out[key] = finite_real(val, f"--param {key}")
     return out
 
 
@@ -464,6 +459,9 @@ def cmd_decompose(args):
 def cmd_chart(args):
     if not args.eps > 0:
         raise UsageError(f"--eps must be positive: it is the chart radius, got {args.eps!r}")
+    if not args.fd_step > 0:
+        raise UsageError(f"--fd-step must be positive: it is the central-difference step, "
+                         f"got {args.fd_step!r}")
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     system, entry, _, params = _load(args)
@@ -666,9 +664,20 @@ finite_float = flag_type(lambda text: finite_real(text, "value"))
 point_flag = flag_type(parse_point)
 box_flag = flag_type(parse_box)
 times_flag = flag_type(lambda text: parse_reals(text, "time"))
-# the parser types of the check flags that are not finite reals
+
+
+def non_negative(text):
+    """argparse type of a tolerance, threshold or radius: a finite real >= 0."""
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value!r}")
+    return value
+
+
+# the parser types of the check flags that are not any finite real
 _CHECK_TYPES = {"level": int, "grid": int, "box": box_flag, "points": str, "phi": str,
-                "times": times_flag}
+                "times": times_flag, "rtol": non_negative, "tol": non_negative,
+                "residual_tol": non_negative, "coeff_threshold": non_negative}
 
 
 def thread_count(text):
@@ -708,7 +717,7 @@ def _add_common(p, sim=False, geom=False, threads=False):
         p.add_argument("--stride", type=int, default=1)
     if geom:
         p.add_argument("--level", type=int, default=None)
-        p.add_argument("--rtol", type=finite_float, default=RANK_RTOL)
+        p.add_argument("--rtol", type=non_negative, default=RANK_RTOL)
 
 
 def build_parser():
@@ -749,9 +758,9 @@ def build_parser():
     p.add_argument("--eps", type=finite_float, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=finite_float, default=1e-5)
+    p.add_argument("--tol", type=non_negative, default=1e-5)
     p.add_argument("--fd-step", dest="fd_step", type=finite_float, default=1e-5)
-    p.add_argument("--newton-tol", dest="newton_tol", type=finite_float, default=1e-12)
+    p.add_argument("--newton-tol", dest="newton_tol", type=non_negative, default=1e-12)
     p.set_defaults(fn=cmd_chart)
 
     p = sub.add_parser("simulate", help="simulate an ensemble to CSV")
@@ -780,8 +789,8 @@ def build_parser():
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=finite_float, default=1e-3)
-    p.add_argument("--escape-radius", dest="escape_radius", type=finite_float, default=1e3)
-    p.add_argument("--ks-tolerance", dest="ks_tolerance", type=finite_float, default=0.05)
+    p.add_argument("--escape-radius", dest="escape_radius", type=non_negative, default=1e3)
+    p.add_argument("--ks-tolerance", dest="ks_tolerance", type=non_negative, default=0.05)
     p.add_argument("--csv", default=None, help="also write time,coordinate,ks,escape_fraction")
     p.set_defaults(fn=cmd_converge)
 

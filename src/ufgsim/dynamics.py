@@ -996,5 +996,7 @@ def rank_along_path(states, table, rtol=RANK_RTOL):
     """Tolerance rank of the drift-augmented frame at each stored state: an
     array (P, T) for the states (P, T, N) of an ensemble.
     """
-    frames = table.evaluate_frame_batch("brackets+drift", np.asarray(states, dtype=float))
+    states = np.asarray(states, dtype=float)
+    frames = np.concatenate([table.frame(table.r_m(), states),
+                             table.drift.eval_batch(states)[..., None]], axis=-1)
     return svd_rank(frames, rtol=rtol)

@@ -170,8 +170,9 @@ class BracketTable:
 
     Multi-indices are kept in canonical order (weighted length, then entries).
     Antisymmetric twins such as (0,1) and (1,0) are both retained; entries
-    with the same components (the same interned trees) share one field.
-    Instances are immutable after construction.
+    with the same components (the same interned trees) share one field, so
+    a table has far fewer distinct fields than entries; `frame` evaluates
+    each distinct field once.  Instances are immutable after construction.
     """
 
     def __init__(self, base_fields, m):
@@ -242,38 +243,28 @@ class BracketTable:
     def field(self, alpha):
         return self.fields[alpha]
 
-    def evaluate_frame(self, subset, x):
-        """Frame matrix (N x k) at one point x (N,), or matrices (P, N, k) at
-        rows of points (P, N): `evaluate_frame_batch` under the domain check;
-        a failure names its bracket."""
-        x = np.asarray(x, dtype=float)
-        F = self._frame(subset, x.reshape(-1, x.shape[-1]), checked=True)
-        return F.reshape(x.shape + F.shape[-1:])
-
-    def evaluate_frame_batch(self, subset, X):
-        """Frame matrices at points X of shape (..., N) -> (..., N, k).
-
-        subset is "brackets" for the frame of R_m alone or "brackets+drift"
-        to append the drift V_0 as the final column.  Columns follow the
-        canonical table order.
+    def frame(self, indices, X, checked=False):
+        """Frame matrices (..., N, k) at points X (..., N): column j is the
+        field of indices[j].  Each distinct field is evaluated once and its
+        column gathered.  With `checked` the checked kernels run, and a domain
+        failure raises an EvalDomainError naming the first index whose field
+        fails.
         """
-        return self._frame(subset, np.asarray(X, dtype=float), checked=False)
-
-    def _frame(self, subset, X, checked):
-        if subset not in ("brackets", "brackets+drift"):
-            raise ValueError("subset must be 'brackets' or 'brackets+drift'")
-        columns = [(f"bracket {a}: ", self.fields[a]) for a in self.r_m()]
-        if subset == "brackets+drift":
-            columns.append(("", self.drift))
-        if not checked:
-            return np.stack([V.eval_batch(X) for _, V in columns], axis=-1)
-        mats = []
-        for label, V in columns:
-            check = ex.DomainCheck(X.shape[:-1])
-            mats.append(V._eval(X, check))
+        X = np.asarray(X, dtype=float)
+        rows = X.reshape(-1, X.shape[-1])
+        slot = {}  # each distinct field -> (its place, the first index naming it)
+        cols = [slot.setdefault(self.fields[a], (len(slot), a))[0] for a in indices]
+        values = []
+        # in the order of their first index, so the first field to fail names the first index
+        for V, (_, a) in slot.items():
+            if not checked:
+                values.append(V.eval_batch(rows))
+                continue
+            check = ex.DomainCheck(rows.shape[:-1])
+            values.append(V._eval(rows, check))
             if check.error is not None:
-                raise ex.EvalDomainError(label + check.error.brief, check.error.subtree)
-        return np.stack(mats, axis=-1)
+                raise ex.EvalDomainError(f"bracket {a}: {check.error.brief}", check.error.subtree)
+        return np.stack(values, axis=-1)[..., cols].reshape(X.shape + (len(cols),))
 
 
 def build_hierarchy(base_fields, m):

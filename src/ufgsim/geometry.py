@@ -165,7 +165,7 @@ def decompose_drift_rows(table, X, rtol=RANK_RTOL):
     domain check (a frame failure names its bracket) and split by
     `_drift_split`; returns one (v_par, v_perp, residual) per row.
     """
-    v_par, v_perp, residual = _drift_split(table.evaluate_frame("brackets", X),
+    v_par, v_perp, residual = _drift_split(table.frame(table.r_m(), X, checked=True),
                                            table.drift(X), rtol)
     return list(zip(v_par, v_perp, map(float, residual)))
 
@@ -197,8 +197,7 @@ def drift_orthogonal_field(table, rtol=RANK_RTOL):
     def fn(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         drifts = table.drift.eval_batch(X)
-        return drifts - project_onto_columns(table.evaluate_frame_batch("brackets", X),
-                                             drifts, rtol=rtol)
+        return drifts - project_onto_columns(table.frame(table.r_m(), X), drifts, rtol=rtol)
 
     return NumericField(table.dim, fn, name="drift-orthogonal")
 
@@ -233,11 +232,9 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
     frame_idx = table.indices(m)
     targets = [a for a in table.indices() if m < a.length <= m + 2]
     pts = plan.sample(table.dim)
-    frames = table.evaluate_frame_batch("brackets", pts)[:, :, : len(frame_idx)]
+    frames = table.frame(frame_idx, pts)
     # V[i, t] is target t at point i: the rows the norms below run over are contiguous
-    V = np.empty((len(pts), len(targets), table.dim))
-    for t, a in enumerate(targets):
-        V[:, t] = table.field(a).eval_batch(pts)
+    V = table.frame(targets, pts).transpose(0, 2, 1).copy()
     finite = np.isfinite(frames).all(axis=(1, 2)) & np.isfinite(V).all(axis=(1, 2))
     singular = finite & ~frames.any(axis=(1, 2))
     regular = np.flatnonzero(finite & ~singular)
@@ -268,9 +265,10 @@ def check_hormander(table, plan, variant="HC", rtol=RANK_RTOL):
     variant = variant.upper()
     if variant not in ("HC", "PHC"):
         raise ValueError("variant must be 'HC' or 'PHC'")
-    subset = "brackets+drift" if variant == "HC" else "brackets"
     pts = plan.sample(table.dim)
-    frames = table.evaluate_frame_batch(subset, pts)
+    frames = table.frame(table.r_m(), pts)
+    if variant == "HC":
+        frames = np.concatenate([frames, table.drift.eval_batch(pts)[..., None]], axis=-1)
     N = table.dim
     finite = np.flatnonzero(np.isfinite(frames).all(axis=(1, 2)))
     s = np.linalg.svd(frames[finite], compute_uv=False)
@@ -360,11 +358,8 @@ def check_oac(table, plan, lambda0, tol=1e-9):
         raise ValueError("lambda0 must be positive")
     alphas = table.r_m()
     pts = plan.sample(table.dim)
-    W = np.empty((len(pts), len(alphas), table.dim))
-    U = np.empty_like(W)
-    for k, a in enumerate(alphas):
-        W[:, k] = table.field(a).eval_batch(pts)
-        U[:, k] = table.field(a.extend(0)).eval_batch(pts)
+    W = table.frame(alphas, pts).transpose(0, 2, 1)
+    U = table.frame([a.extend(0) for a in alphas], pts).transpose(0, 2, 1)
     return _alignment_report("oac", table, pts, U, W, lambda0, tol)
 
 
@@ -409,12 +404,6 @@ def _commutator_with_field(S, w, v_field):
     return S2, w2
 
 
-def _eval_operator_coeffs(S, w, pts, out):
-    """Write the (Hessian, gradient) jet coefficients S, w at pts to out (P, n*n + n)."""
-    n = len(w)
-    ex.compile_exprs([*(e for row in S for e in row), *w], (n * n + n,))(pts, out)
-
-
 def check_oac2(table, plan, lambda0, tol=1e-9):
     """Second-order alignment test over admissible index pairs.
 
@@ -436,14 +425,16 @@ def check_oac2(table, plan, lambda0, tol=1e-9):
         rep.notes["pairs"] = 0
         return rep
 
-    n = table.dim * table.dim + table.dim
-    W = np.empty((len(pts), len(pairs), n))  # w: the composition's coefficients
-    U = np.empty_like(W)  # u: its commutator with the drift
-    for k, (a, b) in enumerate(pairs):
+    # per pair, the (Hessian, gradient) jet coefficients of the composition (w)
+    # and of its commutator with the drift (u), all in one kernel
+    coeffs = []
+    for a, b in pairs:
         S, w = _second_order_coefficients(table.field(a), table.field(b))
         S2, w2 = _commutator_with_field(S, w, table.drift)
-        _eval_operator_coeffs(S, w, pts, W[:, k])
-        _eval_operator_coeffs(S2, w2, pts, U[:, k])
+        coeffs += [e for jet in (S, [w], S2, [w2]) for row in jet for e in row]
+    WU = np.empty((len(pts), len(pairs), 2, table.dim * table.dim + table.dim))
+    ex.compile_exprs(coeffs, WU.shape[1:])(pts, WU)
+    W, U = WU[:, :, 0], WU[:, :, 1]
     return _alignment_report("oac2", table, pts, U, W, lambda0, tol,
                              notes={"pairs": len(pairs)})
 
@@ -652,7 +643,8 @@ def build_chart(table, x0, eps, rtol=RANK_RTOL, newton_tol=1e-12, v0perp=None):
     axes = np.arange(N)
     probes[1 + 2 * axes, axes] -= delta
     probes[2 + 2 * axes, axes] += delta
-    frames = table.evaluate_frame("brackets", probes)
+    r_m = table.r_m()
+    frames = table.frame(r_m, probes, checked=True)
     ranks = svd_rank(frames, rtol=rtol)
     n0 = int(ranks[0])
     if np.any(ranks != n0):
@@ -663,7 +655,6 @@ def build_chart(table, x0, eps, rtol=RANK_RTOL, newton_tol=1e-12, v0perp=None):
 
     F = frames[0]
     chosen = pivoted_columns(F, n0)  # in canonical order among the pivoted columns
-    r_m = table.r_m()
     basis_indices = [r_m[j] for j in chosen]
     coord_fields = [table.field(a) for a in basis_indices]
 
@@ -693,25 +684,28 @@ def build_chart(table, x0, eps, rtol=RANK_RTOL, newton_tol=1e-12, v0perp=None):
 def verify_chart_structure(chart, table, samples_in_domain, fd_step=1e-5, tol=1e-5):
     """Check the straightening identities on sampled chart coordinates.
 
-    (i) pushforwards of the noise fields and of every bracket-frame field
-    must have vanishing components past the leading n chart directions;
+    (i) pushforwards of every bracket-frame field, the noise fields among
+    them, must have vanishing components past the leading n chart directions;
     (ii) the trailing components of the pushed-forward drift must be
-    insensitive (by central differences) to the leading n coordinates.
+    insensitive (by central differences of step fd_step > 0) to the leading
+    n coordinates; a nan sensitivity fails.
     """
+    if not fd_step > 0:
+        raise ValueError(f"fd_step must be positive, got {fd_step!r}")
     samples = np.atleast_2d(np.asarray(samples_in_domain, dtype=float))
     if np.max(np.abs(samples)) > chart.radius + 1e-12:
         raise ValueError("samples outside the chart domain")
     n, N = chart.n, chart.dim
-    check_fields = list(table.base_fields[1:]) + [table.field(a) for a in table.r_m()]
 
-    def pushforward_all(T, fields_to_push):
+    def pushforward(T, values):  # J^{-1} values(Y) (B, N, k) at Y, J = forward_jacobian(T)
         Y, J = chart.forward_jacobian(T)
-        vals = np.stack([V.eval_batch(Y) for V in fields_to_push], axis=2)
-        return np.linalg.solve(J, vals)  # (B, N, n_fields)
+        return np.linalg.solve(J, values(Y))
 
-    pushed = pushforward_all(samples, check_fields)
-    tails = pushed[:, n:, :]
+    tails = pushforward(samples, lambda Y: table.frame(table.r_m(), Y))[:, n:, :]
     max_tail = float(np.max(np.abs(tails))) if tails.size else 0.0
+
+    def drift(Y):
+        return table.drift.eval_batch(Y)[..., None]
 
     max_sens = 0.0
     if N > n:
@@ -720,9 +714,9 @@ def verify_chart_structure(chart, table, samples_in_domain, fd_step=1e-5, tol=1e
             Tm = samples.copy()
             Tp[:, i] += fd_step
             Tm[:, i] -= fd_step
-            dp = pushforward_all(Tp, [table.drift])[:, n:, 0]
-            dm = pushforward_all(Tm, [table.drift])[:, n:, 0]
-            max_sens = max(max_sens, float(np.max(np.abs(dp - dm) / (2 * fd_step))))
+            dp = pushforward(Tp, drift)[:, n:, 0]
+            dm = pushforward(Tm, drift)[:, n:, 0]
+            max_sens = float(np.maximum(max_sens, np.max(np.abs(dp - dm) / (2 * fd_step))))
 
     return {
         "n": n,

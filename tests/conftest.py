@@ -67,6 +67,14 @@ def sample_points(entry, n, rng):
     ])
 
 
+def hc_frame(tab, X, checked=True):
+    """The frame of R_m at points X (..., N) with the drift as its last
+    column: the frame that the HC check ranks."""
+    X = np.asarray(X, dtype=float)
+    drift = tab.drift(X) if checked else tab.drift.eval_batch(X)
+    return np.concatenate([tab.frame(tab.r_m(), X, checked), drift[..., None]], axis=-1)
+
+
 def compiled_evaluate(exprs, shape=()):
     """`ex.evaluate` for the trees `exprs`, with their checked kernel compiled once.
 

@@ -17,6 +17,7 @@ import pytest
 from ufgsim import catalog, cli, diagnostics as dg, dynamics as dyn, expr as ex
 from ufgsim import fields as vf, geometry as geo, malliavin as mal
 from ufgsim.linalg import svd_rank, sym_outer_max_eig
+from conftest import hc_frame
 
 
 def verdict_line(num, ok, text):
@@ -176,10 +177,10 @@ def test_criterion_04_auxiliary_second_coordinate(circles_ensemble):
 def test_criterion_05_heisenberg(rng):
     entry = catalog.get("ufg-heisenberg")
     tab = vf.build_hierarchy(entry.system.all_fields(), 2)
-    ok_rank_pts = (svd_rank(tab.evaluate_frame("brackets+drift", [1, 0, 0])) == 3
-                   and svd_rank(tab.evaluate_frame("brackets+drift", [-0.5, 1, 1])) == 3
-                   and svd_rank(tab.evaluate_frame("brackets+drift", [0, 1, 1])) == 2
-                   and svd_rank(tab.evaluate_frame("brackets+drift", [0, -2, 0.5])) == 2)
+    ok_rank_pts = (svd_rank(hc_frame(tab, [1, 0, 0])) == 3
+                   and svd_rank(hc_frame(tab, [-0.5, 1, 1])) == 3
+                   and svd_rank(hc_frame(tab, [0, 1, 1])) == 2
+                   and svd_rank(hc_frame(tab, [0, -2, 0.5])) == 2)
     det_ok = True
     mono_ok = True
     for x0 in ([1.0, 0.0, 0.0], [0.0, 1.0, 1.0]):

@@ -39,9 +39,11 @@ class TestSpecParsing:
             cli.parse_box("3")
 
     def test_params(self):
-        assert cli.parse_param_list(["k=-1", "name=foo"]) == {"k": -1.0, "name": "foo"}
+        assert cli.parse_param_list(["k=-1", "N=3"]) == {"k": -1.0, "N": 3.0}
         with pytest.raises(cli.UsageError):
             cli.parse_param_list(["oops"])
+        with pytest.raises(cli.UsageError, match=r"^bad --param name 'foo' \(want a real"):
+            cli.parse_param_list(["name=foo"])
 
     def test_reference_spec(self):
         refs = cli.parse_reference_spec("gaussian:0,1;none;dirac:6.28")
@@ -196,6 +198,8 @@ class TestExitCodes:
         (["--samples", "-2"], "--samples"),
         (["--eps", "0"], "--eps"),
         (["--eps", "-0.3"], "--eps"),
+        (["--fd-step", "0"], "--fd-step"),
+        (["--fd-step", "-0.5"], "--fd-step"),
     ])
     def test_degenerate_chart_rejected_up_front(self, capsys, args, flag):
         with mock.patch.object(cli, "build_hierarchy", side_effect=AssertionError("work begun")):
@@ -521,8 +525,14 @@ class TestValueFlagErrors:
               ("dirac", "--reference: dirac reference wants a location"),
               ("none;none", "--reference: reference spec selected no coordinate"),
               ("dirac:zero", "bad --reference argument 'zero' (want a real number)")]),
+        *((["check", "--system", "sine-ou", "--param", param, "--condition", "hc", "--grid",
+            "2"], message)
+          for param, message in [
+              ("k=abc", "bad --param k 'abc' (want a real number)"),
+              ("A=[[0,1],[0,0]]", "bad --param A '[[0,1],[0,0]]' (want a real number)")]),
     ], ids=["grid-count", "grid-shape", "grid-negative", "direction", "reference-kind",
-            "reference-gaussian", "reference-dirac", "reference-none", "reference-argument"])
+            "reference-gaussian", "reference-dirac", "reference-none", "reference-argument",
+            "param-word", "param-matrix"])
     def test_malformed_value_names_the_flag(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)
         assert code == cli.EXIT_USAGE and out == ""
@@ -1129,6 +1139,61 @@ def _apply(argv, edit):
     return argv + [edit[1]]
 
 
+def _parser_of(argv):
+    """The parser of the (sub)command named in argv."""
+    parser = cli.build_parser()
+    for word in argv:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            break
+        parser = subs[0].choices[word]
+    return parser
+
+
+def _real_flags(cmd):
+    """The flags of _BASE[cmd]'s (sub)command that take one real number."""
+    return [a.option_strings[0] for a in _parser_of(_BASE[cmd])._actions
+            if a.type in (cli.finite_float, cli.non_negative)]
+
+
+@pytest.mark.parametrize("argv", [
+    _BASE[cmd] + [flag, value]
+    for cmd in sorted(_BASE) for flag in _real_flags(cmd) for value in ("0", "-1")
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_real_flag_edge_values_fail_as_json(argv):
+    """Each real-valued flag of each base command line at 0 and at -1: a
+    verdict, or a JSON error, and no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_USAGE, cli.EXIT_NUMERIC)
+    if code in (cli.EXIT_USAGE, cli.EXIT_NUMERIC):
+        assert "error" in json.loads(err.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    _BASE["check"] + ["--rtol", "-1"],
+    ["check", "--system", "sinfields", "--condition", "ufg", "--grid", "2",
+     "--residual-tol", "-1"],
+    ["check", "--system", "sinfields", "--condition", "ufg", "--grid", "2",
+     "--coeff-threshold", "-1"],
+    ["check", "--system", "sine-ou", "--condition", "oac", "--grid", "2", "--tol", "-1"],
+    _BASE["decompose"] + ["--rtol", "-0.5"],
+    _BASE["chart"] + ["--tol", "-1"],
+    _BASE["chart"] + ["--newton-tol", "-1"],
+    _BASE["converge"] + ["--ks-tolerance", "-1"],
+    _BASE["converge"] + ["--escape-radius", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_negative_tolerance_rejected_up_front(capsys, argv):
+    with mock.patch.object(cli, "load_system", side_effect=AssertionError("work begun")):
+        code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert json.loads(err)["error"].endswith(
+        f"argument {argv[-2]}: must be non-negative, got {float(argv[-1])!r}")
+
+
 @given(st.sampled_from(sorted(_BASE)), st.lists(_edit, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_fuzzed_command_lines_fail_as_json(cmd, edits):
@@ -1198,13 +1263,7 @@ _JSON_COMMANDS = sorted(set(_BASE) - {"simulate", "zproc", "ranks"})
 
 def _accepted_dests(argv):
     """The dests of the flags that the (sub)command named in argv accepts."""
-    parser = cli.build_parser()
-    for word in argv:
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            break
-        parser = subs[0].choices[word]
-    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    return {a.dest for a in _parser_of(argv)._actions if a.option_strings and a.dest != "help"}
 
 
 def _dest(flag):

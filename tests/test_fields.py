@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ufgsim import catalog
 from ufgsim import expr as ex
 from ufgsim import fields as vf
-from conftest import sample_points
+from ufgsim.geometry import SamplePlan
+from conftest import hc_frame, sample_points
 import reference_walk as ref
 
 
@@ -249,36 +250,61 @@ class TestHierarchy:
 class TestFrames:
     def test_circles_frame_columns(self, circles):
         tab = vf.build_hierarchy(circles.system.all_fields(), 1)
-        F = tab.evaluate_frame("brackets", [1.0, 0.0])
+        F = tab.frame(tab.r_m(), [1.0, 0.0], checked=True)
         assert F.shape == (2, 1)
         assert np.allclose(F[:, 0], [1.0, 0.0])
-        F0 = tab.evaluate_frame("brackets+drift", [0.0, 0.0])
+        F0 = hc_frame(tab, [0.0, 0.0])
         assert np.max(np.abs(F0)) == 0.0
 
     def test_heisenberg_rank_two_on_plane(self, heisenberg):
         tab = vf.build_hierarchy(heisenberg.system.all_fields(), 2)
-        F = tab.evaluate_frame("brackets+drift", [0.0, 1.0, 1.0])
+        F = hc_frame(tab, [0.0, 1.0, 1.0])
         assert np.linalg.matrix_rank(F) == 2
 
     def test_batch_matches_single(self, rng, heisenberg):
         tab = vf.build_hierarchy(heisenberg.system.all_fields(), 2)
         pts = sample_points(heisenberg, 7, rng)
-        batch = tab.evaluate_frame_batch("brackets+drift", pts)
+        batch = hc_frame(tab, pts, checked=False)
         for i, x in enumerate(pts):
-            single = tab.evaluate_frame("brackets+drift", x)
+            single = hc_frame(tab, x)
             assert np.array_equal(batch[i], single)
-
-    def test_bad_subset(self, circles):
-        tab = vf.build_hierarchy(circles.system.all_fields(), 1)
-        with pytest.raises(ValueError):
-            tab.evaluate_frame("everything", [1.0, 0.0])
 
     def test_domain_error_names_offending_index(self):
         V0 = vf.make_field(1, ["1"], ["x"])
         V1 = vf.make_field(1, ["log(x)"], ["x"])
         tab = vf.build_hierarchy([V0, V1], 1)
         with pytest.raises(ex.EvalDomainError, match=r"bracket \(1\)"):
-            tab.evaluate_frame("brackets", [-1.0])
+            tab.frame(tab.r_m(), [-1.0], checked=True)
+
+    @pytest.mark.parametrize("name", catalog.list_entries())
+    def test_frame_is_the_stacked_field_values(self, name):
+        # on the check grid of every catalog system at its level; indices in
+        # canonical order, reversed, with repeats and one index alone
+        entry = catalog.get(name)
+        tab = vf.build_hierarchy(entry.system.all_fields(), entry.level)
+        pts = SamplePlan(box=entry.sample_box, grid=6).sample(tab.dim)
+        idx = tab.indices()
+        for case in (idx, idx[::-1], idx + idx[::3], [idx[-1]] * 3):
+            want = np.stack([tab.field(a).eval_batch(pts) for a in case], axis=-1)
+            for checked in (False, True):
+                assert np.array_equal(_bits(tab.frame(case, pts, checked)), _bits(want))
+                assert np.array_equal(_bits(tab.frame(case, pts[0], checked)), _bits(want[0]))
+                stacked = tab.frame(case, pts[:6].reshape(2, 3, tab.dim), checked)
+                assert np.array_equal(_bits(stacked),
+                                      _bits(want[:6].reshape(2, 3, tab.dim, len(case))))
+
+    def test_checked_frame_names_the_first_failing_index(self):
+        V0 = vf.make_field(1, ["1"], ["x"])
+        V1 = vf.make_field(1, ["log(x)"], ["x"])
+        tab = vf.build_hierarchy([V0, V1], 1)
+        M = vf.MultiIndex
+        # (1,1) vanishes, (0,1) is 1/x and fails at 0, (1,) is log(x) and fails at x <= 0
+        idx = [M((1, 1)), M((0, 1)), M((1,)), M((0, 1))]
+        with pytest.raises(ex.EvalDomainError,
+                           match=r"^bracket \(1\): log of non-positive value -1\.0"):
+            tab.frame(idx, [-1.0], checked=True)
+        with pytest.raises(ex.EvalDomainError, match=r"^bracket \(0,1\): division by zero"):
+            tab.frame(idx, [[1.0], [0.0]], checked=True)
 
 
 def _kernel_cases(rng):
@@ -334,6 +360,6 @@ class TestKernels:
     def test_unchecked_frame_is_the_checked_frame(self, rng):
         for tab, pts in _kernel_cases(rng):
             pts = pts[:12]
-            for subset in ("brackets", "brackets+drift"):
-                assert np.array_equal(_bits(tab.evaluate_frame_batch(subset, pts)),
-                                      _bits(tab.evaluate_frame(subset, pts)))
+            for idx in (tab.r_m(), tab.indices()[::-1]):
+                assert np.array_equal(_bits(tab.frame(idx, pts)),
+                                      _bits(tab.frame(idx, pts, checked=True)))

@@ -10,7 +10,7 @@ import reference_alignment
 from ufgsim import catalog, expr as ex, fields as vf, geometry as geo
 from ufgsim.dynamics import FlowBlowUp, SDESystem, flow
 from ufgsim.linalg import RANK_RTOL, svd_rank, sym_outer_max_eig
-from conftest import compiled_evaluate, sample_points
+from conftest import compiled_evaluate, hc_frame, sample_points
 
 
 def table_for(entry, level=None):
@@ -31,27 +31,30 @@ class TestSamplePlan:
             geo.SamplePlan(box=((1, 1),)).sample(1)
 
 
-def ranks(tab, which, pts):
-    """Tolerance ranks of the frames at the rows of pts (P, N)."""
-    return svd_rank(tab.evaluate_frame(which, np.asarray(pts, dtype=float))).tolist()
+def ranks(tab, pts, with_drift):
+    """Tolerance ranks of the checked frames of R_m at the rows of pts (P, N),
+    with the drift as a last column or without it."""
+    pts = np.asarray(pts, dtype=float)
+    frames = hc_frame(tab, pts) if with_drift else tab.frame(tab.r_m(), pts, checked=True)
+    return svd_rank(frames).tolist()
 
 
 class TestRank:
     def test_heisenberg_profile(self, heisenberg):
         tab = table_for(heisenberg)
-        assert ranks(tab, "brackets+drift", [[1, 0, 0], [0, 1, 1]]) == [3, 2]
-        assert ranks(tab, "brackets", [[1, 0, 0]]) == [2]
+        assert ranks(tab, [[1, 0, 0], [0, 1, 1]], True) == [3, 2]
+        assert ranks(tab, [[1, 0, 0]], False) == [2]
 
     def test_circles_profile(self, circles):
         tab = table_for(circles)
-        assert ranks(tab, "brackets", [[1, 0], [0, 0]]) == [1, 0]
-        assert ranks(tab, "brackets+drift", [[1, 0], [0, 0]]) == [2, 0]
+        assert ranks(tab, [[1, 0], [0, 0]], False) == [1, 0]
+        assert ranks(tab, [[1, 0], [0, 0]], True) == [2, 0]
 
     def test_rank_inequality(self, rng, heisenberg, circles, sine_ou_k2):
         for entry in (heisenberg, circles, sine_ou_k2):
             tab = table_for(entry)
             pts = sample_points(entry, 15, rng)
-            for r, r0 in zip(ranks(tab, "brackets", pts), ranks(tab, "brackets+drift", pts)):
+            for r, r0 in zip(ranks(tab, pts, False), ranks(tab, pts, True)):
                 assert r <= r0 <= r + 1
 
 
@@ -122,7 +125,7 @@ class TestDecompose:
             tab = table_for(entry)
             pts = sample_points(entry, 9, rng)
             for x, got in zip(pts, geo.decompose_drift_rows(tab, pts)):
-                F = tab.evaluate_frame("brackets", x)
+                F = tab.frame(tab.r_m(), x, checked=True)
                 v0 = tab.drift(x)
                 v_par = geo.project_onto_columns(F, v0, rtol=RANK_RTOL)
                 v_perp = v0 - v_par
@@ -196,7 +199,7 @@ def reference_check_ufg(table, plan, m, rtol=RANK_RTOL):
     frame_idx = table.indices(m)
     targets = [a for a in table.indices() if m < a.length <= m + 2]
     pts = plan.sample(table.dim)
-    frames = table.evaluate_frame_batch("brackets", pts)[:, :, : len(frame_idx)]
+    frames = np.stack([table.field(a).eval_batch(pts) for a in frame_idx], axis=-1)
     tvals = {a: table.field(a).eval_batch(pts) for a in targets}
     records, singular, skipped = [], [], 0
     for i, x in enumerate(pts):
@@ -236,6 +239,16 @@ class TestUFGBatched:
         plan = geo.SamplePlan(box=entry.sample_box, grid=grid)
         got = geo.check_ufg(tab, plan).to_dict()
         assert got == reference_check_ufg(tab, plan, tab.m).to_dict()
+
+    def test_each_distinct_field_is_evaluated_once(self):
+        # the geometry benchmark's ufg-sinfields job: its 86 frame columns are
+        # 8 distinct fields and its 144 targets are 3
+        entry = catalog.get("sinfields")
+        tab = table_for(entry, 8)
+        with mock.patch.object(vf.VectorField, "eval_batch", autospec=True,
+                               side_effect=vf.VectorField.eval_batch) as calls:
+            geo.check_ufg(tab, geo.SamplePlan(box=entry.sample_box, grid=16))
+        assert calls.call_count == 11
 
     def test_special_points_equal_reference(self):
         V0 = vf.make_field(2, ["exp(460*y)", "0"], ["x", "y"])
@@ -288,9 +301,10 @@ class TestHormander:
         tab = table_for(heisenberg)
         pts = np.vstack([sample_points(heisenberg, 12, rng), [[np.inf, 0.0, 0.0]],
                          [[0.0, 0.0, 0.0]]])
-        for variant, subset in (("HC", "brackets+drift"), ("PHC", "brackets")):
+        for variant, frames in (("HC", hc_frame(tab, pts, checked=False)),
+                                ("PHC", tab.frame(tab.r_m(), pts))):
             want = []
-            for x, F in zip(pts, tab.evaluate_frame_batch(subset, pts)):
+            for x, F in zip(pts, frames):
                 if not np.all(np.isfinite(F)):
                     continue
                 s = np.linalg.svd(F, compute_uv=False)
@@ -545,9 +559,10 @@ class TestAlignmentStacked:
                     if a != b:
                         S, w = geo._second_order_coefficients(tab.field(a), tab.field(b))
                         S2, w2 = geo._commutator_with_field(S, w, tab.drift)
-                        for coeffs, out in (((S, w), ws), ((S2, w2), us)):
+                        for jet, out in (((S, [w]), ws), ((S2, [w2]), us)):
                             out.append(np.empty((len(pts), tab.dim * (tab.dim + 1))))
-                            geo._eval_operator_coeffs(*coeffs, pts, out[-1])
+                            coeffs = [e for part in jet for row in part for e in row]
+                            ex.compile_exprs(coeffs, out[-1].shape[1:])(pts, out[-1])
         with np.errstate(all="ignore"):
             want = reference_alignment.alignment_records(pts, us, ws, 0.5, 1e-9)
         got = [(r.point, _bits(r.residual), _bits(r.extra["lambda0_certified"]))
@@ -730,7 +745,7 @@ class TestChart:
         for name in catalog.list_entries():
             entry = catalog.get(name)
             tab = table_for(entry, level)
-            frames = tab.evaluate_frame_batch("brackets", sample_points(entry, 300, rng))
+            frames = tab.frame(tab.r_m(), sample_points(entry, 300, rng))
             for F in frames[np.isfinite(frames).all(axis=(1, 2))]:
                 n0 = svd_rank(F)
                 assert geo.pivoted_columns(F, n0) == sorted(qr(F, pivoting=True)[2][:n0]), \
@@ -740,13 +755,13 @@ class TestChart:
     def test_frame_evaluated_once(self, circles, x0):
         # one checked evaluation at x0 and its 2N probes, whether or not x0 is regular
         tab = table_for(circles)
-        frame, calls = vf.BracketTable._frame, []
+        frame, calls = vf.BracketTable.frame, []
 
         def counted(table, *args, **kwargs):
             calls.append(args)
             return frame(table, *args, **kwargs)
 
-        with mock.patch.object(vf.BracketTable, "_frame", counted):
+        with mock.patch.object(vf.BracketTable, "frame", counted):
             if x0 == [1.0, 0.0]:
                 assert geo.build_chart(tab, x0, eps=0.1).n == 1
             else:
@@ -759,6 +774,23 @@ class TestChart:
         chart = geo.build_chart(tab, [1.0, 0.0], eps=0.2, v0perp=circles.v0perp)
         with pytest.raises(ValueError, match="domain"):
             geo.verify_chart_structure(chart, tab, [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-5, float("nan")])
+    def test_fd_step_must_be_positive(self, circles, fd_step):
+        tab = table_for(circles)
+        chart = geo.build_chart(tab, [1.0, 0.0], eps=0.2, v0perp=circles.v0perp)
+        with pytest.raises(ValueError, match="fd_step must be positive"):
+            geo.verify_chart_structure(chart, tab, [[0.1, 0.1]], fd_step=fd_step)
+
+    def test_nan_drift_sensitivity_fails(self, circles):
+        # the random-circles chart (n = 1 < N = 2) verified on a table whose drift is nan
+        tab = table_for(circles)
+        chart = geo.build_chart(tab, [1.0, 0.0], eps=0.2, v0perp=circles.v0perp)
+        nan_drift = vf.VectorField(2, (ex.Const(float("nan")), ex.ZERO))
+        nan_tab = vf.build_hierarchy([nan_drift, *circles.system.noises], tab.m)
+        rep = geo.verify_chart_structure(chart, nan_tab, [[0.1, 0.1]])
+        assert rep["tail_ok"] and np.isnan(rep["max_drift_tail_sensitivity"])
+        assert not rep["drift_sensitivity_ok"] and not rep["passed"]
 
     @pytest.mark.parametrize("eps, max_iter, outcome", [
         (0.2, 50, "converges"), (0.9, 50, "rejects trials"),
