@@ -815,15 +815,11 @@ def build_parser():
     return ap
 
 
-# options whose values may legitimately start with "-" (negative coordinates,
-# expressions); merged into --opt=value so argparse does not eat them
-_DASH_VALUE_OPTS = {
-    "--box", "--x0", "--times", "--reference", "--density", "--f",
-    "--direction", "--grid", "--phi", "--h", "--c1", "--c2",
-}
-
-
 def _preprocess(argv):
+    """argv with every option followed by a token that starts with "-" (a
+    negative number, coordinate or expression, but not "-" or another
+    "--" option) merged into --opt=value, so that argparse does not read the
+    value as an option: every option but --help takes exactly one value."""
     out = []
     i = 0
     while i < len(argv):
@@ -831,9 +827,10 @@ def _preprocess(argv):
         if tok.startswith("--") and tok.endswith("=--"):
             # argparse (3.11) strips the "--" and hands the option an empty list
             raise UsageError(f"argument {tok[:-3]}: expected one argument")
-        if tok in _DASH_VALUE_OPTS and i + 1 < len(argv) and argv[i + 1].startswith("-") \
-                and argv[i + 1] not in ("-", "--"):
-            out.append(f"{tok}={argv[i + 1]}")
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok.startswith("--") and "=" not in tok and tok not in ("--", "--help") \
+                and value.startswith("-") and value != "-" and not value.startswith("--"):
+            out.append(f"{tok}={value}")
             i += 2
             continue
         out.append(tok)

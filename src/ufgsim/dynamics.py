@@ -4,8 +4,10 @@ The stochastic model is dX = V0 dt + sqrt(2) sum_i V_i o dB^i; the sqrt(2)
 factor lives here in the integrators, never in the stored fields, so that
 the generator of the simulated process is exactly V0 + sum_i V_i^2.
 
-Flows of single fields use fixed-step RK4; paths use the stochastic Heun
-predictor-corrector, which integrates the Stratonovich form directly.  Both
+Flows of single fields use fixed-step RK4, each row of a batch with its own
+step count, so that a row's endpoint and flow Jacobian do not depend on the
+other rows; paths use the stochastic Heun predictor-corrector, which
+integrates the Stratonovich form directly.  Both
 steps are kernels compiled from the field trees at first use: the RK4 step
 once per VectorField (`_compile_rk4_step`, with a twin that also
 writes the four stage Jacobians for `flow_jacobian`), the whole Heun step,
@@ -275,35 +277,24 @@ def _as_numeric(fieldlike):
     raise TypeError("expected a VectorField or NumericField")
 
 
-def _normalize_xt(x, t):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],)).copy()
-    return X, t, single
-
-
 def flow(V, x, t, cfg=None):
     """Integral-curve endpoint e^{tV}(x) by fixed-step RK4.
 
     Accepts a single point (N,) or a batch (B, N); `t` may be scalar or per
-    row.  Negative times integrate backwards.  All rows share one step count,
-    ceil(max|t|/dt), so row i steps by t_i/count.  Raises FlowBlowUp when any
-    state leaves the finite range.
+    row.  Negative times integrate backwards.  Each row takes its own step
+    plan (see _step_plan), so it ends where a lone flow of that row ends, bit
+    for bit, whatever else is in the batch.  Raises FlowBlowUp when a state
+    leaves the finite range.
     """
-    cfg = cfg or FlowConfig()
-    X, t, single = _normalize_xt(x, t)
-    counts, h = _step_plan(t, cfg, shared=True)
-    X = _rk4_rows(_as_numeric(V), X, h, counts)
-    return X[0] if single else X
+    return _flow_rows(V, x, t, cfg, jacobians=False)[0]
 
 
-def _step_plan(t, cfg, shared=False):
+def _step_plan(t, cfg):
     """RK4 step counts and sizes for rows flowing for the times `t`.
 
-    A row takes ceil(|t|/dt) steps (at least one, none for t = 0) of size
-    t/count, where |t| is the row's own or, when `shared`, the largest over
-    all rows.  Rejects a non-finite time and a horizon beyond MAX_FLOW_TIME.
+    Row i takes ceil(|t_i|/dt) steps (at least one, none for t_i = 0) of
+    size t_i/count.  Rejects a non-finite time and a horizon beyond
+    MAX_FLOW_TIME.
     """
     a = np.abs(t)
     tmax = float(np.max(a))
@@ -311,47 +302,86 @@ def _step_plan(t, cfg, shared=False):
         raise ValueError(f"flow horizon {tmax} is not finite")
     if not tmax <= MAX_FLOW_TIME:
         raise ValueError(f"flow horizon {tmax:.3g} exceeds the maximum {MAX_FLOW_TIME:.3g}")
-    if shared:
-        a = np.full_like(a, tmax)
     counts = np.where(a > 0, np.maximum(1, np.ceil(a / cfg.dt)), 0).astype(np.int64)
     return counts, np.divide(t, counts, out=np.zeros_like(t), where=counts > 0)
 
 
-def _flow_each(V, X, t, cfg):
-    """Row i of X flowed for t[i], bit for bit as a lone flow(V, X[i], t[i], cfg).
-
-    Every row keeps its own step count and size (see _step_plan); the rows
-    run through one RK4 loop in ascending count order, and come back in the
-    order given.
+def _flow_rows(V, x, t, cfg, jacobians):
+    """The endpoints of flow(V, x, t, cfg) and, with `jacobians`, their flow
+    Jacobians (else None).  The rows run through one RK4 loop (_rk4_rows) in
+    ascending step-count order, and come back in the order given.
     """
-    counts, h = _step_plan(t, cfg)
+    V = _as_numeric(V)
+    x = np.asarray(x, dtype=float)
+    X = x[None, :] if x.ndim == 1 else x
+    counts, h = _step_plan(np.broadcast_to(np.asarray(t, dtype=float), (len(X),)),
+                           cfg or FlowConfig())
     order = np.argsort(counts, kind="stable")
-    X = _rk4_rows(_as_numeric(V), X[order], h[order], counts[order])
-    return X[np.argsort(order)]
+    X, J = _rk4_rows(V, X[order], h[order], counts[order], jacobians)
+    back = 0 if x.ndim == 1 else np.argsort(order)
+    return X[back], None if J is None else J[back]
 
 
-def _rk4_rows(V, X, h, counts):
-    """Row i of X after counts[i] RK4 steps of size h[i] (a new array).
+def _rk4_rows(V, X, h, counts, jacobians=False):
+    """Row i of X after counts[i] RK4 steps of size h[i] (a new array), and
+    with `jacobians` the Jacobian of that map at the row (B, N, N), else None.
 
     Counts must not decrease down the rows, so the rows still advancing at
     step s are the suffix W[lo:] of the column-major workspace that holds
-    the state; each step is one call of the field's RK4 kernel.  Raises
-    FlowBlowUp when an advancing row turns non-finite, at the time that row
-    has reached.
+    the state; each step is one call of the field's RK4 kernel, or of its
+    twin that also writes the field's Jacobians at the four stage points,
+    on which the Jacobians advance by stacked matrix products.  Raises
+    FlowBlowUp when an advancing row's state, and then when its Jacobian,
+    turns non-finite, at the time the failing rows have reached.
     """
     W = _rk4_workspace(V, X, h)
-    N = V.dim
-    out = np.empty((len(W), N), order="F")
-    step = V._rk4_kernel
-    for s in range(int(counts.max(initial=0))):
-        lo = int(np.searchsorted(counts, s, side="right"))
-        Y = out[lo:]
-        step(W[lo:], Y)
-        if not np.isfinite(Y).all():
-            bad = ~np.isfinite(Y).all(axis=1)
-            raise FlowBlowUp((s + 1) * float(np.max(np.abs(h[lo:][bad]))))
-        W[lo:, :N] = Y
-    return np.ascontiguousarray(W[:, :N])
+    B, N = len(W), V.dim
+    if jacobians:
+        # row-major, so that each stage's DV is a stack of C-ordered matrices as
+        # jacobian_batch returns them and `@` takes the same BLAS route
+        out = np.empty((B, 4 * N + 1, N))
+        step = V._rk4_jacobian_kernel
+        J = np.broadcast_to(np.eye(N), (B, N, N)).copy()
+    else:
+        out = np.empty((B, N), order="F")
+        step = V._rk4_kernel
+        J = None
+    ends = counts.tolist()
+    lo = None
+    with np.errstate(all="ignore"):
+        for s in range(int(counts.max(initial=0))):
+            if lo is None or ends[lo] <= s:  # rows drop out: slice the ones left
+                lo = int(np.searchsorted(counts, s, side="right"))
+                Ws, outs, hs = W[lo:], out[lo:], h[lo:]
+                Y = outs[:, 0] if jacobians else outs
+                if jacobians:
+                    Js, hj = J[lo:], hs[:, None, None]
+                    DV = [outs[:, 1 + k * N:1 + (k + 1) * N] for k in range(4)]
+            step(Ws, outs)
+            total = Y.sum()
+            if jacobians:
+                K1 = DV[0] @ Js
+                K2 = DV[1] @ (Js + 0.5 * hj * K1)
+                K3 = DV[2] @ (Js + 0.5 * hj * K2)
+                K4 = DV[3] @ (Js + hj * K3)
+                Js += (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+                total += Js.sum()
+            # a non-finite entry makes its sum non-finite; an overflowing sum
+            # of finite entries only takes the slower look that tells which
+            if not math.isfinite(total):
+                _raise_blowup(Y, hs, s, "flow state")
+                if jacobians:
+                    _raise_blowup(Js, hs, s, "flow Jacobian")
+            Ws[:, :N] = Y
+    return np.ascontiguousarray(W[:, :N]), J
+
+
+def _raise_blowup(A, h, s, what):
+    """Raise FlowBlowUp when a row of A (rows first) is non-finite after step
+    s, at the largest time (s + 1)|h| among such rows."""
+    bad = ~np.isfinite(A.reshape(len(A), -1)).all(axis=1)
+    if bad.any():
+        raise FlowBlowUp((s + 1) * float(np.max(np.abs(h[bad]))), what)
 
 
 def _rk4_workspace(V, X, h):
@@ -410,45 +440,14 @@ def _compile_rk4_step(V, jacobians):
 def flow_jacobian(V, x, t, cfg=None, with_endpoint=False):
     """Jacobian of x -> e^{tV}(x), by joint RK4 on the variational equation.
 
-    One kernel call per step moves the state and gives the field's Jacobians
-    at the four stage points; the Jacobian recursion is stacked matrix
-    products on them.  Raises FlowBlowUp when the state or the Jacobian
-    turns non-finite.
+    The rows take flow's step plans, so each row's Jacobian, and its
+    endpoint with `with_endpoint`, are those of a lone flow_jacobian of that
+    row, bit for bit.  One kernel call per step moves the states and gives
+    the field's Jacobians at the four stage points (see _rk4_rows).  Raises
+    FlowBlowUp when a state or a Jacobian turns non-finite.
     """
-    cfg = cfg or FlowConfig()
-    V = _as_numeric(V)
-    X, t, single = _normalize_xt(x, t)
-    B, n = X.shape
-    J = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-    counts, h = _step_plan(t, cfg, shared=True)
-    W = _rk4_workspace(V, X, h)
-    # row-major, so that each stage's DV is a stack of C-ordered matrices as
-    # jacobian_batch returns them and `@` takes the same BLAS route
-    out = np.empty((B, 4 * n + 1, n))
-    DV = [out[:, 1 + s * n:1 + (s + 1) * n] for s in range(4)]
-    hj = h[:, None, None]
-    hmax = float(np.max(np.abs(h)))
-    step = V._rk4_jacobian_kernel
-    with np.errstate(all="ignore"):
-        for k in range(int(counts[0])):
-            step(W, out)
-            K1 = DV[0] @ J
-            K2 = DV[1] @ (J + 0.5 * hj * K1)
-            K3 = DV[2] @ (J + 0.5 * hj * K2)
-            K4 = DV[3] @ (J + hj * K3)
-            J = J + (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-            # a non-finite entry makes its sum non-finite; an overflowing sum
-            # of finite entries only takes the slower look that tells which
-            if not math.isfinite(out[:, 0].sum() + J.sum()):
-                if not np.isfinite(out[:, 0]).all():
-                    raise FlowBlowUp((k + 1) * hmax)
-                if not np.isfinite(J).all():
-                    raise FlowBlowUp((k + 1) * hmax, "flow Jacobian")
-            W[:, :n] = out[:, 0]
-    X = np.ascontiguousarray(W[:, :n])
-    if with_endpoint:
-        return (J[0], X[0]) if single else (J, X)
-    return J[0] if single else J
+    X, J = _flow_rows(V, x, t, cfg, jacobians=True)
+    return (J, X) if with_endpoint else J
 
 
 def adjoint_push(V, Y, t, x, cfg=None):
@@ -929,19 +928,18 @@ def _heun_step(system, X, dB, dt):
 def auxiliary_process(ensemble, v0perp, cfg=None):
     """Z_t = e^{-t V0perp}(X_t): undo the drift-orthogonal transport per stored time.
 
-    Each stored state flows backward for its own time t with the step count
-    and size a lone flow(v0perp, X_t, -t) would use, ceil(t/dt) steps of
-    -t/ceil(t/dt), so Z is bit-identical to one flow per stored time.  All
-    stored times advance in one RK4 loop, whose rows drop out as their
-    count is reached: the cost is that of the longest flow, not the K(K+1)/2
-    steps of restarting from t = 0.  The supplied field is the
+    Each stored state flows backward for its own time t in one flow call,
+    so Z is bit-identical to one flow per stored time.  All stored times
+    advance in one RK4 loop, whose rows drop out as their count is reached:
+    the cost is that of the longest flow, not the K(K+1)/2 steps of
+    restarting from t = 0.  The supplied field is the
     drift-orthogonal one; catalog systems provide it in closed form.
     Blown-up paths stay flagged and are carried through unchanged.
     """
     cfg = cfg or FlowConfig(dt=ensemble.dt)
     P, K, N = ensemble.states.shape
     rows = ensemble.states.transpose(1, 0, 2).reshape(K * P, N)
-    Z = _flow_each(v0perp, rows, np.repeat(-ensemble.times, P), cfg)
+    Z = flow(v0perp, rows, np.repeat(-ensemble.times, P), cfg)
     Z = Z.reshape(K, P, N).transpose(1, 0, 2)
     return PathEnsemble(ensemble.seed, ensemble.dt, ensemble.times.copy(),
                         np.ascontiguousarray(Z), ensemble.blown.copy())

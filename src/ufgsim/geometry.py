@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .dynamics import FlowBlowUp, FlowConfig, NumericField, _flow_each, flow, flow_jacobian
+from .dynamics import FlowBlowUp, FlowConfig, NumericField, flow, flow_jacobian
 from .fields import VectorField
 from .linalg import (
     RANK_RTOL,
@@ -495,8 +495,7 @@ def check_lyapunov(system, phi, plan, c1, c2, ode_solution_times):
     times = [float(t) for t in ode_solution_times]
     # every (time, point) row with its block moved along the flow; t <= 0 leaves it
     X = np.tile(pts, (len(times), 1))
-    X[:, n:] = _flow_each(ode_field, X[:, n:], np.repeat(np.maximum(times, 0.0), len(pts)),
-                         FlowConfig())
+    X[:, n:] = flow(ode_field, X[:, n:], np.repeat(np.maximum(times, 0.0), len(pts)))
     X = X.reshape(len(times), len(pts), N)  # (time, point, N)
     check = ex.DomainCheck(X.shape[:-1])
     vals = np.empty(X.shape[:-1] + (2,))
@@ -695,28 +694,23 @@ def verify_chart_structure(chart, table, samples_in_domain, fd_step=1e-5, tol=1e
     samples = np.atleast_2d(np.asarray(samples_in_domain, dtype=float))
     if np.max(np.abs(samples)) > chart.radius + 1e-12:
         raise ValueError("samples outside the chart domain")
-    n, N = chart.n, chart.dim
-
-    def pushforward(T, values):  # J^{-1} values(Y) (B, N, k) at Y, J = forward_jacobian(T)
-        Y, J = chart.forward_jacobian(T)
-        return np.linalg.solve(J, values(Y))
-
-    tails = pushforward(samples, lambda Y: table.frame(table.r_m(), Y))[:, n:, :]
+    n, N, S = chart.n, chart.dim, len(samples)
+    # the samples, then, when there are trailing coordinates, the samples
+    # moved by +fd_step and by -fd_step along each leading one: one batch
+    shifted = n if N > n else 0
+    T = np.tile(samples, (1 + 2 * shifted, 1, 1))
+    for i in range(shifted):
+        T[1 + 2 * i, :, i] += fd_step
+        T[2 + 2 * i, :, i] -= fd_step
+    Y, J = chart.forward_jacobian(T.reshape(-1, N))
+    # pushforwards J^{-1} V(Y): R_m's frame at the samples, the drift at the moved ones
+    tails = np.linalg.solve(J[:S], table.frame(table.r_m(), Y[:S]))[:, n:, :]
     max_tail = float(np.max(np.abs(tails))) if tails.size else 0.0
-
-    def drift(Y):
-        return table.drift.eval_batch(Y)[..., None]
-
     max_sens = 0.0
-    if N > n:
-        for i in range(n):
-            Tp = samples.copy()
-            Tm = samples.copy()
-            Tp[:, i] += fd_step
-            Tm[:, i] -= fd_step
-            dp = pushforward(Tp, drift)[:, n:, 0]
-            dm = pushforward(Tm, drift)[:, n:, 0]
-            max_sens = float(np.maximum(max_sens, np.max(np.abs(dp - dm) / (2 * fd_step))))
+    if shifted:
+        drift = np.linalg.solve(J[S:], table.drift.eval_batch(Y[S:])[..., None])
+        d = drift[:, n:, 0].reshape(shifted, 2, S, N - n)
+        max_sens = float(np.max(np.abs(d[:, 0] - d[:, 1]) / (2 * fd_step)))
 
     return {
         "n": n,

@@ -740,20 +740,21 @@ sys.stderr.write(f"{code} {len(forked)} {'multiprocessing' in sys.modules}")
             assert hashlib.sha256(paths[flag].read_bytes()).hexdigest() == digest, flag
 
     # sha256 of the --out report of small runs of the commands built on RK4
-    # flows (zproc is pinned above), recorded before the RK4 step was compiled;
-    # the chart at eps 0.9, whose Newton line search rejects a trial, was
-    # recorded before the trials kept their Jacobian
+    # flows (zproc is pinned above); the lyapunov check was recorded before the
+    # RK4 step was compiled.  The two charts (at eps 0.9 the Newton line search
+    # rejects a trial) were recorded once every flow row took its own step
+    # count: their rounding-level figures moved then, not their verdicts
     @pytest.mark.parametrize("args, digest", [
         (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.2",
           "--samples", "10", "--seed", "0"],
-         "eece9f2ccd13e9228ab5bca01204981982f8d2f43af79d14d21196bfc7684e74"),
+         "2220fbee6b49dff0f2832ee2f8ee9c23a4a832a2e529fbf66d713167154f951e"),
         (["check", "--system", "sine-ou", "--param", "k=2", "--condition", "lyapunov",
           "--phi", "z*z", "--c1", "80", "--c2", "4", "--grid", "3", "--times", "0,0.5,1",
           "--box", "-3:3,0.5:6"],
          "97ce881f8db08ea3b5b73495a46e7e8c6b0f139114d265ccde7be33e8fa9c49a"),
         (["chart", "--system", "random-circles", "--x0", "1,0", "--eps", "0.9",
           "--samples", "10", "--seed", "0"],
-         "3a4a4e3ceeba959bc594cc50a1ecc79c7b193be0fdfaa0d5fe3670d3ff69012c"),
+         "90b3478a8784f19d59a2e6e664173b127ea2ed5a6de5019cacd2e0d6f27d11a5"),
     ], ids=_FIRST_FLOW_IDS)
     def test_flow_outputs_match_recorded_hashes(self, tmp_path, args, digest):
         out = tmp_path / "report.json"
@@ -1158,11 +1159,12 @@ def _real_flags(cmd):
 
 @pytest.mark.parametrize("argv", [
     _BASE[cmd] + [flag, value]
-    for cmd in sorted(_BASE) for flag in _real_flags(cmd) for value in ("0", "-1")
+    for cmd in sorted(_BASE) for flag in _real_flags(cmd) for value in ("0", "-1", "-1e-9")
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_real_flag_edge_values_fail_as_json(argv):
-    """Each real-valued flag of each base command line at 0 and at -1: a
-    verdict, or a JSON error, and no warning."""
+    """Each real-valued flag of each base command line at 0, at -1 and at
+    -1e-9 (which argparse alone reads as an option): a verdict, or a JSON
+    error, and no warning."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -1182,6 +1184,7 @@ def test_real_flag_edge_values_fail_as_json(argv):
     ["check", "--system", "sine-ou", "--condition", "oac", "--grid", "2", "--tol", "-1"],
     _BASE["decompose"] + ["--rtol", "-0.5"],
     _BASE["chart"] + ["--tol", "-1"],
+    _BASE["chart"] + ["--rtol", "-1e-9"],  # exponent form, which argparse reads as an option
     _BASE["chart"] + ["--newton-tol", "-1"],
     _BASE["converge"] + ["--ks-tolerance", "-1"],
     _BASE["converge"] + ["--escape-radius", "-1"],

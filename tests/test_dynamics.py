@@ -905,33 +905,38 @@ def _reference_flow_each(V, X, t, cfg):
 
 
 def _reference_flow_jacobian(V, X, t, cfg):
-    """The joint RK4 loop on eval_batch and jacobian_batch arrays, with the
-    state checked first and then the Jacobian after each step."""
+    """The joint RK4 loop on eval_batch and jacobian_batch arrays, each row on
+    its own step plan and the rows in ascending count order, with the
+    advancing states checked first and then their Jacobians after each step."""
+    counts, h = dyn._step_plan(t, cfg)
+    order = np.argsort(counts, kind="stable")
+    X, h, counts = X[order], h[order], counts[order]
     n = X.shape[1]
     J = np.broadcast_to(np.eye(n), (len(X), n, n)).copy()
-    counts, h = dyn._step_plan(t, cfg, shared=True)
-    for k in range(int(counts[0])):
+    for k in range(int(counts.max(initial=0))):
+        lo = int(np.searchsorted(counts, k, side="right"))
+        x, Jl, hc, hj = X[lo:], J[lo:], h[lo:, None], h[lo:, None, None]
         with np.errstate(all="ignore"):
-            hc = h[:, None]
-            hj = h[:, None, None]
-            k1 = V.eval_batch(X)
-            K1 = V.jacobian_batch(X) @ J
-            x2 = X + 0.5 * hc * k1
+            k1 = V.eval_batch(x)
+            K1 = V.jacobian_batch(x) @ Jl
+            x2 = x + 0.5 * hc * k1
             k2 = V.eval_batch(x2)
-            K2 = V.jacobian_batch(x2) @ (J + 0.5 * hj * K1)
-            x3 = X + 0.5 * hc * k2
+            K2 = V.jacobian_batch(x2) @ (Jl + 0.5 * hj * K1)
+            x3 = x + 0.5 * hc * k2
             k3 = V.eval_batch(x3)
-            K3 = V.jacobian_batch(x3) @ (J + 0.5 * hj * K2)
-            x4 = X + hc * k3
+            K3 = V.jacobian_batch(x3) @ (Jl + 0.5 * hj * K2)
+            x4 = x + hc * k3
             k4 = V.eval_batch(x4)
-            K4 = V.jacobian_batch(x4) @ (J + hj * K3)
-            X = X + (hc / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            J = J + (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        if not np.all(np.isfinite(X)):
-            raise dyn.FlowBlowUp((k + 1) * float(np.max(np.abs(h))))
-        if not np.all(np.isfinite(J)):
-            raise dyn.FlowBlowUp((k + 1) * float(np.max(np.abs(h))), "flow Jacobian")
-    return J, X
+            K4 = V.jacobian_batch(x4) @ (Jl + hj * K3)
+            Xn = x + (hc / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            Jn = Jl + (hj / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+        for A, what in ((Xn, "flow state"), (Jn, "flow Jacobian")):
+            bad = ~np.isfinite(A.reshape(len(A), -1)).all(axis=1)
+            if bad.any():
+                raise dyn.FlowBlowUp((k + 1) * float(np.max(np.abs(h[lo:][bad]))), what)
+        X[lo:], J[lo:] = Xn, Jn
+    back = np.argsort(order)
+    return J[back], X[back]
 
 
 def _outcome(f, *args):
@@ -994,16 +999,13 @@ def test_compiled_rk4_step_is_the_array_arithmetic_to_the_bit(case):
 def test_flow_loops_are_the_array_arithmetic_to_the_bit(case):
     V, X, t = case
     cfg = dyn.FlowConfig()
-    want = _outcome(_reference_flow_each, V, X, t, cfg)
-    _assert_same_outcome(_outcome(dyn._flow_each, V, X, t, cfg), want)
+    _assert_same_outcome(_outcome(dyn.flow, V, X, t, cfg),
+                         _outcome(_reference_flow_each, V, X, t, cfg))
     counts, h = dyn._step_plan(t, cfg)
     order = np.argsort(counts, kind="stable")
     args = X[order], h[order], counts[order]
-    _assert_same_outcome(_outcome(dyn._rk4_rows, V, *args),
+    _assert_same_outcome(_outcome(lambda *a: dyn._rk4_rows(V, *a)[0], *args),
                          _outcome(_reference_rk4_rows, V, *args))
-    counts, h = dyn._step_plan(t, cfg, shared=True)
-    _assert_same_outcome(_outcome(dyn.flow, V, X, t, cfg),
-                         _outcome(_reference_rk4_rows, V, X, h, counts))
 
 
 @given(_flow_cases())
@@ -1027,12 +1029,53 @@ def test_flow_blowup_times_match_the_array_arithmetic():
     for rows in ([0, 1], [0, 2], [0, 3], [0, 4], [1, 2, 3, 4]):
         want = _outcome(_reference_flow_each, V, X[rows], t[rows], cfg)
         assert isinstance(want[0], float) and want[0] > 0
-        assert _outcome(dyn._flow_each, V, X[rows], t[rows], cfg) == want
-        counts, h = dyn._step_plan(t[rows], cfg, shared=True)
-        assert _outcome(dyn.flow, V, X[rows], t[rows], cfg) == _outcome(
-            _reference_rk4_rows, V, X[rows], h, counts)
+        assert _outcome(dyn.flow, V, X[rows], t[rows], cfg) == want
         assert _outcome(lambda: dyn.flow_jacobian(V, X[rows], t[rows], cfg)) == _outcome(
             _reference_flow_jacobian, V, X[rows], t[rows], cfg)
+    # flowing for 0.5 from 3, a row's blow-up time stays its own (step 36 of
+    # its 50) beside a row with more and larger steps, in either order
+    for call in (dyn.flow, dyn.flow_jacobian):
+        for rows, times in (([0, 1], [1.0, 0.5]), ([1, 0], [0.5, 1.0])):
+            with pytest.raises(dyn.FlowBlowUp, match="flow state") as err:
+                call(V, X[rows], times, cfg)
+            assert err.value.time == pytest.approx(0.36, abs=1e-12)
+
+
+def _lone_outcome(V, X, t, cfg, jacobians):
+    """flow (or flow_jacobian with its endpoint) of each row alone: the list of
+    outcomes, a failing row's as (step, kind, time, message)."""
+    outs = []
+    for x, ti in zip(X, t):
+        if jacobians:
+            out = _outcome(lambda: dyn.flow_jacobian(V, x, ti, cfg, with_endpoint=True))
+        else:
+            out = _outcome(dyn.flow, V, x, ti, cfg)
+        if isinstance(out[0], float):
+            h = abs(float(dyn._step_plan(np.array([ti]), cfg)[1][0]))
+            out = (round(out[0] / h), "Jacobian" in out[1], *out)
+        outs.append(out)
+    return outs
+
+
+@given(_flow_cases(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_flow_rows_do_not_depend_on_their_batch(case, random):
+    V, X, t = case
+    cfg = dyn.FlowConfig()
+    rows = random.sample(range(len(X)), random.randint(1, len(X)))
+    for jacobians, call in ((False, dyn.flow),
+                            (True, lambda *a: dyn.flow_jacobian(*a, with_endpoint=True))):
+        lone = _lone_outcome(V, X[rows], t[rows], cfg, jacobians)
+        got = _outcome(call, V, X[rows], t[rows], cfg)
+        failed = [o for o in lone if len(o) == 4]
+        if failed:
+            # the batch stops at the first failing step, on its failing states
+            # before its failing Jacobians, at the longest time among them
+            first = min(o[:2] for o in failed)
+            assert got == max((o for o in failed if o[:2] == first), key=lambda o: o[2])[2:]
+        else:
+            for i, a in enumerate(got):
+                assert_same_bits(a, np.stack([o[i] for o in lone]))
 
 
 def _reference_numeric_jacobian(field, X):
@@ -1155,7 +1198,6 @@ class TestNonFiniteJacobians:
     def test_nan_time_is_not_finite(self):
         for call in (lambda t: dyn.flow(self.sqrt_field, [1.0], t),
                      lambda t: dyn.flow_jacobian(self.sqrt_field, [1.0], t),
-                     lambda t: dyn._flow_each(self.sqrt_field, np.ones((2, 1)),
-                                              np.array([0.1, t]), dyn.FlowConfig())):
+                     lambda t: dyn.flow(self.sqrt_field, np.ones((2, 1)), [0.1, t])):
             with pytest.raises(ValueError, match="horizon nan is not finite"):
                 call(math.nan)
