@@ -375,6 +375,3 @@ _BUILDERS = {
     "sine-ou": _build_sine_ou,
     "circle-line": _build_circle_line,
 }
-# the systems whose entry carries a closed-form drift-orthogonal field
-CLOSED_FORM_V0PERP = frozenset({"gbm", "ufg-heisenberg", "random-circles", "grushin",
-                                "sine-ou", "circle-line"})

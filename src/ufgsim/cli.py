@@ -18,8 +18,8 @@ metadata, as are the outputs, so reports stay byte-comparable across them.
 
 A command accepts only the flags it reads; any other is a usage error naming
 it, raised before any work.  So `check` accepts the flags in CHECK_READS of
-its condition, and `zproc` takes no --level or --rtol on the catalog systems
-in catalog.CLOSED_FORM_V0PERP, whose drift-orthogonal field it never
+its condition, and `zproc` takes no --level or --rtol on a catalog system
+whose entry carries a closed-form drift-orthogonal field, which it never
 computes.
 """
 
@@ -35,13 +35,7 @@ import sys
 import numpy as np
 
 from . import catalog, diagnostics, dynamics, expr as ex, geometry, malliavin
-from .dynamics import (
-    FlowConfig,
-    SDESystem,
-    auxiliary_process,
-    rank_along_path,
-    simulate_paths,
-)
+from .dynamics import SDESystem, auxiliary_process, rank_along_path, simulate_paths
 from .fields import VectorField, build_hierarchy
 from .geometry import SamplePlan
 from .linalg import RANK_RTOL
@@ -519,14 +513,15 @@ def _write_ensemble_csv(ens, out):
 
 
 def cmd_zproc(args):
-    if args.system in catalog.CLOSED_FORM_V0PERP and (args.level, args.rtol) != (None, None):
-        flag = "--level" if args.level is not None else "--rtol"
-        raise UsageError(f"{flag} is not read by zproc on {args.system}, whose "
-                         "drift-orthogonal field is closed-form")
+    given = [flag for flag, v in (("--level", args.level), ("--rtol", args.rtol))
+             if v is not None]  # before _load fills in --level
     system, entry, _, _ = _load(args)
+    if given and entry is not None and entry.v0perp is not None:
+        raise UsageError(f"{given[0]} is not read by zproc on {args.system}, whose "
+                         "drift-orthogonal field is closed-form")
     v0perp = _v0perp_for(entry, system, args)  # an oversized table fails before simulating
     ens = _simulate_from_args(args, system)
-    z = auxiliary_process(ens, v0perp, FlowConfig(dt=args.dt))
+    z = auxiliary_process(ens, v0perp)
     _write_ensemble_csv(z, args.out)
     return EXIT_OK
 

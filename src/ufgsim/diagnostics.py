@@ -143,36 +143,6 @@ def convergence_study(system, x0, times, references, n_paths, seed,
     return ConvergenceReport(grid_times, ks, w1, escape, rates, passed, int(ens.blown.sum()))
 
 
-def same_leaf_coupling(system, x, y, f, times, n_paths, seed, dt=1e-3):
-    """|P_t f(x) - P_t f(y)| with common random numbers, per requested time.
-
-    The two starts are coupled: one ensemble drives both with the same
-    per-path increments, so the difference of sample means is itself a
-    per-path average with its own standard error.  Returns a list of (grid
-    time, |difference|, standard error).  Rejects fewer than two paths.
-    """
-    _need_two_paths(n_paths)
-    return [(tg, float(abs(np.mean(d))), float(np.std(d, ddof=1) / math.sqrt(len(d))))
-            for tg, d in _coupled_differences(system, [x, y], f, times, n_paths, seed, dt, 1)]
-
-
-def _coupled_differences(system, starts, f, times, n_paths, seed, dt, workers):
-    """Per requested time, (grid time, f(X^a) - f(X^b) per path) for the two starts
-    a, b coupled in one ensemble (see simulate_paths); f is compiled once."""
-    times = [float(t) for t in times]
-    ens = simulate_paths(system, np.asarray(starts, dtype=float), max(times), dt, n_paths,
-                         seed, store_times=times, workers=workers)
-    kernel = ex.compile_exprs([f], ())
-    for t in times:
-        tg, (Xa, Xb) = ens.state_at(t)
-        yield float(tg), _apply_observable(kernel, Xa) - _apply_observable(kernel, Xb)
-
-
-def _need_two_paths(n_paths):
-    if n_paths < 2:
-        raise ValueError(f"need at least two paths for a standard error, got {n_paths}")
-
-
 def _apply_observable(kernel, X):
     vals = np.empty(X.shape[:-1])
     kernel(X, vals)
@@ -195,7 +165,8 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
         raise ValueError(f"x0 must have shape ({system.dim},)")
-    _need_two_paths(n_paths)
+    if n_paths < 2:
+        raise ValueError(f"need at least two paths for a standard error, got {n_paths}")
     if h is not None and not (math.isfinite(h) and h != 0):
         raise ValueError(f"difference step h = {h!r} must be a nonzero finite number")
     vdir = direction(x)
@@ -205,13 +176,15 @@ def semigroup_derivative(system, f, direction, x, t, n_paths, h=None, seed=0, dt
     if h is None:
         h = 1e-3 * (1.0 + float(np.linalg.norm(x)))
     u = vdir / norm
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    est = np.empty(times.shape)
-    err = np.empty(times.shape)
-    pairs = _coupled_differences(system, [x + h * u, x - h * u], f, times, n_paths, seed, dt,
-                                 workers)
-    for i, (_, d) in enumerate(pairs):
-        d = d * (norm / (2.0 * h))
+    times = [float(s) for s in np.atleast_1d(np.asarray(t, dtype=float))]
+    ens = simulate_paths(system, np.array([x + h * u, x - h * u]), max(times), dt, n_paths,
+                         seed, store_times=times, workers=workers)
+    kernel = ex.compile_exprs([f], ())  # compiled once for every time and start
+    est = np.empty(len(times))
+    err = np.empty(len(times))
+    for i, s in enumerate(times):
+        Xa, Xb = ens.state_at(s)[1]
+        d = (_apply_observable(kernel, Xa) - _apply_observable(kernel, Xb)) * (norm / (2.0 * h))
         est[i] = np.mean(d)
         err[i] = np.std(d, ddof=1) / math.sqrt(len(d))
     if np.ndim(t) == 0:

@@ -387,16 +387,22 @@ def _raise_blowup(A, h, s, what):
 def _rk4_workspace(V, X, h):
     """Column-major rows for the RK4 kernels of V: the state X, then 0.5 h, h
     and h/6 for each row's step size h."""
-    X = np.asarray(X, dtype=float)
+    X = _rows_for(V, X)
     N = V.dim
-    if X.shape[1:] != (N,):
-        raise ValueError(f"points of dimension {X.shape[-1]} for a field on R^{N}")
     W = np.empty((len(X), N + 3), order="F")
     W[:, :N] = X
     W[:, N] = 0.5 * h
     W[:, N + 1] = h
     W[:, N + 2] = h / 6.0
     return W
+
+
+def _rows_for(V, X):
+    """The rows X (B, N) as floats; rejects points of another dimension than V's."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[1:] != (V.dim,):
+        raise ValueError(f"points of dimension {X.shape[-1]} for a field on R^{V.dim}")
+    return X
 
 
 def _compile_rk4_step(V, jacobians):
@@ -925,21 +931,20 @@ def _heun_step(system, X, dB, dt):
     return out[:, 0], out[:, 1]
 
 
-def auxiliary_process(ensemble, v0perp, cfg=None):
+def auxiliary_process(ensemble, v0perp):
     """Z_t = e^{-t V0perp}(X_t): undo the drift-orthogonal transport per stored time.
 
-    Each stored state flows backward for its own time t in one flow call,
-    so Z is bit-identical to one flow per stored time.  All stored times
-    advance in one RK4 loop, whose rows drop out as their count is reached:
-    the cost is that of the longest flow, not the K(K+1)/2 steps of
-    restarting from t = 0.  The supplied field is the
+    Each stored state flows backward for its own time t in one flow call at
+    the ensemble's step dt, so Z is bit-identical to one flow per stored
+    time.  All stored times advance in one RK4 loop, whose rows drop out as
+    their count is reached: the cost is that of the longest flow, not the
+    K(K+1)/2 steps of restarting from t = 0.  The supplied field is the
     drift-orthogonal one; catalog systems provide it in closed form.
     Blown-up paths stay flagged and are carried through unchanged.
     """
-    cfg = cfg or FlowConfig(dt=ensemble.dt)
     P, K, N = ensemble.states.shape
     rows = ensemble.states.transpose(1, 0, 2).reshape(K * P, N)
-    Z = flow(v0perp, rows, np.repeat(-ensemble.times, P), cfg)
+    Z = flow(v0perp, rows, np.repeat(-ensemble.times, P), FlowConfig(dt=ensemble.dt))
     Z = Z.reshape(K, P, N).transpose(1, 0, 2)
     return PathEnsemble(ensemble.seed, ensemble.dt, ensemble.times.copy(),
                         np.ascontiguousarray(Z), ensemble.blown.copy())
@@ -953,41 +958,36 @@ class FlowLimitResult:
     time: float
 
 
-def flow_limit(v0perp, x, t_max, cfg=None):
+def flow_limit(v0perp, x, t_max):
     """Limit of e^{t V0perp}(x) as t grows, when it exists.
 
-    Integrates until the field norm falls below STALL_TOL (converged), the
-    state norm exceeds DIVERGENCE_RADIUS (diverged) or t_max is exhausted
-    (not_converged).
+    Takes flow's steps for the horizon t_max (see _step_plan; a negative
+    one is rejected too), so an unconverged run ends where
+    flow(v0perp, x, t_max) ends, bit for bit.  Converged: the field norm is
+    below STALL_TOL at the start, every 20 steps or at t_max.  Diverged:
+    else the state norm exceeds DIVERGENCE_RADIUS, or a state turns
+    non-finite (residual inf, the last state checked).
     """
-    cfg = cfg or FlowConfig()
     V = _as_numeric(v0perp)
-    y = np.asarray(x, dtype=float).copy()
-    W = _rk4_workspace(V, y[None, :], np.array([cfg.dt]))
-    t = 0.0
-    check_every = 20
-    res = float(np.linalg.norm(V.eval_batch(y[None, :])[0]))
-    if res < STALL_TOL:
-        return FlowLimitResult("converged", y, res, 0.0)
-    Y = W[:, :len(y)]
-    out = np.empty_like(Y)
-    step = V._rk4_kernel
-    steps = 0
-    while t < t_max:
-        step(W, out)
-        t += cfg.dt
-        steps += 1
-        if not np.all(np.isfinite(out)):
-            return FlowLimitResult("diverged", out[0], float("inf"), t)
-        Y[...] = out
-        if steps % check_every == 0 or t >= t_max:
-            res = float(np.linalg.norm(V.eval_batch(Y)[0]))
-            if res < STALL_TOL:
-                return FlowLimitResult("converged", Y[0], res, t)
-            if float(np.linalg.norm(Y[0])) > DIVERGENCE_RADIUS:
-                return FlowLimitResult("diverged", Y[0], res, t)
-    res = float(np.linalg.norm(V.eval_batch(Y)[0]))
-    return FlowLimitResult("not_converged", Y[0], res, t)
+    y = _rows_for(V, np.array(x, dtype=float)[None, :])
+    if t_max < 0:
+        raise ValueError(f"flow_limit horizon {t_max} is negative")
+    counts, h = _step_plan(np.array([t_max], dtype=float), FlowConfig())
+    count, step = int(counts[0]), float(h[0])
+    s, res = 0, float(np.linalg.norm(V.eval_batch(y)[0]))
+    while not res < STALL_TOL:
+        if s == count:
+            return FlowLimitResult("not_converged", y[0], res, s * step)
+        k = min(20, count - s)
+        try:
+            y = _rk4_rows(V, y, h, np.array([k]))[0]
+        except FlowBlowUp as err:
+            return FlowLimitResult("diverged", y[0], math.inf, s * step + err.time)
+        s += k
+        res = float(np.linalg.norm(V.eval_batch(y)[0]))
+        if not res < STALL_TOL and float(np.linalg.norm(y[0])) > DIVERGENCE_RADIUS:
+            return FlowLimitResult("diverged", y[0], res, s * step)
+    return FlowLimitResult("converged", y[0], res, s * step)
 
 
 def rank_along_path(states, table, rtol=RANK_RTOL):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .dynamics import FlowBlowUp, FlowConfig, NumericField, flow, flow_jacobian
+from .dynamics import FlowBlowUp, NumericField, flow, flow_jacobian
 from .fields import VectorField
 from .linalg import (
     RANK_RTOL,
@@ -212,9 +212,9 @@ def _positive_max(a):
     return float(np.max(np.where(a > 0.0, a, 0.0), initial=0.0))
 
 
-def check_ufg(table, plan, m=None, residual_tol=1e-8,
+def check_ufg(table, plan, *, residual_tol=1e-8,
               coeff_blowup_threshold=DEFAULT_COEFF_BLOWUP, rtol=RANK_RTOL):
-    """Pointwise finite-generation test at level m.
+    """Pointwise finite-generation test at the table's level m.
 
     At each sample point every bracket field with m < length <= m+2 is
     regressed onto the level-m frame.  The residual is measured against the
@@ -226,9 +226,7 @@ def check_ufg(table, plan, m=None, residual_tol=1e-8,
     each nonzero target's largest entry lies between about 2e-292 and 5e291,
     outside which LAPACK's gelsd rescales the whole right-hand-side block.
     """
-    m = table.m if m is None else m
-    if m > table.m:
-        raise ValueError(f"table was built at level {table.m}, cannot check level {m}")
+    m = table.m
     frame_idx = table.indices(m)
     targets = [a for a in table.indices() if m < a.length <= m + 2]
     pts = plan.sample(table.dim)
@@ -538,7 +536,6 @@ class Chart:
     uses_drift_orthogonal: bool
     radius: float
     newton_tol: float
-    flow_cfg: FlowConfig
 
     @property
     def dim(self):
@@ -554,7 +551,7 @@ class Chart:
         self._check_domain(T)
         Y = np.broadcast_to(self.center, (T.shape[0], self.dim)).copy()
         for j in range(self.dim - 1, -1, -1):
-            Y = flow(self.coord_fields[j], Y, T[:, j], self.flow_cfg)
+            Y = flow(self.coord_fields[j], Y, T[:, j])
         return Y[0] if np.ndim(t) == 1 else Y
 
     def forward_jacobian(self, t):
@@ -567,7 +564,7 @@ class Chart:
         for j in range(self.dim - 1, -1, -1):
             fieldj = self.coord_fields[j]
             tangent = fieldj.eval_batch(Y)[:, :, None]
-            J, Y = flow_jacobian(fieldj, Y, T[:, j], self.flow_cfg, with_endpoint=True)
+            J, Y = flow_jacobian(fieldj, Y, T[:, j], with_endpoint=True)
             cols = np.concatenate([J @ cols, J @ tangent], axis=2)
         JPsi = cols[:, :, ::-1]
         if np.ndim(t) == 1:
@@ -676,8 +673,7 @@ def build_chart(table, x0, eps, rtol=RANK_RTOL, newton_tol=1e-12, v0perp=None):
     if len(coord_fields) != N:
         raise RuntimeError("chart construction produced a degenerate basis")
 
-    return Chart(x0, n0, basis_indices, coord_fields, uses_perp,
-                 float(eps), newton_tol, FlowConfig())
+    return Chart(x0, n0, basis_indices, coord_fields, uses_perp, float(eps), newton_tol)
 
 
 def verify_chart_structure(chart, table, samples_in_domain, fd_step=1e-5, tol=1e-5):

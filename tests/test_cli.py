@@ -925,20 +925,16 @@ class TestFlagsReadOnly:
         assert "not allowed with argument --export" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("flag, value", [("--level", "2"), ("--rtol", "1e-6")])
-    def test_zproc_reads_level_and_rtol_only_without_a_closed_form(self, capsys, flag,
-                                                                   value):
-        args = ["--x0", "1,0", "--t", "0.01", "--paths", "2", flag, value]
-        with mock.patch.object(cli, "load_system", side_effect=AssertionError("loaded")):
+    def test_zproc_reads_level_and_rtol_only_without_a_closed_form(self, capsys, tmp_path,
+                                                                   flag, value):
+        csv = tmp_path / "z.csv"
+        args = ["--x0", "1,0", "--t", "0.01", "--paths", "2", flag, value, "--out", str(csv)]
+        with mock.patch.object(cli, "simulate_paths", side_effect=AssertionError("simulated")):
             code, out, err = run_cli(["zproc", "--system", "random-circles", *args], capsys)
-        assert code == cli.EXIT_USAGE and out == ""
+        assert code == cli.EXIT_USAGE and out == "" and not csv.exists()
         assert json.loads(err)["error"].startswith(f"{flag} is not read by zproc")
         code, out, _ = run_cli(["zproc", "--system", "sinfields", *args], capsys)
-        assert code == cli.EXIT_OK and out.startswith("path_id,time,")
-
-    def test_closed_form_systems_are_the_catalogs(self):
-        assert cli.catalog.CLOSED_FORM_V0PERP == {
-            name for name in cli.catalog.list_entries()
-            if cli.catalog.get(name).v0perp is not None}
+        assert code == cli.EXIT_OK and csv.read_text().startswith("path_id,time,")
 
 
 def test_commands_import_no_scipy():

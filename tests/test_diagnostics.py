@@ -105,46 +105,7 @@ class TestConvergenceStudy:
                                  {0: dg.dirac(0.0)}, 10, seed=0, escape_radius=10.0)
 
 
-class TestCoupling:
-    def test_identical_starts_exact_zero(self, sine_ou_k2):
-        f = ex.parse_expression("tanh(z)", ["z", "zeta"])
-        out = dg.same_leaf_coupling(sine_ou_k2.system, [0.0, 4.0], [0.0, 4.0], f,
-                                    [0.5, 1.0], 100, seed=3)
-        assert all(d == 0.0 and se == 0.0 for _, d, se in out)
-
-    def test_sine_ou_same_leaf(self, sine_ou_k2):
-        f = ex.parse_expression("tanh(z)", ["z", "zeta"])
-        out = dg.same_leaf_coupling(sine_ou_k2.system, [0.0, 4.0], [1.0, 4.0], f,
-                                    [6.0], 2000, seed=23)
-        t, diff, se = out[0]
-        assert diff <= 3 * se + 5e-3
-
-    def test_circles_leaf_contraction(self, circles):
-        f = ex.parse_expression("tanh(0.5*log(x*x + y*y))", ["x", "y"])
-        out = dg.same_leaf_coupling(circles.system, [1.0, 0.0], [2.0, 0.0], f,
-                                    [0.5, 4.0], 3000, seed=29)
-        assert out[-1][1] < out[0][1]
-
-
-    def test_one_path_rejected(self, sine_ou_k2):
-        f = ex.parse_expression("z", ["z", "zeta"])
-        with pytest.raises(ValueError, match="two paths"):
-            dg.same_leaf_coupling(sine_ou_k2.system, [0.0, 4.0], [1.0, 4.0], f, [0.1], 1, seed=0)
-
-
 class TestCoupledEstimatorBits:
-    @pytest.mark.parametrize("name, params, x, y, f", [
-        ("sine-ou", {"k": 2.0}, [0.0, 4.0], [1.0, 4.0], "tanh(z)"),
-        ("random-circles", {}, [1.0, 0.0], [2.0, 0.0], "tanh(0.5*log(x*x + y*y))"),
-    ])
-    def test_same_leaf_coupling(self, name, params, x, y, f):
-        entry = catalog.get(name, params)
-        f = ex.parse_expression(f, list(entry.variables))
-        got = dg.same_leaf_coupling(entry.system, x, y, f, [0.25, 0.5], 200, seed=4)
-        want = [(tg, abs(np.mean(d)), np.std(d, ddof=1) / math.sqrt(len(d)))
-                for tg, d in coupled_differences(entry.system, [x, y], f, [0.25, 0.5], 200, 4)]
-        assert_same_bits(got, want)
-
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("t", [0.5, [0.25, 0.5]])
     def test_semigroup_derivative(self, forking, t, workers):

@@ -405,17 +405,16 @@ class TestBatchedTransport:
         z = dyn.auxiliary_process(ens, V)
         assert np.array_equal(z.states, per_time_reference(ens, V, dyn.FlowConfig(dt=ens.dt)))
 
-    @pytest.mark.parametrize("flow_dt", [None, 7e-4])
-    def test_times_off_the_step_grid(self, circles, flow_dt):
+    def test_times_off_the_step_grid(self, circles):
         # 0.3 / 0.003 is 99.99999999999999: some stored t/dt fall just above
         # an integer and take one step more than their index
         ens = dyn.simulate_paths(circles.system, [1.0, 0.0], 0.3, 3e-3, 10, seed=13,
                                  store_stride=3)
-        cfg = dyn.FlowConfig(dt=flow_dt or ens.dt)
-        q = ens.times / cfg.dt
+        q = ens.times / ens.dt
         assert np.any(np.ceil(q) != np.round(q))
-        z = dyn.auxiliary_process(ens, circles.v0perp, cfg)
-        assert np.array_equal(z.states, per_time_reference(ens, circles.v0perp, cfg))
+        z = dyn.auxiliary_process(ens, circles.v0perp)
+        want = per_time_reference(ens, circles.v0perp, dyn.FlowConfig(dt=ens.dt))
+        assert np.array_equal(z.states, want)
 
     def test_blowup_raised_as_by_per_time_flows(self):
         V = vf.make_field(2, ["x1*x1", "0"], ["x1", "x2"])
@@ -461,6 +460,33 @@ class TestFlowLimit:
         # pure rotation never stalls or diverges
         res = dyn.flow_limit(circles.v0perp, [1.0, 0.0], 2.0)
         assert res.status == "not_converged"
+
+    def test_not_converged_ends_at_the_flow_endpoint(self, circles):
+        # the limit takes flow's steps, so it stops at t_max, not a step past it
+        res = dyn.flow_limit(circles.v0perp, [1.0, 0.0], 2.0)
+        assert res.status == "not_converged" and res.time == 2.0
+        assert_same_bits(res.point, dyn.flow(circles.v0perp, [1.0, 0.0], 2.0))
+
+    @pytest.mark.parametrize("t_max", [math.inf, 0.2, -5.0])
+    def test_bad_horizons_rejected_before_any_step(self, monkeypatch, circles, t_max):
+        monkeypatch.setattr(dyn, "MAX_FLOW_TIME", 0.1)
+
+        def stepped(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(dyn, "_rk4_rows", stepped)
+        with pytest.raises(ValueError, match="horizon"):
+            dyn.flow_limit(circles.v0perp, [1.0, 0.0], t_max)
+
+    def test_blowup_is_diverged_at_a_finite_point(self):
+        V = vf.make_field(1, ["x*x"], ["x"])  # from 3 it blows up at t = 1/3
+        res = dyn.flow_limit(V, [3.0], 1.0)
+        assert res.status == "diverged" and res.residual == math.inf
+        assert np.all(np.isfinite(res.point)) and abs(res.time - 1 / 3) < 0.02
+
+    def test_nan_start_is_diverged(self, circles):
+        res = dyn.flow_limit(circles.v0perp, [math.nan, 0.0], 1.0)
+        assert res.status == "diverged"
 
 
 class TestRankAlongPath:
@@ -1198,6 +1224,7 @@ class TestNonFiniteJacobians:
     def test_nan_time_is_not_finite(self):
         for call in (lambda t: dyn.flow(self.sqrt_field, [1.0], t),
                      lambda t: dyn.flow_jacobian(self.sqrt_field, [1.0], t),
-                     lambda t: dyn.flow(self.sqrt_field, np.ones((2, 1)), [0.1, t])):
+                     lambda t: dyn.flow(self.sqrt_field, np.ones((2, 1)), [0.1, t]),
+                     lambda t: dyn.flow_limit(self.sqrt_field, [1.0], t)):
             with pytest.raises(ValueError, match="horizon nan is not finite"):
                 call(math.nan)

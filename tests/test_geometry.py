@@ -188,11 +188,6 @@ class TestUFG:
         assert rep.verdict == "suspect"
         assert max(r.max_coeff for r in rep.records) > 1e6
 
-    def test_level_above_table_rejected(self, circles):
-        tab = table_for(circles)
-        with pytest.raises(ValueError):
-            geo.check_ufg(tab, geo.SamplePlan(points=[[1.0, 0.0]]), m=5)
-
 
 def reference_check_ufg(table, plan, m, rtol=RANK_RTOL):
     """One least-squares solve per (point, target), folded with Python max."""
